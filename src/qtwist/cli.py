@@ -2,8 +2,8 @@
 deterministic text/JSON reports.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors
-(argparse), 3 invalid configuration (bad datum/constraint files), 4 I/O
-failures.
+(argparse), 3 invalid configuration (bad datum/constraint files, negative
+window sizes), 4 I/O failures, 5 internal errors (any other exception).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import rootdata, specializations
 from .coeffring import Context, gauss_vanish, qbinom, qint
@@ -26,12 +27,13 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _load_datum(arg: str):
     import os
 
-    if arg.lower() in ("a1", "a1xa1", "a2", "b2", "g2"):
+    if arg.lower() in rootdata.BUILTINS:
         return rootdata.builtin(arg)
     if not os.path.exists(arg) and os.sep not in arg and not arg.endswith(".json"):
         raise DatumError("unknown root datum %r: not a built-in name and not a file" % arg)
@@ -60,12 +62,11 @@ def _emit(report: Report, args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--root-datum", default="a1",
-                     help="a1, a1xa1, a2, b2, g2, or a JSON config file")
+                     help="%s, or a JSON config file" % ", ".join(rootdata.BUILTINS))
     sub.add_argument("--lambda-box", type=int, default=2,
                      help="weight window: all coordinates in [-K, K]")
     sub.add_argument("--out", default="", help="write the report to this file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel check evaluation")
     sub.add_argument("--stable", action="store_true",
                      help="omit wall-clock timing from JSON output")
 
@@ -146,7 +147,7 @@ def _spec_kwargs(args, rd):
                 kwargs["omega"] = json.load(fh)
         except OSError as exc:
             raise IOError("cannot read omega file: %s" % exc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise SpecializationError("omega file is not valid JSON: %s" % exc)
     if args.case == "super1":
         order = _parse_order(args.order, rd.n)
@@ -160,6 +161,11 @@ def _spec_kwargs(args, rd):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("lambda_box", "nmax", "max_n"):
+        if getattr(args, flag, 0) < 0:
+            print("invalid configuration: --%s must be >= 0" % flag.replace("_", "-"),
+                  file=sys.stderr)
+            return EXIT_BAD_CONFIG
     try:
         if args.command == "qcalc":
             ctx = Context()
@@ -191,7 +197,7 @@ def main(argv=None) -> int:
 
         if args.command == "verify-iso":
             params = ParameterSet.v_tied(rd.cartan)
-            report = verify_twist_isomorphism(rd, params, window, jobs=args.jobs)
+            report = verify_twist_isomorphism(rd, params, window)
             report.merge(verify_integrality(rd, params, rd.weights_box(min(args.lambda_box, 1))))
             report.finalize()
         elif args.command == "verify-hopf":
@@ -201,7 +207,7 @@ def main(argv=None) -> int:
             spec = specializations.make(args.case, rd, **_spec_kwargs(args, rd))
             report = specializations.verify_specialization(spec, window)
             if args.with_iso:
-                report.merge(specializations.apply_to_isomorphism(spec, window, jobs=args.jobs))
+                report.merge(specializations.apply_to_isomorphism(spec, window))
                 report.finalize()
         elif args.command == "verify-modules":
             if args.case == "generic":
@@ -213,12 +219,16 @@ def main(argv=None) -> int:
             )
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_BAD_CONFIG
-    except (DatumError, SpecializationError, ValueError) as exc:
+    except (DatumError, SpecializationError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
     except IOError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # an engine bug, never a configuration problem
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
     return _emit(report, args)
 
 

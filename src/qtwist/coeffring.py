@@ -702,6 +702,4 @@ def gauss_vanish(n: int, q: LaurentPoly) -> LaurentPoly:
 
 def substitute(x, images: Mapping[Var, LaurentPoly], ctx_out: Context):
     """Ring homomorphism determined by variable -> signed unit monomial."""
-    if isinstance(x, RatExpr):
-        return x.subs(images, ctx_out)
     return x.subs(images, ctx_out)

@@ -30,9 +30,11 @@ from .ncalg import (
     TensorExpr,
     bichar,
     grade,
+    merge_term,
     straighten,
     tmul,
     word_key,
+    word_str,
 )
 from .params import ParameterSet
 from .presentations import serre_binomial
@@ -109,7 +111,6 @@ def antipode(ctx: HopfContext, x: NCExpr) -> NCExpr:
     the word and collects the bicharacter twist of each transposition.
     """
     p = ctx.params
-    n = p.cartan.n
     images = {
         "E": lambda i: NCExpr.word(p, (("Kinv", i), ("E", i)), -1),
         "F": lambda i: NCExpr.word(p, (("F", i), ("Kpinv", i)), -1),
@@ -131,14 +132,13 @@ def star_mul(p: ParameterSet, x: NCExpr, y: NCExpr) -> NCExpr:
     """x * y = s(|y|,|x|) t(|x|,|y|) yx on homogeneous words, bilinearly."""
     n = p.cartan.n
     terms: dict = {}
-    out = NCExpr(p, terms)
     for wx, cx in x.terms.items():
         dx = grade(wx, n)
         for wy, cy in y.terms.items():
             dy = grade(wy, n)
             twist = bichar(p, "s", dy, dx) * bichar(p, "t", dx, dy)
-            out._merge(terms, wy + wx, cx * cy * twist)
-    return out
+            merge_term(terms, wy + wx, cx * cy * twist)
+    return NCExpr(p, terms)
 
 
 # -- verification -----------------------------------------------------------------
@@ -170,7 +170,7 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
         rec = CheckRecord("coprod-pow:i%d:n%d" % (i + 1, n), "coprod-pow", i, None, None)
         if not (lhs == rhs):
             rec.status = FAIL
-            rec.witness = _tensor_witness(lhs - rhs)
+            rec.witness = _witness(lhs - rhs)
         records.append(rec)
     return records
 
@@ -190,26 +190,16 @@ def verify_coproduct_serre(ctx: HopfContext, i: int, j: int) -> list:
     rec = CheckRecord("coprod-serre:i%d:j%d" % (i + 1, j + 1), "coprod-serre", i, j)
     if not (lhs == rhs):
         rec.status = FAIL
-        rec.witness = _tensor_witness(lhs - rhs)
+        rec.witness = _witness(lhs - rhs)
     return [rec]
 
 
-def _tensor_witness(diff: TensorExpr) -> str:
+def _witness(diff) -> str:
+    """The leading term of a nonzero difference, for a FAIL record."""
     if diff.is_zero():
         return ""
     key, c = diff.sorted_terms()[0]
-    slots = " (x) ".join(
-        "*".join("%s%d" % (k, idx + 1) for k, idx in w) if w else "1" for w in key
-    )
-    return "%s has coefficient %s" % (slots, c.simplified())
-
-
-def _nc_witness(diff: NCExpr) -> str:
-    if diff.is_zero():
-        return ""
-    w, c = diff.sorted_terms()[0]
-    ws = "*".join("%s%d" % (k, idx + 1) for k, idx in w) if w else "1"
-    return "%s has coefficient %s" % (ws, c.simplified())
+    return "%s has coefficient %s" % (diff.key_str(key), c.simplified())
 
 
 def _k_part(word) -> tuple:
@@ -258,7 +248,6 @@ def verify_antipode(ctx: HopfContext) -> list:
     p = ctx.params
     rd = ctx.rd
     records = []
-    one = NCExpr.unit(p)
     W = lambda *syms: NCExpr.word(p, tuple(syms))
 
     for i in rd.index_set:
@@ -280,7 +269,7 @@ def verify_antipode(ctx: HopfContext) -> list:
                 )
                 if not diff.is_zero():
                     rec.status = FAIL
-                    rec.witness = _nc_witness(diff)
+                    rec.witness = _witness(diff)
                 records.append(rec)
 
     for i in rd.index_set:
@@ -304,8 +293,7 @@ def verify_antipode(ctx: HopfContext) -> list:
                 rec.witness = "image is not scalar * K-monomial * relation"
             else:
                 scalar, kmono = got
-                ks = "*".join("%s%d" % (k, idx + 1) for k, idx in kmono) or "1"
-                rec.scalar = "%s * %s" % (scalar.simplified(), ks)
+                rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
             records.append(rec)
 
     for i in rd.index_set:
@@ -322,8 +310,7 @@ def verify_antipode(ctx: HopfContext) -> list:
                 records.append(rec)
                 continue
             scalar, kmono = got
-            ks = "*".join("%s%d" % (k, idx + 1) for k, idx in kmono) or "1"
-            rec.scalar = "%s * %s" % (scalar.simplified(), ks)
+            rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
             # per-term pattern: coefficient on the l-th reversed word carries
             # (s_ij/s_ji)^l times an l-independent unit
             image = ctx.nf(image)
@@ -383,7 +370,7 @@ def verify_bialgebra(ctx: HopfContext) -> list:
         diff = ctx.tnf(lhs3) - ctx.tnf(rhs3)
         if not diff.is_zero():
             rec.status = FAIL
-            rec.witness = _tensor_witness(diff)
+            rec.witness = _witness(diff)
         records.append(rec)
 
         left = NCExpr.zero(p)
@@ -412,7 +399,7 @@ def verify_bialgebra(ctx: HopfContext) -> list:
             rec = CheckRecord("hopf-%s:%s" % (tag, name), "hopf-axiom")
             if not diff.is_zero():
                 rec.status = FAIL
-                rec.witness = _nc_witness(diff)
+                rec.witness = _witness(diff)
             records.append(rec)
     return records
 

@@ -2,8 +2,9 @@
 
 Words are tuples of generator symbols; a symbol is a (kind, index) pair with
 kind one of 'E', 'F', 'K', 'Kinv', 'Kp', 'Kpinv' ('Kp' is the second family
-of invertible group-like generators).  An NCExpr is a finite linear
-combination of words over the fraction field of the parameter ring.
+of invertible group-like generators).  LinComb is the one linear-combination
+type over the fraction field of the parameter ring; an NCExpr is a LinComb of
+words, a TensorExpr one of word tensors (presentations adds path words).
 
 Straightening moves every invertible K-type symbol to the front of a word,
 collecting the commutation scalar of each hop, cancelling inverses, and
@@ -18,7 +19,7 @@ the slots that move past each other.
 
 from __future__ import annotations
 
-from .coeffring import RatExpr, RingError
+from .coeffring import RingError
 from .params import ParameterSet
 
 E_KIND = "E"
@@ -61,14 +62,105 @@ def bichar(params: ParameterSet, family: str, mu, nu):
     return out
 
 
-class NCExpr:
-    """Linear combination of free words with RatExpr coefficients."""
+def word_str(word) -> str:
+    """Display a word as E1*K2 (indices 1-based), the empty word as 1."""
+    return "*".join("%s%d" % (k, i + 1) for k, i in word) if word else "1"
+
+
+def merge_term(terms: dict, key, coeff) -> None:
+    """Add coeff to the coefficient of key in terms, dropping it if it cancels."""
+    if key in terms:
+        nc = terms[key] + coeff
+        if nc.is_zero():
+            del terms[key]
+        else:
+            terms[key] = nc
+    elif not coeff.is_zero():
+        terms[key] = coeff
+
+
+class LinComb:
+    """Finite linear combination of basis keys with RatExpr coefficients.
+
+    Subclasses fix the basis: ``_new`` rebuilds an expression of the same
+    kind from a term dict, ``_order`` sorts keys, ``key_str`` displays one,
+    and ``_mul_keys`` multiplies two keys (None when the product is zero).
+    """
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params: ParameterSet, terms: dict):
         self.params = params
-        self.terms = terms  # word -> RatExpr, no zero coefficients
+        self.terms = terms  # key -> RatExpr, no zero coefficients
+
+    def _new(self, terms: dict):
+        return type(self)(self.params, terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            merge_term(terms, k, c)
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        c = self.params.rat(coeff)
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: cc * c for k, cc in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def _product(self, other):
+        """Bilinear extension of the basis product ``_mul_keys``."""
+        terms: dict = {}
+        mul_keys = self._mul_keys
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = mul_keys(k1, k2)
+                if key is not None:
+                    merge_term(terms, key, c1 * c2)
+        return self._new(terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(self.terms[k] == other.terms[k] for k in self.terms)
+
+    __hash__ = None
+
+    def sorted_terms(self):
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join("(%s)*%s" % (c, self.key_str(k)) for k, c in self.sorted_terms())
+
+    __repr__ = __str__
+
+
+class NCExpr(LinComb):
+    """Linear combination of free words; the product concatenates words."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, params):
@@ -85,71 +177,14 @@ class NCExpr:
             return cls.zero(params)
         return cls(params, {tuple(word): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    _order = staticmethod(word_key)
 
-    def _merge(self, terms, word, coeff):
-        if word in terms:
-            nc = terms[word] + coeff
-            if nc.is_zero():
-                del terms[word]
-            else:
-                terms[word] = nc
-        elif not coeff.is_zero():
-            terms[word] = coeff
+    def key_str(self, word) -> str:
+        return word_str(word)
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            self._merge(terms, w, c)
-        return NCExpr(self.params, terms)
-
-    def __neg__(self):
-        return NCExpr(self.params, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff) -> "NCExpr":
-        c = self.params.rat(coeff)
-        if c.is_zero():
-            return NCExpr.zero(self.params)
-        return NCExpr(self.params, {w: cc * c for w, cc in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, NCExpr):
-            return self.scale(other)
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                self._merge(terms, w1 + w2, c1 * c2)
-        return NCExpr(self.params, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCExpr):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: word_key(wc[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            ws = "*".join("%s%d" % (k, i + 1) for k, i in w) if w else "1"
-            parts.append("(%s)%s" % (c, "*" + ws if w else ""))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    @staticmethod
+    def _mul_keys(w1, w2):
+        return w1 + w2
 
 
 class StraightenRules:
@@ -206,22 +241,14 @@ def straighten(x: NCExpr, rules: StraightenRules) -> NCExpr:
             kind = fam if e > 0 else (fam + "inv")
             prefix.extend([(kind, i)] * abs(e))
         nf = tuple(prefix) + tuple(ef)
-        c = coeff * scalar
-        if nf in out:
-            nc = out[nf] + c
-            if nc.is_zero():
-                del out[nf]
-            else:
-                out[nf] = nc
-        elif not c.is_zero():
-            out[nf] = c
+        merge_term(out, nf, coeff * scalar)
     return NCExpr(params, out)
 
 
-class TensorExpr:
+class TensorExpr(LinComb):
     """Linear combination of 2- or 3-fold word tensors with the twisted product."""
 
-    __slots__ = ("params", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, params: ParameterSet, arity: int, terms: dict):
         if arity not in (2, 3):
@@ -229,6 +256,9 @@ class TensorExpr:
         self.params = params
         self.arity = arity
         self.terms = terms  # tuple of words -> RatExpr
+
+    def _new(self, terms: dict):
+        return TensorExpr(self.params, self.arity, terms)
 
     @classmethod
     def zero(cls, params, arity=2):
@@ -242,7 +272,6 @@ class TensorExpr:
     def of(cls, *factors: NCExpr):
         """Tensor of NC expressions (componentwise formal products)."""
         params = factors[0].params
-        terms: dict = {}
         keys = [((), params.one())]
         for f in factors:
             keys = [
@@ -252,59 +281,21 @@ class TensorExpr:
             ]
         out: dict = {}
         for key, c in keys:
-            if not c.is_zero():
-                out[key] = out.get(key, params.rat(0)) + c
-        return cls(params, len(factors), {k: c for k, c in out.items() if not c.is_zero()})
-
-    def _merge(self, terms, key, coeff):
-        if key in terms:
-            nc = terms[key] + coeff
-            if nc.is_zero():
-                del terms[key]
-            else:
-                terms[key] = nc
-        elif not coeff.is_zero():
-            terms[key] = coeff
+            merge_term(out, key, c)
+        return cls(params, len(factors), out)
 
     def __add__(self, other):
         if other.arity != self.arity:
             raise ValueError("tensor arity mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            self._merge(terms, k, c)
-        return TensorExpr(self.params, self.arity, terms)
-
-    def __neg__(self):
-        return TensorExpr(self.params, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff) -> "TensorExpr":
-        c = self.params.rat(coeff)
-        if c.is_zero():
-            return TensorExpr.zero(self.params, self.arity)
-        return TensorExpr(self.params, self.arity, {k: cc * c for k, cc in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorExpr):
-            return self.scale(other)
-        return tmul(self, other)
+        return LinComb.__add__(self, other)
 
     def __eq__(self, other):
-        if not isinstance(other, TensorExpr):
-            return NotImplemented
-        if self.arity != other.arity or set(self.terms) != set(other.terms):
+        if isinstance(other, TensorExpr) and self.arity != other.arity:
             return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return LinComb.__eq__(self, other)
 
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _product(self, other):
+        return tmul(self, other)
 
     def straighten(self, rules: StraightenRules) -> "TensorExpr":
         """Apply the K-straightening normal form in every tensor slot."""
@@ -318,24 +309,15 @@ class TensorExpr:
                 ((w2, c2),) = nf.terms.items()
                 nf_key.append(w2)
                 scalar = scalar * c2
-            self._merge(out, tuple(nf_key), scalar)
+            merge_term(out, tuple(nf_key), scalar)
         return TensorExpr(params, self.arity, out)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kc: tuple(word_key(w) for w in kc[0]))
+    @staticmethod
+    def _order(key):
+        return tuple(word_key(w) for w in key)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in self.sorted_terms():
-            slots = " (x) ".join(
-                "*".join("%s%d" % (k, i + 1) for k, i in w) if w else "1" for w in key
-            )
-            parts.append("(%s) %s" % (c, slots))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def key_str(self, key) -> str:
+        return " (x) ".join(word_str(w) for w in key)
 
 
 def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
@@ -345,7 +327,6 @@ def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
     params = a.params
     n = params.cartan.n
     terms: dict = {}
-    out = TensorExpr(params, a.arity, terms)
     for xkey, cx in a.terms.items():
         xdeg = [grade(w, n) for w in xkey]
         for ykey, cy in b.terms.items():
@@ -363,5 +344,5 @@ def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
                     * bichar(params, "s", ydeg[1], xdeg[2])
                 )
             key = tuple(xw + yw for xw, yw in zip(xkey, ykey))
-            out._merge(terms, key, cx * cy * twist)
-    return out
+            merge_term(terms, key, cx * cy * twist)
+    return TensorExpr(params, a.arity, terms)

@@ -14,6 +14,14 @@ from .coeffring import Context, LaurentPoly, RatExpr, qfact, qint_signed
 from .rootdata import CartanDatum, RootDatum, Weight
 
 
+def _free_matrix(ctx: Context, name: str, n: int) -> list:
+    """n x n matrix of fresh variables name11, name12, ... admitting square roots."""
+    return [
+        [ctx.laurent("%s%d%d" % (name, i + 1, j + 1), denom=2).as_poly() for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class ParameterSet:
     """The ring plus the values of q_i, s_ij, t_ij (all unit monomials)."""
 
@@ -82,14 +90,7 @@ class ParameterSet:
         ctx = Context(label)
         n = cartan.n
         q = [ctx.laurent("q%d" % (i + 1), denom=2 * cartan.d(i)).as_poly() for i in range(n)]
-        s = [[None] * n for _ in range(n)]
-        t = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s[i][j] = ctx.laurent("s%d%d" % (i + 1, j + 1), denom=2).as_poly()
-        for i in range(n):
-            for j in range(n):
-                t[i][j] = ctx.laurent("t%d%d" % (i + 1, j + 1), denom=2).as_poly()
+        s, t = _free_matrix(ctx, "s", n), _free_matrix(ctx, "t", n)
         return cls(cartan, ctx, q, s, t, v=None, label=label)
 
     @classmethod
@@ -98,14 +99,7 @@ class ParameterSet:
         ctx = Context(label)
         n = cartan.n
         v = ctx.laurent("v", denom=2).as_poly()
-        s = [[None] * n for _ in range(n)]
-        t = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s[i][j] = ctx.laurent("s%d%d" % (i + 1, j + 1), denom=2).as_poly()
-        for i in range(n):
-            for j in range(n):
-                t[i][j] = ctx.laurent("t%d%d" % (i + 1, j + 1), denom=2).as_poly()
+        s, t = _free_matrix(ctx, "s", n), _free_matrix(ctx, "t", n)
         q = [v ** cartan.d(i) for i in range(n)]
         return cls(cartan, ctx, q, s, t, v=v, label=label)
 
@@ -125,31 +119,26 @@ class ParameterSet:
 # -- weight-indexed rescaling scalars -----------------------------------------
 
 
-def twist_e(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
-    """prod_j s_ij^{lam(j)}."""
+def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, base, sign=1) -> LaurentPoly:
+    """prod_j base(j)^{sign * lam(j)}."""
     out = params.ctx.one
     for j in rd.index_set:
         k = rd.lambda_paren(lam, j)
         if k:
-            out = out * params.s(i, j) ** k
+            out = out * base(j) ** (sign * k)
     return out
+
+
+def twist_e(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
+    """prod_j s_ij^{lam(j)}."""
+    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j))
 
 
 def twist_f(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
     """prod_j t_ij^{lam(j)}."""
-    out = params.ctx.one
-    for j in rd.index_set:
-        k = rd.lambda_paren(lam, j)
-        if k:
-            out = out * params.t(i, j) ** k
-    return out
+    return _weight_monomial(rd, params, lam, lambda j: params.t(i, j))
 
 
 def twist_c(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
     """prod_j (s_ij t_ij)^{-lam(j)}; the K-eigenvalue correction."""
-    out = params.ctx.one
-    for j in rd.index_set:
-        k = rd.lambda_paren(lam, j)
-        if k:
-            out = out * (params.s(i, j) * params.t(i, j)) ** (-k)
-    return out
+    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j) * params.t(i, j), -1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coeffring import qbinom
-from .ncalg import NCExpr
+from .ncalg import LinComb, NCExpr, word_str
 from .params import ParameterSet, twist_c
 from .rootdata import RootDatum, Weight
 
@@ -80,21 +80,24 @@ class PathWord:
         tgt = ",".join(map(str, self.target))
         if not self.steps:
             return "1_(%s)" % tgt
-        body = "*".join("%s%d" % (k, i + 1) for k, i in self.steps)
-        return "%s:(%s)<-(%s)" % (body, tgt, ",".join(map(str, self.source)))
+        return "%s:(%s)<-(%s)" % (word_str(self.steps), tgt, ",".join(map(str, self.source)))
 
     __repr__ = __str__
 
 
-class PathExpr:
-    """Linear combination of path words over the parameter fraction field."""
+class PathExpr(LinComb):
+    """Linear combination of path words; the product composes paths whose
+    inner weights match and kills the rest."""
 
-    __slots__ = ("rd", "params", "terms")
+    __slots__ = ("rd",)
 
     def __init__(self, rd: RootDatum, params: ParameterSet, terms: dict):
         self.rd = rd
         self.params = params
         self.terms = terms  # PathWord -> RatExpr
+
+    def _new(self, terms: dict):
+        return PathExpr(self.rd, self.params, terms)
 
     @classmethod
     def zero(cls, rd, params):
@@ -107,70 +110,15 @@ class PathExpr:
             return cls.zero(rd, params)
         return cls(rd, params, {word: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    _order = staticmethod(PathWord.key)
 
-    def _merge(self, terms, word, coeff):
-        if word in terms:
-            nc = terms[word] + coeff
-            if nc.is_zero():
-                del terms[word]
-            else:
-                terms[word] = nc
-        elif not coeff.is_zero():
-            terms[word] = coeff
+    def key_str(self, word: PathWord) -> str:
+        return str(word)
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            self._merge(terms, w, c)
-        return PathExpr(self.rd, self.params, terms)
-
-    def __neg__(self):
-        return PathExpr(self.rd, self.params, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff) -> "PathExpr":
-        c = self.params.rat(coeff)
-        if c.is_zero():
-            return PathExpr.zero(self.rd, self.params)
-        return PathExpr(self.rd, self.params, {w: cc * c for w, cc in self.terms.items()})
-
-    def __mul__(self, other):
-        """Concatenate words with matching inner weights; kill the rest."""
-        if not isinstance(other, PathExpr):
-            return self.scale(other)
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if w1.source == w2.target:
-                    w = PathWord(self.rd, w1.target, w1.steps + w2.steps)
-                    self._merge(terms, w, c1 * c2)
-        return PathExpr(self.rd, self.params, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, PathExpr):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: wc[0].key())
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*%s" % (c, w) for w, c in self.sorted_terms())
-
-    __repr__ = __str__
+    def _mul_keys(self, w1: PathWord, w2: PathWord):
+        if w1.source != w2.target:
+            return None
+        return PathWord(self.rd, w1.target, w1.steps + w2.steps)
 
 
 def idempotent(rd, params, lam: Weight) -> PathExpr:
@@ -187,30 +135,29 @@ def f_arrow(rd, params, i: int, source: Weight) -> PathExpr:
     return PathExpr.of(rd, params, PathWord(rd, rd.add_root(source, i, -1), (("F", i),)))
 
 
+def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
+    """1/[l]! in the deformation parameter (base 'q') or in v^{d_i} (base 'v')."""
+    fact = params.qfact_q(l, i) if base == "q" else params.qfact_v(l, i)
+    return params.rat(1) / params.rat(fact)
+
+
 def divided_power(
     kind: str,
     i: int,
     l: int,
-    lam: Optional[Weight],
-    rd: Optional[RootDatum],
+    lam: Weight,
+    rd: RootDatum,
     params: ParameterSet,
     base: str = "q",
-) -> object:
-    """l-th divided power of a raising or lowering generator.
+) -> PathExpr:
+    """l-th divided power of a raising or lowering generator, as a path.
 
-    With a weight, returns the path form: for kind 'E' the word climbing
-    from lam to lam + l*alpha_i, for kind 'F' the word descending from
-    lam + l*alpha_i to lam; the coefficient is 1/[l]! in the deformation
-    parameter (base 'q') or in v^{d_i} (base 'v').  Without a weight,
-    returns the free-word form E_i^l/[l]! as an NCExpr.
+    For kind 'E' the word climbs from lam to lam + l*alpha_i, for kind 'F'
+    it descends from lam + l*alpha_i to lam; the coefficient is 1/[l]! in
+    the deformation parameter (base 'q') or in v^{d_i} (base 'v').
     """
     if l < 0:
         raise ValueError("divided power needs l >= 0")
-    fact = params.qfact_q(l, i) if base == "q" else params.qfact_v(l, i)
-    coeff = params.rat(1) / params.rat(fact)
-    if lam is None:
-        word = ((kind, i),) * l
-        return NCExpr.word(params, word, coeff)
     if kind == "E":
         target = lam
         for _ in range(l):
@@ -220,7 +167,7 @@ def divided_power(
         word = PathWord(rd, lam, (("F", i),) * l)
     else:
         raise ValueError("divided power kind must be 'E' or 'F'")
-    return PathExpr.of(rd, params, word, coeff)
+    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l, base))
 
 
 @dataclass(frozen=True)
@@ -258,6 +205,13 @@ class RelationInstance:
         )
 
 
+def _serre_ratios(params: ParameterSet, i: int, j: int, twisted: bool):
+    """(s_ji/s_ij, t_ji/t_ij) for the twisted Serre sums, (1, 1) untwisted."""
+    if not twisted:
+        return params.rat(1), params.rat(1)
+    return tuple(params.rat(f(j, i)) / params.rat(f(i, j)) for f in (params.s, params.t))
+
+
 def _modified_relations(algebra, rd, params, window):
     """Relation instances of a modified algebra over a window of base weights."""
     twisted = algebra == "scrUdot"
@@ -289,14 +243,8 @@ def _modified_relations(algebra, rd, params, window):
             for lam in window:
                 # first word: raise by alpha_i after lowering by alpha_j ... read
                 # right to left: F into lam - alpha_i + ... then E back into lam
-                ef = PathExpr.of(
-                    rd, params, PathWord(rd, lam, (("E", i), ("F", j)))
-                )
-                fe = PathExpr.of(
-                    rd,
-                    params,
-                    PathWord(rd, lam, (("F", j), ("E", i))),
-                )
+                ef = PathExpr.of(rd, params, PathWord(rd, lam, (("E", i), ("F", j))))
+                fe = PathExpr.of(rd, params, PathWord(rd, lam, (("F", j), ("E", i))))
                 if twisted:
                     coeff = params.rat(params.s(i, j) * params.t(j, i))
                 else:
@@ -320,33 +268,27 @@ def _modified_relations(algebra, rd, params, window):
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            if twisted:
-                ratio_e = params.rat(params.s(j, i)) / params.rat(params.s(i, j))
-                ratio_f = params.rat(params.t(j, i)) / params.rat(params.t(i, j))
-            else:
-                ratio_e = ratio_f = one
+            ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
             for lam in window:
                 acc_e = PathExpr.zero(rd, params)
                 acc_f = PathExpr.zero(rd, params)
                 for l in range(r + 1):
                     sign = -1 if l % 2 else 1
-                    mid_base_e = lam
+                    mid = lam  # lam + l*alpha_i
                     for _ in range(l):
-                        mid_base_e = rd.add_root(mid_base_e, i, +1)
+                        mid = rd.add_root(mid, i, +1)
+                    top = rd.add_root(mid, j, +1)
                     term_e = (
-                        divided_power("E", i, r - l, rd.add_root(mid_base_e, j, +1), rd, params, base)
-                        * e_arrow(rd, params, j, mid_base_e)
+                        divided_power("E", i, r - l, top, rd, params, base)
+                        * e_arrow(rd, params, j, mid)
                         * divided_power("E", i, l, lam, rd, params, base)
                     )
-                    acc_e = acc_e + term_e.scale(ratio_e**l * sign)
-                    mid_f = lam
-                    for _ in range(l):
-                        mid_f = rd.add_root(mid_f, i, +1)
                     term_f = (
                         divided_power("F", i, l, lam, rd, params, base)
-                        * f_arrow(rd, params, j, rd.add_root(mid_f, j, +1))
-                        * divided_power("F", i, r - l, rd.add_root(mid_f, j, +1), rd, params, base)
+                        * f_arrow(rd, params, j, top)
+                        * divided_power("F", i, r - l, top, rd, params, base)
                     )
+                    acc_e = acc_e + term_e.scale(ratio_e**l * sign)
                     acc_f = acc_f + term_f.scale(ratio_f**l * sign)
                 if len(acc_e.terms) != r + 1 or len(acc_f.terms) != r + 1:
                     raise ValueError(
@@ -433,17 +375,13 @@ def _nc_relations(algebra, rd, params):
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            if twisted:
-                ratio_e = params.rat(params.s(j, i)) / params.rat(params.s(i, j))
-                ratio_f = params.rat(params.t(j, i)) / params.rat(params.t(i, j))
-            else:
-                ratio_e = ratio_f = one
+            ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
             base = "q" if twisted else "v"
+            dp = lambda kind, m: NCExpr.word(params, ((kind, i),) * m, _inv_qfact(params, i, m, base))
             acc_e = NCExpr.zero(params)
             acc_f = NCExpr.zero(params)
             for l in range(r + 1):
                 sign = -1 if l % 2 else 1
-                dp = lambda kind, m: divided_power(kind, i, m, None, None, params, base)
                 term_e = dp("E", r - l) * W(("E", j)) * dp("E", l)
                 term_f = dp("F", l) * W(("F", j)) * dp("F", r - l)
                 acc_e = acc_e + term_e.scale(ratio_e**l * sign)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,17 +111,3 @@ class Report:
             % (s["pass"], s["fail"], s["warn"], self.elapsed_ms)
         )
         return "\n".join(lines)
-
-
-def run_tasks(tasks, jobs: int = 1) -> list:
-    """Evaluate independent zero-argument callables, each returning a list of
-    CheckRecords; results are concatenated and later sorted by the report."""
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [t() for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
-    out = []
-    for chunk in results:
-        out.extend(chunk)
-    return out

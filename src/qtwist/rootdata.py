@@ -181,7 +181,7 @@ def _identity(k):
 # roots e_i - e_{i+1}) so the fundamental coweights are integral and the
 # familiar string/natural modules have integral weights; the others use the
 # root-lattice coordinates alpha_j = e_j.
-_BUILTINS = {
+BUILTINS = {
     "a1": dict(
         dot=((2,),),
         x_rank=2,
@@ -223,10 +223,10 @@ _BUILTINS = {
 
 
 def builtin(name: str) -> RootDatum:
-    key = name.lower().replace("x", "x")
-    if key not in _BUILTINS:
-        raise DatumError("unknown built-in root datum %r (have %s)" % (name, sorted(_BUILTINS)))
-    entry = _BUILTINS[key]
+    key = name.lower()
+    if key not in BUILTINS:
+        raise DatumError("unknown built-in root datum %r (have %s)" % (name, sorted(BUILTINS)))
+    entry = BUILTINS[key]
     rd = RootDatum(
         cartan=CartanDatum(dot=entry["dot"]),
         x_rank=entry["x_rank"],
@@ -268,5 +268,8 @@ def from_dict(data: dict, name: str = "") -> RootDatum:
 
 def load(path: str) -> RootDatum:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise DatumError("root datum file %s is not valid JSON: %s" % (path, exc))
     return from_dict(data, name=path)

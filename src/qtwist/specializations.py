@@ -32,8 +32,13 @@ def validate_omega(rd: RootDatum, omega) -> list:
     """Check the grading-matrix conditions for the two-parameter case."""
     n = rd.n
     errs = []
-    if len(omega) != n or any(len(row) != n for row in omega):
+    square = isinstance(omega, (list, tuple)) and len(omega) == n and all(
+        isinstance(row, (list, tuple)) and len(row) == n for row in omega
+    )
+    if not square:
         return ["omega must be %d x %d" % (n, n)]
+    if any(type(x) is not int for row in omega for x in row):
+        return ["omega entries must be integers"]
     for i in range(n):
         if omega[i][i] <= 0:
             errs.append("(a) omega[%d][%d] must be positive" % (i + 1, i + 1))
@@ -80,10 +85,6 @@ class Specialization:
     sigma: dict                    # source Var -> target unit monomial
     constraints: list = field(default_factory=list)  # (description, bool)
     meta: dict = field(default_factory=dict)
-
-    def sigma_apply(self, x):
-        """Push a source-ring value through the substitution."""
-        return x.subs(self.sigma, self.params.ctx)
 
     def constraint_records(self) -> list:
         out = []
@@ -406,9 +407,9 @@ def verify_specialization(spec: Specialization, window) -> Report:
     return rep.finalize()
 
 
-def apply_to_isomorphism(spec: Specialization, window, jobs: int = 1) -> Report:
+def apply_to_isomorphism(spec: Specialization, window) -> Report:
     """Re-run the full relation-correspondence campaign in the target ring."""
-    rep = verify_twist_isomorphism(spec.rd, spec.params, window, jobs=jobs)
+    rep = verify_twist_isomorphism(spec.rd, spec.params, window)
     rep.campaign = "special-iso"
     rep.case = spec.name
     return rep

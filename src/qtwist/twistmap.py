@@ -18,7 +18,7 @@ import time
 from .coeffring import RatExpr
 from .params import ParameterSet, twist_c, twist_e, twist_f
 from .presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
-from .report import FAIL, PASS, CheckRecord, Report, run_tasks
+from .report import FAIL, PASS, CheckRecord, Report
 from .rootdata import RootDatum, Weight
 
 
@@ -142,9 +142,7 @@ def check_scalar_identities(rd: RootDatum, params: ParameterSet, window) -> Repo
     return rep.finalize()
 
 
-def verify_twist_isomorphism(
-    rd: RootDatum, params: ParameterSet, window, jobs: int = 1
-) -> Report:
+def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Report:
     """Map every untwisted modified-algebra relation instance forward and
     check it is an exact unit multiple of the matching twisted instance.
 
@@ -162,25 +160,25 @@ def verify_twist_isomorphism(
     by_key = {(r.family, r.i, r.j, r.lam, r.part): r for r in dst}
     sc = tw.scalars
 
-    def one_instance(su):
+    for su in src:
         key = (su.family, su.i, su.j, su.lam, su.part)
         tgt = by_key.get(key)
-        rec = CheckRecord("iso:" + su.id, su.family, su.i, su.j, su.lam)
+        rec = rep.add(CheckRecord("iso:" + su.id, su.family, su.i, su.j, su.lam))
         if tgt is None:
             rec.status = FAIL
             rec.witness = "no matching twisted instance"
-            return [rec]
+            continue
         image = tw.forward(su.expr)
         n = _extract_multiple(image, tgt.expr)
         if n is None:
             rec.status = FAIL
             rec.witness = "image is not an exact multiple of the target instance"
-            return [rec]
+            continue
         rec.scalar = _fmt_scalar(n)
         if n.unit_mono() is None:
             rec.status = FAIL
             rec.witness = "multiple %s is not a unit monomial" % n
-            return [rec]
+            continue
         if su.family == "c":
             i, j, lam = su.i, su.j, su.lam
             expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
@@ -194,9 +192,6 @@ def verify_twist_isomorphism(
             if not ok:
                 rec.status = FAIL
                 rec.witness = wit
-        return [rec]
-
-    rep.extend(run_tasks([lambda su=su: one_instance(su) for su in src], jobs))
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()
 

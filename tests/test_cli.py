@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qtwist.cli import main
 
 
@@ -70,6 +72,17 @@ def test_verify_special_bad_omega_exit(tmp_path, capsys):
     )
     assert code == 3
     assert "invalid configuration" in err
+
+
+def test_verify_special_non_integer_omega_exit(tmp_path, capsys):
+    omega = tmp_path / "omega.json"
+    omega.write_text('[[1, "x"], [0, 1]]', encoding="utf-8")
+    code, _, err = run(
+        capsys, "verify-special", "--case", "two-param", "--root-datum", "a2",
+        "--omega", str(omega),
+    )
+    assert code == 3
+    assert "omega entries must be integers" in err
 
 
 def test_verify_special_order_and_signs(capsys):
@@ -163,14 +176,44 @@ def test_deterministic_reports(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_jobs_flag_same_result(capsys):
-    code1, out1, _ = run(
-        capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1",
-        "--format", "json", "--stable",
-    )
-    code2, out2, _ = run(
-        capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1",
-        "--format", "json", "--stable", "--jobs", "4",
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-iso", "--root-datum", "a1", "--lambda-box", "1", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-special", "--case", "two-param", "--lambda-box", "-1"),
+        ("verify-hopf", "--nmax", "-2"),
+        ("verify-iso", "--lambda-box", "-1"),
+    ],
+)
+def test_negative_sizes_are_invalid_configuration(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "invalid configuration" in err and ">= 0" in err
+    assert out == ""
+
+
+def test_malformed_datum_json_is_invalid_configuration(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{\"I_size\": 1,", encoding="utf-8")
+    code, _, err = run(capsys, "verify-iso", "--root-datum", str(path))
+    assert code == 3
+    assert "not valid JSON" in err
+
+
+def test_engine_error_is_internal_error(monkeypatch, capsys):
+    from qtwist import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "verify_twist_isomorphism", broken)
+    code, out, err = run(capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1")
+    assert code == 5
+    assert "internal error" in err and "engine bug" in err
+    assert "invalid configuration" not in err
