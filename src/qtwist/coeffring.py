@@ -8,9 +8,12 @@ canonical term order once and for all.  Two kinds of variables exist:
     roots of that variable);
   * sign variables, satisfying x**2 == 1, whose exponents live mod 2.
 
-Coefficients are exact rationals.  Polynomials are canonical by
-construction (no zero coefficients, sorted structural monomials), so
-equality is structural and zero tests are decidable.
+Coefficients are exact rationals stored integer-first: a coefficient is an
+int when it is integral and otherwise a Fraction with denominator > 1; it is
+never a float and never 0 (_num is the one normaliser, and every division
+goes through Fraction(a, b)).  Polynomials are canonical by construction
+(no zero coefficients, sorted structural monomials), so equality is
+structural and zero tests are decidable.
 
 Fractions (RatExpr) are pairs of polynomials.  They are never reduced by a
 multivariate gcd; equality is decided by cross multiplication.  Every
@@ -81,6 +84,23 @@ class Var:
         return -self.as_poly()
 
 
+def _num(x) -> Scalar:
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canon(terms: dict) -> dict:
+    """Restore the int-when-integral invariant in place after Fraction arithmetic."""
+    for m, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
 # A monomial is a sorted tuple of (var_index, scaled_exponent) pairs with no
 # zero entries.  The scaled exponent of a Laurent variable is exponent*denom
 # (an integer); sign variables store the exponent mod 2.
@@ -96,7 +116,7 @@ class Context:
         self._by_name: dict[str, Var] = {}
         self._qint_cache: dict = {}
         self._qfact_cache: dict = {}
-        self.one = LaurentPoly(self, {(): Fraction(1)})
+        self.one = LaurentPoly(self, {(): 1})
         self.zero = LaurentPoly(self, {})
 
     def _declare(self, name: str, kind: str, denom: int) -> Var:
@@ -127,8 +147,10 @@ class Context:
                 raise RingError("value from a different ring context")
             return x
         if isinstance(x, Var):
+            if x.ctx is not self:
+                raise RingError("variable %r from a different context" % x.name)
             return x.as_poly()
-        c = Fraction(x)
+        c = _num(x)
         if c == 0:
             return self.zero
         return LaurentPoly(self, {(): c})
@@ -141,7 +163,7 @@ class Context:
         return RatExpr(self.poly(x), self.one)
 
     def monomial(self, exps: Mapping[Var, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
-        c = Fraction(coeff)
+        c = _num(coeff)
         if c == 0:
             return self.zero
         pairs = []
@@ -247,7 +269,8 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        t = self.terms
+        return len(t) == 1 and t.get(()) == 1
 
     def unit_mono(self) -> Optional[tuple]:
         """Return (coeff, mono) when this is a single-term (hence invertible) poly."""
@@ -273,14 +296,20 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
         terms = dict(self.terms)
+        frac = False
         for m, c in other.terms.items():
             nc = terms.get(m, 0) + c
             if nc == 0:
                 terms.pop(m, None)
             else:
                 terms[m] = nc
-        return LaurentPoly(self.ctx, terms)
+                frac = frac or type(nc) is Fraction
+        return LaurentPoly(self.ctx, _canon(terms) if frac else terms)
 
     __radd__ = __add__
 
@@ -299,16 +328,30 @@ class LaurentPoly:
         other = self._coerce(other)
         ctx = self.ctx
         mono_mul = ctx.mono_mul
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                nc = terms.get(m, 0) + c1 * c2
-                if nc == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = nc
-        return LaurentPoly(ctx, terms)
+        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        a, b = small.terms, big.terms
+        if not a:
+            return small
+        if len(a) == 1:
+            # A unit monomial permutes monomials, so no two products collide
+            # or cancel and the merge below is unnecessary.
+            ((m1, c1),) = a.items()
+            if c1 == 1:
+                if not m1:
+                    return big
+                return LaurentPoly(ctx, {mono_mul(m1, m2): c2 for m2, c2 in b.items()})
+            terms = {mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+        else:
+            terms = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = mono_mul(m1, m2)
+                    nc = terms.get(m, 0) + c1 * c2
+                    if nc == 0:
+                        terms.pop(m, None)
+                    else:
+                        terms[m] = nc
+        return LaurentPoly(ctx, _canon(terms))
 
     __rmul__ = __mul__
 
@@ -332,10 +375,11 @@ class LaurentPoly:
         if u is None:
             raise RingError("not an invertible monomial: %s" % self)
         c, m = u
-        inv = tuple(
-            (idx, s if self.ctx.vars[idx].kind == SIGN else -s) for idx, s in m
-        )
-        return LaurentPoly(self.ctx, {tuple(sorted(inv)): 1 / c})
+        vs = self.ctx.vars
+        inv = tuple((idx, s if vs[idx].kind == SIGN else -s) for idx, s in m)
+        if c != 1 and c != -1:
+            c = _num(Fraction(c.denominator, c.numerator))
+        return LaurentPoly(self.ctx, {inv: c})
 
     def unit_pow(self, e) -> "LaurentPoly":
         """Raise a unit monomial to an exact rational power."""
@@ -345,9 +389,9 @@ class LaurentPoly:
         c, m = u
         e = Fraction(e)
         if c == 1:
-            nc = Fraction(1)
+            nc = 1
         elif e.denominator == 1:
-            nc = c**e.numerator
+            nc = _num(Fraction(c) ** e.numerator)
         else:
             raise RingError("fractional power of coefficient %s" % c)
         return LaurentPoly(self.ctx, {self.ctx.mono_pow(m, e): nc})
@@ -374,9 +418,9 @@ class LaurentPoly:
         m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def coefficient_sum(self) -> Fraction:
+    def coefficient_sum(self) -> Scalar:
         """Value at the all-ones point (every variable set to 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return _num(sum(self.terms.values()))
 
     def _laurent_shift(self) -> Mono:
         """Per-variable minimum exponents across all terms (Laurent vars only)."""
@@ -415,8 +459,8 @@ class LaurentPoly:
             raise RingError("exact division by a non-unit with sign variables")
         sa = self._laurent_shift()
         sb = other._laurent_shift()
-        a = self * LaurentPoly(ctx, {ctx.mono_pow(sa, -1): Fraction(1)})
-        b = other * LaurentPoly(ctx, {ctx.mono_pow(sb, -1): Fraction(1)})
+        a = self * LaurentPoly(ctx, {ctx.mono_pow(sa, -1): 1})
+        b = other * LaurentPoly(ctx, {ctx.mono_pow(sb, -1): 1})
         lt_b, lc_b = b.leading()
         lt_b = dict(lt_b)
         quot: dict = {}
@@ -438,7 +482,7 @@ class LaurentPoly:
             if not ok or any(s < 0 for s in t_pairs.values()):
                 raise NotDivisible("%s is not divisible by %s" % (self, other))
             t = tuple(sorted(t_pairs.items()))
-            c = f[ltf] / lc_b
+            c = f[ltf] if lc_b == 1 else _num(Fraction(f[ltf], lc_b))
             quot[t] = quot.get(t, 0) + c
             for m2, c2 in b.terms.items():
                 m = ctx.mono_mul(t, m2)
@@ -448,8 +492,8 @@ class LaurentPoly:
                 else:
                     f[m] = nc
         shift = ctx.mono_mul(sa, ctx.mono_pow(sb, -1))
-        q = LaurentPoly(ctx, {m: c for m, c in quot.items() if c != 0})
-        return q * LaurentPoly(ctx, {shift: Fraction(1)})
+        q = LaurentPoly(ctx, _canon({m: c for m, c in quot.items() if c != 0}))
+        return q * LaurentPoly(ctx, {shift: 1})
 
     # -- substitution ------------------------------------------------------------
 
@@ -527,13 +571,14 @@ class RatExpr:
             else:
                 shift = den._laurent_shift()
                 if shift:
-                    m = LaurentPoly(ctx, {ctx.mono_pow(shift, -1): Fraction(1)})
+                    m = LaurentPoly(ctx, {ctx.mono_pow(shift, -1): 1})
                     num = num * m
                     den = den * m
                 _, lc = den.leading()
                 if lc != 1:
-                    num = num * (1 / lc)
-                    den = den * (1 / lc)
+                    inv = _num(Fraction(lc.denominator, lc.numerator))
+                    num = num * inv
+                    den = den * inv
         self.num = num
         self.den = den
 
@@ -574,7 +619,7 @@ class RatExpr:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.den == other.den:
+        if (self.den.is_one() and other.den.is_one()) or self.den == other.den:
             return RatExpr(self.num + other.num, self.den)
         return RatExpr(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -620,7 +665,7 @@ class RatExpr:
             other = self._coerce(other)
         if not isinstance(other, RatExpr):
             return NotImplemented
-        if self.den == other.den:
+        if (self.den.is_one() and other.den.is_one()) or self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
 

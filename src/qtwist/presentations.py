@@ -136,9 +136,18 @@ def f_arrow(rd, params, i: int, source: Weight) -> PathExpr:
 
 
 def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
-    """1/[l]! in the deformation parameter (base 'q') or in v^{d_i} (base 'v')."""
-    fact = params.qfact_q(l, i) if base == "q" else params.qfact_v(l, i)
-    return params.rat(1) / params.rat(fact)
+    """1/[l]! in the deformation parameter (base 'q') or in v^{d_i} (base 'v').
+
+    Cached per (base, i, l) beside the q-factorials of the parameter set's
+    own ring context, which no other parameter set shares.
+    """
+    cache = params.ctx._qfact_cache
+    key = ("inv", base, i, l)
+    inv = cache.get(key)
+    if inv is None:
+        fact = params.qfact_q(l, i) if base == "q" else params.qfact_v(l, i)
+        inv = cache[key] = params.rat(1) / params.rat(fact)
+    return inv
 
 
 def divided_power(

@@ -54,6 +54,15 @@ def test_mixed_context_rejected(ctx):
         ctx["v"] + other["v"]
 
 
+def test_poly_rejects_variable_from_other_context(ctx):
+    other = Context()
+    b = other.laurent("b")
+    with pytest.raises(RingError):
+        ctx.poly(b)
+    with pytest.raises(RingError):
+        ctx.monomial({b: 1})
+
+
 def test_fractional_exponent_bounds(ctx):
     v, w = ctx["v"], ctx["w"]
     assert not (v ** Fraction(1, 2)).is_zero()
@@ -61,6 +70,80 @@ def test_fractional_exponent_bounds(ctx):
         w ** Fraction(1, 2)
     with pytest.raises(RingError):
         ctx["g"] ** Fraction(1, 2)
+
+
+# -- the coefficient invariant: int when integral, else a proper Fraction ------
+
+
+def assert_canonical_coefficients(p):
+    for c in p.terms.values():
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1), c
+
+
+def only_coefficient(p):
+    ((_, c),) = p.terms.items()
+    return c
+
+
+def test_inv_unit_coefficient_is_exact(ctx):
+    v = ctx["v"]
+    inv = (2 * v).inv_unit()
+    c = only_coefficient(inv)
+    assert type(c) is Fraction and c == Fraction(1, 2)
+    assert inv == ctx.monomial({v: -1}, coeff=Fraction(1, 2))
+    back = only_coefficient(inv.inv_unit())
+    assert type(back) is int and back == 2
+    assert only_coefficient((-v).inv_unit()) == -1
+    assert type(only_coefficient((-v).inv_unit())) is int
+
+
+def test_unit_pow_negative_integer_power(ctx):
+    v = ctx["v"]
+    p = (2 * v).unit_pow(-3)
+    c = only_coefficient(p)
+    assert type(c) is Fraction and c == Fraction(1, 8)
+    assert p == ctx.monomial({v: -3}, coeff=Fraction(1, 8))
+    assert (2 * v) ** -3 == p
+    c0 = only_coefficient((2 * v).unit_pow(0))
+    assert type(c0) is int and c0 == 1
+    half = ctx.monomial({v: 1}, coeff=Fraction(1, 2))
+    c2 = only_coefficient(half.unit_pow(-2))
+    assert type(c2) is int and c2 == 4
+
+
+@pytest.mark.parametrize("lc", [2, 3])
+def test_ratexpr_normalises_leading_coefficient(ctx, lc):
+    v = ctx["v"]
+    r = RatExpr(v + lc, lc * v**2 + 2 * lc)
+    # leading coefficient of the denominator becomes 1, all of it integral
+    assert r.den == v**2 + 2
+    assert all(type(c) is int for c in r.den.terms.values())
+    # num = (v + lc) / lc: the v term is 1/lc, the constant lc/lc is the int 1
+    assert r.num == ctx.monomial({v: 1}, coeff=Fraction(1, lc)) + 1
+    assert_canonical_coefficients(r.num)
+    assert type(r.num.terms[()]) is int and r.num.terms[()] == 1
+    assert r == RatExpr(v + lc, lc * v**2 + 2 * lc)
+    assert r * RatExpr(lc * v**2 + 2 * lc, ctx.one) == ctx.rat(v + lc)
+
+
+def test_exact_div_non_monic_divisor(ctx):
+    v = ctx["v"]
+    d = 2 * v + 4
+    q = (d * (v - 3)).exact_div(d)
+    assert q == v - 3
+    assert all(type(c) is int for c in q.terms.values())
+    half = (v + 2).exact_div(d)
+    assert type(only_coefficient(half)) is Fraction and half == ctx.poly(Fraction(1, 2))
+    three_halves = (3 * v + 6).exact_div(d)
+    assert three_halves == ctx.poly(Fraction(3, 2))
+    assert_canonical_coefficients(three_halves)
+
+
+def test_constructors_store_integral_fractions_as_int(ctx):
+    v = ctx["v"]
+    for p in (ctx.poly(Fraction(4, 2)), ctx.monomial({v: 1}, coeff=Fraction(4, 2)), ctx.one):
+        assert type(only_coefficient(p)) is int
+    assert only_coefficient(ctx.poly(Fraction(4, 2))) == 2
 
 
 # -- q-combinatorics against independent oracles ------------------------------
@@ -345,3 +428,65 @@ def test_fraction_equivalence_transitive(num, p1, p2, p3):
     c = RatExpr(n * cof[2], d * cof[2])
     assert a == b and b == c and a == c
     assert not (a == RatExpr(n * cof[0] + 1, d * cof[0]))
+
+
+# A term is (2*exponent of v, exponent of w, exponent of the sign variable g,
+# coefficient).  The strategy mixes general sums with the factors that take
+# the product's fast paths: the constant 1, single terms and sign monomials.
+_coefficients = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 4)),
+)
+_term = st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.integers(0, 1), _coefficients)
+_term_lists = st.one_of(
+    st.just([(0, 0, 0, 1)]),
+    st.lists(_term, min_size=1, max_size=1),
+    st.tuples(st.integers(0, 1), st.sampled_from([1, -1])).map(lambda gc: [(0, 0, gc[0], gc[1])]),
+    st.lists(_term, min_size=0, max_size=5),
+)
+
+
+def _schoolbook(term_list):
+    """Canonical term dict over Fraction, keyed by (2*e_v, e_w, e_g)."""
+    out = {}
+    for ev, ew, eg, c in term_list:
+        key = (ev, ew, eg % 2)
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _schoolbook_product(a_terms, b_terms):
+    pairs = [
+        (ea + eb, wa + wb, ga + gb, ca * cb)
+        for (ea, wa, ga), ca in _schoolbook(a_terms).items()
+        for (eb, wb, gb), cb in _schoolbook(b_terms).items()
+    ]
+    return _schoolbook(pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_term_lists, _term_lists)
+def test_product_matches_schoolbook(a_terms, b_terms):
+    ctx = Context()
+    v = ctx.laurent("v", denom=2)
+    w = ctx.laurent("w")
+    g = ctx.sign("g")
+
+    def build(term_list):
+        acc = ctx.zero
+        for ev, ew, eg, c in term_list:
+            acc = acc + ctx.monomial({v: Fraction(ev, 2), w: ew, g: eg}, coeff=c)
+        return acc
+
+    def as_schoolbook(p):
+        out = {}
+        for m, c in p.terms.items():
+            exps = dict(m)
+            out[(exps.get(v.index, 0), exps.get(w.index, 0), exps.get(g.index, 0))] = c
+        return out
+
+    a, b = build(a_terms), build(b_terms)
+    assert as_schoolbook(a) == _schoolbook(a_terms)
+    for prod in (a * b, b * a):
+        assert_canonical_coefficients(prod)
+        assert as_schoolbook(prod) == _schoolbook_product(a_terms, b_terms)
