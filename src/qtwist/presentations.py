@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coeffring import qbinom
-from .ncalg import LinComb, NCExpr, word_str
+from .ncalg import LinComb, NCExpr, merge_term, word_str
 from .params import ParameterSet, twist_c
 from .rootdata import RootDatum, Weight
 
@@ -59,6 +59,17 @@ class PathWord:
 
     def key(self):
         return (self.target, self.steps, self.source)
+
+    def compose(self, other: "PathWord") -> Optional["PathWord"]:
+        """The concatenated word self*other, or None when the inner weights
+        differ.  Its source is other's, so no step is walked again."""
+        if self.source != other.target:
+            return None
+        word = PathWord.__new__(PathWord)
+        word.target = self.target
+        word.steps = self.steps + other.steps
+        word.source = other.source
+        return word
 
     def __eq__(self, other):
         return (
@@ -116,9 +127,7 @@ class PathExpr(LinComb):
         return str(word)
 
     def _mul_keys(self, w1: PathWord, w2: PathWord):
-        if w1.source != w2.target:
-            return None
-        return PathWord(self.rd, w1.target, w1.steps + w2.steps)
+        return w1.compose(w2)
 
 
 def idempotent(rd, params, lam: Weight) -> PathExpr:
@@ -150,6 +159,18 @@ def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
     return inv
 
 
+def _dp_word(rd: RootDatum, kind: str, i: int, l: int, lam: Weight) -> PathWord:
+    """The word of the l-th divided power (see divided_power)."""
+    if kind == "E":
+        target = lam
+        for _ in range(l):
+            target = rd.add_root(target, i, +1)
+        return PathWord(rd, target, (("E", i),) * l)
+    if kind == "F":
+        return PathWord(rd, lam, (("F", i),) * l)
+    raise ValueError("divided power kind must be 'E' or 'F'")
+
+
 def divided_power(
     kind: str,
     i: int,
@@ -167,16 +188,7 @@ def divided_power(
     """
     if l < 0:
         raise ValueError("divided power needs l >= 0")
-    if kind == "E":
-        target = lam
-        for _ in range(l):
-            target = rd.add_root(target, i, +1)
-        word = PathWord(rd, target, (("E", i),) * l)
-    elif kind == "F":
-        word = PathWord(rd, lam, (("F", i),) * l)
-    else:
-        raise ValueError("divided power kind must be 'E' or 'F'")
-    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l, base))
+    return PathExpr.of(rd, params, _dp_word(rd, kind, i, l, lam), _inv_qfact(params, i, l, base))
 
 
 @dataclass(frozen=True)
@@ -221,10 +233,25 @@ def _serre_ratios(params: ParameterSet, i: int, j: int, twisted: bool):
     return tuple(params.rat(f(j, i)) / params.rat(f(i, j)) for f in (params.s, params.t))
 
 
+def _serre_templates(params: ParameterSet, i: int, j: int, r: int, twisted: bool):
+    """The lam-independent coefficients (-1)^l ratio^l / ([r-l]! [l]!) of the
+    modified Serre sums, indexed by l, for the raising family (s ratio,
+    factors in the order [r-l]!, [l]!) and the lowering one (t ratio, [l]!,
+    [r-l]!), in q for the twisted algebra and in v^{d_i} otherwise."""
+    base = "q" if twisted else "v"
+    ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
+    coeffs_e, coeffs_f = [], []
+    for l in range(r + 1):
+        sign = -1 if l % 2 else 1
+        inv_l, inv_rest = _inv_qfact(params, i, l, base), _inv_qfact(params, i, r - l, base)
+        coeffs_e.append(inv_rest * inv_l * (ratio_e**l * sign))
+        coeffs_f.append(inv_l * inv_rest * (ratio_f**l * sign))
+    return coeffs_e, coeffs_f
+
+
 def _modified_relations(algebra, rd, params, window):
     """Relation instances of a modified algebra over a window of base weights."""
     twisted = algebra == "scrUdot"
-    base = "q" if twisted else "v"
     out = []
     idx = list(rd.index_set)
     window = sorted(tuple(w) for w in window)
@@ -249,62 +276,54 @@ def _modified_relations(algebra, rd, params, window):
 
     for i in idx:
         for j in idx:
+            # only the idempotent term of a mixed relation depends on lam
+            fe_coeff = -(params.rat(params.s(i, j) * params.t(j, i)) if twisted else one)
             for lam in window:
-                # first word: raise by alpha_i after lowering by alpha_j ... read
-                # right to left: F into lam - alpha_i + ... then E back into lam
-                ef = PathExpr.of(rd, params, PathWord(rd, lam, (("E", i), ("F", j))))
-                fe = PathExpr.of(rd, params, PathWord(rd, lam, (("F", j), ("E", i))))
-                if twisted:
-                    coeff = params.rat(params.s(i, j) * params.t(j, i))
-                else:
-                    coeff = one
-                expr = ef - fe.scale(coeff)
+                # E_i F_j - c F_j E_i on 1_lam, and for i = j minus [<i,lam>] c_{i,lam} 1_lam
+                terms = {PathWord(rd, lam, (("E", i), ("F", j))): one}
+                merge_term(terms, PathWord(rd, lam, (("F", j), ("E", i))), fe_coeff)
                 if i == j:
                     li = rd.lambda_i(lam, i)
                     qn = params.qint_q(li, i) if twisted else params.qint_v(li, i)
                     cc = params.rat(qn)
                     if twisted:
                         cc = cc * params.rat(twist_c(rd, params, i, lam))
-                    expr = expr - idempotent(rd, params, lam).scale(cc)
-                if len([w for w in expr.terms if w.steps]) != 2:
+                    merge_term(terms, PathWord(rd, lam, ()), -cc)
+                if len([w for w in terms if w.steps]) != 2:
                     raise ValueError(
                         "chain-inconsistent weight decoration in mixed relation at %s" % (lam,)
                     )
-                out.append(RelationInstance(algebra, "c", i, j, lam, "", expr))
+                out.append(RelationInstance(algebra, "c", i, j, lam, "", PathExpr(rd, params, terms)))
 
     for i in idx:
         for j in idx:
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
+            coeffs_e, coeffs_f = _serre_templates(params, i, j, r, twisted)
             for lam in window:
-                acc_e = PathExpr.zero(rd, params)
-                acc_f = PathExpr.zero(rd, params)
-                for l in range(r + 1):
-                    sign = -1 if l % 2 else 1
-                    mid = lam  # lam + l*alpha_i
-                    for _ in range(l):
-                        mid = rd.add_root(mid, i, +1)
+                mids = [lam]  # mids[l] = lam + l*alpha_i
+                for _ in range(r):
+                    mids.append(rd.add_root(mids[-1], i, +1))
+                terms_e, terms_f = {}, {}
+                for l, mid in enumerate(mids):
                     top = rd.add_root(mid, j, +1)
-                    term_e = (
-                        divided_power("E", i, r - l, top, rd, params, base)
-                        * e_arrow(rd, params, j, mid)
-                        * divided_power("E", i, l, lam, rd, params, base)
-                    )
-                    term_f = (
-                        divided_power("F", i, l, lam, rd, params, base)
-                        * f_arrow(rd, params, j, top)
-                        * divided_power("F", i, r - l, top, rd, params, base)
-                    )
-                    acc_e = acc_e + term_e.scale(ratio_e**l * sign)
-                    acc_f = acc_f + term_f.scale(ratio_f**l * sign)
-                if len(acc_e.terms) != r + 1 or len(acc_f.terms) != r + 1:
+                    # E_i^(r-l) E_j E_i^l from lam, and F_i^l F_j F_i^(r-l) into lam
+                    w_e = _dp_word(rd, "E", i, r - l, top).compose(PathWord(rd, top, (("E", j),)))
+                    w_e = w_e and w_e.compose(_dp_word(rd, "E", i, l, lam))
+                    w_f = _dp_word(rd, "F", i, l, lam).compose(
+                        PathWord(rd, rd.add_root(top, j, -1), (("F", j),)))
+                    w_f = w_f and w_f.compose(_dp_word(rd, "F", i, r - l, top))
+                    if w_e is not None:
+                        merge_term(terms_e, w_e, coeffs_e[l])
+                    if w_f is not None:
+                        merge_term(terms_f, w_f, coeffs_f[l])
+                if len(terms_e) != r + 1 or len(terms_f) != r + 1:
                     raise ValueError(
                         "chain-inconsistent weight decoration in Serre relation at %s" % (lam,)
                     )
-                out.append(RelationInstance(algebra, "d-E", i, j, lam, "", acc_e))
-                out.append(RelationInstance(algebra, "d-F", i, j, lam, "", acc_f))
+                out.append(RelationInstance(algebra, "d-E", i, j, lam, "", PathExpr(rd, params, terms_e)))
+                out.append(RelationInstance(algebra, "d-F", i, j, lam, "", PathExpr(rd, params, terms_f)))
     out.sort(key=lambda r: r.sort_key())
     return out
 

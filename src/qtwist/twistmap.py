@@ -89,8 +89,11 @@ class TwistMap:
         return self._apply(x, invert=True)
 
 
-def _fmt_scalar(c: RatExpr) -> str:
-    return str(c.simplified())
+def _simplify_multiple(n: RatExpr):
+    """(n.simplified(), whether n is a unit monomial), with one exact
+    division: a multiple still carrying a denominator is not a polynomial."""
+    simple = n.simplified()
+    return simple, simple.is_poly() and simple.num.unit_mono() is not None
 
 
 def _extract_multiple(image: PathExpr, target: PathExpr):
@@ -174,15 +177,16 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
             rec.status = FAIL
             rec.witness = "image is not an exact multiple of the target instance"
             continue
-        rec.scalar = _fmt_scalar(n)
-        if n.unit_mono() is None:
+        simple, unit = _simplify_multiple(n)
+        rec.scalar = str(simple)
+        if not unit:
             rec.status = FAIL
             rec.witness = "multiple %s is not a unit monomial" % n
             continue
         if su.family == "c":
             i, j, lam = su.i, su.j, su.lam
             expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
-            if not (n == params.rat(expected)):
+            if not (simple == params.rat(expected)):
                 rec.status = FAIL
                 rec.witness = "expected scalar %s, got %s" % (expected, n)
         elif su.family in ("d-E", "d-F"):
@@ -197,19 +201,22 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
 
 
 def _serre_term_factorization(su, tgt, tw, ratio):
-    """Per-word rescaling scalar over the source coefficient must be an
-    l-independent unit times ratio^l, where l counts the leading divided
-    power of the word (for d-E, trailing for d-F)."""
+    """Per-word rescaling scalar over ratio^l must be an l-independent unit,
+    where l counts the trailing i-steps of the word (for d-E, leading for
+    d-F).  A failure names the unit at l=0 and the first one that differs."""
     params = tw.params
-    n2 = None
-    for w, c_src in sorted(su.expr.terms.items(), key=lambda wc: wc[0].key()):
+    powers = [params.rat(1)]  # powers[l] = ratio**l
+    units = {}
+    for w in su.expr.terms:
         l = _serre_l(su, w)
-        scalar = params.rat(tw._word_scalar(w, invert=False))
-        candidate = scalar / ratio**l
-        if n2 is None:
-            n2 = candidate
-        elif not (candidate == n2):
-            return False, "per-term unit varies with l at l=%d" % l
+        while len(powers) <= l:
+            powers.append(powers[-1] * ratio)
+        units[l] = params.rat(tw._word_scalar(w, invert=False)) / powers[l]
+    l0, *rest = sorted(units)
+    for l in rest:
+        if not (units[l] == units[l0]):
+            return False, "per-term unit %s at l=%d differs from %s at l=%d" % (
+                units[l].simplified(), l, units[l0].simplified(), l0)
     return True, ""
 
 
@@ -241,20 +248,20 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
                     dp_s = divided_power(kind, i, l, lam, rd, params, base="q")
                     image = tw.forward(dp_u)
                     ((w, c_img),) = image.terms.items()
-                    c_tgt = dp_s.terms[w]
-                    unit = (c_img / c_tgt).unit_mono()
+                    mult = c_img / dp_s.terms[w]
+                    simple, unit = _simplify_multiple(mult)
                     rec = CheckRecord(
                         "dp-unit:%s:i%d:l%d:lam(%s)" % (kind, i + 1, l, ",".join(map(str, lam))),
                         "dp", i, None, lam,
                     )
-                    if unit is None:
+                    if not unit:
                         rec.status = FAIL
-                        rec.witness = "coefficient %s is not a unit monomial" % (c_img / c_tgt)
+                        rec.witness = "coefficient %s is not a unit monomial" % mult
                     else:
-                        rec.scalar = _fmt_scalar(c_img / c_tgt)
+                        rec.scalar = str(simple)
                         if kind == "E":
                             expected = sc.e(i, lam) ** l * params.s(i, i) ** (l * (l + 1) // 2)
-                            if not (c_img / c_tgt == params.rat(expected)):
+                            if not (simple == params.rat(expected)):
                                 rec.status = FAIL
                                 rec.witness = "closed form %s disagrees" % expected
                     rep.add(rec)

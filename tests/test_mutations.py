@@ -10,6 +10,7 @@ import pytest
 
 from qtwist import presentations, rootdata, twistmap
 from qtwist.params import ParameterSet, _weight_monomial, twist_c
+from qtwist.presentations import _serre_ratios
 from qtwist.twistmap import verify_twist_isomorphism
 
 WITNESS = "image is not an exact multiple of the target instance"
@@ -22,6 +23,12 @@ def _transposed_twist_e(rd, params, i, lam):
 
 def _inverted_twist_c(rd, params, i, lam):
     return twist_c(rd, params, i, lam).inv_unit()
+
+
+def _flipped_serre_ratios(params, i, j, twisted):
+    """s_ij/s_ji and t_ij/t_ji in the twisted Serre sums: each ratio inverted."""
+    ratios = _serre_ratios(params, i, j, twisted)
+    return tuple(r.inv() for r in ratios) if twisted else ratios
 
 
 def _run_a2():
@@ -41,8 +48,9 @@ def test_clean_control():
     [
         (twistmap, "twist_e", _transposed_twist_e, 132),
         (presentations, "twist_c", _inverted_twist_c, 34),
+        (presentations, "_serre_ratios", _flipped_serre_ratios, 108),
     ],
-    ids=["twist_e-s-transposed", "twist_c-inverted"],
+    ids=["twist_e-s-transposed", "twist_c-inverted", "serre-ratio-flipped"],
 )
 def test_seeded_defect_is_rejected(monkeypatch, module, name, defect, failures):
     monkeypatch.setattr(module, name, defect)

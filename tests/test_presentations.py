@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtwist import rootdata
+from qtwist import rootdata, specializations
 from qtwist.coeffring import qfact, qint
 from qtwist.ncalg import NCExpr, StraightenRules, straighten
 from qtwist.params import ParameterSet, twist_c
@@ -241,3 +241,58 @@ def test_untwisted_presentation_is_trivial_twist_image():
         for r in relations_of("U", rd, p):
             if r.family == fam:
                 assert (fam, r.i, r.j, r.part) in twisted
+
+
+def _literal_serre(inst, rd, p, twisted):
+    """The Serre sum at inst's weight, built term by term from divided powers
+    and arrows, each term scaled by (-1)^l ratio^l."""
+    base = "q" if twisted else "v"
+    i, j, lam = inst.i, inst.j, inst.lam
+    r = rd.cartan.serre_exponent(i, j)
+    fam = p.s if inst.family == "d-E" else p.t
+    ratio = p.rat(fam(j, i)) / p.rat(fam(i, j)) if twisted else p.rat(1)
+    acc = PathExpr.zero(rd, p)
+    for l in range(r + 1):
+        mid = lam
+        for _ in range(l):
+            mid = rd.add_root(mid, i, +1)
+        top = rd.add_root(mid, j, +1)
+        if inst.family == "d-E":
+            term = (
+                divided_power("E", i, r - l, top, rd, p, base)
+                * e_arrow(rd, p, j, mid)
+                * divided_power("E", i, l, lam, rd, p, base)
+            )
+        else:
+            term = (
+                divided_power("F", i, l, lam, rd, p, base)
+                * f_arrow(rd, p, j, top)
+                * divided_power("F", i, r - l, top, rd, p, base)
+            )
+        acc = acc + term.scale(ratio**l * (-1) ** l)
+    return acc
+
+
+def _serre_cases():
+    for name in ("a2", "g2"):
+        rd = rootdata.builtin(name)
+        yield name, rd, ParameterSet.v_tied(rd.cartan)
+    spec = specializations.make("super1", rootdata.builtin("a2"))
+    yield "super1-a2", spec.rd, spec.params
+
+
+@pytest.mark.parametrize("case", list(_serre_cases()), ids=lambda c: c[0])
+def test_modified_relations_match_literal_construction(case):
+    _, rd, p = case
+    for algebra in ("Udot", "scrUdot"):
+        serre = 0
+        for inst in relations_of(algebra, rd, p, window=rd.weights_box(1)):
+            for w in inst.expr.terms:
+                assert w.source == PathWord(rd, w.target, w.steps).source, (inst.id, w)
+            if inst.family in ("d-E", "d-F"):
+                literal = _literal_serre(inst, rd, p, algebra == "scrUdot")
+                assert inst.expr == literal, inst.id
+                # same representation, hence the same printed scalars
+                assert str(inst.expr) == str(literal), inst.id
+                serre += 1
+        assert serre == 2 * rd.n * (rd.n - 1) * len(rd.weights_box(1))

@@ -22,6 +22,8 @@ GOLDEN = [
      "1aaefdbd8dbdcf226377b1895aca03b168d16423376d5bde3764faafe1ffef4c"),
     ("verify-iso --root-datum g2 --lambda-box 1",
      "9125a802b1968d023b4289aeb51aafe7a264c590c671aa30373940e2d5c79286"),
+    ("verify-iso --root-datum g2 --lambda-box 2",
+     "df8d5cac289486fd5550b1ab42e601114d8faff1f2c249d2b16dbc1145567d49"),
     ("verify-hopf --root-datum a2 --nmax 4",
      "acb3d0a5a776a6cb901fcfe655525986786fd1c8ebd3711b0bf48c11350db6a5"),
     ("verify-hopf --root-datum b2 --nmax 4",
@@ -36,6 +38,8 @@ GOLDEN = [
      "0bb96f0de44e88fefbacdbd128cd1316cc7d17c9ae35a9b7d49dd3d88fb93770"),
     ("verify-special --case super2 --with-iso --root-datum a2 --lambda-box 1",
      "3079240c20b100ff3b97fbed975dd9c768aec3a3a1824201ecc4cbb45a6bcd9a"),
+    ("verify-special --case super1 --with-iso --root-datum a2 --lambda-box 2 --order 2,1 --signs 1,2,-1",
+     "45620371bc39b7c84caf7783357158269a02cf3e8b85e67b37d449ec23f1f458"),
     ("verify-modules --max-n 3 --case generic",
      "751da93c73e179184f0d39eabd3ce3bd03f2f58a1bd7a48ad1bae6c2d94544fb"),
     ("verify-modules --max-n 3 --case super1",

@@ -6,10 +6,12 @@ import pytest
 
 from qtwist import rootdata
 from qtwist.params import ParameterSet
-from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent
+from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from qtwist.twistmap import (
     TwistMap,
     TwistScalars,
+    _serre_l,
+    _serre_term_factorization,
     check_scalar_identities,
     verify_integrality,
     verify_twist_isomorphism,
@@ -179,3 +181,29 @@ def test_integrality_report(a2):
     assert rep.ok
     units = [c for c in rep.checks if c.family == "dp"]
     assert units and all(c.status == "pass" for c in units)
+
+
+def test_serre_factorization_witness_shows_both_units(a2):
+    rd, p = a2
+    lam = rd.zero_weight()
+    src = relations_of("Udot", rd, p, window=[lam])
+    dst = relations_of("scrUdot", rd, p, window=[lam])
+    su = next(r for r in src if r.family == "d-E" and (r.i, r.j) == (0, 1))
+    tgt = next(r for r in dst if r.family == "d-E" and (r.i, r.j) == (0, 1))
+    tw = TwistMap(rd, p)
+    ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))
+    assert _serre_term_factorization(su, tgt, tw, ratio) == (True, "")
+
+    inverted = ratio.inv()
+    units = {
+        _serre_l(su, w): p.rat(tw._word_scalar(w, invert=False)) / inverted ** _serre_l(su, w)
+        for w in su.expr.terms
+    }
+    ok, witness = _serre_term_factorization(su, tgt, tw, inverted)
+    assert not ok
+    # with ratio inverted the unit at l is the true unit times ratio^(2l),
+    # so the first difference is at l=1
+    assert "at l=0" in witness and "at l=1" in witness
+    assert str(units[0].simplified()) in witness
+    assert str(units[1].simplified()) in witness
+    assert str(units[0].simplified()) != str(units[1].simplified())
