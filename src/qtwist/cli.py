@@ -2,8 +2,10 @@
 deterministic text/JSON reports.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors
-(argparse), 3 invalid configuration (bad datum/constraint files, negative
-window sizes), 4 I/O failures, 5 internal errors (any other exception).
+(argparse, including a flag the subcommand does not read), 3 invalid
+configuration (bad datum/constraint files, negative window sizes,
+--omega/--order/--signs given for a case that does not read them), 4 I/O
+failures, 5 internal errors (any other exception).
 """
 
 from __future__ import annotations
@@ -60,11 +62,17 @@ def _emit(report: Report, args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _add_common(sub):
+def _add_datum(sub):
     sub.add_argument("--root-datum", default="a1",
                      help="%s, or a JSON config file" % ", ".join(rootdata.BUILTINS))
+
+
+def _add_window(sub):
     sub.add_argument("--lambda-box", type=int, default=2,
                      help="weight window: all coordinates in [-K, K]")
+
+
+def _add_output(sub):
     sub.add_argument("--out", default="", help="write the report to this file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--stable", action="store_true",
@@ -79,14 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = ap.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-iso", help="relation correspondence under the rescaling map")
-    _add_common(p)
+    _add_datum(p)
+    _add_window(p)
+    _add_output(p)
 
     p = subs.add_parser("verify-hopf", help="coproduct, antipode and bialgebra axioms")
-    _add_common(p)
+    _add_datum(p)
+    _add_output(p)
     p.add_argument("--nmax", type=int, default=4, help="largest coproduct power checked")
 
     p = subs.add_parser("verify-special", help="parameter specializations and their tables")
-    _add_common(p)
+    _add_datum(p)
+    _add_window(p)
+    _add_output(p)
     p.add_argument("--case", required=True,
                    choices=("two-param", "multi-param", "super1", "super2"))
     p.add_argument("--omega", default="", help="JSON file with the integer grading matrix")
@@ -97,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-iso", action="store_true",
                    help="also re-run the isomorphism campaign in the specialized ring")
 
-    p = subs.add_parser("verify-modules", help="matrix checks on transported weight modules")
-    _add_common(p)
+    p = subs.add_parser("verify-modules",
+                        help="matrix checks on transported modules of the built-in a1 and a2")
+    _add_output(p)
     p.add_argument("--max-n", type=int, default=6, help="largest string module dimension - 1")
     p.add_argument("--case", default="generic",
                    choices=("generic", "two-param", "multi-param", "super1", "super2"))
@@ -140,8 +154,12 @@ def _parse_signs(arg: str):
 
 
 def _spec_kwargs(args, rd):
+    if args.omega and args.case != "two-param":
+        raise SpecializationError("--omega applies only to --case two-param")
+    if (args.order or args.signs) and args.case != "super1":
+        raise SpecializationError("--order and --signs apply only to --case super1")
     kwargs = {}
-    if args.case == "two-param" and args.omega:
+    if args.omega:
         try:
             with open(args.omega, "r", encoding="utf-8") as fh:
                 kwargs["omega"] = json.load(fh)
@@ -192,18 +210,18 @@ def main(argv=None) -> int:
             print("ok: %s (rank %d, %d nodes)" % (args.file, rd.x_rank, rd.n))
             return EXIT_OK
 
-        rd = _load_datum(args.root_datum)
-        window = rd.weights_box(args.lambda_box)
-
         if args.command == "verify-iso":
+            rd = _load_datum(args.root_datum)
             params = ParameterSet.v_tied(rd.cartan)
-            report = verify_twist_isomorphism(rd, params, window)
+            report = verify_twist_isomorphism(rd, params, rd.weights_box(args.lambda_box))
             report.merge(verify_integrality(rd, params, rd.weights_box(min(args.lambda_box, 1))))
             report.finalize()
         elif args.command == "verify-hopf":
-            params = ParameterSet.v_tied(rd.cartan)
-            report = verify_hopf(rd, params, nmax=args.nmax)
+            rd = _load_datum(args.root_datum)
+            report = verify_hopf(rd, ParameterSet.v_tied(rd.cartan), nmax=args.nmax)
         elif args.command == "verify-special":
+            rd = _load_datum(args.root_datum)
+            window = rd.weights_box(args.lambda_box)
             spec = specializations.make(args.case, rd, **_spec_kwargs(args, rd))
             report = specializations.verify_specialization(spec, window)
             if args.with_iso:

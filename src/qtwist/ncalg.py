@@ -145,6 +145,22 @@ class LinComb:
 
     __hash__ = None
 
+    def multiple_of(self, target):
+        """N with self == N * target, or None when no exact multiple exists.
+
+        Zero is 1 times zero.  N is one division at the largest key of
+        target; every term is then checked against it.
+        """
+        if target.is_zero():
+            return self.params.rat(1) if self.is_zero() else None
+        if self.terms.keys() != target.terms.keys():
+            return None
+        ref = max(target.terms, key=self._order)
+        n = self.terms[ref] / target.terms[ref]
+        if all(self.terms[k] == n * c for k, c in target.terms.items()):
+            return n
+        return None
+
     def sorted_terms(self):
         order = self._order
         return sorted(self.terms.items(), key=lambda kc: order(kc[0]))

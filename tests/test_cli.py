@@ -217,3 +217,34 @@ def test_engine_error_is_internal_error(monkeypatch, capsys):
     assert code == 5
     assert "internal error" in err and "engine bug" in err
     assert "invalid configuration" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-hopf", "--lambda-box", "99"),
+        ("verify-modules", "--root-datum", "a2"),
+        ("verify-modules", "--lambda-box", "1"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--case", "super1", "--omega", "/nonexistent.json"), "--omega"),
+        (("--case", "multi-param", "--omega", "/nonexistent.json"), "--omega"),
+        (("--case", "two-param", "--order", "2,1"), "--order"),
+        (("--case", "super2", "--signs", "1,2,-1"), "--signs"),
+    ],
+)
+def test_case_flags_outside_their_case_are_invalid_configuration(capsys, argv, flag):
+    code, out, err = run(capsys, "verify-special", "--root-datum", "a2", "--lambda-box", "0", *argv)
+    assert code == 3
+    assert "invalid configuration" in err and flag in err
+    assert out == ""

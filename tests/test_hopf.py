@@ -176,12 +176,18 @@ def test_full_campaign_reports(a1ctx):
 
 
 def test_negative_control_untied_parameters():
-    """With free deformation parameters on a datum with unequal d_i the
-    compatibility hypothesis fails and the campaign must fail loudly with
-    witness terms."""
-    rd = rootdata.builtin("b2")
-    rep = verify_hopf(rd, ParameterSet.generic(rd.cartan))
-    assert not rep.ok
-    fails = rep.failures()
-    assert any(c.id == "hypothesis:q-compat" for c in fails)
-    assert any(c.witness for c in fails if c.id != "hypothesis:q-compat")
+    """With free deformation parameters the compatibility hypothesis fails
+    and the campaign must fail loudly with witness terms, exactly on the
+    off-diagonal antipode and coproduct Serre records."""
+    for name in ("a2", "b2", "g2"):
+        rd = rootdata.builtin(name)
+        rep = verify_hopf(rd, ParameterSet.generic(rd.cartan))
+        assert rep.summary == {"pass": 76, "fail": 7, "warn": 0}, name
+        fails = rep.failures()
+        assert sorted(c.id for c in fails) == [
+            "antipode-c:i1:j2", "antipode-c:i2:j1",
+            "antipode-serre:i1:j2", "antipode-serre:i2:j1",
+            "coprod-serre:i1:j2", "coprod-serre:i2:j1",
+            "hypothesis:q-compat",
+        ], name
+        assert all(c.witness for c in fails), name

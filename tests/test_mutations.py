@@ -1,14 +1,17 @@
-"""Seeded defects: the iso campaign must reject a wrong rescaling scalar.
+"""Seeded defects: the iso and Hopf campaigns must reject them.
 
-Each defect is monkeypatched into the code the campaign calls, and the
-campaign on a2 over weights_box(1) must fail exactly the instances the
-defect touches, each with the exact-multiple witness.  The clean control
-shows the same window passes, so the failures come from the defect.
+Each defect is monkeypatched into the code a campaign calls, and the
+campaign must fail exactly the records the defect touches, each with a
+witness: the iso campaign on a2 over weights_box(1), the Hopf campaign on
+a2 with nmax=3.  The clean controls show the same runs pass, so the
+failures come from the defect.
 """
 
 import pytest
 
-from qtwist import presentations, rootdata, twistmap
+from qtwist import hopf, presentations, rootdata, twistmap
+from qtwist.hopf import star_mul, verify_hopf
+from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, _weight_monomial, twist_c
 from qtwist.presentations import _serre_ratios
 from qtwist.twistmap import verify_twist_isomorphism
@@ -58,3 +61,112 @@ def test_seeded_defect_is_rejected(monkeypatch, module, name, defect, failures):
     assert len(rep.checks) == 459
     assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
     assert {c.witness for c in rep.failures()} == {WITNESS}
+
+
+def _word_scalar_f_at_target(self, word, invert):
+    """TwistMap._word_scalar reading f at the step target, not the source."""
+    out = self.params.ctx.one
+    lam = word.target
+    for kind, i in word.steps:
+        if kind == "E":
+            out = out * self.scalars.e(i, lam)
+            lam = self.rd.add_root(lam, i, -1)
+        else:
+            out = out * self.scalars.f(i, lam)
+            lam = self.rd.add_root(lam, i, +1)
+    return out.inv_unit() if invert and not out.is_one() else out
+
+
+def test_family_c_closed_form_is_load_bearing(monkeypatch):
+    """A rescaling off by the same factor on both words of a mixed relation
+    still maps it to a unit multiple; only the closed form catches it."""
+    monkeypatch.setattr(twistmap.TwistMap, "_word_scalar", _word_scalar_f_at_target)
+    rep = _run_a2()
+    assert rep.summary == {"pass": 351, "fail": 108, "warn": 0}
+    witnesses = [c.witness for c in rep.failures()]
+    assert witnesses.count(WITNESS) == 36
+    expected = [w for w in witnesses if w.startswith("expected scalar ")]
+    assert len(expected) == 72
+    assert {c.family for c in rep.failures() if c.witness in expected} == {"c"}
+
+
+_antipode = hopf.antipode
+_delta_symbol = hopf._delta_symbol
+_serre_binomial = hopf.serre_binomial
+
+
+def _antipode_with_e_image(e_image):
+    """hopf.antipode with the image of each E_i replaced by e_image(p, i)."""
+
+    def antipode(ctx, x):
+        p = ctx.params
+        out = NCExpr.zero(p)
+        for word, coeff in x.terms.items():
+            acc = NCExpr.unit(p)
+            for sym in word:
+                img = e_image(p, sym[1]) if sym[0] == "E" else _antipode(ctx, NCExpr.word(p, (sym,)))
+                acc = star_mul(p, acc, img)
+            out = out + acc.scale(coeff)
+        return out
+
+    return antipode
+
+
+def _delta_e_with_kp(ctx, sym):
+    """Delta(E_i) = E_i x 1 + Kp_i x E_i: the wrong group-like in E's coproduct."""
+    if sym[0] != "E":
+        return _delta_symbol(ctx, sym)
+    p = ctx.params
+    e, kp = (sym,), (("Kp", sym[1]),)
+    return TensorExpr(p, 2, {(e, ()): p.one(), (kp, e): p.one()})
+
+
+def _serre_sum_without_top(*args, **kwargs):
+    """hopf.serre_binomial with its top word dropped."""
+    R = _serre_binomial(*args, **kwargs)
+    top = max(R.terms, key=word_key)
+    return NCExpr(R.params, {w: c for w, c in R.terms.items() if w != top})
+
+
+def _serre_sum_middle_scaled(i, j, rd, params, kind="E"):
+    """hopf.serre_binomial with its middle word's coefficient times q_i."""
+    R = _serre_binomial(i, j, rd, params, kind=kind)
+    words = sorted(R.terms, key=word_key)
+    mid = words[len(words) // 2]
+    terms = dict(R.terms)
+    terms[mid] = terms[mid] * params.rat(params.q(i))
+    return NCExpr(R.params, terms)
+
+
+def _run_hopf_a2():
+    rd = rootdata.builtin("a2")
+    return verify_hopf(rd, ParameterSet.v_tied(rd.cartan), nmax=3)
+
+
+def test_hopf_clean_control():
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 80, "fail": 0, "warn": 0}
+
+
+@pytest.mark.parametrize(
+    "name, defect, failures, families",
+    [
+        ("antipode", _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("Kinv", i), ("E", i)))),
+         6, {"antipode-c", "hopf-axiom"}),
+        ("antipode", _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("K", i), ("E", i)), -1)),
+         10, {"antipode-c", "antipode-serre", "hopf-axiom"}),
+        ("_delta_symbol", _delta_e_with_kp, 12, {"coprod-pow", "coprod-serre", "hopf-axiom"}),
+        ("serre_binomial", _serre_sum_without_top, 4, {"coprod-serre", "antipode-serre"}),
+        # a symmetric error in the Serre sum: S(R) is still a multiple of R,
+        # so only the coproduct check sees it
+        ("serre_binomial", _serre_sum_middle_scaled, 2, {"coprod-serre"}),
+    ],
+    ids=["antipode-E-sign-flipped", "antipode-E-K-not-inverted", "delta-E-Kp-for-K",
+         "serre-top-word-dropped", "serre-middle-coefficient-scaled"],
+)
+def test_seeded_hopf_defect_is_rejected(monkeypatch, name, defect, failures, families):
+    monkeypatch.setattr(hopf, name, defect)
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 80 - failures, "fail": failures, "warn": 0}
+    assert {c.family for c in rep.failures()} == families
+    assert all(c.witness for c in rep.failures())

@@ -15,6 +15,7 @@ from qtwist.ncalg import (
     tmul,
 )
 from qtwist.params import ParameterSet
+from qtwist.presentations import PathExpr, PathWord
 
 
 @pytest.fixture()
@@ -172,3 +173,33 @@ def test_tmul_arity_mismatch(setup):
     rd, p, _ = setup
     with pytest.raises(ValueError):
         tmul(TensorExpr.unit(p, 2), TensorExpr.unit(p, 3))
+
+
+def _two_basis_elements(kind, rd, p):
+    """Two distinct basis elements of one LinComb kind, and its zero."""
+    if kind == "NCExpr":
+        return NCExpr.word(p, (("E", 0),)), NCExpr.word(p, (("F", 1), ("K", 0))), NCExpr.zero(p)
+    if kind == "TensorExpr":
+        a = TensorExpr(p, 2, {((("E", 0),), ()): p.one()})
+        b = TensorExpr(p, 2, {((("K", 0),), (("E", 0),)): p.one()})
+        return a, b, TensorExpr.zero(p, 2)
+    lam = rd.zero_weight()
+    a = PathExpr.of(rd, p, PathWord(rd, lam, (("E", 0),)))
+    b = PathExpr.of(rd, p, PathWord(rd, lam, (("F", 1), ("E", 0))))
+    return a, b, PathExpr.zero(rd, p)
+
+
+@pytest.mark.parametrize("kind", ["NCExpr", "TensorExpr", "PathExpr"])
+def test_multiple_of(setup, kind):
+    rd, p, _ = setup
+    a, b, zero = _two_basis_elements(kind, rd, p)
+    assert zero.multiple_of(zero) == p.rat(1)
+    assert a.multiple_of(zero) is None
+    assert a.multiple_of(b) is None
+    assert (a + b).multiple_of(a) is None
+    assert (a.scale(2) + b.scale(3)).multiple_of(a + b) is None
+    target = a.scale(p.s(0, 1)) + b.scale(p.rat(p.q(0) + 1))
+    n = p.rat(p.t(1, 0)) / p.rat(p.q(1) + 2)
+    got = target.scale(n).multiple_of(target)
+    assert got == n
+    assert target.scale(n) == target.scale(got)
