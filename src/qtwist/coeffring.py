@@ -728,10 +728,28 @@ def qfact(n: int, q: LaurentPoly) -> LaurentPoly:
 
 
 def qbinom(n: int, p: int, q: LaurentPoly) -> LaurentPoly:
-    """Gaussian binomial [n]! / ([p]![n-p]!): the division is exact."""
+    """Gaussian binomial [n, p] = [n]! / ([p]! [n-p]!), built without division.
+
+    The q-Pascal rule [m, k] = q^{-k} [m-1, k] + q^{m-k} [m-1, k-1], with
+    [m, 0] = [m, m] = 1 (Lusztig, Introduction to Quantum Groups), fills
+    rows 2..n of the triangle by additions only.  Every entry is cached per
+    context under ("qbinom", q, m, k), next to the q-integers.
+    """
     if not 0 <= p <= n:
         raise ValueError("qbinom requires 0 <= p <= n")
-    return qfact(n, q).exact_div(qfact(p, q) * qfact(n - p, q))
+    u = _unit_key(q)
+    cache = q.ctx._qint_cache
+
+    def entry(m, k):
+        return q.ctx.one if k in (0, m) else cache[("qbinom", u, m, k)]
+
+    if 0 < p < n and ("qbinom", u, n, p) not in cache:
+        for m in range(2, n + 1):
+            for k in range(1, m):
+                key = ("qbinom", u, m, k)
+                if key not in cache:
+                    cache[key] = q**-k * entry(m - 1, k) + q ** (m - k) * entry(m - 1, k - 1)
+    return entry(n, p)
 
 
 def gauss_vanish(n: int, q: LaurentPoly) -> LaurentPoly:

@@ -25,6 +25,22 @@ def test_qcalc_gauss(capsys):
     assert out.strip() == "0"
 
 
+QBINOM_12_5 = (
+    "v^35 + v^33 + 2*v^31 + 3*v^29 + 5*v^27 + 7*v^25 + 10*v^23 + 13*v^21 + 17*v^19"
+    " + 21*v^17 + 26*v^15 + 30*v^13 + 35*v^11 + 39*v^9 + 43*v^7 + 46*v^5 + 48*v^3"
+    " + 49*v + 49*v^-1 + 48*v^-3 + 46*v^-5 + 43*v^-7 + 39*v^-9 + 35*v^-11 + 30*v^-13"
+    " + 26*v^-15 + 21*v^-17 + 17*v^-19 + 13*v^-21 + 10*v^-23 + 7*v^-25 + 5*v^-27"
+    " + 3*v^-29 + 2*v^-31 + v^-33 + v^-35\n"
+    "coefficient sum: 792\n"
+)
+
+
+def test_qcalc_printed_lines_are_pinned(capsys):
+    # the lines printed when [12, 5] was still computed as [12]! / ([5]! [7]!)
+    assert run(capsys, "qcalc", "qbinom", "12", "5") == (0, QBINOM_12_5, "")
+    assert run(capsys, "qcalc", "gauss", "12") == (0, "0\n", "")
+
+
 def test_verify_iso_text(capsys):
     code, out, _ = run(capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1")
     assert code == 0

@@ -212,6 +212,28 @@ def test_qbinom_matches_both_oracles(ctx):
             assert val == qbinom(n, n - p, v)
 
 
+def test_qbinom_matches_factorial_quotient():
+    """Independent of the q-Pascal construction: [n]! / ([l]! [n-l]!) by
+    exact division, for q = v, the g2 long-root q = v^3, and the
+    half-exponent base of ``qcalc`` (v of denominator 2, and its square root)."""
+    whole, half = Context(), Context()
+    v = whole.laurent("v").as_poly()
+    h = half.laurent("v", denom=2).as_poly()
+    for q in (v, v**3, h, h ** Fraction(1, 2)):
+        for n in range(13):
+            for l in range(n + 1):
+                quotient = qfact(n, q).exact_div(qfact(l, q) * qfact(n - l, q))
+                assert qbinom(n, l, q) == quotient, (q, n, l)
+
+
+def test_qbinom_is_cached_per_context(ctx):
+    v = ctx["v"].as_poly()
+    first = qbinom(9, 4, v)
+    assert qbinom(9, 4, v) is first
+    assert ("qbinom", v.unit_mono(), 9, 4) in ctx._qint_cache
+    assert qbinom(9, 4, Context().laurent("v", denom=2).as_poly()) is not first
+
+
 def test_qbinom_counts_at_one(ctx):
     from math import comb
 

@@ -96,6 +96,28 @@ def test_coproduct_powers_b2_g2():
             assert all(r.status == "pass" for r in recs), name
 
 
+@pytest.mark.parametrize("name", ["a2", "g2"])
+def test_coproduct_power_stays_small(monkeypatch, name):
+    """Delta(E_i)^n is straightened after every factor: no tensor handed to
+    the straightener has more than 2 (nmax + 1) terms, where the
+    unstraightened power would carry all 2^nmax words."""
+    nmax = 11
+    sizes = []
+    tnf = HopfContext.tnf
+
+    def recording_tnf(self, x):
+        sizes.append(len(x.terms))
+        return tnf(self, x)
+
+    monkeypatch.setattr(HopfContext, "tnf", recording_tnf)
+    rd = rootdata.builtin(name)
+    ctx = HopfContext(rd, ParameterSet.v_tied(rd.cartan))
+    for i in rd.index_set:
+        recs = verify_coproduct_powers(ctx, i, nmax)
+        assert all(r.status == "pass" for r in recs)
+    assert sizes and max(sizes) <= 2 * (nmax + 1)
+
+
 def test_coproduct_serre_all_data():
     for name in ("a2", "b2", "g2"):
         rd = rootdata.builtin(name)

@@ -170,3 +170,17 @@ def test_seeded_hopf_defect_is_rejected(monkeypatch, name, defect, failures, fam
     assert rep.summary == {"pass": 80 - failures, "fail": failures, "warn": 0}
     assert {c.family for c in rep.failures()} == families
     assert all(c.witness for c in rep.failures())
+
+
+def test_hopf_witness_shows_both_sides(monkeypatch):
+    """With Kp_i for K_i in Delta(E_i), each coprod-pow failure names the first
+    differing tensor and both of its coefficients."""
+    monkeypatch.setattr(hopf, "_delta_symbol", _delta_e_with_kp)
+    rep = _run_hopf_a2()
+    witnesses = {c.id: c.witness for c in rep.failures() if c.family == "coprod-pow"}
+    assert witnesses == {
+        "coprod-pow:i%d:n%d" % (i, n): "%s (x) %s: lhs 0, rhs 1"
+        % ("*".join(["K%d" % i] * n), "*".join(["E%d" % i] * n))
+        for i in (1, 2)
+        for n in (1, 2, 3)
+    }

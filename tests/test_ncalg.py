@@ -96,6 +96,55 @@ def test_straighten_idempotent_and_multiplicative(setup):
         assert straighten(straighten(x, rules) * straighten(y, rules), rules) == nf_xy
 
 
+_INVERSE = {"K": "Kinv", "Kinv": "K", "Kp": "Kpinv", "Kpinv": "Kp"}
+
+
+def _split_word_pair(rng, n_idx):
+    """Two random words with a K-type symbol in the first whose inverse sits
+    in the second, so the pair cancels only across the factor boundary."""
+    w1 = list(_random_word(rng, n_idx, 3))
+    w2 = list(_random_word(rng, n_idx, 3))
+    sym = (rng.choice(tuple(_INVERSE)), rng.randrange(n_idx))
+    w1.insert(rng.randint(0, len(w1)), sym)
+    w2.insert(rng.randint(0, len(w2)), (_INVERSE[sym[0]], sym[1]))
+    return tuple(w1), tuple(w2)
+
+
+def _random_coeff(rng, p):
+    return p.rat(p.s(rng.randrange(p.cartan.n), rng.randrange(p.cartan.n)) ** rng.randint(-2, 2)
+                 * rng.choice((1, -2, 3)))
+
+
+@pytest.mark.parametrize("name", ["a2", "g2"])
+@pytest.mark.parametrize("make", [ParameterSet.v_tied, ParameterSet.generic], ids=["v-tied", "generic"])
+def test_straightening_factors_first_is_exact(name, make):
+    """nf(nf(x) nf(y)) == nf(x y), and its tensor form, which is what lets a
+    product of many factors be straightened as it grows."""
+    rd = rootdata.builtin(name)
+    p = make(rd.cartan)
+    rules = StraightenRules(rd, p)
+    nf = lambda x: straighten(x, rules)
+    tnf = lambda x: x.straighten(rules)
+    n = rd.cartan.n
+    rng = random.Random(11)
+    for _ in range(20):
+        x, y = NCExpr.zero(p), NCExpr.zero(p)
+        for _ in range(3):
+            w1, w2 = _split_word_pair(rng, n)
+            x = x + NCExpr.word(p, w1, _random_coeff(rng, p))
+            y = y + NCExpr.word(p, w2, _random_coeff(rng, p))
+        assert nf(nf(x) * nf(y)) == nf(x * y)
+    for arity in (2, 3):
+        for _ in range(15):
+            xt, yt = {}, {}
+            for _ in range(3):
+                pairs = [_split_word_pair(rng, n) for _ in range(arity)]
+                xt[tuple(a for a, _ in pairs)] = _random_coeff(rng, p)
+                yt[tuple(b for _, b in pairs)] = _random_coeff(rng, p)
+            x, y = TensorExpr(p, arity, xt), TensorExpr(p, arity, yt)
+            assert tnf(tmul(tnf(x), tnf(y))) == tnf(tmul(x, y))
+
+
 def test_straighten_preserves_grade(setup):
     rd, p, rules = setup
     rng = random.Random(8)

@@ -30,6 +30,11 @@ GOLDEN = [
      "f93b3cfb6e0ac7906810d975dd0f9604ec0d664d9eb3d4e04c7f3cf2967eef19"),
     ("verify-hopf --root-datum g2 --nmax 4",
      "5ad7278edb9b215e245a012517f50b0de71c977a075e11ce058035d553fe1ced"),
+    # the two campaigns of the benchmark's hopf workload (seed 0)
+    ("verify-hopf --root-datum a2 --nmax 11",
+     "4b734c1b431e882ebe3181dd745761f3e8a5ee423ffe6c8588333d5f196eaf2d"),
+    ("verify-hopf --root-datum g2 --nmax 11",
+     "c88079554b1a7ef4494e64678357a1e95a088f765dcd0d0f3ca93c34b89107d4"),
     ("verify-special --case two-param --with-iso --root-datum a2 --lambda-box 1",
      "326b8f031d342f751177a1b805d4b555e74af1dd19401c1ad0b1a780b1169f02"),
     ("verify-special --case multi-param --with-iso --root-datum a2 --lambda-box 1",
