@@ -7,6 +7,14 @@ the rank-1 datum and the natural 3-dimensional module of the rank-2 type-A
 datum; together they exercise the mixed E/F relation across a range of
 weights and the quantum Serre relation at matrix level.
 
+A relation is evaluated by column action, with no dense word matrices:
+column b of a word's matrix M_{w_0} ... M_{w_last} is M_{w_0}(...(M_{w_last}
+e_b)), so each basis vector is pushed through the word's letters by their
+nonzero entries, and the coefficient times the result is summed into column
+b.  Matrix multiplication is associative, so these are the entries of the
+dense product, for any matrices and not only weight-graded ones.  The
+witness of a failed relation is its first nonzero entry in row-major order.
+
 The transport convention is fixed by reading the generator rescaling at the
 acting weight: a raising action into weight lam is divided by e(i, lam), a
 lowering action out of weight lam is divided by f(i, lam); the K-type
@@ -51,14 +59,6 @@ def _zeros(params, n):
     return [[z for _ in range(n)] for _ in range(n)]
 
 
-def _identity(params, n):
-    m = _zeros(params, n)
-    one = params.rat(1)
-    for k in range(n):
-        m[k][k] = one
-    return m
-
-
 def _mat_mul(params, a, b):
     n = len(a)
     out = _zeros(params, n)
@@ -76,20 +76,8 @@ def _mat_mul(params, a, b):
     return out
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _mat_scale(a, c):
     return [[x * c for x in row] for row in a]
-
-
-def _first_nonzero(a):
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if not x.is_zero():
-                return i, j, x
-    return None
 
 
 def _diag(params, entries):
@@ -172,8 +160,10 @@ def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
             e_scale = params.rat(scalars.e(i, rd.add_root(lam, i, +1)).inv_unit())
             f_scale = params.rat(scalars.f(i, lam).inv_unit())
             for r in range(mod.dim):
-                E[r][b] = E[r][b] * e_scale
-                F[r][b] = F[r][b] * f_scale
+                if not E[r][b].is_zero():
+                    E[r][b] = E[r][b] * e_scale
+                if not F[r][b].is_zero():
+                    F[r][b] = F[r][b] * f_scale
         mats[("E", i)] = E
         mats[("F", i)] = F
         kdiag = []
@@ -190,23 +180,60 @@ def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
     return WeightModule(rd, params, mod.weights, mats, label=mod.label + "+twist")
 
 
-def _word_matrix(mod: WeightModule, word):
-    m = _identity(mod.params, mod.dim)
-    for sym in word:
-        m = _mat_mul(mod.params, m, mod.mats[sym])
-    return m
+def _columns(mat):
+    """The nonzero entries of each column: [[(row, entry), ...] per column]."""
+    n = len(mat)
+    return [[(r, mat[r][b]) for r in range(n) if not mat[r][b].is_zero()] for b in range(n)]
+
+
+def _word_column(cols, word, b, one):
+    """Column b of the word's matrix, M_{w_0}(M_{w_1}(... M_{w_last} e_b)),
+    as {row: entry}: the letters act on e_b last one first, through their
+    nonzero entries only."""
+    if not word:
+        return {b: one}
+    vec = dict(cols[word[-1]][b])
+    for sym in reversed(word[:-1]):
+        col = cols[sym]
+        out = {}
+        for k, x in vec.items():
+            for r, m in col[k]:
+                y = m * x
+                out[r] = out[r] + y if r in out else y
+        vec = out
+    return vec
 
 
 def verify_module(mod: WeightModule, instances) -> Report:
-    """Substitute the module matrices into every relation instance."""
+    """Substitute the module matrices into every relation instance.
+
+    Each relation sum_w c_w w is evaluated column by column: column b of
+    the matrix M_{w_0} M_{w_1} ... M_{w_last} is M_{w_0}(M_{w_1}(...
+    M_{w_last} e_b)), so the letters act on the basis vector e_b through
+    their nonzero entries only, and c_w times that column is summed into
+    column b of the relation's matrix, word by word.  These are the exact
+    entries of the dense product, for any matrices.  A relation holds when
+    every entry is zero; otherwise the witness is its first nonzero entry
+    in row-major order, the least (row, column).
+    """
     t0 = time.monotonic()
     rep = Report("modules", datum=mod.rd.name, case=mod.label)
+    cols = {sym: _columns(m) for sym, m in mod.mats.items()}
+    one = mod.params.rat(1)
     for inst in instances:
-        acc = _zeros(mod.params, mod.dim)
-        for word, coeff in inst.expr.terms.items():
-            acc = _mat_add(acc, _mat_scale(_word_matrix(mod, word), coeff))
         rec = CheckRecord("%s:%s" % (mod.label, inst.id), inst.family, inst.i, inst.j)
-        bad = _first_nonzero(acc)
+        bad = None
+        for b in range(mod.dim):
+            acc = {}
+            for word, coeff in inst.expr.terms.items():
+                for r, x in _word_column(cols, word, b, one).items():
+                    y = x * coeff
+                    acc[r] = acc[r] + y if r in acc else y
+            for r in sorted(acc):
+                if not acc[r].is_zero():
+                    if bad is None or r < bad[0]:
+                        bad = (r, b, acc[r])
+                    break
         if bad is not None:
             rec.status = FAIL
             rec.witness = "entry (%d,%d) = %s" % (bad[0], bad[1], bad[2].simplified())

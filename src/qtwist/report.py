@@ -10,6 +10,59 @@ PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
 
+_encode_str = json.encoder.encode_basestring_ascii  # C-accelerated when available
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    type(None): lambda x: "null",
+}
+
+
+def _layout(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    With an indent, json.dumps runs json's pure-Python encoder.  Here only
+    the nesting is laid out in Python; string leaves go to json's C string
+    encoder.  Dict keys must be strings, as they are in a report.
+    """
+    enc = _LEAVES.get(type(obj))
+    if enc is not None:
+        return enc(obj)
+    out: list = []
+    _pieces(obj, pad, out)
+    return "".join(out)
+
+
+def _pieces(obj, pad: str, out: list) -> None:
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for k in sorted(obj):
+            v = obj[k]
+            enc = _LEAVES.get(type(v))
+            if enc is not None:
+                out.append(sep + _encode_str(k) + ": " + enc(v))
+            else:
+                out.append(sep + _encode_str(k) + ": ")
+                _pieces(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[\n" + inner
+        for x in obj:
+            # one string per item keeps the piece list of a long list short
+            out.append(sep + _layout(x, inner))
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(obj))
+
 
 @dataclass
 class CheckRecord:
@@ -94,7 +147,9 @@ class Report:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+        """json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True),
+        byte for byte."""
+        return _layout(self.to_dict(include_timing))
 
     def to_text(self) -> str:
         lines = ["campaign: %s  datum: %s  case: %s" % (self.campaign, self.datum, self.case)]

@@ -1,10 +1,12 @@
-"""Seeded defects: the iso and Hopf campaigns must reject them.
+"""Seeded defects: the iso, Hopf and module campaigns must reject them.
 
-Each defect is monkeypatched into the code a campaign calls, and the
-campaign must fail exactly the records the defect touches, each with a
-witness: the iso campaign on a2 over weights_box(1), the Hopf campaign on
-a2 with nmax=3.  The clean controls show the same runs pass, so the
-failures come from the defect.
+Each defect is monkeypatched into the code a campaign calls, or built into
+the module under test, and the campaign must fail exactly the records the
+defect touches, each with a witness: the iso campaign on a2 over
+weights_box(1), the Hopf campaign on a2 with nmax=3, and the matrix checks
+of scrU on the transported a1 n=3 string module and a2 natural module.  The
+clean controls show the same runs pass, so the failures come from the
+defect.
 """
 
 import pytest
@@ -13,8 +15,9 @@ from qtwist import hopf, presentations, rootdata, twistmap
 from qtwist.hopf import star_mul, verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, _weight_monomial, twist_c
-from qtwist.presentations import _serre_ratios
-from qtwist.twistmap import verify_twist_isomorphism
+from qtwist.presentations import _serre_ratios, relations_of
+from qtwist.repcheck import corrupt, sl2_string_module, sl3_natural_module, transport, verify_module
+from qtwist.twistmap import TwistScalars, verify_twist_isomorphism
 
 WITNESS = "image is not an exact multiple of the target instance"
 
@@ -184,3 +187,55 @@ def test_hopf_witness_shows_both_sides(monkeypatch):
         for i in (1, 2)
         for n in (1, 2, 3)
     }
+
+
+class _RaisingAtStart(TwistScalars):
+    """transport divides E_i|M_lam by e(i, lam+alpha_i); this wrapper hands it
+    e(i, lam), the rescaling at the starting weight instead of the landing one."""
+
+    def e(self, i, lam):
+        return super().e(i, self.rd.add_root(lam, i, -1))
+
+
+def _module_case(name):
+    """(base module, its parameters, scrU instances) for a1 n=3 or the a2 natural module."""
+    rd = rootdata.builtin(name)
+    p = ParameterSet.v_tied(rd.cartan)
+    base = sl2_string_module(3, rd, p) if name == "a1" else sl3_natural_module(rd, p)
+    return base, p, relations_of("scrU", rd, p)
+
+
+@pytest.mark.parametrize("name, records", [("a1", 11), ("a2", 42)], ids=["a1", "a2"])
+def test_module_clean_control(name, records):
+    base, p, rels = _module_case(name)
+    rep = verify_module(transport(base, TwistScalars(base.rd, p)), rels)
+    assert rep.summary == {"pass": records, "fail": 0, "warn": 0}
+
+
+@pytest.mark.parametrize(
+    "name, defect, failures, families",
+    [
+        ("a1", "K", 5, {"a", "b", "c"}),
+        ("a1", "Kp", 5, {"a", "b", "c"}),
+        ("a1", "F", 1, {"c"}),
+        ("a1", "raising-at-start", 1, {"c"}),
+        ("a2", "K", 7, {"a", "b", "c"}),
+        ("a2", "Kp", 7, {"a", "b", "c"}),
+        ("a2", "F", 1, {"c"}),
+        ("a2", "raising-at-start", 2, {"c"}),
+    ],
+    ids=["a1-K", "a1-Kp", "a1-F", "a1-raising-at-start",
+         "a2-K", "a2-Kp", "a2-F", "a2-raising-at-start"],
+)
+def test_seeded_module_defect_is_rejected(name, defect, failures, families):
+    """corrupt(kind, i=1, v) on the transported module, or the raising action
+    rescaled at the wrong weight by transport itself."""
+    base, p, rels = _module_case(name)
+    if defect == "raising-at-start":
+        mod = transport(base, _RaisingAtStart(base.rd, p))
+    else:
+        mod = corrupt(transport(base, TwistScalars(base.rd, p)), defect, 0, p.v())
+    rep = verify_module(mod, rels)
+    assert rep.summary == {"pass": len(rels) - failures, "fail": failures, "warn": 0}
+    assert {c.family for c in rep.failures()} == families
+    assert all(c.witness.startswith("entry (") for c in rep.failures())

@@ -8,6 +8,7 @@ from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 from qtwist.repcheck import (
     CONVENTION,
+    _mat_mul,
     corrupt,
     kkp_eigenvalue_records,
     sl2_string_module,
@@ -56,8 +57,6 @@ def test_two_dim_module(a1):
 
 def test_string_module_commutator_eigenvalues(a1):
     rd, p = a1
-    from qtwist.repcheck import _mat_mul
-
     n = 3
     mod = sl2_string_module(n, rd, p)
     E, F = mod.mats[("E", 0)], mod.mats[("F", 0)]
@@ -140,8 +139,6 @@ def test_kkp_trivial_under_sign_specialization(a1):
     sc = TwistScalars(rd, p)
     tmod = transport(sl2_string_module(2, rd, p), sc)
     for i in rd.index_set:
-        from qtwist.repcheck import _mat_mul
-
         prod = _mat_mul(p, tmod.mats[("K", i)], tmod.mats[("Kp", i)])
         for b in range(tmod.dim):
             assert prod[b][b] == p.rat(1)
@@ -190,3 +187,73 @@ def test_full_campaign_all_specializations():
 def test_convention_recorded():
     assert "e(i, lam+alpha_i)^-1" in CONVENTION
     assert "f(i, lam)^-1" in CONVENTION
+
+
+def _dense_verdicts(mod, instances):
+    """Reference evaluator: every word's matrix as a chain of dense products,
+    scaled and summed; the witness is the first nonzero entry in row-major
+    order."""
+    p, n = mod.params, mod.dim
+    out = {}
+    for inst in instances:
+        acc = [[p.rat(0)] * n for _ in range(n)]
+        for word, coeff in inst.expr.terms.items():
+            m = [[p.rat(int(r == c)) for c in range(n)] for r in range(n)]
+            for sym in word:
+                m = _mat_mul(p, m, mod.mats[sym])
+            acc = [[a + x * coeff for a, x in zip(ra, rm)] for ra, rm in zip(acc, m)]
+        bad = next(((r, c, x) for r, row in enumerate(acc) for c, x in enumerate(row)
+                    if not x.is_zero()), None)
+        if bad is None:
+            out["%s:%s" % (mod.label, inst.id)] = ("pass", "")
+        else:
+            out["%s:%s" % (mod.label, inst.id)] = (
+                "fail", "entry (%d,%d) = %s" % (bad[0], bad[1], bad[2].simplified()))
+    return out
+
+
+def _with_k_off_diagonal(mod, i):
+    """K_i + E_i + F_i in place of K_i: no longer a weight module.  In a weight
+    module each relation's nonzero entries lie on one weight shift, where
+    row-major and column-major order agree; K_i K_i^-1 - 1 = (E_i + F_i)
+    K_i^-1 has entries on both sides of the diagonal, where they do not."""
+    bad = mod.copy()
+    K, E, F = (mod.mats[(k, i)] for k in ("K", "E", "F"))
+    bad.mats[("K", i)] = [[k + e + f for k, e, f in zip(rk, re, rf)]
+                          for rk, re, rf in zip(K, E, F)]
+    return bad
+
+
+@pytest.mark.parametrize("case", ["generic", "super1"])
+def test_column_action_matches_dense_reference(monkeypatch, case):
+    """verify_module gives every record of a modules campaign, and of corrupt
+    copies of its transported modules, the status and witness of the dense
+    evaluation."""
+    import qtwist.repcheck as repcheck
+
+    factory = {
+        "generic": lambda rd: ParameterSet.v_tied(rd.cartan),
+        "super1": lambda rd: sp.super_first(rd).params,
+    }[case]
+    calls = []
+    real = repcheck.verify_module
+
+    def spy(mod, instances):
+        calls.append((mod, instances))
+        return real(mod, instances)
+
+    monkeypatch.setattr(repcheck, "verify_module", spy)
+    verify_transported_modules(factory, lambda rd, p: TwistScalars(rd, p), case, max_n=4)
+    transported = [(m, rels) for m, rels in calls if m.label.endswith("+twist")]
+    assert len(transported) == 6  # string modules n = 0..4 and the natural module
+    checked = list(calls)
+    for mod, rels in transported:
+        q = mod.params.q(0)
+        checked += [(corrupt(mod, kind, 0, q), rels) for kind in ("E", "F", "K", "Kp")]
+        checked.append((_with_k_off_diagonal(mod, 0), rels))
+    witnesses = set()
+    for mod, rels in checked:
+        got = {c.id: (c.status, c.witness) for c in real(mod, rels).checks}
+        assert got == _dense_verdicts(mod, rels), mod.label
+        witnesses |= {w for _, w in got.values() if w}
+    assert any(w.startswith("entry (0,1)") for w in witnesses)

@@ -49,6 +49,17 @@ GOLDEN = [
      "751da93c73e179184f0d39eabd3ce3bd03f2f58a1bd7a48ad1bae6c2d94544fb"),
     ("verify-modules --max-n 3 --case super1",
      "2cb68aba99ddd97244a7bdd2154491b458e296ddeae7c67783e5ddad17b41b14"),
+    # the five campaigns of the benchmark's special workload that run repcheck (seed 0)
+    ("verify-modules --max-n 10 --case generic",
+     "00edde8756ae7dafab54f47eda922118397e662a29d2d60e80a89b495d08f60f"),
+    ("verify-modules --max-n 10 --case two-param",
+     "a687b72afc8807c22fda0c6562c13aaa6a7fee707b2a5a09b925494a900752c8"),
+    ("verify-modules --max-n 10 --case multi-param",
+     "9cb0e29c00c2e5f2d42708e4abbcf67cf7d379783fff77acc5d1a434d0654c60"),
+    ("verify-modules --max-n 10 --case super1",
+     "6e490a49a318c85ed7d83604fb879cfd36c6a1db86ee76d647dc527fef3dd312"),
+    ("verify-modules --max-n 10 --case super2",
+     "43e43f15143e31da3a7891c2a96ca983c4857711aa66fabefaf062a33028ddfd"),
 ]
 
 
