@@ -209,7 +209,8 @@ class Context:
         return tuple(sorted(acc.items()))
 
     def mono_pow(self, m: Mono, k) -> Mono:
-        k = Fraction(k)
+        if type(k) is not int:
+            k = Fraction(k)
         pairs = []
         for idx, s in m:
             var = self.vars[idx]
@@ -229,6 +230,28 @@ class Context:
             if ns != 0:
                 pairs.append((idx, ns))
         return tuple(pairs)
+
+    def unit_product(self, factors) -> "LaurentPoly":
+        """Product of unit monomials in one pass: the exponents are summed per
+        variable (sign variables mod 2) and the coefficients multiplied, with
+        no intermediate polynomial."""
+        exps: dict = {}
+        coeff = 1
+        for f in factors:
+            if f.ctx is not self or len(f.terms) != 1:
+                raise RingError("unit_product takes unit monomials of this context, got %s" % f)
+            ((m, c),) = f.terms.items()
+            if c != 1:
+                coeff *= c
+            for idx, s in m:
+                exps[idx] = exps.get(idx, 0) + s
+        vs = self.vars
+        pairs = []
+        for idx in sorted(exps):
+            s = exps[idx] % 2 if vs[idx].kind == SIGN else exps[idx]
+            if s:
+                pairs.append((idx, s))
+        return LaurentPoly(self, {tuple(pairs): _num(coeff)})
 
     def mono_key(self, m: Mono):
         # Dense exponent vector in declaration order; lex comparison on it is
@@ -356,7 +379,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if isinstance(n, Fraction) and n.denominator != 1:
+        if len(self.terms) == 1 or (isinstance(n, Fraction) and n.denominator != 1):
+            # a unit monomial: scale its exponents, no repeated squaring
             return self.unit_pow(n)
         n = int(n)
         if n < 0:
@@ -387,7 +411,8 @@ class LaurentPoly:
         if u is None:
             raise RingError("fractional power of a non-monomial: %s" % self)
         c, m = u
-        e = Fraction(e)
+        if type(e) is not int:
+            e = Fraction(e)
         if c == 1:
             nc = 1
         elif e.denominator == 1:
@@ -551,6 +576,17 @@ class RatExpr:
     Unit-monomial denominators are absorbed into the numerator on
     construction, and general denominators are normalised to have leading
     coefficient 1 and no monomial content.  No gcd reduction is attempted.
+
+    Two exact shortcuts skip work whose result is already known.  A product
+    with a polynomial factor keeps the other factor's denominator: it is
+    normalised, and normalising it again would return it unchanged.  A
+    quotient of two fractions over the same denominator D is num/num', the
+    value of (num*D)/(D*num') with the common D cancelled; when num' is a
+    unit monomial it is absorbed, so a unit multiple comes out as that
+    polynomial at once.  Both keep results canonical where they are
+    printed: a polynomial value has one structural form whichever way it
+    was computed, and a fraction is printed after ``simplified()``, which
+    turns it into that form whenever the division is exact.
     """
 
     __slots__ = ("num", "den")
@@ -635,8 +671,24 @@ class RatExpr:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return RatExpr(self.num * other.num, self.den * other.den)
+        if isinstance(other, LaurentPoly):
+            num, den = self.num * other, self.den
+        else:
+            other = self._coerce(other)
+            num = self.num * other.num
+            if other.den.is_one():
+                den = self.den
+            elif self.den.is_one():
+                den = other.den
+            else:
+                return RatExpr(num, self.den * other.den)
+        if num.is_zero():
+            return RatExpr(num, den)
+        # den is a normalised denominator, so __init__ would keep it as is
+        out = object.__new__(RatExpr)
+        out.num = num
+        out.den = den
+        return out
 
     __rmul__ = __mul__
 
@@ -646,7 +698,10 @@ class RatExpr:
         return RatExpr(self.den, self.num)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inv()
+        other = self._coerce(other)
+        if self.den.terms == other.den.terms and not other.is_zero():
+            return RatExpr(self.num, other.num)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inv()

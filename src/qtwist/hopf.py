@@ -225,23 +225,29 @@ def _ef_part(word) -> tuple:
 
 
 def _scalar_multiple_of_relation(ctx: HopfContext, image: NCExpr, relation: NCExpr):
-    """Find (scalar, K-monomial word) with image == scalar * NF(Kmono * relation).
+    """(scalar, K-monomial word, "") with image == scalar * NF(Kmono * relation),
+    or (None, K-monomial word, witness) when there is none.
 
     Both inputs are straightened.  The K-prefix is read off the image term
     whose E/F part matches the relation's reference word; this is exactly
     the shape of the antipode computation and avoids ideal membership.
+    Unless exactly one image term matches there is no multiple, and the
+    witness compares the image with the relation times the K-part of the
+    first matching term in word order (of none, the empty word).
     """
     image = ctx.nf(image)
     relation = ctx.nf(relation)
-    kmono = ()
+    candidates = [()]
     if not relation.is_zero():
         ref_ef = _ef_part(max(relation.terms, key=word_key))
-        candidates = [w for w in image.terms if _ef_part(w) == ref_ef]
-        if len(candidates) != 1:
-            return None
-        kmono = _k_part(candidates[0])
-    scalar = image.multiple_of(ctx.nf(NCExpr.word(ctx.params, kmono) * relation))
-    return None if scalar is None else (scalar, kmono)
+        candidates = sorted((w for w in image.terms if _ef_part(w) == ref_ef), key=word_key)
+    kmono = _k_part(candidates[0]) if candidates else ()
+    target = ctx.nf(NCExpr.word(ctx.params, kmono) * relation)
+    scalar = image.multiple_of(target) if len(candidates) == 1 else None
+    if scalar is None:
+        return None, kmono, image.multiple_witness(target) or (
+            "%d image words share the reference E/F part" % len(candidates))
+    return scalar, kmono, ""
 
 
 def verify_antipode(ctx: HopfContext) -> list:
@@ -290,13 +296,12 @@ def verify_antipode(ctx: HopfContext) -> list:
                     p.one() / denom
                 )
                 relation = relation - (W(("K", i)) - W(("Kp", i))).scale(p.one() / denom)
-            got = _scalar_multiple_of_relation(ctx, image, relation)
+            scalar, kmono, witness = _scalar_multiple_of_relation(ctx, image, relation)
             rec = CheckRecord("antipode-c:i%d:j%d" % (i + 1, j + 1), "antipode-c", i, j)
-            if got is None:
+            if scalar is None:
                 rec.status = FAIL
-                rec.witness = "image is not scalar * K-monomial * relation"
+                rec.witness = "image is not scalar * K-monomial * relation: " + witness
             else:
-                scalar, kmono = got
                 rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
             records.append(rec)
 
@@ -306,12 +311,11 @@ def verify_antipode(ctx: HopfContext) -> list:
                 continue
             rec = CheckRecord("antipode-serre:i%d:j%d" % (i + 1, j + 1), "antipode-serre", i, j)
             R = serre_binomial(i, j, ctx.rd, p, kind="E")
-            got = _scalar_multiple_of_relation(ctx, antipode(ctx, R), R)
-            if got is None:
+            scalar, kmono, witness = _scalar_multiple_of_relation(ctx, antipode(ctx, R), R)
+            if scalar is None:
                 rec.status = FAIL
-                rec.witness = "antipode image is not scalar * K-monomial * Serre sum"
+                rec.witness = "antipode image is not scalar * K-monomial * Serre sum: " + witness
             else:
-                scalar, kmono = got
                 rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
             records.append(rec)
     return records

@@ -161,6 +161,22 @@ class LinComb:
             return n
         return None
 
+    def multiple_witness(self, target) -> str:
+        """Why self is not an exact multiple of target: the first key, in basis
+        order, that only one side has or whose coefficient is not N times
+        target's, N being the multiple read at target's largest key as in
+        multiple_of.  Both coefficients are shown (0 where a side lacks the
+        key), then N when it exists; empty when self is an exact multiple."""
+        zero = self.params.rat(0)
+        ref = max(target.terms, key=self._order) if target.terms else None
+        n = self.terms[ref] / target.terms[ref] if ref in self.terms else None
+        for k in sorted(self.terms.keys() | target.terms.keys(), key=self._order):
+            a, b = self.terms.get(k, zero), target.terms.get(k, zero)
+            if a.is_zero() or b.is_zero() or (n is not None and not a == n * b):
+                shown = "%s: image %s, target %s" % (self.key_str(k), a.simplified(), b.simplified())
+                return shown if n is None else "%s, multiple %s" % (shown, n.simplified())
+        return ""
+
     def sorted_terms(self):
         order = self._order
         return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
@@ -228,37 +244,42 @@ class StraightenRules:
         return self._cache[key]
 
 
+def _straighten_word(word, rules: StraightenRules):
+    """(normal-form word, scalar): the word is the canonical K-monomial prefix
+    followed by the untouched E/F symbols, and the scalar, a unit monomial,
+    is the product of the hops taken to get there."""
+    hops = []
+    kexp: dict = {}  # (i, family 'K'/'Kp') -> exponent
+    ef = []
+    for kind, i in word:
+        if kind in (E_KIND, F_KIND):
+            ef.append((kind, i))
+        else:
+            fam = "K" if kind in ("K", "Kinv") else "Kp"
+            sgn = 1 if kind in ("K", "Kp") else -1
+            for ef_kind, j in ef:
+                hops.append(rules.hop(kind, i, ef_kind, j))
+            cur = kexp.get((i, fam), 0) + sgn
+            if cur == 0:
+                kexp.pop((i, fam), None)
+            else:
+                kexp[(i, fam)] = cur
+    prefix = []
+    for (i, fam), e in sorted(kexp.items()):
+        kind = fam if e > 0 else (fam + "inv")
+        prefix.extend([(kind, i)] * abs(e))
+    return tuple(prefix) + tuple(ef), rules.params.ctx.unit_product(hops)
+
+
 def straighten(x: NCExpr, rules: StraightenRules) -> NCExpr:
     """Normal form: canonical K-monomial prefix times the untouched E/F word."""
     if rules.params is not x.params:
         raise RingError("straightening rules built for a different parameter set")
-    params = x.params
     out: dict = {}
     for word, coeff in x.terms.items():
-        scalar = params.ctx.one
-        kexp: dict = {}  # (i, family 'K'/'Kp') -> exponent
-        ef = []
-        for kind, i in word:
-            if kind in (E_KIND, F_KIND):
-                ef.append((kind, i))
-            else:
-                fam = "K" if kind in ("K", "Kinv") else "Kp"
-                sgn = 1 if kind in ("K", "Kp") else -1
-                for ef_kind, j in ef:
-                    h = rules.hop(kind, i, ef_kind, j)
-                    scalar = scalar * h
-                cur = kexp.get((i, fam), 0) + sgn
-                if cur == 0:
-                    kexp.pop((i, fam), None)
-                else:
-                    kexp[(i, fam)] = cur
-        prefix = []
-        for (i, fam), e in sorted(kexp.items()):
-            kind = fam if e > 0 else (fam + "inv")
-            prefix.extend([(kind, i)] * abs(e))
-        nf = tuple(prefix) + tuple(ef)
+        nf, scalar = _straighten_word(word, rules)
         merge_term(out, nf, coeff * scalar)
-    return NCExpr(params, out)
+    return NCExpr(x.params, out)
 
 
 class TensorExpr(LinComb):
@@ -315,18 +336,14 @@ class TensorExpr(LinComb):
 
     def straighten(self, rules: StraightenRules) -> "TensorExpr":
         """Apply the K-straightening normal form in every tensor slot."""
+        if rules.params is not self.params:
+            raise RingError("straightening rules built for a different parameter set")
+        unit_product = self.params.ctx.unit_product
         out: dict = {}
-        params = self.params
         for key, coeff in self.terms.items():
-            scalar = coeff
-            nf_key = []
-            for w in key:
-                nf = straighten(NCExpr.word(params, w), rules)
-                ((w2, c2),) = nf.terms.items()
-                nf_key.append(w2)
-                scalar = scalar * c2
-            merge_term(out, tuple(nf_key), scalar)
-        return TensorExpr(params, self.arity, out)
+            nf_key, scalars = zip(*(_straighten_word(w, rules) for w in key))
+            merge_term(out, nf_key, coeff * unit_product(scalars))
+        return TensorExpr(self.params, self.arity, out)
 
     @staticmethod
     def _order(key):

@@ -121,12 +121,12 @@ class ParameterSet:
 
 def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, base, sign=1) -> LaurentPoly:
     """prod_j base(j)^{sign * lam(j)}."""
-    out = params.ctx.one
+    powers = []
     for j in rd.index_set:
         k = rd.lambda_paren(lam, j)
         if k:
-            out = out * base(j) ** (sign * k)
-    return out
+            powers.append(base(j) ** (sign * k))
+    return params.ctx.unit_product(powers)
 
 
 def twist_e(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:

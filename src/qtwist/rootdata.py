@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, mul, sub
 from typing import Sequence
 
 Weight = tuple  # integer coordinate vector in X
@@ -103,16 +105,34 @@ class RootDatum:
             for b in range(self.x_rank)
         )
 
+    def _forms(self, rows) -> tuple:
+        """Each row y folded with the pairing into the linear form <y, .> on X."""
+        cols = range(self.x_rank)
+        return tuple(tuple(sum(y[a] * self.pairing[a][b] for a in cols) for b in cols) for y in rows)
+
+    @cached_property
+    def _coroot_forms(self) -> tuple:
+        return self._forms(self.coroot)
+
+    @cached_property
+    def _coweight_forms(self) -> tuple:
+        return self._forms(self.coweight)
+
     def lambda_i(self, lam: Weight, i: int) -> int:
         """<coroot_i, lam>."""
-        return self.pair(self.coroot[i], lam)
+        return sum(map(mul, self._coroot_forms[i], lam))
 
     def lambda_paren(self, lam: Weight, i: int) -> int:
         """<coweight_i, lam>."""
-        return self.pair(self.coweight[i], lam)
+        return sum(map(mul, self._coweight_forms[i], lam))
 
     def add_root(self, lam: Weight, i: int, sign: int = 1) -> Weight:
-        return tuple(lam[k] + sign * self.alpha[i][k] for k in range(self.x_rank))
+        alpha = self.alpha[i]
+        if sign == 1:
+            return tuple(map(add, lam, alpha))
+        if sign == -1:
+            return tuple(map(sub, lam, alpha))
+        return tuple(map(add, lam, [sign * a for a in alpha]))
 
     def zero_weight(self) -> Weight:
         return (0,) * self.x_rank

@@ -61,17 +61,18 @@ class TwistMap:
 
     def _word_scalar(self, word: PathWord, invert: bool):
         """Product of per-step scalars: e at the step target for raising
-        steps, f at the step source for lowering steps."""
-        out = self.params.ctx.one
+        steps, f at the step source for lowering steps, multiplied in one pass."""
+        e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
+        factors = []
         lam = word.target
         for kind, i in word.steps:
             if kind == "E":
-                out = out * self.scalars.e(i, lam)
-                lam = self.rd.add_root(lam, i, -1)
+                factors.append(e(i, lam))
+                lam = add_root(lam, i, -1)
             else:
-                src = self.rd.add_root(lam, i, +1)
-                out = out * self.scalars.f(i, src)
-                lam = src
+                lam = add_root(lam, i, +1)
+                factors.append(f(i, lam))
+        out = self.params.ctx.unit_product(factors)
         return out.inv_unit() if invert and not out.is_one() else out
 
     def _apply(self, x: PathExpr, invert: bool) -> PathExpr:
@@ -90,8 +91,10 @@ class TwistMap:
 
 
 def _simplify_multiple(n: RatExpr):
-    """(n.simplified(), whether n is a unit monomial), with one exact
-    division: a multiple still carrying a denominator is not a polynomial."""
+    """(n.simplified(), whether n is a unit monomial), with at most one exact
+    division: a multiple still carrying a denominator is not a polynomial.
+    A clean multiple is already a polynomial, as the coefficients it divides
+    share their denominators, and needs none."""
     simple = n.simplified()
     return simple, simple.is_poly() and simple.num.unit_mono() is not None
 
@@ -160,7 +163,8 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
         n = image.multiple_of(tgt.expr)
         if n is None:
             rec.status = FAIL
-            rec.witness = "image is not an exact multiple of the target instance"
+            rec.witness = "image is not an exact multiple of the target instance: " + (
+                image.multiple_witness(tgt.expr))
             continue
         simple, unit = _simplify_multiple(n)
         rec.scalar = str(simple)

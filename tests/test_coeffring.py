@@ -1,5 +1,7 @@
 """Exact arithmetic: canonical forms, q-combinatorics, fractions, substitution."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -324,6 +326,127 @@ def test_ratexpr_field_ops(ctx):
     assert (a - a).is_zero()
     assert a.inv() == ctx.rat(v + 1)
     assert a**-2 == ctx.rat((v + 1) * (v + 1))
+
+
+# -- fast paths against the general path -------------------------------------------
+
+
+def _general_pow(p, n):
+    """p**n by repeated LaurentPoly products (of the inverse when n < 0)."""
+    base = p if n >= 0 else p.inv_unit()
+    return functools.reduce(operator.mul, [base] * abs(n), p.ctx.one)
+
+
+def _same(fast, general):
+    assert fast == general
+    assert str(fast) == str(general)
+
+
+def _units(ctx):
+    v, w, g = ctx["v"], ctx["w"], ctx["g"]
+    return [
+        ctx.monomial({v: Fraction(1, 2)}),
+        ctx.monomial({g: 1}),
+        ctx.monomial({v: Fraction(-3, 2), w: 2, g: 1}, coeff=Fraction(-2, 3)),
+        ctx.monomial({w: -1}, coeff=-1),
+        ctx.poly(3),
+        ctx.one,
+    ]
+
+
+def only_monomial(p):
+    ((m, _),) = p.terms.items()
+    return m
+
+
+@pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3, 6])
+def test_unit_monomial_power_scales_exponents(ctx, n):
+    for u in _units(ctx):
+        got = u**n
+        _same(got, _general_pow(u, n))
+        assert_canonical_coefficients(got)
+        if n % 2 == 0:
+            assert ctx["g"].index not in dict(only_monomial(got))
+
+
+def test_unit_product_is_one_pass_product(ctx):
+    v, g = ctx["v"], ctx["g"]
+    us = _units(ctx)
+    for k in range(len(us) + 1):
+        for factors in (us[:k], us[k:], us[::-1][:k]):
+            got = ctx.unit_product(factors)
+            _same(got, functools.reduce(operator.mul, factors, ctx.one))
+            assert_canonical_coefficients(got)
+    # exponents and signs cancel to the integer 1
+    cancel = [v**Fraction(1, 2), v**Fraction(-1, 2), g.as_poly(), g.as_poly(), ctx.poly(Fraction(2, 3)),
+              ctx.poly(Fraction(3, 2))]
+    one = ctx.unit_product(cancel)
+    assert one.terms == {(): 1} and type(only_coefficient(one)) is int
+    with pytest.raises(RingError):
+        ctx.unit_product([v + 1])
+    with pytest.raises(RingError):
+        Context().unit_product([v.as_poly()])
+
+
+def _fractions(ctx):
+    v, w, g = ctx["v"], ctx["w"], ctx["g"]
+    den = v**2 + 3 * w - Fraction(2, 3)
+    nums = [
+        v**Fraction(1, 2) * g + 1,
+        ctx.monomial({v: -1, g: 1}, coeff=Fraction(-2, 3)),
+        w**-2 - v,
+        ctx.zero,
+    ]
+    return den, [RatExpr(num, den) for num in nums]
+
+
+def test_product_with_polynomial_keeps_denominator(ctx):
+    v, g = ctx["v"], ctx["g"]
+    den, fracs = _fractions(ctx)
+    polys = [ctx.monomial({v: Fraction(-1, 2), g: 1}, coeff=Fraction(-2, 3)), v - g, ctx.zero, ctx.one]
+    for a in fracs:
+        for p in polys:
+            general = RatExpr(a.num * p, a.den * ctx.one)
+            for got in (a * p, a * ctx.rat(p), ctx.rat(p) * a):
+                _same(got, general)
+                assert got.den == general.den
+            if p.is_zero():
+                assert (a * p).den.is_one() and str(a * p) == "0"
+
+
+def test_shared_denominator_quotient(ctx):
+    v, w, g = ctx["v"], ctx["w"], ctx["g"]
+    den, fracs = _fractions(ctx)
+    exact = 0
+    for a in fracs:
+        for b in fracs[:-1]:
+            got, general = a / b, a * b.inv()
+            assert got == general
+            # printed values go through simplified(): equal bytes when exact
+            if got.simplified().is_poly():
+                _same(got.simplified(), general.simplified())
+                exact += 1
+    # every a over the unit numerator (4), 0 over the other two (2), and the
+    # sign-free non-unit numerator over itself (exact division refuses g)
+    assert exact == 7
+    # the iso shape: over the shared denominator, a unit multiple of a
+    # unit-numerator fraction divides to that unit with no denominator left
+    target = fracs[1]
+    for u in _units(ctx):
+        image = RatExpr(target.num * u, den)
+        got = image / target
+        assert got.is_poly()
+        _same(got, (image * target.inv()).simplified())
+        _same(got, ctx.rat(u))
+    # over the denominator 1 both paths build the same fraction
+    for x, y in ((v**Fraction(1, 2) - g, w + 1), (ctx.poly(Fraction(-2, 3)), v - w), (ctx.zero, v + 1)):
+        _same(ctx.rat(x) / ctx.rat(y), ctx.rat(x) * ctx.rat(y).inv())
+    assert str(ctx.rat(0) / ctx.rat(v + 1)) == "0"
+    for a in fracs + [ctx.rat(v + 1)]:
+        with pytest.raises(ZeroDivisionError):
+            a / ctx.rat(0)
+        with pytest.raises(ZeroDivisionError):
+            a / RatExpr(ctx.zero, den)
 
 
 # -- substitution -------------------------------------------------------------------

@@ -165,3 +165,39 @@ def test_loader_rejects_dependent_roots(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(DatumError):
         rootdata.load(str(path))
+
+
+# a unimodular, non-symmetric pairing per lattice rank, with its inverse
+_PAIRINGS = {
+    2: (((2, 3), (1, 2)), ((2, -3), (-1, 2))),
+    3: (((1, 2, 0), (0, 1, 3), (0, 0, 1)), ((1, -2, 6), (0, 1, -3), (0, 0, 1))),
+}
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_linear_forms_with_non_identity_pairing(name):
+    """The same datum with the pairing P and every Y row multiplied by P^-1:
+    the folded forms and add_root agree with the pair() double sum and the
+    coordinate loop, and with the identity-pairing built-in."""
+    rd = rootdata.builtin(name)
+    pairing, inverse = _PAIRINGS[rd.x_rank]
+    assert _mat_mul(pairing, inverse) == rootdata._identity(rd.x_rank)
+    data = _datum_dict(rd)
+    data["pairing"] = [list(r) for r in pairing]
+    data["coroot"] = [list(r) for r in _mat_mul(rd.coroot, inverse)]
+    data["coweight"] = [list(r) for r in _mat_mul(rd.coweight, inverse)]
+    twisted = rootdata.from_dict(data, name=name)
+    assert twisted.coroot != rd.coroot
+    for lam in twisted.weights_box(2):
+        for i in twisted.index_set:
+            got = twisted.lambda_i(lam, i)
+            assert got == twisted.pair(twisted.coroot[i], lam) == rd.lambda_i(lam, i)
+            got = twisted.lambda_paren(lam, i)
+            assert got == twisted.pair(twisted.coweight[i], lam) == rd.lambda_paren(lam, i)
+            for sign in (1, -1, 2, -2):
+                want = tuple(lam[k] + sign * twisted.alpha[i][k] for k in range(twisted.x_rank))
+                assert twisted.add_root(lam, i, sign) == want

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from qtwist import rootdata
+from qtwist import rootdata, specializations
 from qtwist.params import ParameterSet
-from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent
+from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from qtwist.twistmap import (
     TwistMap,
     TwistScalars,
@@ -162,12 +162,32 @@ def test_isomorphism_campaign_a2_serre_ratio(a2):
         assert p.rat(n1[l]) / p.rat(n1[0]) == ratio**l
 
 
+@pytest.mark.parametrize(
+    "name, case",
+    [("a2", "v-tied"), ("b2", "v-tied"), ("g2", "v-tied"), ("a2", "two-param"), ("a2", "super1")],
+    ids=["a2", "b2", "g2", "a2-two-param", "a2-super1"],
+)
+def test_iso_multiple_needs_no_cancellation(name, case):
+    """Image and target coefficients share their denominators, so the
+    multiple of every clean record is a unit monomial before simplified():
+    no exact division is left for the report to do."""
+    rd = rootdata.builtin(name)
+    p = ParameterSet.v_tied(rd.cartan) if case == "v-tied" else specializations.make(case, rd).params
+    window = rd.weights_box(1)
+    tw = TwistMap(rd, p)
+    targets = {(r.family, r.i, r.j, r.lam, r.part): r.expr for r in relations_of("scrUdot", rd, p, window)}
+    families = set()
+    for su in relations_of("Udot", rd, p, window):
+        n = tw.forward(su.expr).multiple_of(targets[(su.family, su.i, su.j, su.lam, su.part)])
+        assert n.is_poly() and n.num.unit_mono() is not None, (su.id, str(n))
+        families.add(su.family)
+    assert families == {"a", "b", "c", "d-E", "d-F"}
+
+
 def test_identity_specialization_fixes_relations():
     rd = rootdata.builtin("a2")
     p = ParameterSet.one_param(rd.cartan)
     tw = TwistMap(rd, p)
-    from qtwist.presentations import relations_of
-
     window = [rd.zero_weight(), (1, 0, -1)]
     for inst in relations_of("Udot", rd, p, window):
         assert tw.forward(inst.expr) == inst.expr
