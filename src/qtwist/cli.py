@@ -3,8 +3,9 @@ deterministic text/JSON reports.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors
 (argparse, including a flag the subcommand does not read), 3 invalid
-configuration (bad datum/constraint files, negative window sizes,
---omega/--order/--signs given for a case that does not read them), 4 I/O
+configuration (bad datum/constraint files, negative window sizes, qcalc
+values out of range, --omega/--order/--signs given for a case that does not
+read them or --signs naming a pair twice or outside the index set), 4 I/O
 failures, 5 internal errors (any other exception).
 """
 
@@ -30,6 +31,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+
+# qcalc operation -> (argument count, range test, the range in words)
+QCALC_ARGS = {
+    "qint": (1, lambda n: n >= 0, "n >= 0"),
+    "qbinom": (2, lambda n, p: 0 <= p <= n, "0 <= p <= n"),
+    "gauss": (1, lambda n: n >= 1, "n >= 1"),
+}
 
 
 def _load_datum(arg: str):
@@ -149,6 +157,8 @@ def _parse_signs(arg: str):
             raise SpecializationError("--signs chunks must look like i,j,+-1")
         if e not in (1, -1):
             raise SpecializationError("sign values must be 1 or -1")
+        if (i - 1, j - 1) in eps:
+            raise SpecializationError("--signs gives the pair %d,%d twice" % (i, j))
         eps[(i - 1, j - 1)] = e
     return eps
 
@@ -178,11 +188,19 @@ def _spec_kwargs(args, rd):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     for flag in ("lambda_box", "nmax", "max_n"):
         if getattr(args, flag, 0) < 0:
             print("invalid configuration: --%s must be >= 0" % flag.replace("_", "-"),
                   file=sys.stderr)
+            return EXIT_BAD_CONFIG
+    if args.command == "qcalc":
+        arity, in_range, rule = QCALC_ARGS[args.op]
+        if len(args.args) != arity:
+            parser.error("qcalc %s takes %d integer argument(s)" % (args.op, arity))
+        if not in_range(*args.args):
+            print("invalid configuration: qcalc %s needs %s" % (args.op, rule), file=sys.stderr)
             return EXIT_BAD_CONFIG
     try:
         if args.command == "qcalc":

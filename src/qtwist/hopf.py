@@ -38,7 +38,7 @@ from .ncalg import (
     word_str,
 )
 from .params import ParameterSet
-from .presentations import serre_binomial
+from .presentations import relations_of, serre_binomial
 from .report import FAIL, CheckRecord, Report
 from .rootdata import RootDatum
 
@@ -250,74 +250,44 @@ def _scalar_multiple_of_relation(ctx: HopfContext, image: NCExpr, relation: NCEx
     return scalar, kmono, ""
 
 
-def verify_antipode(ctx: HopfContext) -> list:
-    """Compatibility of the antipode with every relation family.
+def _antipode_multiple(ctx: HopfContext, rec: CheckRecord, relation: NCExpr, failure: str):
+    """rec with the scalar * K-monomial that S(relation) is a multiple of
+    relation by, or FAIL with the witness after the failure sentence."""
+    scalar, kmono, witness = _scalar_multiple_of_relation(ctx, antipode(ctx, relation), relation)
+    if scalar is None:
+        rec.status = FAIL
+        rec.witness = failure + witness
+    else:
+        rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
+    return rec
 
-    K-commutation families are checked by direct normal-form equality.  The
-    mixed E/F family and the Serre family are checked by extracting the
-    scalar-times-K-monomial multiple of the relation itself.
+
+def verify_antipode(ctx: HopfContext) -> list:
+    """Compatibility of the antipode with the relations of scrU.
+
+    Each K-conjugation instance R (family b) must have nf(S(R)) == 0.  Each
+    mixed E/F instance (family c) and each Serre sum must map to a
+    scalar-times-K-monomial multiple of itself, read off by extraction.
     """
     p = ctx.params
-    rd = ctx.rd
     records = []
-    W = lambda *syms: NCExpr.word(p, tuple(syms))
-
-    for i in rd.index_set:
-        for j in rd.index_set:
-            a = rd.cartan.a(i, j)
-            # K_i E_j K_i^{-1} = s^-1 t^-1 q_i^a E_j and its three companions
-            st_inv = p.rat((p.s(i, j) * p.t(i, j)).inv_unit())
-            st = p.rat(p.s(i, j) * p.t(i, j))
-            cases = [
-                ("K-E", W(("K", i), ("E", j), ("Kinv", i)), W(("E", j)).scale(st_inv * p.rat(p.q(i) ** a))),
-                ("Kp-E", W(("Kp", i), ("E", j), ("Kpinv", i)), W(("E", j)).scale(st_inv * p.rat(p.q(i) ** (-a)))),
-                ("K-F", W(("K", i), ("F", j), ("Kinv", i)), W(("F", j)).scale(st * p.rat(p.q(i) ** (-a)))),
-                ("Kp-F", W(("Kp", i), ("F", j), ("Kpinv", i)), W(("F", j)).scale(st * p.rat(p.q(i) ** a))),
-            ]
-            for tag, lhs, rhs in cases:
-                rec = CheckRecord(
-                    "antipode-b:%s:i%d:j%d" % (tag, i + 1, j + 1), "antipode-b", i, j
-                )
-                records.append(
-                    _compare(rec, ctx.nf(antipode(ctx, lhs)), ctx.nf(antipode(ctx, rhs)))
-                )
-
-    for i in rd.index_set:
-        for j in rd.index_set:
-            lhs = W(("E", i), ("F", j)) - W(("F", j), ("E", i)).scale(
-                p.s(i, j) * p.t(j, i)
+    for inst in relations_of("scrU", ctx.rd, p):
+        i, j = inst.i, inst.j
+        if inst.family == "b":
+            rec = CheckRecord(
+                "antipode-b:%s:i%d:j%d" % (inst.part, i + 1, j + 1), "antipode-b", i, j
             )
-            image = antipode(ctx, lhs)
-            relation = lhs
-            if i == j:
-                qi = p.q(i)
-                denom = p.rat(qi - qi.inv_unit())
-                image = image - (W(("Kinv", i)) - W(("Kpinv", i))).scale(
-                    p.one() / denom
-                )
-                relation = relation - (W(("K", i)) - W(("Kp", i))).scale(p.one() / denom)
-            scalar, kmono, witness = _scalar_multiple_of_relation(ctx, image, relation)
+            records.append(_compare(rec, ctx.nf(antipode(ctx, inst.expr)), NCExpr.zero(p)))
+        elif inst.family == "c":
             rec = CheckRecord("antipode-c:i%d:j%d" % (i + 1, j + 1), "antipode-c", i, j)
-            if scalar is None:
-                rec.status = FAIL
-                rec.witness = "image is not scalar * K-monomial * relation: " + witness
-            else:
-                rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
-            records.append(rec)
-
-    for i in rd.index_set:
-        for j in rd.index_set:
-            if i == j:
-                continue
+            records.append(_antipode_multiple(
+                ctx, rec, inst.expr, "image is not scalar * K-monomial * relation: "))
+        elif inst.family == "d-E":
+            # the denominator-free form, which the coproduct check reads too
             rec = CheckRecord("antipode-serre:i%d:j%d" % (i + 1, j + 1), "antipode-serre", i, j)
-            R = serre_binomial(i, j, ctx.rd, p, kind="E")
-            scalar, kmono, witness = _scalar_multiple_of_relation(ctx, antipode(ctx, R), R)
-            if scalar is None:
-                rec.status = FAIL
-                rec.witness = "antipode image is not scalar * K-monomial * Serre sum: " + witness
-            else:
-                rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
-            records.append(rec)
+            records.append(_antipode_multiple(
+                ctx, rec, serre_binomial(i, j, ctx.rd, p, kind="E"),
+                "antipode image is not scalar * K-monomial * Serre sum: "))
     return records
 
 

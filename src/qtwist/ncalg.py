@@ -28,12 +28,6 @@ K_KINDS = ("K", "Kinv", "Kp", "Kpinv")
 _KIND_RANK = {"K": 0, "Kinv": 1, "Kp": 2, "Kpinv": 3, "E": 4, "F": 5}
 
 
-def gen(kind: str, i: int) -> tuple:
-    if kind not in _KIND_RANK:
-        raise ValueError("unknown generator kind %r" % kind)
-    return (kind, i)
-
-
 def word_key(word):
     return tuple((_KIND_RANK[k], i) for k, i in word)
 

@@ -159,18 +159,6 @@ def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
     return inv
 
 
-def _dp_word(rd: RootDatum, kind: str, i: int, l: int, lam: Weight) -> PathWord:
-    """The word of the l-th divided power (see divided_power)."""
-    if kind == "E":
-        target = lam
-        for _ in range(l):
-            target = rd.add_root(target, i, +1)
-        return PathWord(rd, target, (("E", i),) * l)
-    if kind == "F":
-        return PathWord(rd, lam, (("F", i),) * l)
-    raise ValueError("divided power kind must be 'E' or 'F'")
-
-
 def divided_power(
     kind: str,
     i: int,
@@ -188,7 +176,11 @@ def divided_power(
     """
     if l < 0:
         raise ValueError("divided power needs l >= 0")
-    return PathExpr.of(rd, params, _dp_word(rd, kind, i, l, lam), _inv_qfact(params, i, l, base))
+    if kind not in ("E", "F"):
+        raise ValueError("divided power kind must be 'E' or 'F'")
+    descent = PathWord(rd, lam, (("F", i),) * l)
+    word = descent if kind == "F" else PathWord(rd, descent.source, (("E", i),) * l)
+    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l, base))
 
 
 @dataclass(frozen=True)
@@ -233,20 +225,27 @@ def _serre_ratios(params: ParameterSet, i: int, j: int, twisted: bool):
     return tuple(params.rat(f(j, i)) / params.rat(f(i, j)) for f in (params.s, params.t))
 
 
-def _serre_templates(params: ParameterSet, i: int, j: int, r: int, twisted: bool):
-    """The lam-independent coefficients (-1)^l ratio^l / ([r-l]! [l]!) of the
-    modified Serre sums, indexed by l, for the raising family (s ratio,
-    factors in the order [r-l]!, [l]!) and the lowering one (t ratio, [l]!,
-    [r-l]!), in q for the twisted algebra and in v^{d_i} otherwise."""
+def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str, twisted: bool):
+    """The Serre sum of kind 'E' or 'F' as a weight-free list, over l = 0..r,
+    of (steps, coefficient): the steps of E_i^(r-l) E_j E_i^l, or of
+    F_i^l F_j F_i^(r-l), and (-1)^l ratio^l / ([r-l]! [l]!), with the s
+    ratio and the factors in the order [r-l]!, [l]! for the raising sum, the
+    t ratio and [l]!, [r-l]! for the lowering one, in q for the twisted
+    algebra and in v^{d_i} otherwise."""
     base = "q" if twisted else "v"
-    ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
-    coeffs_e, coeffs_f = [], []
+    ratio = _serre_ratios(params, i, j, twisted)[kind != "E"]
+    out = []
     for l in range(r + 1):
         sign = -1 if l % 2 else 1
         inv_l, inv_rest = _inv_qfact(params, i, l, base), _inv_qfact(params, i, r - l, base)
-        coeffs_e.append(inv_rest * inv_l * (ratio_e**l * sign))
-        coeffs_f.append(inv_l * inv_rest * (ratio_f**l * sign))
-    return coeffs_e, coeffs_f
+        if kind == "E":
+            steps = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
+            coeff = inv_rest * inv_l * (ratio**l * sign)
+        else:
+            steps = (("F", i),) * l + (("F", j),) + (("F", i),) * (r - l)
+            coeff = inv_l * inv_rest * (ratio**l * sign)
+        out.append((steps, coeff))
+    return out
 
 
 def _modified_relations(algebra, rd, params, window):
@@ -289,10 +288,6 @@ def _modified_relations(algebra, rd, params, window):
                     if twisted:
                         cc = cc * params.rat(twist_c(rd, params, i, lam))
                     merge_term(terms, PathWord(rd, lam, ()), -cc)
-                if len([w for w in terms if w.steps]) != 2:
-                    raise ValueError(
-                        "chain-inconsistent weight decoration in mixed relation at %s" % (lam,)
-                    )
                 out.append(RelationInstance(algebra, "c", i, j, lam, "", PathExpr(rd, params, terms)))
 
     for i in idx:
@@ -300,30 +295,15 @@ def _modified_relations(algebra, rd, params, window):
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            coeffs_e, coeffs_f = _serre_templates(params, i, j, r, twisted)
+            terms_e = _serre_terms(params, i, j, r, "E", twisted)
+            terms_f = _serre_terms(params, i, j, r, "F", twisted)
             for lam in window:
-                mids = [lam]  # mids[l] = lam + l*alpha_i
-                for _ in range(r):
-                    mids.append(rd.add_root(mids[-1], i, +1))
-                terms_e, terms_f = {}, {}
-                for l, mid in enumerate(mids):
-                    top = rd.add_root(mid, j, +1)
-                    # E_i^(r-l) E_j E_i^l from lam, and F_i^l F_j F_i^(r-l) into lam
-                    w_e = _dp_word(rd, "E", i, r - l, top).compose(PathWord(rd, top, (("E", j),)))
-                    w_e = w_e and w_e.compose(_dp_word(rd, "E", i, l, lam))
-                    w_f = _dp_word(rd, "F", i, l, lam).compose(
-                        PathWord(rd, rd.add_root(top, j, -1), (("F", j),)))
-                    w_f = w_f and w_f.compose(_dp_word(rd, "F", i, r - l, top))
-                    if w_e is not None:
-                        merge_term(terms_e, w_e, coeffs_e[l])
-                    if w_f is not None:
-                        merge_term(terms_f, w_f, coeffs_f[l])
-                if len(terms_e) != r + 1 or len(terms_f) != r + 1:
-                    raise ValueError(
-                        "chain-inconsistent weight decoration in Serre relation at %s" % (lam,)
-                    )
-                out.append(RelationInstance(algebra, "d-E", i, j, lam, "", PathExpr(rd, params, terms_e)))
-                out.append(RelationInstance(algebra, "d-F", i, j, lam, "", PathExpr(rd, params, terms_f)))
+                # the F words descend into lam; the E words climb from lam to their source
+                words_f = {PathWord(rd, lam, steps): c for steps, c in terms_f}
+                top = next(iter(words_f)).source
+                words_e = {PathWord(rd, top, steps): c for steps, c in terms_e}
+                out.append(RelationInstance(algebra, "d-E", i, j, lam, "", PathExpr(rd, params, words_e)))
+                out.append(RelationInstance(algebra, "d-F", i, j, lam, "", PathExpr(rd, params, words_f)))
     out.sort(key=lambda r: r.sort_key())
     return out
 
@@ -403,19 +383,9 @@ def _nc_relations(algebra, rd, params):
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            ratio_e, ratio_f = _serre_ratios(params, i, j, twisted)
-            base = "q" if twisted else "v"
-            dp = lambda kind, m: NCExpr.word(params, ((kind, i),) * m, _inv_qfact(params, i, m, base))
-            acc_e = NCExpr.zero(params)
-            acc_f = NCExpr.zero(params)
-            for l in range(r + 1):
-                sign = -1 if l % 2 else 1
-                term_e = dp("E", r - l) * W(("E", j)) * dp("E", l)
-                term_f = dp("F", l) * W(("F", j)) * dp("F", r - l)
-                acc_e = acc_e + term_e.scale(ratio_e**l * sign)
-                acc_f = acc_f + term_f.scale(ratio_f**l * sign)
-            out.append(RelationInstance(algebra, "d-E", i, j, None, "", acc_e))
-            out.append(RelationInstance(algebra, "d-F", i, j, None, "", acc_f))
+            for kind in ("E", "F"):
+                terms = dict(_serre_terms(params, i, j, r, kind, twisted))
+                out.append(RelationInstance(algebra, "d-" + kind, i, j, None, "", NCExpr(params, terms)))
     out.sort(key=lambda r: r.sort_key())
     return out
 
@@ -448,15 +418,9 @@ def serre_binomial(i: int, j: int, rd: RootDatum, params: ParameterSet, kind: st
     if i == j:
         raise ValueError("Serre relation needs i != j")
     r = rd.cartan.serre_exponent(i, j)
-    fam = params.s if kind == "E" else params.t
-    ratio = params.rat(fam(j, i)) / params.rat(fam(i, j))
-    acc = NCExpr.zero(params)
-    for l in range(r + 1):
+    ratio = _serre_ratios(params, i, j, True)[kind != "E"]
+    terms = {}
+    for l, (steps, _) in enumerate(_serre_terms(params, i, j, r, kind, True)):
         sign = -1 if l % 2 else 1
-        coeff = params.rat(qbinom(r, l, params.q(i))) * ratio**l * sign
-        if kind == "E":
-            word = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
-        else:
-            word = (("F", i),) * l + (("F", j),) + (("F", i),) * (r - l)
-        acc = acc + NCExpr.word(params, word, coeff)
-    return acc
+        terms[steps] = params.rat(qbinom(r, l, params.q(i))) * ratio**l * sign
+    return NCExpr(params, terms)

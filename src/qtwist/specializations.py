@@ -230,6 +230,10 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     rank = {idx: pos for pos, idx in enumerate(order)}
     if eps is None:
         eps = {}
+    for i, j in sorted(eps):
+        if not (0 <= i < n and 0 <= j < n):
+            raise SpecializationError(
+                "eps pair %d,%d is outside the index set 1..%d" % (i + 1, j + 1, n))
     epsval = {
         (i, j): eps.get((i, j), 1) for i in range(n) for j in range(n)
     }

@@ -264,3 +264,55 @@ def test_case_flags_outside_their_case_are_invalid_configuration(capsys, argv, f
     assert code == 3
     assert "invalid configuration" in err and flag in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        ("5,7,-1", "outside the index set"),
+        ("0,1,-1", "outside the index set"),
+        ("1,2,1;1,2,-1", "twice"),
+    ],
+)
+def test_bad_sign_pairs_are_invalid_configuration(capsys, signs, message):
+    code, out, err = run(
+        capsys, "verify-special", "--case", "super1", "--with-iso", "--root-datum", "a2",
+        "--lambda-box", "1", "--signs", signs,
+    )
+    assert code == 3
+    assert "invalid configuration" in err and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (("qint", "-3"), "n >= 0"),
+        (("qbinom", "3", "5"), "0 <= p <= n"),
+        (("qbinom", "3", "-1"), "0 <= p <= n"),
+        (("gauss", "0"), "n >= 1"),
+    ],
+)
+def test_qcalc_values_out_of_range_are_invalid_configuration(capsys, argv, rule):
+    code, out, err = run(capsys, "qcalc", *argv)
+    assert code == 3
+    assert "invalid configuration" in err and rule in err
+    assert "internal error" not in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("qint", "1", "2"), ("qbinom", "4"), ("gauss", "1", "2")])
+def test_qcalc_wrong_argument_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["qcalc", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "takes" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [(("qint", "0"), "0\n"), (("qbinom", "0", "0"), "1\ncoefficient sum: 1\n"), (("gauss", "1"), "0\n")],
+)
+def test_qcalc_range_edges_still_compute(capsys, argv, printed):
+    assert run(capsys, "qcalc", *argv) == (0, printed, "")

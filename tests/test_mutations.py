@@ -9,14 +9,23 @@ clean controls show the same runs pass, so the failures come from the
 defect.
 """
 
+import dataclasses
+
 import pytest
 
-from qtwist import hopf, presentations, rootdata, twistmap
+from qtwist import hopf, presentations, repcheck, rootdata, twistmap
 from qtwist.hopf import star_mul, verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, _weight_monomial, twist_c
 from qtwist.presentations import _serre_ratios, relations_of
-from qtwist.repcheck import corrupt, sl2_string_module, sl3_natural_module, transport, verify_module
+from qtwist.repcheck import (
+    corrupt,
+    sl2_string_module,
+    sl3_natural_module,
+    transport,
+    verify_module,
+    verify_transported_modules,
+)
 from qtwist.twistmap import TwistScalars, verify_twist_isomorphism
 
 WITNESS = "image is not an exact multiple of the target instance"
@@ -198,6 +207,37 @@ def test_hopf_witness_shows_both_sides(monkeypatch):
         for i in (1, 2)
         for n in (1, 2, 3)
     }
+
+
+def _kp_e_scaled_relations(algebra, rd, params, window=None):
+    """relations_of with the E1 term of the family-b instance Kp_1 E_1 Kp_1^-1
+    - c E_1 times q_1: a wrong scalar in the presentation itself."""
+    out = []
+    for inst in relations_of(algebra, rd, params, window):
+        if (inst.family, inst.i, inst.j, inst.part) == ("b", 0, 0, "Kp-E"):
+            terms = dict(inst.expr.terms)
+            terms[(("E", 0),)] = terms[(("E", 0),)] * params.rat(params.q(0))
+            inst = dataclasses.replace(inst, expr=NCExpr(params, terms))
+        out.append(inst)
+    return out
+
+
+def test_wrong_scru_relation_fails_hopf_and_modules(monkeypatch):
+    """The Hopf and module campaigns read the one scrU presentation, so a wrong
+    family-b scalar in it fails exactly that instance in both."""
+    monkeypatch.setattr(hopf, "relations_of", _kp_e_scaled_relations)
+    monkeypatch.setattr(repcheck, "relations_of", _kp_e_scaled_relations)
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 79, "fail": 1, "warn": 0}
+    (rec,) = rep.failures()
+    assert rec.id == "antipode-b:Kp-E:i1:j1"
+    assert rec.witness.startswith("Kinv1*E1: lhs ") and rec.witness.endswith(", rhs 0")
+
+    rep = verify_transported_modules(
+        lambda rd: ParameterSet.v_tied(rd.cartan), TwistScalars, "generic", max_n=1)
+    assert [c.id for c in rep.failures()] == [
+        "sl2-string-n1+twist:b:i1:j1:Kp-E", "sl3-natural+twist:b:i1:j1:Kp-E"]
+    assert all(c.witness.startswith("entry (") for c in rep.failures())
 
 
 class _RaisingAtStart(TwistScalars):

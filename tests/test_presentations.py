@@ -193,14 +193,22 @@ def test_serre_binomial_example(a2):
         serre_binomial(0, 0, rd, p)
 
 
-def test_serre_binomial_is_factorial_times_divided_form(a2):
-    rd, p = a2
-    for (i, j) in ((0, 1), (1, 0)):
-        r = rd.cartan.serre_exponent(i, j)
-        inst = [
-            x for x in relations_of("scrU", rd, p) if x.family == "d-E" and x.i == i and x.j == j
-        ][0]
-        assert inst.expr.scale(qfact(r, p.q(i))) == serre_binomial(i, j, rd, p)
+def test_serre_binomial_is_factorial_times_divided_form():
+    """[r]!_{q_i} times each divided-power Serre sum of scrU, raising and
+    lowering, for r = 1 (a1xa1), 2 (a2), 3 (b2) and 4 (g2)."""
+    exponents = set()
+    for name in ("a1xa1", "a2", "b2", "g2"):
+        rd = rootdata.builtin(name)
+        p = ParameterSet.generic(rd.cartan)
+        rels = relations_of("scrU", rd, p)
+        for kind in ("E", "F"):
+            for (i, j) in ((0, 1), (1, 0)):
+                r = rd.cartan.serre_exponent(i, j)
+                exponents.add(r)
+                (inst,) = [x for x in rels if x.family == "d-" + kind and (x.i, x.j) == (i, j)]
+                assert inst.expr.scale(qfact(r, p.q(i))) == serre_binomial(i, j, rd, p, kind), (
+                    name, kind, i, j)
+    assert exponents == {1, 2, 3, 4}
 
 
 def test_serre_binomial_untwisted_limit():
@@ -273,6 +281,27 @@ def _literal_serre(inst, rd, p, twisted):
     return acc
 
 
+def _literal_nc_serre(inst, p, twisted):
+    """The free-word Serre sum of inst, built term by term as the product of
+    a divided power, the j-th generator and a divided power, each term
+    scaled by (-1)^l ratio^l."""
+    i, j, kind = inst.i, inst.j, inst.family[-1]
+    r = p.cartan.serre_exponent(i, j)
+    fam = p.s if kind == "E" else p.t
+    ratio = p.rat(fam(j, i)) / p.rat(fam(i, j)) if twisted else p.rat(1)
+
+    def dp(m):
+        fact = p.qfact_q(m, i) if twisted else p.qfact_v(m, i)
+        return NCExpr.word(p, ((kind, i),) * m, p.rat(1) / p.rat(fact))
+
+    acc = NCExpr.zero(p)
+    for l in range(r + 1):
+        arrow = NCExpr.word(p, ((kind, j),))
+        term = dp(r - l) * arrow * dp(l) if kind == "E" else dp(l) * arrow * dp(r - l)
+        acc = acc + term.scale(ratio**l * (-1) ** l)
+    return acc
+
+
 def _serre_cases():
     for name in ("a2", "g2"):
         rd = rootdata.builtin(name)
@@ -296,3 +325,11 @@ def test_modified_relations_match_literal_construction(case):
                 assert str(inst.expr) == str(literal), inst.id
                 serre += 1
         assert serre == 2 * rd.n * (rd.n - 1) * len(rd.weights_box(1))
+    # the unital presentations place the same weight-free terms as free words
+    for algebra in ("U", "scrU"):
+        serre = [r for r in relations_of(algebra, rd, p) if r.family in ("d-E", "d-F")]
+        for inst in serre:
+            literal = _literal_nc_serre(inst, p, algebra == "scrU")
+            assert inst.expr == literal, inst.id
+            assert str(inst.expr) == str(literal), inst.id
+        assert len(serre) == 2 * rd.n * (rd.n - 1)

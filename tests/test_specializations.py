@@ -238,3 +238,6 @@ def test_super1_rejects_bad_inputs(a2):
         sp.super_first(a2, order=[0, 0])
     with pytest.raises(sp.SpecializationError):
         sp.super_first(a2, eps={(0, 1): 2})
+    for pair in ((4, 6), (-1, 0), (0, 2)):
+        with pytest.raises(sp.SpecializationError, match="outside the index set"):
+            sp.super_first(a2, eps={pair: -1})

@@ -24,12 +24,17 @@ GOLDEN = [
      "9125a802b1968d023b4289aeb51aafe7a264c590c671aa30373940e2d5c79286"),
     ("verify-iso --root-datum g2 --lambda-box 2",
      "df8d5cac289486fd5550b1ab42e601114d8faff1f2c249d2b16dbc1145567d49"),
+    # a_ij = 0 (Serre exponent 1) on every pair of distinct indices
+    ("verify-iso --root-datum a1xa1 --lambda-box 2",
+     "8bba928ea71240fd8a038caeb62eabe6ef9fb3e2e072132b77cf0db960e38928"),
     ("verify-hopf --root-datum a2 --nmax 4",
      "acb3d0a5a776a6cb901fcfe655525986786fd1c8ebd3711b0bf48c11350db6a5"),
     ("verify-hopf --root-datum b2 --nmax 4",
      "f93b3cfb6e0ac7906810d975dd0f9604ec0d664d9eb3d4e04c7f3cf2967eef19"),
     ("verify-hopf --root-datum g2 --nmax 4",
      "5ad7278edb9b215e245a012517f50b0de71c977a075e11ce058035d553fe1ced"),
+    ("verify-hopf --root-datum a1xa1 --nmax 4",
+     "c325f1ae459b1125256fc3e8b222cf5f9eb53b8ff30c4e734b645ff36913b857"),
     # the two campaigns of the benchmark's hopf workload (seed 0)
     ("verify-hopf --root-datum a2 --nmax 11",
      "4b734c1b431e882ebe3181dd745761f3e8a5ee423ffe6c8588333d5f196eaf2d"),
