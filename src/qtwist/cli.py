@@ -24,7 +24,7 @@ from .report import Report
 from .repcheck import verify_transported_modules
 from .rootdata import DatumError
 from .specializations import SpecializationError
-from .twistmap import TwistScalars, verify_integrality, verify_twist_isomorphism
+from .twistmap import verify_integrality, verify_twist_isomorphism
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -246,13 +246,7 @@ def main(argv=None) -> int:
                 report.merge(specializations.apply_to_isomorphism(spec, window))
                 report.finalize()
         elif args.command == "verify-modules":
-            if args.case == "generic":
-                factory = lambda rd_: ParameterSet.v_tied(rd_.cartan)
-            else:
-                factory = lambda rd_: specializations.make(args.case, rd_).params
-            report = verify_transported_modules(
-                factory, lambda rd_, p_: TwistScalars(rd_, p_), args.case, max_n=args.max_n
-            )
+            report = verify_transported_modules(args.case, max_n=args.max_n)
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_BAD_CONFIG
     except (DatumError, SpecializationError) as exc:

@@ -2,10 +2,11 @@
 untwisted algebra to the twisted one and check every relation as an exact
 matrix identity over the rational-function field.
 
-Module scope is deliberately small: the (n+1)-dimensional string modules of
-the rank-1 datum and the natural 3-dimensional module of the rank-2 type-A
-datum; together they exercise the mixed E/F relation across a range of
-weights and the quantum Serre relation at matrix level.
+One string rule (string_module) builds every stock module from its weights:
+the (n+1)-dimensional string modules of the rank-1 datum and the natural
+module of the rank-2 type-A datum, which together exercise the mixed E/F
+relation across a range of weights and the quantum Serre relation at matrix
+level.  Their untwisted relations are checked by the tests, not at run time.
 
 A relation is evaluated by column action, with no dense word matrices:
 column b of a word's matrix M_{w_0} ... M_{w_last} is M_{w_0}(...(M_{w_last}
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import time
 
+from . import rootdata, specializations
 from .params import ParameterSet
 from .presentations import relations_of
 from .report import FAIL, PASS, CheckRecord, Report
@@ -87,60 +89,59 @@ def _diag(params, entries):
     return m
 
 
+def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> WeightModule:
+    """Basis v_mu for mu in ``weights``, in order, every i-string a simple one
+    (Jantzen, Lectures on Quantum Groups, 5A.1): with a and b the steps from
+    mu to the top and the bottom of its i-string, F_i v_mu = [a+1]_{v_i}
+    v_{mu-alpha_i}, E_i v_mu = [b+1]_{v_i} v_{mu+alpha_i}, and K_i^{+-1} acts
+    by v_i^{+-<i,mu>}.  A string of the wrong length, b - a != <i,mu>, is a
+    ValueError."""
+    index = {mu: col for col, mu in enumerate(weights)}
+    mats = {}
+    for i in rd.index_set:
+        E, F = _zeros(params, len(weights)), _zeros(params, len(weights))
+        for col, mu in enumerate(weights):
+            up, down = (_steps(rd, index, mu, i, sign) for sign in (1, -1))
+            if down - up != rd.lambda_i(mu, i):
+                raise ValueError("the %d-string through %s is not simple" % (i + 1, mu))
+            if up:
+                E[index[rd.add_root(mu, i, 1)]][col] = params.rat(params.qint_v(down + 1, i))
+            if down:
+                F[index[rd.add_root(mu, i, -1)]][col] = params.rat(params.qint_v(up + 1, i))
+        mats[("E", i)], mats[("F", i)] = E, F
+        pairs = [rd.lambda_i(mu, i) for mu in weights]
+        mats[("K", i)] = _diag(params, [params.vi(i) ** k for k in pairs])
+        mats[("Kinv", i)] = _diag(params, [params.vi(i) ** -k for k in pairs])
+    return WeightModule(rd, params, weights, mats, label)
+
+
+def _steps(rd, index, mu, i, sign):
+    """How often mu can step by sign * alpha_i and stay in ``index``."""
+    k = 0
+    while (mu := rd.add_root(mu, i, sign)) in index:
+        k += 1
+    return k
+
+
 def sl2_string_module(n: int, rd: RootDatum, params: ParameterSet) -> WeightModule:
     """The (n+1)-dimensional irreducible string module of the rank-1 datum.
 
     Basis m_0..m_n with m_k of weight (n-k, k); the lowering operator sends
     m_k to [k+1] m_{k+1}, raising sends m_k to [n-k+1] m_{k-1}, and the
-    group-like generator acts by v^{n-2k}.  The defining relations are
-    verified as matrices before the module is returned.
+    group-like generator acts by v^{n-2k}.
     """
-    if rd.n != 1 or rd.x_rank != 2:
+    if rd.alpha != ((1, -1),):
         raise ValueError("the string module needs the rank-1 built-in datum")
     if n < 0:
         raise ValueError("n must be >= 0")
-    dim = n + 1
-    weights = [(n - k, k) for k in range(dim)]
-    E = _zeros(params, dim)
-    F = _zeros(params, dim)
-    for k in range(dim - 1):
-        F[k + 1][k] = params.rat(params.qint_v(k + 1, 0))
-        E[k][k + 1] = params.rat(params.qint_v(n - k, 0))
-    K = _diag(params, [params.vi(0) ** rd.lambda_i(w, 0) for w in weights])
-    Kinv = _diag(params, [params.vi(0) ** (-rd.lambda_i(w, 0)) for w in weights])
-    mod = WeightModule(
-        rd, params, weights,
-        {("E", 0): E, ("F", 0): F, ("K", 0): K, ("Kinv", 0): Kinv},
-        label="sl2-string-n%d" % n,
-    )
-    rep = verify_module(mod, relations_of("U", rd, params))
-    if not rep.ok:
-        raise AssertionError("string module construction violates a relation: %s"
-                             % rep.failures()[0].id)
-    return mod
+    return string_module(rd, params, [(n - k, k) for k in range(n + 1)], "sl2-string-n%d" % n)
 
 
 def sl3_natural_module(rd: RootDatum, params: ParameterSet) -> WeightModule:
     """The natural 3-dimensional module of the rank-2 type-A datum."""
-    if rd.n != 2 or rd.x_rank != 3:
+    if rd.alpha != ((1, -1, 0), (0, 1, -1)):
         raise ValueError("the natural module needs the rank-2 type-A built-in datum")
-    weights = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    mats = {}
-    for i in (0, 1):
-        E = _zeros(params, 3)
-        F = _zeros(params, 3)
-        E[i][i + 1] = params.rat(1)
-        F[i + 1][i] = params.rat(1)
-        mats[("E", i)] = E
-        mats[("F", i)] = F
-        mats[("K", i)] = _diag(params, [params.vi(i) ** rd.lambda_i(w, i) for w in weights])
-        mats[("Kinv", i)] = _diag(params, [params.vi(i) ** (-rd.lambda_i(w, i)) for w in weights])
-    mod = WeightModule(rd, params, weights, mats, label="sl3-natural")
-    rep = verify_module(mod, relations_of("U", rd, params))
-    if not rep.ok:
-        raise AssertionError("natural module construction violates a relation: %s"
-                             % rep.failures()[0].id)
-    return mod
+    return string_module(rd, params, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "sl3-natural")
 
 
 def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
@@ -274,37 +275,26 @@ def corrupt(mod: WeightModule, kind: str, i: int, factor) -> WeightModule:
     return bad
 
 
-def verify_transported_modules(
-    params_factory, scalars_factory, case_label: str, max_n: int = 6
-) -> Report:
+def verify_transported_modules(case: str, max_n: int = 6) -> Report:
     """Build the stock modules, transport them, and check the twisted relations.
 
-    params_factory(rd) must return the parameter set; scalars_factory(rd,
-    params) the rescaling scalars.  Used for the generic run and for each
-    specialization.
+    The string modules n = 0..max_n of a1 and the natural module of a2, in
+    the ring of ``case``: the v-tied parameters for "generic", otherwise
+    those of specializations.make(case, rd).
     """
     t0 = time.monotonic()
-    from . import rootdata as _rootdata
-
-    rep = Report("modules", case=case_label)
-    rd1 = _rootdata.builtin("a1")
-    p1 = params_factory(rd1)
-    rels1 = relations_of("scrU", rd1, p1)
-    sc1 = scalars_factory(rd1, p1)
-    for n in range(max_n + 1):
-        base = sl2_string_module(n, rd1, p1)
-        tmod = transport(base, sc1)
-        sub = verify_module(tmod, rels1)
-        rep.merge(sub)
-        rep.extend(kkp_eigenvalue_records(tmod, sc1))
-    rd2 = _rootdata.builtin("a2")
-    p2 = params_factory(rd2)
-    rels2 = relations_of("scrU", rd2, p2)
-    sc2 = scalars_factory(rd2, p2)
-    base = sl3_natural_module(rd2, p2)
-    tmod = transport(base, sc2)
-    rep.merge(verify_module(tmod, rels2))
-    rep.extend(kkp_eigenvalue_records(tmod, sc2))
-    rep.datum = "a1+a2"
+    rep = Report("modules", datum="a1+a2", case=case)
+    for name in ("a1", "a2"):
+        rd = rootdata.builtin(name)
+        params = (ParameterSet.v_tied(rd.cartan) if case == "generic"
+                  else specializations.make(case, rd).params)
+        rels = relations_of("scrU", rd, params)
+        sc = TwistScalars(rd, params)
+        bases = ([sl2_string_module(n, rd, params) for n in range(max_n + 1)] if name == "a1"
+                 else [sl3_natural_module(rd, params)])
+        for base in bases:
+            tmod = transport(base, sc)
+            rep.merge(verify_module(tmod, rels))
+            rep.extend(kkp_eigenvalue_records(tmod, sc))
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()

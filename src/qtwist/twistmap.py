@@ -187,8 +187,9 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
 
 def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 4) -> Report:
     """Images of divided-power generators stay integral (unit-monomial
-    coefficients over the Laurent ring), and the map round-trips to the
-    identity on all window generators."""
+    coefficients over the Laurent ring) and equal their closed forms,
+    e(i,lam)^l s_ii^{l(l+1)/2} for E and f(i,lam)^l t_ii^{l(l+1)/2} for F;
+    and the map round-trips to the identity on all window generators."""
     t0 = time.monotonic()
     rep = Report("integrality", datum=rd.name, case=params.label)
     tw = TwistMap(rd, params)
@@ -213,11 +214,11 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
                         rec.witness = "coefficient %s is not a unit monomial" % mult
                     else:
                         rec.scalar = str(simple)
-                        if kind == "E":
-                            expected = sc.e(i, lam) ** l * params.s(i, i) ** (l * (l + 1) // 2)
-                            if not (simple == params.rat(expected)):
-                                rec.status = FAIL
-                                rec.witness = "closed form %s disagrees" % expected
+                        scalar, twist = (sc.e, params.s) if kind == "E" else (sc.f, params.t)
+                        expected = scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2)
+                        if not (simple == params.rat(expected)):
+                            rec.status = FAIL
+                            rec.witness = "closed form %s, got %s" % (expected, simple)
                     rep.add(rec)
             gens = [
                 idempotent(rd, params, lam),

@@ -146,18 +146,9 @@ def test_criterion_6_specializations():
 
 
 def test_criterion_7_module_transport():
-    factories = {
-        "generic": lambda rd: ParameterSet.v_tied(rd.cartan),
-        "two-param": lambda rd: sp.two_parameter(rd).params,
-        "multi-param": lambda rd: sp.multi_parameter(rd).params,
-        "super1": lambda rd: sp.super_first(rd).params,
-        "super2": lambda rd: sp.super_second(rd).params,
-    }
-    for label, factory in factories.items():
+    for label in ("generic", "two-param", "multi-param", "super1", "super2"):
         t0 = time.monotonic()
-        rep = verify_transported_modules(
-            factory, lambda rd, p: TwistScalars(rd, p), label, max_n=6
-        )
+        rep = verify_transported_modules(label, max_n=6)
         dt = time.monotonic() - t0
         assert rep.ok, (label, rep.failures()[:3])
         _report(

@@ -10,10 +10,13 @@ defect.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from qtwist import hopf, presentations, repcheck, rootdata, twistmap
+from qtwist.cli import main
+from qtwist.coeffring import qint_signed
 from qtwist.hopf import star_mul, verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, _weight_monomial, twist_c
@@ -113,6 +116,24 @@ def test_family_c_closed_form_is_load_bearing(monkeypatch):
     assert {c.family for c in rep.failures() if c.witness in expected} == {"c"}
 
 
+def test_f_divided_powers_meet_their_closed_form(monkeypatch):
+    """verify_integrality compares F^(l) with f(i,lam)^l t_ii^{l(l+1)/2} as it
+    does E^(l) with e and s: reading f at the step target fails exactly the
+    F records with l >= 1, and each witness shows both sides."""
+    rd = rootdata.builtin("a2")
+    params = ParameterSet.v_tied(rd.cartan)
+    window = rd.weights_box(1)
+    assert twistmap.verify_integrality(rd, params, window).summary == {
+        "pass": 702, "fail": 0, "warn": 0}
+    monkeypatch.setattr(twistmap.TwistMap, "_word_scalar", _word_scalar_f_at_target)
+    rep = twistmap.verify_integrality(rd, params, window)
+    assert rep.summary == {"pass": 486, "fail": 216, "warn": 0}
+    assert all(c.id.startswith("dp-unit:F:") and ":l0:" not in c.id for c in rep.failures())
+    first = rep.failures()[0]
+    assert first.id == "dp-unit:F:i1:l1:lam(-1,-1,-1)"
+    assert first.witness == "closed form t12^-2, got t11^-1*t12^-2"
+
+
 _antipode = hopf.antipode
 _delta_symbol = hopf._delta_symbol
 _serre_binomial = hopf.serre_binomial
@@ -209,6 +230,31 @@ def test_hopf_witness_shows_both_sides(monkeypatch):
     }
 
 
+def _counit_kp_zero(ctx, x):
+    """hopf.counit with every word that contains a Kp taken to 0, not 1."""
+    out = ctx.params.rat(0)
+    for word, coeff in x.terms.items():
+        if all(kind not in ("E", "F", "Kp") for kind, _ in word):
+            out = out + coeff
+    return out
+
+
+def test_counit_witness_shows_both_sides(monkeypatch):
+    """A counit with eps(Kp_i) = 0 breaks the counit law on F_i (whose
+    coproduct has a Kp_i slot) and Kp_i, and the antipode axiom on Kp_i, whose
+    target is eps(Kp_i); each counit witness names the word and both sides."""
+    monkeypatch.setattr(hopf, "counit", _counit_kp_zero)
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 72, "fail": 8, "warn": 0}
+    witnesses = {c.id: c.witness for c in rep.failures()}
+    assert {k: w for k, w in witnesses.items() if k.startswith("counit:")} == {
+        "counit:%s%d" % (g, i): "%s%d: lhs 0, rhs 1" % (g, i)
+        for g in ("F", "Kp") for i in (1, 2)
+    }
+    assert {k for k in witnesses if not k.startswith("counit:")} == {
+        "hopf-S-%s:Kp%d" % (side, i) for side in ("left", "right") for i in (1, 2)}
+
+
 def _kp_e_scaled_relations(algebra, rd, params, window=None):
     """relations_of with the E1 term of the family-b instance Kp_1 E_1 Kp_1^-1
     - c E_1 times q_1: a wrong scalar in the presentation itself."""
@@ -233,8 +279,7 @@ def test_wrong_scru_relation_fails_hopf_and_modules(monkeypatch):
     assert rec.id == "antipode-b:Kp-E:i1:j1"
     assert rec.witness.startswith("Kinv1*E1: lhs ") and rec.witness.endswith(", rhs 0")
 
-    rep = verify_transported_modules(
-        lambda rd: ParameterSet.v_tied(rd.cartan), TwistScalars, "generic", max_n=1)
+    rep = verify_transported_modules("generic", max_n=1)
     assert [c.id for c in rep.failures()] == [
         "sl2-string-n1+twist:b:i1:j1:Kp-E", "sl3-natural+twist:b:i1:j1:Kp-E"]
     assert all(c.witness.startswith("entry (") for c in rep.failures())
@@ -290,3 +335,23 @@ def test_seeded_module_defect_is_rejected(name, defect, failures, families):
     assert rep.summary == {"pass": len(rels) - failures, "fail": failures, "warn": 0}
     assert {c.family for c in rep.failures()} == families
     assert all(c.witness.startswith("entry (") for c in rep.failures())
+
+
+def _qint_one_too_big(self, n, i):
+    """ParameterSet.qint_v giving [n+1] for n > 1."""
+    return qint_signed(n + 1 if n > 1 else n, self.vi(i))
+
+
+def test_wrong_string_entries_fail_the_modules_report(monkeypatch, tmp_path):
+    """With no run-time U check behind the string rule, a wrong E/F entry is a
+    FAIL of the report, with a witness, not an internal error: [n+1] for [n]
+    breaks the mixed relation of the string modules with a [2] or [3] entry."""
+    monkeypatch.setattr(ParameterSet, "qint_v", _qint_one_too_big)
+    out = tmp_path / "report.json"
+    code = main(["verify-modules", "--case", "generic", "--max-n", "3",
+                 "--format", "json", "--out", str(out)])
+    assert code == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == [
+        "sl2-string-n2+twist:c:i1:j1", "sl2-string-n3+twist:c:i1:j1"]
+    assert all(c["witness"].startswith("entry (") for c in failed)

@@ -13,6 +13,7 @@ from qtwist.repcheck import (
     kkp_eigenvalue_records,
     sl2_string_module,
     sl3_natural_module,
+    string_module,
     transport,
     verify_module,
     verify_transported_modules,
@@ -170,17 +171,8 @@ def test_negative_control(a1):
 
 
 def test_full_campaign_all_specializations():
-    factories = {
-        "generic": lambda rd: ParameterSet.v_tied(rd.cartan),
-        "two-param": lambda rd: sp.two_parameter(rd).params,
-        "multi-param": lambda rd: sp.multi_parameter(rd).params,
-        "super1": lambda rd: sp.super_first(rd).params,
-        "super2": lambda rd: sp.super_second(rd).params,
-    }
-    for label, factory in factories.items():
-        rep = verify_transported_modules(
-            factory, lambda rd, p: TwistScalars(rd, p), label, max_n=2
-        )
+    for label in ("generic", "two-param", "multi-param", "super1", "super2"):
+        rep = verify_transported_modules(label, max_n=2)
         assert rep.ok, (label, rep.failures()[:2])
 
 
@@ -231,10 +223,6 @@ def test_column_action_matches_dense_reference(monkeypatch, case):
     evaluation."""
     import qtwist.repcheck as repcheck
 
-    factory = {
-        "generic": lambda rd: ParameterSet.v_tied(rd.cartan),
-        "super1": lambda rd: sp.super_first(rd).params,
-    }[case]
     calls = []
     real = repcheck.verify_module
 
@@ -243,7 +231,7 @@ def test_column_action_matches_dense_reference(monkeypatch, case):
         return real(mod, instances)
 
     monkeypatch.setattr(repcheck, "verify_module", spy)
-    verify_transported_modules(factory, lambda rd, p: TwistScalars(rd, p), case, max_n=4)
+    verify_transported_modules(case, max_n=4)
     transported = [(m, rels) for m, rels in calls if m.label.endswith("+twist")]
     assert len(transported) == 6  # string modules n = 0..4 and the natural module
     checked = list(calls)
@@ -257,3 +245,59 @@ def test_column_action_matches_dense_reference(monkeypatch, case):
         assert got == _dense_verdicts(mod, rels), mod.label
         witnesses |= {w for _, w in got.values() if w}
     assert any(w.startswith("entry (0,1)") for w in witnesses)
+
+
+CASES = ("generic", "two-param", "multi-param", "super1", "super2")
+
+
+def _case_params(case, rd):
+    """The parameter set verify_transported_modules uses for ``case``."""
+    return ParameterSet.v_tied(rd.cartan) if case == "generic" else sp.make(case, rd).params
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_campaign_modules_satisfy_untwisted_relations(case):
+    """Every module the campaign builds (a1 n = 0..10 and the a2 natural
+    module) satisfies the untwisted relations in the case's ring."""
+    rd = rootdata.builtin("a1")
+    p = _case_params(case, rd)
+    rels = relations_of("U", rd, p)
+    for n in range(11):
+        rep = verify_module(sl2_string_module(n, rd, p), rels)
+        assert rep.ok, (n, rep.failures()[:1])
+    rd = rootdata.builtin("a2")
+    p = _case_params(case, rd)
+    rep = verify_module(sl3_natural_module(rd, p), relations_of("U", rd, p))
+    assert rep.summary == {"pass": 21, "fail": 0, "warn": 0}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_string_rule_builds_the_dual_natural_module(case):
+    """The string rule on the weights of the dual natural module gives a
+    module of U, and its transport one of scrU."""
+    rd = rootdata.builtin("a2")
+    p = _case_params(case, rd)
+    mod = string_module(rd, p, [(0, 0, -1), (0, -1, 0), (-1, 0, 0)], "sl3-dual")
+    # E_1 v_(-1,0,0) = v_(0,-1,0) and E_2 v_(0,-1,0) = v_(0,0,-1)
+    assert mod.mats[("E", 0)][1][2] == p.rat(1) and mod.mats[("E", 1)][0][1] == p.rat(1)
+    rep = verify_module(mod, relations_of("U", rd, p))
+    assert rep.summary == {"pass": 21, "fail": 0, "warn": 0}
+    assert verify_module(transport(mod, TwistScalars(rd, p)), relations_of("scrU", rd, p)).ok
+
+
+def test_string_rule_rejects_a_string_of_the_wrong_length(a1):
+    rd, p = a1
+    with pytest.raises(ValueError, match="1-string through"):
+        string_module(rd, p, [(2, 0), (1, 1)], "short")
+
+
+def test_stock_modules_check_the_lattice():
+    """The guards read the simple roots, not only the rank: a rank-1 datum
+    with alpha = (1, 1) is refused."""
+    rd = rootdata.from_dict({"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[1, 1]],
+                             "coroot": [[1, 1]], "coweight": [[1, 0]]})
+    with pytest.raises(ValueError, match="rank-1 built-in datum"):
+        sl2_string_module(2, rd, ParameterSet.v_tied(rd.cartan))
+    rd = rootdata.builtin("a1xa1")
+    with pytest.raises(ValueError, match="rank-2 type-A built-in datum"):
+        sl3_natural_module(rd, ParameterSet.v_tied(rd.cartan))
