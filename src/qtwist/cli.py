@@ -141,9 +141,7 @@ def _parse_order(arg: str, n: int):
         order = [int(x) - 1 for x in arg.split(",")]
     except ValueError:
         raise SpecializationError("--order must be comma-separated integers")
-    if sorted(order) != list(range(n)):
-        raise SpecializationError("--order must be a permutation of 1..%d" % n)
-    return order
+    return specializations.check_order(order, n)
 
 
 def _parse_signs(arg: str):
@@ -155,8 +153,6 @@ def _parse_signs(arg: str):
             i, j, e = (int(x) for x in chunk.split(","))
         except ValueError:
             raise SpecializationError("--signs chunks must look like i,j,+-1")
-        if e not in (1, -1):
-            raise SpecializationError("sign values must be 1 or -1")
         if (i - 1, j - 1) in eps:
             raise SpecializationError("--signs gives the pair %d,%d twice" % (i, j))
         eps[(i - 1, j - 1)] = e

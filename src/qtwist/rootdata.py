@@ -64,7 +64,7 @@ class CartanDatum:
                     errs.append("dot matrix not symmetric at (%d,%d)" % (i, j))
                 if i != j and self.dot[i][j] > 0:
                     errs.append("i.j must be <= 0 for i != j at (%d,%d)" % (i, j))
-                if i != j and (2 * self.dot[i][j]) % self.dot[i][i] != 0:
+                if i != j and self.dot[i][i] > 0 and (2 * self.dot[i][j]) % self.dot[i][i] != 0:
                     errs.append("a(%d,%d) = 2(i.j)/(i.i) is not an integer" % (i, j))
         if not errs:
             for i in range(n):
@@ -147,6 +147,8 @@ class RootDatum:
 
     def validate(self) -> list:
         errs = list(self.cartan.validate())
+        if errs:  # the pairing checks below read a_ij
+            return errs
         n = self.n
         for label, rows in (("alpha", self.alpha), ("coroot", self.coroot), ("coweight", self.coweight)):
             if len(rows) != n or any(len(r) != self.x_rank for r in rows):
@@ -262,19 +264,25 @@ def builtin(name: str) -> RootDatum:
     return rd
 
 
+def _integer(x) -> int:
+    """x itself if it is an int; a float, string or bool is refused, not truncated."""
+    if type(x) is not int:
+        raise DatumError("root datum entries must be integers, got %r" % (x,))
+    return x
+
+
 def from_dict(data: dict, name: str = "") -> RootDatum:
     """Build and validate a root datum from a parsed config mapping."""
+
+    def matrix(key):
+        return tuple(tuple(_integer(x) for x in row) for row in data[key])
+
     try:
-        n = int(data["I_size"])
-        dot = tuple(tuple(int(x) for x in row) for row in data["dot"])
-        x_rank = int(data["X_rank"])
-        alpha = tuple(tuple(int(x) for x in row) for row in data["alpha"])
-        coroot = tuple(tuple(int(x) for x in row) for row in data["coroot"])
-        coweight = tuple(tuple(int(x) for x in row) for row in data["coweight"])
-        if "pairing" in data:
-            pairing = tuple(tuple(int(x) for x in row) for row in data["pairing"])
-        else:
-            pairing = _identity(x_rank)
+        n = _integer(data["I_size"])
+        dot = matrix("dot")
+        x_rank = _integer(data["X_rank"])
+        alpha, coroot, coweight = matrix("alpha"), matrix("coroot"), matrix("coweight")
+        pairing = matrix("pairing") if "pairing" in data else _identity(x_rank)
     except (KeyError, TypeError, ValueError) as exc:
         raise DatumError("malformed root datum config: %s" % exc)
     if len(dot) != n:

@@ -1,20 +1,21 @@
-"""The four parameter specializations as validated substitutions.
+"""The four parameter specializations, each a substitution out of the
+v-tied parameters.
 
-Each specialization resolves its dependent parameters against a small free
-variable set, builds a ParameterSet over the target ring (so every
-verification campaign runs unchanged), checks its defining constraint
-identities exactly, and verifies the closed form of the K-correction
-scalars c_{i,lam} over a weight window.
-
-Substitution maps from the fully generic parameter ring are kept alongside,
-so the ring-homomorphism property of the specialization is testable as
-such.
+Each case is defined once, by what its substitution sigma does to the
+parameters of the v-tied relation correspondence: v -> v, s_ij -> s'_ij,
+t_ij -> t'_ij.  A case resolves its dependent parameters against a small
+free variable set and checks its defining constraint identities exactly,
+among them that its own formula for q_i gives v^{d_i}, the hypothesis of
+the v-tied proof.  One builder makes sigma and the target ParameterSet
+(q_i = v^{d_i}) from the images, so every verification campaign runs
+unchanged over the target.  The closed form of the K-correction scalars
+c_{i,lam} is verified over a weight window.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import Context, LaurentPoly
@@ -81,10 +82,10 @@ class Specialization:
     name: str
     rd: RootDatum
     params: ParameterSet           # resolved target parameters
-    source: ParameterSet           # fully generic source parameters
+    source: ParameterSet           # the v-tied parameters sigma maps out of
     sigma: dict                    # source Var -> target unit monomial
-    constraints: list = field(default_factory=list)  # (description, bool)
-    meta: dict = field(default_factory=dict)
+    constraints: list              # (description, bool)
+    meta: dict
 
     def constraint_records(self) -> list:
         out = []
@@ -99,45 +100,41 @@ class Specialization:
         return out
 
 
-def _sigma_map(source: ParameterSet, spec_params: ParameterSet) -> dict:
-    """Images of the generic q_i, s_ij, t_ij under the specialization."""
-    n = source.cartan.n
-    sigma = {}
-    for i in range(n):
-        sigma[source.ctx["q%d" % (i + 1)]] = spec_params.q(i)
-        for j in range(n):
-            sigma[source.ctx["s%d%d" % (i + 1, j + 1)]] = spec_params.s(i, j)
-            sigma[source.ctx["t%d%d" % (i + 1, j + 1)]] = spec_params.t(i, j)
-    return sigma
+def _specialize(name: str, rd: RootDatum, v, s, t, constraints, meta) -> Specialization:
+    """sigma: v -> v, s_ij -> s[i][j], t_ij -> t[i][j] out of the v-tied
+    parameters, and the target parameters it gives, with q_i = v^{d_i}."""
+    cartan = rd.cartan
+    source = ParameterSet.v_tied(cartan)
+    sigma = {source.ctx["v"]: v}
+    for i in cartan.index_set:
+        for j in cartan.index_set:
+            sigma[source.ctx["s%d%d" % (i + 1, j + 1)]] = s[i][j]
+            sigma[source.ctx["t%d%d" % (i + 1, j + 1)]] = t[i][j]
+    q = [v ** cartan.d(i) for i in cartan.index_set]
+    params = ParameterSet(cartan, v.ctx, q, s, t, v=v, label=name)
+    return Specialization(name, rd, params, source, sigma, constraints, meta)
 
 
 def two_parameter(rd: RootDatum, omega=None) -> Specialization:
-    """q_i = v^{d_i}, s_ij = t^{-omega_ij}, t_ij = t^{omega_ji} over Z[v,t]."""
+    """v -> v, s_ij -> t^{-omega_ij}, t_ij -> t^{omega_ji} over Z[v,t]."""
     if omega is None:
         omega = default_omega(rd)
     errs = validate_omega(rd, omega)
     if errs:
         raise SpecializationError("; ".join(errs))
-    cartan = rd.cartan
-    n = cartan.n
+    n = rd.n
     ctx = Context("two-param")
     v = ctx.laurent("v", denom=2).as_poly()
     t = ctx.laurent("t", denom=2).as_poly()
-    q = [v ** cartan.d(i) for i in range(n)]
     s = [[t ** (-omega[i][j]) for j in range(n)] for i in range(n)]
     tt = [[t ** (omega[j][i]) for j in range(n)] for i in range(n)]
-    params = ParameterSet(cartan, ctx, q, s, tt, v=v, label="two-param")
     constraints = [("omega matrix conditions", True)]
     for i in range(n):
         for j in range(n):
-            ok = params.s(i, j) * params.t(i, j) == t ** (omega[j][i] - omega[i][j])
+            ok = s[i][j] * tt[i][j] == t ** (omega[j][i] - omega[i][j])
             constraints.append(("st[%d][%d] collapses to t^(om_ji-om_ij)" % (i + 1, j + 1), ok))
-    spec = Specialization(
-        "two-param", rd, params, ParameterSet.generic(cartan), {}, constraints,
-        meta={"omega": [list(r) for r in omega]},
-    )
-    spec.sigma = _sigma_map(spec.source, params)
-    return spec
+    return _specialize("two-param", rd, v, s, tt, constraints,
+                       {"omega": [list(r) for r in omega]})
 
 
 def c_table_expected(spec: Specialization, i: int, lam) -> LaurentPoly:
@@ -194,22 +191,24 @@ def multi_parameter(rd: RootDatum) -> Specialization:
             # q_ji resolved: q_jj ... note (j, i) with j < i free
             qm[i][j] = qm[j][j] ** cartan.a(j, i) * qm[j][i].inv_unit()
     half = Fraction(1, 2)
-    q = [qm[i][i].unit_pow(half) for i in range(n)]
     s = [[qm[j][i].unit_pow(half) for j in range(n)] for i in range(n)]
     t = [[qm[i][j].unit_pow(-half) for j in range(n)] for i in range(n)]
-    params = ParameterSet(cartan, ctx, q, s, t, v=v, label="multi-param")
     constraints = []
     for i in range(n):
         for j in range(n):
             ok = qm[i][j] * qm[j][i] == qm[i][i] ** cartan.a(i, j)
             constraints.append(("q[%d][%d]q[%d][%d] == q_ii^a_ij" % (i + 1, j + 1, j + 1, i + 1), ok))
-        constraints.append(("q_%d tied to base" % (i + 1), params.q(i) == params.vi(i)))
-    spec = Specialization(
-        "multi-param", rd, params, ParameterSet.generic(cartan), {}, constraints,
-        meta={"qmat": qm},
-    )
-    spec.sigma = _sigma_map(spec.source, params)
-    return spec
+        ok = qm[i][i].unit_pow(half) == v ** cartan.d(i)
+        constraints.append(("q_%d tied to base" % (i + 1), ok))
+    return _specialize("multi-param", rd, v, s, t, constraints, {"qmat": qm})
+
+
+def check_order(order, n: int) -> list:
+    """A total order on the index set as 0-based indices; anything but a
+    permutation of them is refused in the 1-based terms of the CLI."""
+    if sorted(order) != list(range(n)):
+        raise SpecializationError("order must be a permutation of 1..%d" % n)
+    return order
 
 
 def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
@@ -225,9 +224,7 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     n = cartan.n
     if order is None:
         order = list(range(n))
-    if sorted(order) != list(range(n)):
-        raise SpecializationError("order must be a permutation of the index set")
-    rank = {idx: pos for pos, idx in enumerate(order)}
+    rank = {idx: pos for pos, idx in enumerate(check_order(order, n))}
     if eps is None:
         eps = {}
     for i, j in sorted(eps):
@@ -238,7 +235,7 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
         (i, j): eps.get((i, j), 1) for i in range(n) for j in range(n)
     }
     if any(e not in (1, -1) for e in epsval.values()):
-        raise SpecializationError("eps entries must be +1 or -1")
+        raise SpecializationError("sign values must be 1 or -1")
 
     ctx = Context("super1")
     v = ctx.laurent("v", denom=2).as_poly()
@@ -274,7 +271,6 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     tau = [[ctx.poly(epsval[(i, j)]) for j in range(n)] for i in range(n)]
     gammafn = lambda i, j: gam[i] ** cartan.a(i, j)
 
-    q = [p[i] * gam[i] for i in range(n)]
     s = [[None] * n for _ in range(n)]
     t = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -285,11 +281,11 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
             else:
                 s[i][j] = tau[j][i]
                 t[i][j] = tau[i][j] * tau[j][i] * gammafn(i, j)
-    params = ParameterSet(cartan, ctx, q, s, t, v=v, label="super1")
 
     constraints = []
     for i in range(n):
-        constraints.append(("q_%d == v^d after sign cancellation" % (i + 1), params.q(i) == params.vi(i)))
+        ok = p[i] * gam[i] == v ** cartan.d(i)
+        constraints.append(("q_%d == v^d after sign cancellation" % (i + 1), ok))
         for j in range(n):
             ok = pij[i][j] ** 2 == p[i] ** (2 * cartan.a(i, j))
             constraints.append(("p[%d][%d]^2 == p_i^(2a_ij)" % (i + 1, j + 1), ok))
@@ -299,13 +295,7 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
             )
         ok = pij[i][i] == theta[i][i] * p[i] ** 2
         constraints.append(("p[%d][%d] == th_ii p_i^2" % (i + 1, i + 1), ok))
-
-    spec = Specialization(
-        "super1", rd, params, ParameterSet.generic(cartan), {}, constraints,
-        meta={"tau": tau, "gammafn": gammafn, "order": list(order), "eps": epsval},
-    )
-    spec.sigma = _sigma_map(spec.source, params)
-    return spec
+    return _specialize("super1", rd, v, s, t, constraints, {"tau": tau, "gammafn": gammafn})
 
 
 def super_second(rd: RootDatum) -> Specialization:
@@ -325,7 +315,6 @@ def super_second(rd: RootDatum) -> Specialization:
             theta[i][j] = ptil[j] ** (-cartan.a(j, i)) * theta[j][i].inv_unit()
     vi = lambda i: v ** cartan.d(i)
     zeta = [[theta[i][j] * vi(i) ** cartan.a(i, j) for j in range(n)] for i in range(n)]
-    q = [ptil[i].unit_pow(Fraction(1, 2)) for i in range(n)]
     s = [[None] * n for _ in range(n)]
     t = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -335,20 +324,14 @@ def super_second(rd: RootDatum) -> Specialization:
             else:
                 s[i][j] = vi(i) ** (-cartan.a(i, j))
             t[i][j] = zeta[i][j] if i >= j else ctx.one
-    params = ParameterSet(cartan, ctx, q, s, t, v=v, label="super2")
     constraints = []
     for i in range(n):
-        constraints.append(("q_%d == v^d" % (i + 1), params.q(i) == params.vi(i)))
+        constraints.append(("q_%d == v^d" % (i + 1), ptil[i].unit_pow(Fraction(1, 2)) == vi(i)))
         constraints.append(("th[%d][%d] == ptil_i^-1" % (i + 1, i + 1), theta[i][i] == ptil[i].inv_unit()))
         for j in range(n):
             ok = theta[i][j] * theta[j][i] == ptil[i] ** (-cartan.a(i, j))
             constraints.append(("th[%d][%d]th[%d][%d] == ptil_i^-a_ij" % (i + 1, j + 1, j + 1, i + 1), ok))
-    spec = Specialization(
-        "super2", rd, params, ParameterSet.generic(cartan), {}, constraints,
-        meta={},
-    )
-    spec.sigma = _sigma_map(spec.source, params)
-    return spec
+    return _specialize("super2", rd, v, s, t, constraints, {})
 
 
 _CASES = {

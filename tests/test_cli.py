@@ -158,6 +158,39 @@ def test_validate_datum_rejects(tmp_path, capsys):
     assert "coweight" in err
 
 
+A2_DATUM = {
+    "I_size": 2, "dot": [[2, -1], [-1, 2]], "X_rank": 3,
+    "alpha": [[1, -1, 0], [0, 1, -1]], "coroot": [[1, -1, 0], [0, 1, -1]],
+    "coweight": [[1, 0, 0], [1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"dot": [[2, -1.5], [-1.5, 2]]}, "entries must be integers"),
+        ({"I_size": 2.9, "X_rank": "3", "alpha": [[True, -1, 0], [0, 1, -1]]},
+         "entries must be integers"),
+        ({"dot": [[2, -1], [-1]]}, "dot matrix row 1 has wrong length"),
+        ({"dot": [[0, 0], [0, 2]]}, "i.i must be a positive even integer"),
+    ],
+    ids=["half-integer-dot", "float-string-bool", "ragged-dot", "zero-diagonal"],
+)
+def test_bad_datum_entries_are_invalid_configuration(tmp_path, capsys, changes, message):
+    """Each entry must be an int (-1.5, 2.9, "3" and true are refused, not
+    truncated to the a2 datum), and a bad dot matrix is reported before the
+    pairings that read it are checked."""
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(dict(A2_DATUM, **changes)), encoding="utf-8")
+    for argv in (("validate-datum", str(path)),
+                 ("verify-iso", "--root-datum", str(path), "--lambda-box", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "invalid configuration" in err and message in err and out == ""
+    path.write_text(json.dumps(A2_DATUM), encoding="utf-8")
+    assert run(capsys, "validate-datum", str(path))[0] == 0
+
+
 def test_missing_file_io_exit(capsys):
     code, _, err = run(capsys, "validate-datum", "/nonexistent/d.json")
     assert code == 4
@@ -272,12 +305,30 @@ def test_case_flags_outside_their_case_are_invalid_configuration(capsys, argv, f
         ("5,7,-1", "outside the index set"),
         ("0,1,-1", "outside the index set"),
         ("1,2,1;1,2,-1", "twice"),
+        ("1,2,2", "sign values must be 1 or -1"),
     ],
 )
 def test_bad_sign_pairs_are_invalid_configuration(capsys, signs, message):
     code, out, err = run(
         capsys, "verify-special", "--case", "super1", "--with-iso", "--root-datum", "a2",
         "--lambda-box", "1", "--signs", signs,
+    )
+    assert code == 3
+    assert "invalid configuration" in err and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("1,1", "permutation of 1..2"),
+        ("2,x", "comma-separated integers"),
+    ],
+)
+def test_bad_order_is_invalid_configuration(capsys, order, message):
+    code, out, err = run(
+        capsys, "verify-special", "--case", "super1", "--root-datum", "a2",
+        "--lambda-box", "1", "--order", order,
     )
     assert code == 3
     assert "invalid configuration" in err and message in err

@@ -1,12 +1,13 @@
-"""Seeded defects: the iso, Hopf and module campaigns must reject them.
+"""Seeded defects: the iso, Hopf, module and specialization campaigns must
+reject them.
 
 Each defect is monkeypatched into the code a campaign calls, or built into
 the module under test, and the campaign must fail exactly the records the
 defect touches, each with a witness: the iso campaign on a2 over
-weights_box(1), the Hopf campaign on a2 with nmax=3, and the matrix checks
-of scrU on the transported a1 n=3 string module and a2 natural module.  The
-clean controls show the same runs pass, so the failures come from the
-defect.
+weights_box(1), the Hopf campaign on a2 with nmax=3, the matrix checks
+of scrU on the transported a1 n=3 string module and a2 natural module, and
+the specialization tables on a2 over weights_box(1).  The clean controls
+show the same runs pass, so the failures come from the defect.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from qtwist import hopf, presentations, repcheck, rootdata, twistmap
+from qtwist import hopf, presentations, repcheck, rootdata, specializations, twistmap
 from qtwist.cli import main
 from qtwist.coeffring import qint_signed
 from qtwist.hopf import star_mul, verify_hopf
@@ -355,3 +356,79 @@ def test_wrong_string_entries_fail_the_modules_report(monkeypatch, tmp_path):
     assert [c["id"] for c in failed] == [
         "sl2-string-n2+twist:c:i1:j1", "sl2-string-n3+twist:c:i1:j1"]
     assert all(c["witness"].startswith("entry (") for c in failed)
+
+
+# -- specialization defects ------------------------------------------------------
+
+_specialize = specializations._specialize
+
+
+def _t_transposed(name, rd, v, s, t, constraints, meta):
+    """t'_ji as the image of t_ij, after the case has checked its constraints."""
+    return _specialize(name, rd, v, s, [list(col) for col in zip(*t)], constraints, meta)
+
+
+def _s12_negated(name, rd, v, s, t, constraints, meta):
+    """-s'_12 as the image of s_12: the other square-root sign."""
+    s = [list(row) for row in s]
+    s[0][1] = -s[0][1]
+    return _specialize(name, rd, v, s, t, constraints, meta)
+
+
+# case -> (records of verify_specialization on a2 box 1, of which WARN)
+SPECIAL_RECORDS = {"two-param": (59, 0), "multi-param": (60, 0), "super1": (120, 0),
+                   "super2": (62, 20)}
+
+
+def _run_special_a2(case):
+    rd = rootdata.builtin("a2")
+    spec = specializations.make(case, rd)
+    window = rd.weights_box(1)
+    return (specializations.verify_specialization(spec, window),
+            specializations.apply_to_isomorphism(spec, window))
+
+
+@pytest.mark.parametrize("case", list(SPECIAL_RECORDS))
+def test_special_clean_control(case):
+    rep, iso = _run_special_a2(case)
+    records, warns = SPECIAL_RECORDS[case]
+    assert rep.summary == {"pass": records - warns, "fail": 0, "warn": warns}
+    assert iso.summary == {"pass": 459, "fail": 0, "warn": 0}
+
+
+@pytest.mark.parametrize(
+    "case, defect, failures, families, first",
+    [
+        ("two-param", _t_transposed, 36, {"ctable"},
+         ("ctable:i1:lam(-1,-1,-1)", "computed 1, expected t^2")),
+        ("multi-param", _t_transposed, 36, {"ctable"},
+         ("ctable:i1:lam(-1,-1,-1)", "computed 1, expected v^-2*q12^-2")),
+        ("super1", _t_transposed, 72, {"ctable", "csquare"},
+         ("csquare:i1:lam(-1,-1,-1)", "c^2 = th12^-4")),
+        ("super2", _t_transposed, 22, {"ctable"},
+         ("ctable:i1:lam(-1,-1,-1)", "computed v^2*th12^-2, expected 1")),
+        ("two-param", _s12_negated, 12, {"ctable"},
+         ("ctable:i1:lam(-1,0,-1)", "computed -t, expected t")),
+        ("multi-param", _s12_negated, 12, {"ctable"},
+         ("ctable:i1:lam(-1,0,-1)", "computed -v^-1*q12^-1, expected v^-1*q12^-1")),
+        ("super1", _s12_negated, 12, {"ctable"},
+         ("ctable:i1:lam(-1,0,-1)", "computed -g1, expected g1")),
+        ("super2", _s12_negated, 12, {"ctable"},
+         ("ctable:i1:lam(-1,0,-1)", "computed -v^-1, expected v^-1")),
+    ],
+    ids=["two-param-t-transposed", "multi-param-t-transposed", "super1-t-transposed",
+         "super2-t-transposed", "two-param-s12-negated", "multi-param-s12-negated",
+         "super1-s12-negated", "super2-s12-negated"],
+)
+def test_seeded_special_defect_is_rejected(monkeypatch, case, defect, failures, families, first):
+    """A wrong image of s or t leaves every constraint record and the whole
+    special-iso campaign passing, as the isomorphism holds for any s and t:
+    only the c-table records tell the wrong case apart, each with a witness."""
+    monkeypatch.setattr(specializations, "_specialize", defect)
+    rep, iso = _run_special_a2(case)
+    records, warns = SPECIAL_RECORDS[case]
+    assert rep.summary == {"pass": records - warns - failures, "fail": failures, "warn": warns}
+    assert {c.family for c in rep.failures()} == families
+    assert all(c.witness for c in rep.failures())
+    assert (rep.failures()[0].id, rep.failures()[0].witness) == first
+    assert iso.summary == {"pass": 459, "fail": 0, "warn": 0}

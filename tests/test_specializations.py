@@ -9,6 +9,8 @@ from qtwist import rootdata
 from qtwist import specializations as sp
 from qtwist.params import twist_c
 from qtwist.coeffring import substitute
+from qtwist.presentations import relations_of
+from qtwist.twistmap import TwistMap
 
 
 @pytest.fixture()
@@ -208,6 +210,43 @@ def test_sigma_sends_st_to_collapsed_monomial(a2):
     t = spec.params.ctx["t"].as_poly()
     prod = src.ctx["s12"] * src.ctx["t12"]
     assert substitute(prod, spec.sigma, spec.params.ctx) == t ** (0 - (-1))
+
+
+def _pushed_multiples(spec, window, sigma):
+    """Record id -> the v-tied iso multiple pushed through sigma, as printed."""
+    rd, src = spec.rd, spec.source
+    tw = TwistMap(rd, src)
+    dst = {(r.family, r.i, r.j, r.lam, r.part): r for r in relations_of("scrUdot", rd, src, window)}
+    out = {}
+    for u in relations_of("Udot", rd, src, window):
+        tgt = dst[(u.family, u.i, u.j, u.lam, u.part)]
+        n = tw.forward(u.expr).multiple_of(tgt.expr).simplified()
+        out["iso:" + u.id] = str(substitute(n, sigma, spec.params.ctx).simplified())
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, kwargs",
+    [("two-param", {}), ("multi-param", {}), ("super1", {}), ("super2", {}),
+     ("super1", {"order": [1, 0], "eps": {(0, 1): -1}})],
+    ids=["two-param", "multi-param", "super1", "super2", "super1-order21-eps12"],
+)
+def test_sigma_carries_the_v_tied_proof(case, kwargs, a2):
+    """Every multiple of the v-tied correspondence, pushed through sigma,
+    prints exactly the scalar the campaign recomputes in the target ring;
+    with the images of s12 and s21 swapped, 120 of the 459 differ."""
+    spec = sp.make(case, a2, **kwargs)
+    assert set(spec.sigma) == set(spec.source.ctx.vars)
+    window = a2.weights_box(1)
+    rep = sp.apply_to_isomorphism(spec, window)
+    assert rep.summary == {"pass": 459, "fail": 0, "warn": 0}
+    want = {c.id: c.scalar for c in rep.checks}
+    assert _pushed_multiples(spec, window, spec.sigma) == want
+    swapped = dict(spec.sigma)
+    s12, s21 = spec.source.ctx["s12"], spec.source.ctx["s21"]
+    swapped[s12], swapped[s21] = spec.sigma[s21], spec.sigma[s12]
+    got = _pushed_multiples(spec, window, swapped)
+    assert sum(got[k] != want[k] for k in want) == 120
 
 
 # -- specialized campaigns ------------------------------------------------------------
