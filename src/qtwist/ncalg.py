@@ -142,8 +142,9 @@ class LinComb:
     def multiple_of(self, target):
         """N with self == N * target, or None when no exact multiple exists.
 
-        Zero is 1 times zero.  N is one division at the largest key of
-        target; every term is then checked against it.
+        Zero is 1 times zero.  N is one exact division at the largest key
+        of target, so N * target[ref] == self[ref] holds by construction;
+        only the other keys are checked against it.
         """
         if target.is_zero():
             return self.params.rat(1) if self.is_zero() else None
@@ -151,7 +152,7 @@ class LinComb:
             return None
         ref = max(target.terms, key=self._order)
         n = self.terms[ref] / target.terms[ref]
-        if all(self.terms[k] == n * c for k, c in target.terms.items()):
+        if all(self.terms[k] == n * c for k, c in target.terms.items() if k is not ref):
             return n
         return None
 

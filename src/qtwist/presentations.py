@@ -248,6 +248,19 @@ def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str, twiste
     return out
 
 
+def _composition_relation(rd, params, left: PathWord, right: PathWord, expected: PathWord):
+    """left*right - expected, with unit coefficients: the empty expression
+    when the composed word is the expected one, as it is by construction for
+    the idempotent and weight-absorption relations."""
+    word = left.compose(right)
+    if word == expected:
+        return PathExpr(rd, params, {})
+    terms = {expected: -params.one()}
+    if word is not None:
+        terms[word] = params.one()
+    return PathExpr(rd, params, terms)
+
+
 def _modified_relations(algebra, rd, params, window):
     """Relation instances of a modified algebra over a window of base weights."""
     twisted = algebra == "scrUdot"
@@ -258,20 +271,22 @@ def _modified_relations(algebra, rd, params, window):
         raise ValueError("modified algebras need a nonempty weight window")
     one = params.rat(1)
 
-    for lam in window:
-        unit = idempotent(rd, params, lam)
-        out.append(RelationInstance(algebra, "a", None, None, lam, "", unit * unit - unit))
+    units = {lam: PathWord(rd, lam, ()) for lam in window}
+    for lam, unit in units.items():
+        out.append(RelationInstance(algebra, "a", None, None, lam, "",
+                                    _composition_relation(rd, params, unit, unit, unit)))
     for i in idx:
-        for lam in window:
-            e_up = e_arrow(rd, params, i, lam)      # target lam + alpha_i
-            e_in = PathExpr.of(rd, params, PathWord(rd, lam, (("E", i),)))
-            f_dn = f_arrow(rd, params, i, lam)      # target lam - alpha_i
-            f_in = PathExpr.of(rd, params, PathWord(rd, lam, (("F", i),)))
-            unit = idempotent(rd, params, lam)
-            out.append(RelationInstance(algebra, "b", i, None, lam, "E-right", e_up * unit - e_up))
-            out.append(RelationInstance(algebra, "b", i, None, lam, "E-left", unit * e_in - e_in))
-            out.append(RelationInstance(algebra, "b", i, None, lam, "F-right", f_dn * unit - f_dn))
-            out.append(RelationInstance(algebra, "b", i, None, lam, "F-left", unit * f_in - f_in))
+        for lam, unit in units.items():
+            e_up = PathWord(rd, rd.add_root(lam, i, +1), (("E", i),))  # source lam
+            e_in = PathWord(rd, lam, (("E", i),))
+            f_dn = PathWord(rd, rd.add_root(lam, i, -1), (("F", i),))  # source lam
+            f_in = PathWord(rd, lam, (("F", i),))
+            for part, left, right, word in (
+                ("E-right", e_up, unit, e_up), ("E-left", unit, e_in, e_in),
+                ("F-right", f_dn, unit, f_dn), ("F-left", unit, f_in, f_in),
+            ):
+                expr = _composition_relation(rd, params, left, right, word)
+                out.append(RelationInstance(algebra, "b", i, None, lam, part, expr))
 
     for i in idx:
         for j in idx:

@@ -137,11 +137,14 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     """Map every untwisted modified-algebra relation instance forward and
     check it is an exact unit multiple of the matching twisted instance.
 
-    Families a and b are identically zero in the path model and must map to
-    zero.  For family c the multiple must equal e(i,lam) f(j,lam-a_i+a_j).
-    For the Serre families the exact multiple is the whole check: both
-    templates carry the same 1/([r-l]! [l]!), so image == N * target makes
-    every word's rescaling scalar N times its ratio^l.
+    Families a and b are identically zero in the path model: a record
+    passes, with scalar 1, only when the untwisted and the twisted instance
+    are both zero, and the map, which fixes zero, is not applied; a nonzero
+    side fails with both sides as the witness.  For family c the multiple
+    must equal e(i,lam) f(j,lam-a_i+a_j).  For the Serre families the exact
+    multiple is the whole check: both templates carry the same
+    1/([r-l]! [l]!), so image == N * target makes every word's rescaling
+    scalar N times its ratio^l.
     """
     t0 = time.monotonic()
     rep = Report("iso", datum=rd.name, case=params.label)
@@ -158,6 +161,14 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
         if tgt is None:
             rec.status = FAIL
             rec.witness = "no matching twisted instance"
+            continue
+        if su.family in ("a", "b"):
+            if su.expr.is_zero() and tgt.expr.is_zero():
+                rec.scalar = "1"
+            else:
+                rec.status = FAIL
+                rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
+                    su.family, su.expr, tgt.expr)
             continue
         image = tw.forward(su.expr)
         n = image.multiple_of(tgt.expr)

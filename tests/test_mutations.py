@@ -10,6 +10,7 @@ the specialization tables on a2 over weights_box(1).  The clean controls
 show the same runs pass, so the failures come from the defect.
 """
 
+import collections
 import dataclasses
 import json
 
@@ -88,6 +89,39 @@ def test_seeded_defect_is_rejected(monkeypatch, module, name, defect, failures, 
     rec_id, term = first
     assert rep.failures()[0].id == rec_id
     assert rep.failures()[0].witness == "%s: %s" % (WITNESS, term)
+
+
+_compose = presentations.PathWord.compose
+
+
+def _compose_drops_right_idempotent(self, other):
+    """PathWord.compose that kills a product with an idempotent on the right."""
+    return None if not other.steps else _compose(self, other)
+
+
+def test_broken_path_product_is_rejected(monkeypatch):
+    """The same broken product on both sides maps the untwisted idempotent
+    and weight-absorption relations to the twisted ones, so an exact-multiple
+    test passes them; they must be zero on both sides instead."""
+    monkeypatch.setattr(presentations.PathWord, "compose", _compose_drops_right_idempotent)
+    rep = _run_a2()
+    assert rep.summary == {"pass": 324, "fail": 135, "warn": 0}
+    failed = collections.Counter(
+        (c.family, c.i, c.id.rsplit(":", 1)[-1] if c.family == "b" else "")
+        for c in rep.failures()
+    )
+    assert failed == {
+        ("a", None, ""): 27,
+        ("b", 0, "E-right"): 27, ("b", 0, "F-right"): 27,
+        ("b", 1, "E-right"): 27, ("b", 1, "F-right"): 27,
+    }
+    first = rep.failures()[0]
+    assert first.id == "iso:a:lam(-1,-1,-1)"
+    assert first.witness == (
+        "family a instance is not zero: untwisted (-1)*1_(-1,-1,-1), twisted (-1)*1_(-1,-1,-1)"
+    )
+    assert all(c.witness.startswith("family %s instance is not zero: untwisted " % c.family)
+               for c in rep.failures())
 
 
 def _word_scalar_f_at_target(self, word, invert):

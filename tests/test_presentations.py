@@ -281,6 +281,23 @@ def _literal_serre(inst, rd, p, twisted):
     return acc
 
 
+def _literal_zero_family(inst, rd, p):
+    """The idempotent or weight-absorption instance at inst's weight as the
+    literal path product minus the expected generator."""
+    lam, i = inst.lam, inst.i
+    unit = idempotent(rd, p, lam)
+    if inst.family == "a":
+        return unit * unit - unit
+    kind, side = inst.part.split("-")
+    if side == "right":
+        # the arrow out of lam, absorbing 1_lam on its right
+        arrow = e_arrow(rd, p, i, lam) if kind == "E" else f_arrow(rd, p, i, lam)
+        return arrow * unit - arrow
+    # the arrow into lam, absorbing 1_lam on its left
+    arrow = PathExpr.of(rd, p, PathWord(rd, lam, ((kind, i),)))
+    return unit * arrow - arrow
+
+
 def _literal_nc_serre(inst, p, twisted):
     """The free-word Serre sum of inst, built term by term as the product of
     a divided power, the j-th generator and a divided power, each term
@@ -314,10 +331,15 @@ def _serre_cases():
 def test_modified_relations_match_literal_construction(case):
     _, rd, p = case
     for algebra in ("Udot", "scrUdot"):
-        serre = 0
+        serre = zero = 0
         for inst in relations_of(algebra, rd, p, window=rd.weights_box(1)):
             for w in inst.expr.terms:
                 assert w.source == PathWord(rd, w.target, w.steps).source, (inst.id, w)
+            if inst.family in ("a", "b"):
+                literal = _literal_zero_family(inst, rd, p)
+                assert inst.expr == literal, inst.id
+                assert str(inst.expr) == str(literal), inst.id
+                zero += 1
             if inst.family in ("d-E", "d-F"):
                 literal = _literal_serre(inst, rd, p, algebra == "scrUdot")
                 assert inst.expr == literal, inst.id
@@ -325,6 +347,7 @@ def test_modified_relations_match_literal_construction(case):
                 assert str(inst.expr) == str(literal), inst.id
                 serre += 1
         assert serre == 2 * rd.n * (rd.n - 1) * len(rd.weights_box(1))
+        assert zero == (1 + 4 * rd.n) * len(rd.weights_box(1))
     # the unital presentations place the same weight-free terms as free words
     for algebra in ("U", "scrU"):
         serre = [r for r in relations_of(algebra, rd, p) if r.family in ("d-E", "d-F")]
