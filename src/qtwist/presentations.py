@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import qbinom
 from .ncalg import LinComb, NCExpr, merge_term, word_str
 from .params import ParameterSet, twist_c
 from .rootdata import RootDatum, Weight
@@ -30,11 +29,8 @@ __all__ = [
     "PathExpr",
     "RelationInstance",
     "idempotent",
-    "e_arrow",
-    "f_arrow",
     "divided_power",
     "relations_of",
-    "serre_binomial",
 ]
 
 
@@ -132,16 +128,6 @@ class PathExpr(LinComb):
 
 def idempotent(rd, params, lam: Weight) -> PathExpr:
     return PathExpr.of(rd, params, PathWord(rd, lam, ()))
-
-
-def e_arrow(rd, params, i: int, source: Weight) -> PathExpr:
-    """The raising arrow into source + alpha_i."""
-    return PathExpr.of(rd, params, PathWord(rd, rd.add_root(source, i, +1), (("E", i),)))
-
-
-def f_arrow(rd, params, i: int, source: Weight) -> PathExpr:
-    """The lowering arrow into source - alpha_i."""
-    return PathExpr.of(rd, params, PathWord(rd, rd.add_root(source, i, -1), (("F", i),)))
 
 
 def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
@@ -422,20 +408,3 @@ def relations_of(algebra: str, rd: RootDatum, params: ParameterSet, window=None)
         return _nc_relations(algebra, rd, params)
     raise ValueError("unknown algebra %r" % algebra)
 
-
-def serre_binomial(i: int, j: int, rd: RootDatum, params: ParameterSet, kind: str = "E") -> NCExpr:
-    """Denominator-free quantum Serre sum with Gaussian binomial coefficients.
-
-    Equals [r]!_{q_i} times the divided-power Serre sum; the per-term scalar
-    for the raising family is (-1)^l (s_ji/s_ij)^l, for the lowering family
-    the same in t.
-    """
-    if i == j:
-        raise ValueError("Serre relation needs i != j")
-    r = rd.cartan.serre_exponent(i, j)
-    ratio = _serre_ratios(params, i, j, True)[kind != "E"]
-    terms = {}
-    for l, (steps, _) in enumerate(_serre_terms(params, i, j, r, kind, True)):
-        sign = -1 if l % 2 else 1
-        terms[steps] = params.rat(qbinom(r, l, params.q(i))) * ratio**l * sign
-    return NCExpr(params, terms)

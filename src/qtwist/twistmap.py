@@ -99,40 +99,6 @@ def _simplify_multiple(n: RatExpr):
     return simple, simple.is_poly() and simple.num.unit_mono() is not None
 
 
-def check_scalar_identities(rd: RootDatum, params: ParameterSet, window) -> Report:
-    """Shift laws of the rescaling scalars and their relation to the
-    K-correction, verified for every index pair and window weight."""
-    t0 = time.monotonic()
-    rep = Report("scalar-identities", datum=rd.name, case=params.label)
-    sc = TwistScalars(rd, params)
-    for i in rd.index_set:
-        for j in rd.index_set:
-            for lam in sorted(tuple(w) for w in window):
-                mu = rd.add_root(lam, j, +1)
-                tag = "i%d:j%d:lam(%s)" % (i + 1, j + 1, ",".join(map(str, lam)))
-                ok = sc.e(i, mu) == sc.e(i, lam) * params.s(i, j)
-                rep.add(CheckRecord("shift-e:" + tag, "shift", i, j, lam,
-                                    PASS if ok else FAIL))
-                ok = sc.f(i, mu) == sc.f(i, lam) * params.t(i, j)
-                rep.add(CheckRecord("shift-f:" + tag, "shift", i, j, lam,
-                                    PASS if ok else FAIL))
-                lhs = sc.f(j, mu) * sc.e(i, mu)
-                rhs = (
-                    sc.e(i, lam)
-                    * sc.f(j, rd.add_root(mu, i, -1))
-                    * params.s(i, j)
-                    * params.t(j, i)
-                )
-                rep.add(CheckRecord("cross:" + tag, "cross", i, j, lam,
-                                    PASS if lhs == rhs else FAIL))
-                if i == j:
-                    ok = sc.e(i, lam) * sc.f(i, lam) == sc.c(i, lam).inv_unit()
-                    rep.add(CheckRecord("ef-c:" + tag, "ef-c", i, j, lam,
-                                        PASS if ok else FAIL))
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
-
-
 def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Report:
     """Map every untwisted modified-algebra relation instance forward and
     check it is an exact unit multiple of the matching twisted instance.

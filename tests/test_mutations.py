@@ -171,7 +171,7 @@ def test_f_divided_powers_meet_their_closed_form(monkeypatch):
 
 _antipode = hopf.antipode
 _delta_symbol = hopf._delta_symbol
-_serre_binomial = hopf.serre_binomial
+_serre_terms = presentations._serre_terms
 
 
 def _antipode_with_e_image(e_image):
@@ -200,21 +200,28 @@ def _delta_e_with_kp(ctx, sym):
     return TensorExpr(p, 2, {(e, ()): p.one(), (kp, e): p.one()})
 
 
-def _serre_sum_without_top(*args, **kwargs):
-    """hopf.serre_binomial with its top word dropped."""
-    R = _serre_binomial(*args, **kwargs)
-    top = max(R.terms, key=word_key)
-    return NCExpr(R.params, {w: c for w, c in R.terms.items() if w != top})
+def _twisted_raising_serre(edit):
+    """presentations._serre_terms with edit(params, i, terms) applied to the
+    (steps, coefficient) list of each twisted raising Serre sum."""
+
+    def serre_terms(params, i, j, r, kind, twisted):
+        terms = _serre_terms(params, i, j, r, kind, twisted)
+        return edit(params, i, terms) if kind == "E" and twisted else terms
+
+    return serre_terms
 
 
-def _serre_sum_middle_scaled(i, j, rd, params, kind="E"):
-    """hopf.serre_binomial with its middle word's coefficient times q_i."""
-    R = _serre_binomial(i, j, rd, params, kind=kind)
-    words = sorted(R.terms, key=word_key)
+def _without_top(params, i, terms):
+    """The Serre sum with its top word dropped."""
+    top = max((steps for steps, _ in terms), key=word_key)
+    return [(steps, c) for steps, c in terms if steps != top]
+
+
+def _middle_scaled(params, i, terms):
+    """The Serre sum with its middle word's coefficient times q_i."""
+    words = sorted((steps for steps, _ in terms), key=word_key)
     mid = words[len(words) // 2]
-    terms = dict(R.terms)
-    terms[mid] = terms[mid] * params.rat(params.q(i))
-    return NCExpr(R.params, terms)
+    return [(steps, c * params.rat(params.q(i)) if steps == mid else c) for steps, c in terms]
 
 
 def _run_hopf_a2():
@@ -228,23 +235,27 @@ def test_hopf_clean_control():
 
 
 @pytest.mark.parametrize(
-    "name, defect, failures, families",
+    "module, name, defect, failures, families",
     [
-        ("antipode", _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("Kinv", i), ("E", i)))),
+        (hopf, "antipode",
+         _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("Kinv", i), ("E", i)))),
          6, {"antipode-c", "hopf-axiom"}),
-        ("antipode", _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("K", i), ("E", i)), -1)),
+        (hopf, "antipode",
+         _antipode_with_e_image(lambda p, i: NCExpr.word(p, (("K", i), ("E", i)), -1)),
          10, {"antipode-c", "antipode-serre", "hopf-axiom"}),
-        ("_delta_symbol", _delta_e_with_kp, 12, {"coprod-pow", "coprod-serre", "hopf-axiom"}),
-        ("serre_binomial", _serre_sum_without_top, 4, {"coprod-serre", "antipode-serre"}),
+        (hopf, "_delta_symbol", _delta_e_with_kp, 12, {"coprod-pow", "coprod-serre", "hopf-axiom"}),
+        (presentations, "_serre_terms", _twisted_raising_serre(_without_top),
+         4, {"coprod-serre", "antipode-serre"}),
         # a symmetric error in the Serre sum: S(R) is still a multiple of R,
         # so only the coproduct check sees it
-        ("serre_binomial", _serre_sum_middle_scaled, 2, {"coprod-serre"}),
+        (presentations, "_serre_terms", _twisted_raising_serre(_middle_scaled),
+         2, {"coprod-serre"}),
     ],
     ids=["antipode-E-sign-flipped", "antipode-E-K-not-inverted", "delta-E-Kp-for-K",
          "serre-top-word-dropped", "serre-middle-coefficient-scaled"],
 )
-def test_seeded_hopf_defect_is_rejected(monkeypatch, name, defect, failures, families):
-    monkeypatch.setattr(hopf, name, defect)
+def test_seeded_hopf_defect_is_rejected(monkeypatch, module, name, defect, failures, families):
+    monkeypatch.setattr(module, name, defect)
     rep = _run_hopf_a2()
     assert rep.summary == {"pass": 80 - failures, "fail": failures, "warn": 0}
     assert {c.family for c in rep.failures()} == families

@@ -4,20 +4,31 @@ import random
 
 import pytest
 
-from qtwist import rootdata, specializations
-from qtwist.coeffring import qfact, qint
+import qtwist
+from qtwist import presentations, rootdata, specializations
+from qtwist.coeffring import qbinom, qfact, qint
 from qtwist.ncalg import NCExpr, StraightenRules, straighten
 from qtwist.params import ParameterSet, twist_c
 from qtwist.presentations import (
     PathExpr,
     PathWord,
     divided_power,
-    e_arrow,
-    f_arrow,
     idempotent,
     relations_of,
-    serre_binomial,
 )
+
+
+def _arrow(rd, p, kind, i, source):
+    """The raising ('E') or lowering ('F') arrow out of source."""
+    target = rd.add_root(source, i, +1 if kind == "E" else -1)
+    return PathExpr.of(rd, p, PathWord(rd, target, ((kind, i),)))
+
+
+@pytest.mark.parametrize("module", [qtwist, presentations], ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    """A stale __all__ entry cannot outlive the deletion of its name."""
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 @pytest.fixture()
@@ -45,13 +56,12 @@ def test_idempotents_orthogonal(a1):
 def test_idempotents_absorb_arrows(a1):
     rd, p = a1
     lam = rd.zero_weight()
-    e = e_arrow(rd, p, 0, lam)
-    f = f_arrow(rd, p, 0, lam)
+    e = _arrow(rd, p, "E", 0, lam)
+    f = _arrow(rd, p, "F", 0, lam)
     u = idempotent(rd, p, lam)
     assert e * u == e
-    assert u * f_arrow(rd, p, 0, rd.add_root(lam, 0, +1)) == f_arrow(
-        rd, p, 0, rd.add_root(lam, 0, +1)
-    )
+    down = _arrow(rd, p, "F", 0, rd.add_root(lam, 0, +1))
+    assert u * down == down
     assert (u * e).is_zero()  # weight mismatch on the left
     assert f * u == f
 
@@ -81,7 +91,7 @@ def test_divided_power_small(a1):
     rd, p = a1
     lam = rd.zero_weight()
     assert divided_power("E", 0, 0, lam, rd, p) == idempotent(rd, p, lam)
-    assert divided_power("E", 0, 1, lam, rd, p) == e_arrow(rd, p, 0, lam)
+    assert divided_power("E", 0, 1, lam, rd, p) == _arrow(rd, p, "E", 0, lam)
     dp2 = divided_power("E", 0, 2, lam, rd, p)
     ((w, c),) = dp2.terms.items()
     assert w.steps == (("E", 0), ("E", 0))
@@ -180,46 +190,44 @@ def test_window_required(a1):
         relations_of("scrUdot", rd, p, window=[])
 
 
-def test_serre_binomial_example(a2):
-    rd, p = a2
-    R = serre_binomial(0, 1, rd, p)
-    words = {w: c for w, c in R.terms.items()}
-    E, F = ("E", 0), ("E", 1)
-    ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))
-    assert words[(E, E, F)] == p.rat(1)
-    assert words[(E, F, E)] == -ratio * qint(2, p.q(0))
-    assert words[(F, E, E)] == ratio * ratio
-    with pytest.raises(ValueError):
-        serre_binomial(0, 0, rd, p)
-
-
-def test_serre_binomial_is_factorial_times_divided_form():
-    """[r]!_{q_i} times each divided-power Serre sum of scrU, raising and
-    lowering, for r = 1 (a1xa1), 2 (a2), 3 (b2) and 4 (g2)."""
-    exponents = set()
+def test_serre_coefficients_are_gaussian_binomials():
+    """[r]!_{q_i} times each coefficient of each scrU Serre sum, raising and
+    lowering, for both index orders and r = 1 (a1xa1), 2 (a2), 3 (b2) and 4
+    (g2), is (-1)^l ratio^l binom(r, l)_{q_i}, built from coeffring alone,
+    with l read off the word: the E_i right of E_j, or the F_i left of F_j.
+    The parameters are generic and, for the one-parameter limit, s = t = 1."""
+    seen = set()
     for name in ("a1xa1", "a2", "b2", "g2"):
         rd = rootdata.builtin(name)
-        p = ParameterSet.generic(rd.cartan)
-        rels = relations_of("scrU", rd, p)
-        for kind in ("E", "F"):
-            for (i, j) in ((0, 1), (1, 0)):
+        for p in (ParameterSet.generic(rd.cartan), ParameterSet.one_param(rd.cartan)):
+            for inst in relations_of("scrU", rd, p):
+                if inst.family not in ("d-E", "d-F"):
+                    continue
+                i, j = inst.i, inst.j
                 r = rd.cartan.serre_exponent(i, j)
-                exponents.add(r)
-                (inst,) = [x for x in rels if x.family == "d-" + kind and (x.i, x.j) == (i, j)]
-                assert inst.expr.scale(qfact(r, p.q(i))) == serre_binomial(i, j, rd, p, kind), (
-                    name, kind, i, j)
-    assert exponents == {1, 2, 3, 4}
+                fam = p.s if inst.family == "d-E" else p.t
+                ratio = p.rat(fam(j, i)) / p.rat(fam(i, j))
+                ls = []
+                for word, c in inst.expr.terms.items():
+                    at = [k for _, k in word].index(j)
+                    l = r - at if inst.family == "d-E" else at
+                    ls.append(l)
+                    expected = p.rat(qbinom(r, l, p.q(i))) * ratio**l * (-1) ** l
+                    assert c * qfact(r, p.q(i)) == expected, (name, p.label, inst.id, word)
+                assert sorted(ls) == list(range(r + 1)), (name, inst.id)
+                seen.add((name, p.label, inst.family, i, j, r))
+    assert len(seen) == 4 * 2 * 2 * 2
+    assert {r for *_, r in seen} == {1, 2, 3, 4}
 
-
-def test_serre_binomial_untwisted_limit():
+    # the a2 worked example, generic and in the one-parameter limit
     rd = rootdata.builtin("a2")
-    p = ParameterSet.one_param(rd.cartan)
-    R = serre_binomial(0, 1, rd, p)
-    words = {w: c for w, c in R.terms.items()}
-    E, F = ("E", 0), ("E", 1)
-    assert words[(E, E, F)] == p.rat(1)
-    assert words[(E, F, E)] == -p.rat(qint(2, p.vi(0)))
-    assert words[(F, E, E)] == p.rat(1)
+    for p in (ParameterSet.generic(rd.cartan), ParameterSet.one_param(rd.cartan)):
+        ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))  # 1 in the one-parameter limit
+        (inst,) = [x for x in relations_of("scrU", rd, p) if x.id == "d-E:i1:j2"]
+        words = {w: c * qfact(2, p.q(0)) for w, c in inst.expr.terms.items()}
+        E, F = ("E", 0), ("E", 1)
+        assert words == {(E, E, F): p.rat(1), (E, F, E): -ratio * qint(2, p.q(0)),
+                         (F, E, E): ratio * ratio}
 
 
 def test_untwisted_presentation_is_trivial_twist_image():
@@ -268,13 +276,13 @@ def _literal_serre(inst, rd, p, twisted):
         if inst.family == "d-E":
             term = (
                 divided_power("E", i, r - l, top, rd, p, base)
-                * e_arrow(rd, p, j, mid)
+                * _arrow(rd, p, "E", j, mid)
                 * divided_power("E", i, l, lam, rd, p, base)
             )
         else:
             term = (
                 divided_power("F", i, l, lam, rd, p, base)
-                * f_arrow(rd, p, j, top)
+                * _arrow(rd, p, "F", j, top)
                 * divided_power("F", i, r - l, top, rd, p, base)
             )
         acc = acc + term.scale(ratio**l * (-1) ** l)
@@ -291,7 +299,7 @@ def _literal_zero_family(inst, rd, p):
     kind, side = inst.part.split("-")
     if side == "right":
         # the arrow out of lam, absorbing 1_lam on its right
-        arrow = e_arrow(rd, p, i, lam) if kind == "E" else f_arrow(rd, p, i, lam)
+        arrow = _arrow(rd, p, kind, i, lam)
         return arrow * unit - arrow
     # the arrow into lam, absorbing 1_lam on its left
     arrow = PathExpr.of(rd, p, PathWord(rd, lam, ((kind, i),)))

@@ -10,7 +10,6 @@ from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, 
 from qtwist.twistmap import (
     TwistMap,
     TwistScalars,
-    check_scalar_identities,
     verify_integrality,
     verify_twist_isomorphism,
 )
@@ -40,17 +39,22 @@ def test_scalar_values(a1):
 
 
 def test_scalar_identities_a2():
+    """The shift laws of e and f, the crossing law, and e f = c^-1, for every
+    index pair and every weight of the a2 box 1."""
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
-    rep = check_scalar_identities(rd, p, rd.weights_box(1))
-    assert rep.ok
-    # spot check the crossing identity at lam = 0, (i, j) = (1, 2)
     sc = TwistScalars(rd, p)
-    lam = rd.zero_weight()
-    mu = rd.add_root(lam, 1, +1)
-    lhs = sc.f(1, mu) * sc.e(0, mu)
-    rhs = sc.e(0, lam) * sc.f(1, rd.add_root(mu, 0, -1)) * p.s(0, 1) * p.t(1, 0)
-    assert lhs == rhs
+    for i in rd.index_set:
+        for j in rd.index_set:
+            for lam in rd.weights_box(1):
+                mu = rd.add_root(lam, j, +1)
+                tag = (i, j, lam)
+                assert sc.e(i, mu) == sc.e(i, lam) * p.s(i, j), ("shift-e",) + tag
+                assert sc.f(i, mu) == sc.f(i, lam) * p.t(i, j), ("shift-f",) + tag
+                cross = sc.e(i, lam) * sc.f(j, rd.add_root(mu, i, -1)) * p.s(i, j) * p.t(j, i)
+                assert sc.f(j, mu) * sc.e(i, mu) == cross, ("cross",) + tag
+                if i == j:
+                    assert sc.e(i, lam) * sc.f(i, lam) == sc.c(i, lam).inv_unit(), ("ef-c",) + tag
 
 
 def test_map_fixes_idempotents_and_scales_arrows(a1):
