@@ -190,7 +190,28 @@ def test_window_required(a1):
         relations_of("scrUdot", rd, p, window=[])
 
 
-def test_serre_coefficients_are_gaussian_binomials():
+def _a2_raising_serre(p):
+    """The a2 raising Serre sum d-E:i1:j2 of scrU, each coefficient times [2]!_{q_1}."""
+    rd = rootdata.builtin("a2")
+    (inst,) = [x for x in relations_of("scrU", rd, p) if x.id == "d-E:i1:j2"]
+    return {w: c * qfact(2, p.q(0)) for w, c in inst.expr.terms.items()}
+
+
+def test_serre_binomial_example(a2):
+    """The a2 raising Serre sum of scrU, times [2]!_{q_1}, is the Gaussian
+    binomial form E1E1E2 - ratio [2] E1E2E1 + ratio^2 E2E1E1."""
+    rd, p = a2
+    words = _a2_raising_serre(p)
+    E, F = ("E", 0), ("E", 1)
+    ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))
+    assert words == {(E, E, F): p.rat(1), (E, F, E): -ratio * qint(2, p.q(0)),
+                     (F, E, E): ratio * ratio}
+    # a Serre relation joins two distinct indices
+    serre = [x for x in relations_of("scrU", rd, p) if x.family in ("d-E", "d-F")]
+    assert serre and all(x.i != x.j for x in serre)
+
+
+def test_serre_binomial_is_factorial_times_divided_form():
     """[r]!_{q_i} times each coefficient of each scrU Serre sum, raising and
     lowering, for both index orders and r = 1 (a1xa1), 2 (a2), 3 (b2) and 4
     (g2), is (-1)^l ratio^l binom(r, l)_{q_i}, built from coeffring alone,
@@ -219,15 +240,17 @@ def test_serre_coefficients_are_gaussian_binomials():
     assert len(seen) == 4 * 2 * 2 * 2
     assert {r for *_, r in seen} == {1, 2, 3, 4}
 
-    # the a2 worked example, generic and in the one-parameter limit
+
+def test_serre_binomial_untwisted_limit():
+    """In the one-parameter limit the a2 raising Serre sum, times [2]!, is the
+    classical E1E1E2 - [2]_v E1E2E1 + E2E1E1."""
     rd = rootdata.builtin("a2")
-    for p in (ParameterSet.generic(rd.cartan), ParameterSet.one_param(rd.cartan)):
-        ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))  # 1 in the one-parameter limit
-        (inst,) = [x for x in relations_of("scrU", rd, p) if x.id == "d-E:i1:j2"]
-        words = {w: c * qfact(2, p.q(0)) for w, c in inst.expr.terms.items()}
-        E, F = ("E", 0), ("E", 1)
-        assert words == {(E, E, F): p.rat(1), (E, F, E): -ratio * qint(2, p.q(0)),
-                         (F, E, E): ratio * ratio}
+    p = ParameterSet.one_param(rd.cartan)
+    words = _a2_raising_serre(p)
+    E, F = ("E", 0), ("E", 1)
+    assert words[(E, E, F)] == p.rat(1)
+    assert words[(E, F, E)] == -p.rat(qint(2, p.vi(0)))
+    assert words[(F, E, E)] == p.rat(1)
 
 
 def test_untwisted_presentation_is_trivial_twist_image():
