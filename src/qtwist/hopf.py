@@ -56,6 +56,9 @@ class HopfContext:
             for j in rd.index_set
         )
         self._delta_cache: dict = {}
+        # id(instance) -> (instance, its Serre sum); holding the instance
+        # keeps its id from being reused while the entry lives
+        self._serre_cache: dict = {}
 
     def nf(self, x: NCExpr) -> NCExpr:
         return straighten(x, self.rules)
@@ -183,9 +186,13 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
 
 def _serre_sum(ctx: HopfContext, inst) -> NCExpr:
     """[r]!_{q_i} times the Serre instance inst, each coefficient divided
-    out to its Gaussian-binomial polynomial."""
-    fact = ctx.params.qfact_q(ctx.rd.cartan.serre_exponent(inst.i, inst.j), inst.i)
-    return NCExpr(ctx.params, {w: (c * fact).simplified() for w, c in inst.expr.terms.items()})
+    out to its Gaussian-binomial polynomial; built once per instance, as the
+    coproduct and the antipode checks both read it."""
+    if id(inst) not in ctx._serre_cache:
+        fact = ctx.params.qfact_q(ctx.rd.cartan.serre_exponent(inst.i, inst.j), inst.i)
+        terms = {w: (c * fact).simplified() for w, c in inst.expr.terms.items()}
+        ctx._serre_cache[id(inst)] = (inst, NCExpr(ctx.params, terms))
+    return ctx._serre_cache[id(inst)][1]
 
 
 def verify_coproduct_serre(ctx: HopfContext, instances) -> list:

@@ -16,6 +16,7 @@ emitted per base weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .ncalg import LinComb, NCExpr, merge_term, word_str
@@ -39,8 +40,9 @@ class PathWord:
 
     Steps are listed left to right as written; an 'E' step with index i
     lowers the weight by alpha_i when read from target to source, so the
-    source weight is target - sum(+alpha for E, -alpha for F).  A bare
-    idempotent is the empty word at its weight.
+    source weight is target - sum(+alpha for E, -alpha for F), the target
+    plus the datum's shift of the step tuple.  A bare idempotent is the
+    empty word at its weight.
     """
 
     __slots__ = ("target", "steps", "source")
@@ -48,10 +50,7 @@ class PathWord:
     def __init__(self, rd: RootDatum, target: Weight, steps: tuple):
         self.target = tuple(target)
         self.steps = tuple(steps)
-        lam = self.target
-        for kind, i in self.steps:
-            lam = rd.add_root(lam, i, -1 if kind == "E" else +1)
-        self.source = lam
+        self.source = tuple(map(add, self.target, rd.step_shift(self.steps)))
 
     def key(self):
         return (self.target, self.steps, self.source)

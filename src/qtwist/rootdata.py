@@ -134,6 +134,21 @@ class RootDatum:
             return tuple(map(sub, lam, alpha))
         return tuple(map(add, lam, [sign * a for a in alpha]))
 
+    @cached_property
+    def _step_shifts(self) -> dict:
+        return {}
+
+    def step_shift(self, steps: tuple) -> Weight:
+        """Source minus target of a path word with these steps: -alpha_i per
+        'E' step and +alpha_i per 'F' step, walked once per step tuple."""
+        shift = self._step_shifts.get(steps)
+        if shift is None:
+            shift = self.zero_weight()
+            for kind, i in steps:
+                shift = self.add_root(shift, i, -1 if kind == "E" else +1)
+            self._step_shifts[steps] = shift
+        return shift
+
     def zero_weight(self) -> Weight:
         return (0,) * self.x_rank
 

@@ -58,20 +58,40 @@ class TwistMap:
         self.rd = rd
         self.params = params
         self.scalars = TwistScalars(rd, params)
+        self._steps: dict = {}  # step tuple -> (scalar at target 0, letter counts)
+
+    def _step_data(self, steps: tuple):
+        """The word scalar of steps at target 0, and (e or f, i, count) for
+        each letter: the product of per-step scalars, e at the step target
+        for raising steps and f at the step source for lowering steps,
+        walked once per step tuple."""
+        data = self._steps.get(steps)
+        if data is None:
+            e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
+            factors, counts = [], {}
+            lam = self.rd.zero_weight()
+            for kind, i in steps:
+                if kind == "E":
+                    factors.append(e(i, lam))
+                    lam = add_root(lam, i, -1)
+                else:
+                    lam = add_root(lam, i, +1)
+                    factors.append(f(i, lam))
+                counts[kind, i] = counts.get((kind, i), 0) + 1
+            letters = tuple((e if kind == "E" else f, i, n) for (kind, i), n in counts.items())
+            data = self._steps[steps] = (self.params.ctx.unit_product(factors), letters)
+        return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
-        """Product of per-step scalars: e at the step target for raising
-        steps, f at the step source for lowering steps, multiplied in one pass."""
-        e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
-        factors = []
+        """The steps' scalar at target 0 times the character
+        prod_i e(i, lam)^{#E_i} f(i, lam)^{#F_i} at the word's target lam:
+        e and f are characters of the weight lattice, and every step's
+        weight is lam plus a shift fixed by the steps before it."""
+        base, letters = self._step_data(word.steps)
+        factors = [base]
         lam = word.target
-        for kind, i in word.steps:
-            if kind == "E":
-                factors.append(e(i, lam))
-                lam = add_root(lam, i, -1)
-            else:
-                lam = add_root(lam, i, +1)
-                factors.append(f(i, lam))
+        for scalar, i, n in letters:
+            factors += [scalar(i, lam)] * n
         out = self.params.ctx.unit_product(factors)
         return out.inv_unit() if invert and not out.is_one() else out
 
@@ -147,7 +167,7 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
         rec.scalar = str(simple)
         if not unit:
             rec.status = FAIL
-            rec.witness = "multiple %s is not a unit monomial" % n
+            rec.witness = "multiple %s is not a unit monomial" % simple
             continue
         if su.family == "c":
             # not implied by the exact multiple, which only ties the words'
@@ -157,7 +177,7 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
             expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
             if not (simple == params.rat(expected)):
                 rec.status = FAIL
-                rec.witness = "expected scalar %s, got %s" % (expected, n)
+                rec.witness = "expected scalar %s, got %s" % (expected, simple)
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()
 

@@ -13,6 +13,7 @@ show the same runs pass, so the failures come from the defect.
 import collections
 import dataclasses
 import json
+import types
 
 import pytest
 
@@ -149,6 +150,66 @@ def test_family_c_closed_form_is_load_bearing(monkeypatch):
     expected = [w for w in witnesses if w.startswith("expected scalar ")]
     assert len(expected) == 72
     assert {c.family for c in rep.failures() if c.witness in expected} == {"c"}
+    assert all(c.witness.endswith(", got " + c.scalar) for c in rep.failures()
+               if c.witness in expected)
+
+
+_step_data = twistmap.TwistMap._step_data
+_word_scalar = twistmap.TwistMap._word_scalar
+
+
+def _step_data_without_base(self, steps):
+    """TwistMap._step_data with the steps' scalar at target 0 dropped, so a
+    word's scalar is the character at its target alone."""
+    return self.params.ctx.one, _step_data(self, steps)[1]
+
+
+def _word_scalar_character_at_source(self, word, invert):
+    """TwistMap._word_scalar reading the character at the word's source."""
+    return _word_scalar(self, types.SimpleNamespace(target=word.source, steps=word.steps), invert)
+
+
+@pytest.mark.parametrize(
+    "name, defect, failures, families, first",
+    [
+        ("_step_data", _step_data_without_base, 216, {"c": 108, "d-E": 54, "d-F": 54},
+         ("iso:c:i1:j1:lam(-1,-1,-1)",
+          WITNESS + ": E1*F1:(-1,-1,-1)<-(-1,-1,-1): image s11^-1*s12^-2*t11^-1*t12^-2, "
+          "target 1, multiple s11^-2*s12^-2*t11^-2*t12^-2")),
+        # every word of a Serre sum shares its source, so only the closed
+        # form of the mixed relations with i != j sees this one
+        ("_word_scalar", _word_scalar_character_at_source, 54, {"c": 54},
+         ("iso:c:i1:j2:lam(-1,-1,-1)",
+          "expected scalar s11^-1*s12^-2*t21^-2*t22^-1, got s11^-2*s12^-1*t21^-3")),
+    ],
+    ids=["base-dropped", "character-at-source"],
+)
+def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, families, first):
+    monkeypatch.setattr(twistmap.TwistMap, name, defect)
+    rep = _run_a2()
+    assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == families
+    assert (rep.failures()[0].id, rep.failures()[0].witness) == first
+
+
+def _word_scalar_times_one_plus_v(self, word, invert):
+    """TwistMap._word_scalar times (1 + v) on words of three or more steps."""
+    out = _word_scalar(self, word, invert)
+    return out * (1 + self.params.v()) if len(word.steps) >= 3 else out
+
+
+def test_non_unit_multiple_is_rejected(monkeypatch):
+    """Every word of an a2 Serre sum has three steps, so the image is an
+    exact multiple of the target, but by 1 + v times a unit: the record
+    fails on the unit test and prints the simplified multiple it reports."""
+    monkeypatch.setattr(twistmap.TwistMap, "_word_scalar", _word_scalar_times_one_plus_v)
+    rep = _run_a2()
+    assert rep.summary == {"pass": 351, "fail": 108, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == {"d-E": 54, "d-F": 54}
+    assert all(c.witness == "multiple %s is not a unit monomial" % c.scalar for c in rep.failures())
+    first = rep.failures()[0]
+    assert first.id == "iso:d-E:i1:j2:lam(-1,-1,-1)"
+    assert first.scalar == "v*s11*s12^-2*s21^-1*s22^-1 + s11*s12^-2*s21^-1*s22^-1"
 
 
 def test_f_divided_powers_meet_their_closed_form(monkeypatch):

@@ -1,11 +1,13 @@
 """Built-in root data, pairings, validation, and the config loader."""
 
+import itertools
 import json
 import random
 
 import pytest
 
 from qtwist import rootdata
+from qtwist.presentations import PathWord
 from qtwist.rootdata import CartanDatum, DatumError, RootDatum
 
 ALL = ("a1", "a1xa1", "a2", "b2", "g2")
@@ -82,6 +84,25 @@ def test_lambda_paren_shift_identity(name):
                     1 if i == j else 0
                 )
                 assert rd.lambda_i(shifted, i) == rd.lambda_i(lam, i) + rd.cartan.a(i, j)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_step_shift_matches_root_walk(name):
+    """The cached shift of every step tuple up to length 5 equals the
+    add_root walk from the zero weight, and a path word's source is its
+    target plus that shift."""
+    rd = rootdata.builtin(name)
+    letters = [(kind, i) for kind in ("E", "F") for i in rd.index_set]
+    target = tuple(range(1, rd.x_rank + 1))
+    for k in range(6):
+        for steps in itertools.product(letters, repeat=k):
+            walk, source = rd.zero_weight(), target
+            for kind, i in steps:
+                sign = -1 if kind == "E" else +1
+                walk, source = rd.add_root(walk, i, sign), rd.add_root(source, i, sign)
+            assert rd.step_shift(steps) == walk, steps
+            assert rd.step_shift(steps) == walk, steps  # the cached value
+            assert PathWord(rd, target, steps).source == source, steps
 
 
 def test_validate_reports_coweight_defect():

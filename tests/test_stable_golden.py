@@ -50,6 +50,19 @@ GOLDEN = [
      "3079240c20b100ff3b97fbed975dd9c768aec3a3a1824201ecc4cbb45a6bcd9a"),
     ("verify-special --case super1 --with-iso --root-datum a2 --lambda-box 2 --order 2,1 --signs 1,2,-1",
      "45620371bc39b7c84caf7783357158269a02cf3e8b85e67b37d449ec23f1f458"),
+    # the campaigns of the benchmark's iso and special workloads (seed 0)
+    ("verify-iso --root-datum a2 --lambda-box 3",
+     "23161698638051345b52492cb75d592b66cbaf65729a02e091b620526c978299"),
+    ("verify-iso --root-datum g2 --lambda-box 3",
+     "91cbe7607fbbfa068e3a0e604d7daff57d547954cd7ab24ca1d16693c1fe9063"),
+    ("verify-special --case two-param --with-iso --root-datum a2 --lambda-box 2",
+     "ce284226be14db2f91cb778d0ea2ef2e248aa31c2c33d31beb66aa34e3a60f1b"),
+    ("verify-special --case multi-param --with-iso --root-datum a2 --lambda-box 2",
+     "901be6e960f0a0057ab48c2c9815854bf13dec03e7af2f31b34468d00a838661"),
+    ("verify-special --case super1 --with-iso --root-datum a2 --lambda-box 2",
+     "89d1555b2861324577d26e4f30da9e0c1e6512dc3a643abba65c404ae8424a1e"),
+    ("verify-special --case super2 --with-iso --root-datum a2 --lambda-box 2",
+     "b9bf28a828409072b4e34ed7226f7001d3d43bf39783aad123bf56bdd700da92"),
     ("verify-modules --max-n 3 --case generic",
      "751da93c73e179184f0d39eabd3ce3bd03f2f58a1bd7a48ad1bae6c2d94544fb"),
     ("verify-modules --max-n 3 --case super1",

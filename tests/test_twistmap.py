@@ -74,6 +74,45 @@ def test_map_fixes_idempotents_and_scales_arrows(a1):
     assert c == p.rat(tw.scalars.f(0, lam).inv_unit())
 
 
+def _walk_scalar(tw, word, invert):
+    """The word scalar by walking every step from the target: e at the step
+    target for raising steps, f at the step source for lowering steps."""
+    out = tw.params.ctx.one
+    lam = word.target
+    for kind, i in word.steps:
+        if kind == "E":
+            out = out * tw.scalars.e(i, lam)
+            lam = tw.rd.add_root(lam, i, -1)
+        else:
+            lam = tw.rd.add_root(lam, i, +1)
+            out = out * tw.scalars.f(i, lam)
+    return out.inv_unit() if invert and not out.is_one() else out
+
+
+def _ring(case, rd):
+    if case == "v-tied":
+        return ParameterSet.v_tied(rd.cartan)
+    # super1 as --order 2,1 --signs 1,2,-1 where the index set has two elements
+    kwargs = dict(order=[1, 0], eps={(0, 1): -1}) if case == "super1" and rd.n == 2 else {}
+    return specializations.make(case, rd, **kwargs).params
+
+
+@pytest.mark.parametrize("case", ["v-tied", "two-param", "multi-param", "super1", "super2"])
+@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
+def test_word_scalar_matches_step_walk(name, case):
+    """The character rule (the steps' scalar at target 0 times
+    prod e^{#E_i} f^{#F_i} at the target) equals the step walk on every
+    word of every Udot instance over the box 1, both ways."""
+    rd = rootdata.builtin(name)
+    p = _ring(case, rd)
+    tw = TwistMap(rd, p)
+    words = {w for inst in relations_of("Udot", rd, p, rd.weights_box(1)) for w in inst.expr.terms}
+    assert any(w.steps for w in words)
+    for w in sorted(words, key=PathWord.key):
+        for invert in (False, True):
+            assert tw._word_scalar(w, invert) == _walk_scalar(tw, w, invert), (str(w), invert)
+
+
 def test_map_requires_tied_parameters():
     rd = rootdata.builtin("a1")
     with pytest.raises(ValueError):
