@@ -54,14 +54,13 @@ def _load_datum(arg: str):
 
 
 def _emit(report: Report, args) -> int:
-    if args.format == "json":
-        text = report.to_json(include_timing=not args.stable)
-    else:
-        text = report.to_text()
+    render = report.to_json if args.format == "json" else report.to_text
+    text = render(include_timing=not args.stable)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             print("cannot write report: %s" % exc, file=sys.stderr)
             return EXIT_IO
@@ -84,7 +83,7 @@ def _add_output(sub):
     sub.add_argument("--out", default="", help="write the report to this file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--stable", action="store_true",
-                     help="omit wall-clock timing from JSON output")
+                     help="omit wall-clock timing from JSON and text reports")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -116,6 +116,7 @@ class Context:
         self._by_name: dict[str, Var] = {}
         self._qint_cache: dict = {}
         self._qfact_cache: dict = {}
+        self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
         self.one = LaurentPoly(self, {(): 1})
         self.zero = LaurentPoly(self, {})
 
@@ -264,17 +265,22 @@ class Context:
     def mono_str(self, m: Mono) -> str:
         if not m:
             return "1"
-        parts = []
-        for idx, s in m:
-            var = self.vars[idx]
-            e = Fraction(s, var.denom) if var.kind == LAURENT else Fraction(s)
-            if e == 1:
-                parts.append(var.name)
-            elif e.denominator == 1:
-                parts.append("%s^%d" % (var.name, e.numerator))
-            else:
-                parts.append("%s^(%s)" % (var.name, e))
-        return "*".join(parts)
+        pieces = self._mono_pieces
+        return "*".join([pieces.get(p) or self._mono_piece(p) for p in m])
+
+    def _mono_piece(self, p) -> str:
+        """Display of one (variable index, scaled exponent) pair, made once."""
+        idx, s = p
+        var = self.vars[idx]
+        e = Fraction(s, var.denom) if var.kind == LAURENT else Fraction(s)
+        if e == 1:
+            text = var.name
+        elif e.denominator == 1:
+            text = "%s^%d" % (var.name, e.numerator)
+        else:
+            text = "%s^(%s)" % (var.name, e)
+        self._mono_pieces[p] = text
+        return text
 
 
 class LaurentPoly:

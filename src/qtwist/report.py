@@ -11,60 +11,18 @@ FAIL = "fail"
 WARN = "warn"
 
 _encode_str = json.encoder.encode_basestring_ascii  # C-accelerated when available
-_LEAVES = {
-    str: _encode_str,
-    int: int.__repr__,
-    type(None): lambda x: "null",
-}
+
+# One check record of Report.to_json, its keys in sorted order, laid out at
+# the depth of the "checks" list; "witness" goes out only when non-empty.
+_RECORD = (
+    '%s\n    {\n      "family": %s,\n      "i": %s,\n      "id": %s,\n      "j": %s,'
+    '\n      "lambda": %s,\n      "scalar": %s,\n      "status": %s'
+)
+_RECORD_END = _RECORD + "\n    }"
+_RECORD_WITNESS = _RECORD + ',\n      "witness": %s\n    }'
 
 
-def _layout(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-
-    With an indent, json.dumps runs json's pure-Python encoder.  Here only
-    the nesting is laid out in Python; string leaves go to json's C string
-    encoder.  Dict keys must be strings, as they are in a report.
-    """
-    enc = _LEAVES.get(type(obj))
-    if enc is not None:
-        return enc(obj)
-    out: list = []
-    _pieces(obj, pad, out)
-    return "".join(out)
-
-
-def _pieces(obj, pad: str, out: list) -> None:
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "{\n" + inner
-        for k in sorted(obj):
-            v = obj[k]
-            enc = _LEAVES.get(type(v))
-            if enc is not None:
-                out.append(sep + _encode_str(k) + ": " + enc(v))
-            else:
-                out.append(sep + _encode_str(k) + ": ")
-                _pieces(v, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        sep = "[\n" + inner
-        for x in obj:
-            # one string per item keeps the piece list of a long list short
-            out.append(sep + _layout(x, inner))
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
-    else:
-        out.append(json.dumps(obj))
-
-
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     id: str
     family: str = ""
@@ -148,10 +106,39 @@ class Report:
 
     def to_json(self, include_timing: bool = True) -> str:
         """json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True),
-        byte for byte."""
-        return _layout(self.to_dict(include_timing))
+        byte for byte, from fixed templates in one join.
 
-    def to_text(self) -> str:
+        The document's keys are fixed, so they go out in sorted order without
+        sorting; strings go to json's C string encoder, and each distinct
+        lambda is laid out once per call.
+        """
+        from . import __version__
+
+        enc = _encode_str
+        lams = {None: "null", (): "[]"}
+        parts = ['{\n  "campaign": ', enc(self.campaign), ',\n  "case": ', enc(self.case),
+                 ',\n  "checks": [']
+        sep = ""
+        for c in self.checks:
+            lam = lams.get(c.lam)
+            if lam is None:
+                lam = lams[c.lam] = "[\n        %s\n      ]" % ",\n        ".join(map(str, c.lam))
+            fields = (sep, enc(c.family), "null" if c.i is None else c.i + 1, enc(c.id),
+                      "null" if c.j is None else c.j + 1, lam, enc(c.scalar), enc(c.status))
+            if c.witness:
+                parts.append(_RECORD_WITNESS % (*fields, enc(c.witness)))
+            else:
+                parts.append(_RECORD_END % fields)
+            sep = ","
+        parts += ["\n  ]" if self.checks else "]", ',\n  "datum": ', enc(self.datum)]
+        if include_timing:
+            parts += [',\n  "elapsed_ms": ', str(self.elapsed_ms)]
+        parts += [',\n  "engine": ', enc(__version__), ',\n  "summary": {']
+        parts += [",".join("\n    %s: %d" % (enc(k), n) for k, n in sorted(self.summary.items())),
+                  "\n  }\n}"]
+        return "".join(parts)
+
+    def to_text(self, include_timing: bool = True) -> str:
         lines = ["campaign: %s  datum: %s  case: %s" % (self.campaign, self.datum, self.case)]
         for c in self.checks:
             line = "  [%s] %s" % (c.status.upper(), c.id)
@@ -161,8 +148,8 @@ class Report:
                 line += "  witness=%s" % c.witness
             lines.append(line)
         s = self.summary
-        lines.append(
-            "  summary: %d pass, %d fail, %d warn  (%d ms)"
-            % (s["pass"], s["fail"], s["warn"], self.elapsed_ms)
-        )
+        line = "  summary: %d pass, %d fail, %d warn" % (s["pass"], s["fail"], s["warn"])
+        if include_timing:
+            line += "  (%d ms)" % self.elapsed_ms
+        lines.append(line)
         return "\n".join(lines)

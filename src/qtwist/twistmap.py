@@ -206,11 +206,11 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
                         "dp-unit:%s:i%d:l%d:lam(%s)" % (kind, i + 1, l, ",".join(map(str, lam))),
                         "dp", i, None, lam,
                     )
+                    rec.scalar = str(simple)
                     if not unit:
                         rec.status = FAIL
-                        rec.witness = "coefficient %s is not a unit monomial" % mult
+                        rec.witness = "coefficient %s is not a unit monomial" % rec.scalar
                     else:
-                        rec.scalar = str(simple)
                         scalar, twist = (sc.e, params.s) if kind == "E" else (sc.f, params.t)
                         expected = scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2)
                         if not (simple == params.rat(expected)):

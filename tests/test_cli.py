@@ -225,6 +225,20 @@ def test_deterministic_reports(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_stable_text_reports_are_deterministic(tmp_path, capsys):
+    paths = [tmp_path / "r1.txt", tmp_path / "r2.txt"]
+    for path in paths:
+        code, _, _ = run(
+            capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1",
+            "--format", "text", "--stable", "--out", str(path),
+        )
+        assert code == 0
+    first, second = (path.read_bytes() for path in paths)
+    assert first == second
+    assert b"ms)" not in first
+    assert first.endswith(b"summary: 171 pass, 0 fail, 0 warn\n")
+
+
 def test_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-iso", "--root-datum", "a1", "--lambda-box", "1", "--jobs", "4"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist.coeffring import (
+    LAURENT,
     Context,
     NotDivisible,
     RatExpr,
@@ -635,3 +636,41 @@ def test_product_matches_schoolbook(a_terms, b_terms):
     for prod in (a * b, b * a):
         assert_canonical_coefficients(prod)
         assert as_schoolbook(prod) == _schoolbook_product(a_terms, b_terms)
+
+
+def _mono_str_by_fraction(ctx, m):
+    """The display rule before the per-context piece memo: one Fraction per
+    exponent per call."""
+    if not m:
+        return "1"
+    parts = []
+    for idx, s in m:
+        var = ctx.vars[idx]
+        e = Fraction(s, var.denom) if var.kind == LAURENT else Fraction(s)
+        if e == 1:
+            parts.append(var.name)
+        elif e.denominator == 1:
+            parts.append("%s^%d" % (var.name, e.numerator))
+        else:
+            parts.append("%s^(%s)" % (var.name, e))
+    return "*".join(parts)
+
+
+def test_mono_str_matches_fraction_rule():
+    """Every monomial in scaled exponents [-6, 6] over Laurent variables with
+    denominators 1, 2 and 4 and a sign variable, rendered in two orders by
+    two fresh contexts, so no output can depend on what the memo saw first."""
+    monos = []
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                for g in (0, 1):
+                    monos.append(tuple((idx, s) for idx, s in enumerate((a, b, c, g)) if s))
+    for order in (monos, monos[::-1]):
+        ctx = Context()
+        ctx.laurent("a")
+        ctx.laurent("b", denom=2)
+        ctx.laurent("c", denom=4)
+        ctx.sign("g")
+        for m in order:
+            assert ctx.mono_str(m) == _mono_str_by_fraction(ctx, m)

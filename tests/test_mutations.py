@@ -230,6 +230,31 @@ def test_f_divided_powers_meet_their_closed_form(monkeypatch):
     assert first.witness == "closed form t12^-2, got t11^-1*t12^-2"
 
 
+_divided_power = twistmap.divided_power
+
+
+def _divided_power_v_times_one_plus_v(kind, i, l, lam, rd, params, base="q"):
+    """divided_power with its base-v coefficient at l = 2 times (1 + v)."""
+    dp = _divided_power(kind, i, l, lam, rd, params, base)
+    return dp.scale(1 + params.v()) if base == "v" and l == 2 else dp
+
+
+def test_non_unit_divided_power_coefficient_is_rejected(monkeypatch):
+    """The image of E^(2) and F^(2) is then (1 + v) times a unit times the
+    twisted divided power: every l = 2 record fails on the unit test and
+    prints the simplified coefficient it reports as its scalar."""
+    monkeypatch.setattr(twistmap, "divided_power", _divided_power_v_times_one_plus_v)
+    rd = rootdata.builtin("a2")
+    rep = twistmap.verify_integrality(rd, ParameterSet.v_tied(rd.cartan), rd.weights_box(1))
+    assert rep.summary == {"pass": 594, "fail": 108, "warn": 0}
+    assert all(":l2:" in c.id for c in rep.failures())
+    assert all(c.witness == "coefficient %s is not a unit monomial" % c.scalar
+               for c in rep.failures())
+    first = rep.failures()[0]
+    assert first.id == "dp-unit:E:i1:l2:lam(-1,-1,-1)"
+    assert first.scalar == "v*s11*s12^-4 + s11*s12^-4"
+
+
 _antipode = hopf.antipode
 _delta_symbol = hopf._delta_symbol
 _serre_terms = presentations._serre_terms

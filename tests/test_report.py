@@ -1,10 +1,14 @@
-"""Report serialization: to_json lays out json.dumps(indent=2) by hand."""
+"""Report serialization: to_json writes json.dumps(to_dict(), indent=2,
+sort_keys=True) from fixed record templates, and to_dict stays the contract
+it is compared against, on hand-made reports and on random ones."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtwist.report import FAIL, WARN, CheckRecord, Report
+from qtwist.report import FAIL, PASS, WARN, CheckRecord, Report
 
 
 def _empty():
@@ -27,5 +31,30 @@ def _mixed():
 @pytest.mark.parametrize("make", [_empty, _mixed], ids=["empty", "mixed"])
 def test_to_json_is_indented_json_dumps(make, include_timing):
     rep = make()
+    want = json.dumps(rep.to_dict(include_timing), indent=2, sort_keys=True)
+    assert rep.to_json(include_timing) == want
+
+
+# any code point, surrogates included, with the ones JSON escapes drawn often
+_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001d53d'),
+    st.characters(exclude_categories=()),
+), max_size=6)
+_index = st.none() | st.integers()
+# short lists of small values repeat within a report, as window weights do
+_lam = st.none() | st.lists(st.integers(-2, 0), max_size=3).map(tuple) | (
+    st.lists(st.integers(), max_size=4).map(tuple))
+_record = st.builds(
+    CheckRecord, _text, _text, _index, _index, _lam,
+    st.sampled_from((PASS, FAIL, WARN)) | _text, _text, _text,
+)
+_report = st.builds(
+    Report, _text, _text, _text, st.lists(_record, max_size=5), st.integers(min_value=0),
+)
+
+
+@settings(deadline=None)
+@given(_report, st.booleans())
+def test_to_json_matches_json_dumps_on_random_reports(rep, include_timing):
     want = json.dumps(rep.to_dict(include_timing), indent=2, sort_keys=True)
     assert rep.to_json(include_timing) == want
