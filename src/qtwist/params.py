@@ -3,9 +3,11 @@
 A ParameterSet fixes the coefficient ring and gives every generator scalar
 needed by the relation builders: the deformation parameters q_i, the twist
 bicharacter parameters s_ij and t_ij, and (when present) the single base
-parameter v with q_i = v^{d_i}.  Specialised parameter sets use the exact
-same interface, so the verification campaigns run unchanged over any of
-them.
+parameter v.  Lusztig's untwisted algebra is the twisted one at the trivial
+twist, so its parameters are a ParameterSet too: ``untwisted()`` gives
+q_i = v^{d_i}, s = t = 1 in the same ring.  Specialised parameter sets use
+the exact same interface, so the verification campaigns run unchanged over
+any of them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class ParameterSet:
         self._t = [list(row) for row in t]
         self._v = v
         self.label = label
+        self._untwisted = None
 
     # -- accessors -------------------------------------------------------
 
@@ -50,11 +53,19 @@ class ParameterSet:
             raise ValueError("parameter set %r has no base parameter v" % self.label)
         return self._v
 
-    def has_v(self) -> bool:
-        return self._v is not None
+    def untwisted(self) -> "ParameterSet":
+        """Lusztig's parameters in this ring: q_i = v^{d_i}, s = t = 1.
 
-    def vi(self, i: int) -> LaurentPoly:
-        return self.v() ** self.cartan.d(i)
+        Built once per set; the untwisted set is its own untwisted set.  A
+        set with no base parameter v has none (ValueError).
+        """
+        if self._untwisted is None:
+            v, one, n = self.v(), self.ctx.one, self.cartan.n
+            q = [v ** self.cartan.d(i) for i in range(n)]
+            ones = [[one] * n for _ in range(n)]
+            u = ParameterSet(self.cartan, self.ctx, q, ones, ones, v=v, label=self.label)
+            u._untwisted = self._untwisted = u
+        return self._untwisted
 
     def one(self) -> RatExpr:
         return self.ctx.rat(1)
@@ -70,17 +81,12 @@ class ParameterSet:
     def qfact_q(self, n: int, i: int) -> LaurentPoly:
         return qfact(n, self.q(i))
 
-    def qint_v(self, n: int, i: int) -> LaurentPoly:
-        return qint_signed(n, self.vi(i))
-
-    def qfact_v(self, n: int, i: int) -> LaurentPoly:
-        return qfact(n, self.vi(i))
-
     def q_tied_to_v(self) -> bool:
         """True when q_i = v^{d_i} holds structurally for every i."""
         if self._v is None:
             return False
-        return all(self.q(i) == self.vi(i) for i in self.cartan.index_set)
+        u = self.untwisted()
+        return all(self.q(i) == u.q(i) for i in self.cartan.index_set)
 
     # -- factories ----------------------------------------------------------
 
@@ -103,29 +109,24 @@ class ParameterSet:
         q = [v ** cartan.d(i) for i in range(n)]
         return cls(cartan, ctx, q, s, t, v=v, label=label)
 
-    @classmethod
-    def one_param(cls, cartan: CartanDatum, label: str = "one-param") -> "ParameterSet":
-        """The untwisted degeneration: single v, q_i = v^{d_i}, s = t = 1."""
-        ctx = Context(label)
-        n = cartan.n
-        v = ctx.laurent("v", denom=2).as_poly()
-        one = ctx.one
-        q = [v ** cartan.d(i) for i in range(n)]
-        s = [[one] * n for _ in range(n)]
-        t = [[one] * n for _ in range(n)]
-        return cls(cartan, ctx, q, s, t, v=v, label=label)
-
 
 # -- weight-indexed rescaling scalars -----------------------------------------
 
 
-def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, base, sign=1) -> LaurentPoly:
-    """prod_j base(j)^{sign * lam(j)}."""
+def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, *bases,
+                     sign=1) -> LaurentPoly:
+    """prod_j prod_base base(j)^{sign * lam(j)}, in one unit product; a base
+    that is the ring's one (as every s and t of an untwisted set are) is
+    skipped, not raised to a power."""
+    one = params.ctx.one
     powers = []
     for j in rd.index_set:
         k = rd.lambda_paren(lam, j)
         if k:
-            powers.append(base(j) ** (sign * k))
+            for base in bases:
+                b = base(j)
+                if b is not one:
+                    powers.append(b ** (sign * k))
     return params.ctx.unit_product(powers)
 
 
@@ -141,4 +142,5 @@ def twist_f(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> Laurent
 
 def twist_c(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
     """prod_j (s_ij t_ij)^{-lam(j)}; the K-eigenvalue correction."""
-    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j) * params.t(i, j), -1)
+    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j), lambda j: params.t(i, j),
+                            sign=-1)

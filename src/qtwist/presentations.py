@@ -1,6 +1,11 @@
 """Relation families for the twisted and untwisted algebras and their
 modified (idempotented) forms, plus the weight-decorated path-word model.
 
+There is one builder per form.  Lusztig's algebra is the twisted one at the
+trivial twist, so the untwisted presentations are the twisted formulas run
+over ``params.untwisted()`` (s = t = 1, q_i = v^{d_i}); the unital builder
+differs only in its generator set, K_i^{-1} in U where scrU has K'_i.
+
 The modified algebras are non-unital, with orthogonal idempotents indexed by
 weights and arrow generators that raise or lower a weight by a simple root.
 A PathWord records the target weight and the sequence of raising/lowering
@@ -129,18 +134,15 @@ def idempotent(rd, params, lam: Weight) -> PathExpr:
     return PathExpr.of(rd, params, PathWord(rd, lam, ()))
 
 
-def _inv_qfact(params: ParameterSet, i: int, l: int, base: str):
-    """1/[l]! in the deformation parameter (base 'q') or in v^{d_i} (base 'v').
-
-    Cached per (base, i, l) beside the q-factorials of the parameter set's
-    own ring context, which no other parameter set shares.
-    """
+def _inv_qfact(params: ParameterSet, i: int, l: int):
+    """1/[l]!_{q_i}, cached per (q_i, l) beside the q-factorials of the ring
+    context, which a parameter set shares with its untwisted set: the key
+    is q_i's value, since the two sets' q_i may differ."""
     cache = params.ctx._qfact_cache
-    key = ("inv", base, i, l)
+    key = ("inv", params.q(i).unit_mono(), l)
     inv = cache.get(key)
     if inv is None:
-        fact = params.qfact_q(l, i) if base == "q" else params.qfact_v(l, i)
-        inv = cache[key] = params.rat(1) / params.rat(fact)
+        inv = cache[key] = params.rat(1) / params.rat(params.qfact_q(l, i))
     return inv
 
 
@@ -151,13 +153,11 @@ def divided_power(
     lam: Weight,
     rd: RootDatum,
     params: ParameterSet,
-    base: str = "q",
 ) -> PathExpr:
     """l-th divided power of a raising or lowering generator, as a path.
 
     For kind 'E' the word climbs from lam to lam + l*alpha_i, for kind 'F'
-    it descends from lam + l*alpha_i to lam; the coefficient is 1/[l]! in
-    the deformation parameter (base 'q') or in v^{d_i} (base 'v').
+    it descends from lam + l*alpha_i to lam; the coefficient is 1/[l]!_{q_i}.
     """
     if l < 0:
         raise ValueError("divided power needs l >= 0")
@@ -165,7 +165,7 @@ def divided_power(
         raise ValueError("divided power kind must be 'E' or 'F'")
     descent = PathWord(rd, lam, (("F", i),) * l)
     word = descent if kind == "F" else PathWord(rd, descent.source, (("E", i),) * l)
-    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l, base))
+    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l))
 
 
 @dataclass(frozen=True)
@@ -203,26 +203,22 @@ class RelationInstance:
         )
 
 
-def _serre_ratios(params: ParameterSet, i: int, j: int, twisted: bool):
-    """(s_ji/s_ij, t_ji/t_ij) for the twisted Serre sums, (1, 1) untwisted."""
-    if not twisted:
-        return params.rat(1), params.rat(1)
+def _serre_ratios(params: ParameterSet, i: int, j: int):
+    """(s_ji/s_ij, t_ji/t_ij) for the Serre sums."""
     return tuple(params.rat(f(j, i)) / params.rat(f(i, j)) for f in (params.s, params.t))
 
 
-def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str, twisted: bool):
+def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
     """The Serre sum of kind 'E' or 'F' as a weight-free list, over l = 0..r,
     of (steps, coefficient): the steps of E_i^(r-l) E_j E_i^l, or of
-    F_i^l F_j F_i^(r-l), and (-1)^l ratio^l / ([r-l]! [l]!), with the s
-    ratio and the factors in the order [r-l]!, [l]! for the raising sum, the
-    t ratio and [l]!, [r-l]! for the lowering one, in q for the twisted
-    algebra and in v^{d_i} otherwise."""
-    base = "q" if twisted else "v"
-    ratio = _serre_ratios(params, i, j, twisted)[kind != "E"]
+    F_i^l F_j F_i^(r-l), and (-1)^l ratio^l / ([r-l]! [l]!) in q_i, with the
+    s ratio and the factors in the order [r-l]!, [l]! for the raising sum,
+    the t ratio and [l]!, [r-l]! for the lowering one."""
+    ratio = _serre_ratios(params, i, j)[kind != "E"]
     out = []
     for l in range(r + 1):
         sign = -1 if l % 2 else 1
-        inv_l, inv_rest = _inv_qfact(params, i, l, base), _inv_qfact(params, i, r - l, base)
+        inv_l, inv_rest = _inv_qfact(params, i, l), _inv_qfact(params, i, r - l)
         if kind == "E":
             steps = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
             coeff = inv_rest * inv_l * (ratio**l * sign)
@@ -248,7 +244,6 @@ def _composition_relation(rd, params, left: PathWord, right: PathWord, expected:
 
 def _modified_relations(algebra, rd, params, window):
     """Relation instances of a modified algebra over a window of base weights."""
-    twisted = algebra == "scrUdot"
     out = []
     idx = list(rd.index_set)
     window = sorted(tuple(w) for w in window)
@@ -276,17 +271,14 @@ def _modified_relations(algebra, rd, params, window):
     for i in idx:
         for j in idx:
             # only the idempotent term of a mixed relation depends on lam
-            fe_coeff = -(params.rat(params.s(i, j) * params.t(j, i)) if twisted else one)
+            fe_coeff = -params.rat(params.s(i, j) * params.t(j, i))
             for lam in window:
                 # E_i F_j - c F_j E_i on 1_lam, and for i = j minus [<i,lam>] c_{i,lam} 1_lam
                 terms = {PathWord(rd, lam, (("E", i), ("F", j))): one}
                 merge_term(terms, PathWord(rd, lam, (("F", j), ("E", i))), fe_coeff)
                 if i == j:
-                    li = rd.lambda_i(lam, i)
-                    qn = params.qint_q(li, i) if twisted else params.qint_v(li, i)
-                    cc = params.rat(qn)
-                    if twisted:
-                        cc = cc * params.rat(twist_c(rd, params, i, lam))
+                    qn = params.qint_q(rd.lambda_i(lam, i), i)
+                    cc = params.rat(qn * twist_c(rd, params, i, lam))
                     merge_term(terms, PathWord(rd, lam, ()), -cc)
                 out.append(RelationInstance(algebra, "c", i, j, lam, "", PathExpr(rd, params, terms)))
 
@@ -295,8 +287,8 @@ def _modified_relations(algebra, rd, params, window):
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            terms_e = _serre_terms(params, i, j, r, "E", twisted)
-            terms_f = _serre_terms(params, i, j, r, "F", twisted)
+            terms_e = _serre_terms(params, i, j, r, "E")
+            terms_f = _serre_terms(params, i, j, r, "F")
             for lam in window:
                 # the F words descend into lam; the E words climb from lam to their source
                 words_f = {PathWord(rd, lam, steps): c for steps, c in terms_f}
@@ -309,13 +301,14 @@ def _modified_relations(algebra, rd, params, window):
 
 
 def _nc_relations(algebra, rd, params):
-    """Relation instances of the unital algebras as free-word expressions."""
-    twisted = algebra == "scrU"
+    """Relation instances of the unital algebras as free-word expressions.
+    The two differ only in their generators: U has K_i^{-1} where scrU has
+    K'_i."""
     out = []
     idx = list(rd.index_set)
     one = params.rat(1)
     W = lambda *syms: NCExpr.word(params, tuple(syms))
-    kfams = ("K", "Kp") if twisted else ("K",)
+    kfams, kneg = (("K", "Kp"), "Kp") if algebra == "scrU" else (("K",), "Kinv")
 
     for a_fam in kfams:
         for b_fam in kfams:
@@ -346,36 +339,28 @@ def _nc_relations(algebra, rd, params):
     for i in idx:
         for j in idx:
             a = rd.cartan.a(i, j)
-            if twisted:
-                st_inv = params.rat((params.s(i, j) * params.t(i, j)).inv_unit())
-                st = params.rat(params.s(i, j) * params.t(i, j))
-                scalars = {
-                    ("K", "E"): st_inv * params.rat(params.q(i) ** a),
-                    ("Kp", "E"): st_inv * params.rat(params.q(i) ** (-a)),
-                    ("K", "F"): st * params.rat(params.q(i) ** (-a)),
-                    ("Kp", "F"): st * params.rat(params.q(i) ** a),
-                }
-            else:
-                scalars = {
-                    ("K", "E"): params.rat(params.vi(i) ** a),
-                    ("K", "F"): params.rat(params.vi(i) ** (-a)),
-                }
+            st_inv = params.rat((params.s(i, j) * params.t(i, j)).inv_unit())
+            st = params.rat(params.s(i, j) * params.t(i, j))
+            scalars = {
+                ("K", "E"): st_inv * params.rat(params.q(i) ** a),
+                ("Kp", "E"): st_inv * params.rat(params.q(i) ** (-a)),
+                ("K", "F"): st * params.rat(params.q(i) ** (-a)),
+                ("Kp", "F"): st * params.rat(params.q(i) ** a),
+            }
             for (fam, ef), c in scalars.items():
+                if fam not in kfams:
+                    continue
                 expr = W((fam, i), (ef, j), (fam + "inv", i)) - W((ef, j)).scale(c)
                 out.append(RelationInstance(algebra, "b", i, j, None, "%s-%s" % (fam, ef), expr))
 
     for i in idx:
         for j in idx:
-            lhs = W(("E", i), ("F", j))
-            if twisted:
-                lhs = lhs - W(("F", j), ("E", i)).scale(params.s(i, j) * params.t(j, i))
-            else:
-                lhs = lhs - W(("F", j), ("E", i))
+            fe = W(("F", j), ("E", i)).scale(params.s(i, j) * params.t(j, i))
+            lhs = W(("E", i), ("F", j)) - fe
             if i == j:
-                qi = params.q(i) if twisted else params.vi(i)
+                qi = params.q(i)
                 denom = params.rat(qi - qi.inv_unit())
-                kneg = ("Kp", i) if twisted else ("Kinv", i)
-                lhs = lhs - (W(("K", i)) - W(kneg)).scale(one / denom)
+                lhs = lhs - (W(("K", i)) - W((kneg, i))).scale(one / denom)
             out.append(RelationInstance(algebra, "c", i, j, None, "", lhs))
 
     for i in idx:
@@ -384,7 +369,7 @@ def _nc_relations(algebra, rd, params):
                 continue
             r = rd.cartan.serre_exponent(i, j)
             for kind in ("E", "F"):
-                terms = dict(_serre_terms(params, i, j, r, kind, twisted))
+                terms = dict(_serre_terms(params, i, j, r, kind))
                 out.append(RelationInstance(algebra, "d-" + kind, i, j, None, "", NCExpr(params, terms)))
     out.sort(key=lambda r: r.sort_key())
     return out
@@ -395,10 +380,11 @@ def relations_of(algebra: str, rd: RootDatum, params: ParameterSet, window=None)
 
     'U' and 'scrU' give free-word (NCExpr) instances; 'Udot' and 'scrUdot'
     give path-word (PathExpr) instances over the supplied weight window.
-    Untwisted presentations require a parameter set with a base v.
+    The untwisted 'U' and 'Udot' are the twisted builders run over
+    ``params.untwisted()``, so they need a parameter set with a base v.
     """
-    if algebra in ("U", "Udot") and not params.has_v():
-        raise ValueError("the untwisted presentation needs a v-based parameter set")
+    if algebra in ("U", "Udot"):
+        params = params.untwisted()
     if algebra in ("Udot", "scrUdot"):
         if not window:
             raise ValueError("modified algebras need a nonempty weight window")

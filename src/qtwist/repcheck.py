@@ -95,7 +95,9 @@ def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> W
     mu to the top and the bottom of its i-string, F_i v_mu = [a+1]_{v_i}
     v_{mu-alpha_i}, E_i v_mu = [b+1]_{v_i} v_{mu+alpha_i}, and K_i^{+-1} acts
     by v_i^{+-<i,mu>}.  A string of the wrong length, b - a != <i,mu>, is a
-    ValueError."""
+    ValueError.  The entries are those of Lusztig's algebra, read from
+    ``params.untwisted()``."""
+    u = params.untwisted()
     index = {mu: col for col, mu in enumerate(weights)}
     mats = {}
     for i in rd.index_set:
@@ -105,13 +107,13 @@ def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> W
             if down - up != rd.lambda_i(mu, i):
                 raise ValueError("the %d-string through %s is not simple" % (i + 1, mu))
             if up:
-                E[index[rd.add_root(mu, i, 1)]][col] = params.rat(params.qint_v(down + 1, i))
+                E[index[rd.add_root(mu, i, 1)]][col] = params.rat(u.qint_q(down + 1, i))
             if down:
-                F[index[rd.add_root(mu, i, -1)]][col] = params.rat(params.qint_v(up + 1, i))
+                F[index[rd.add_root(mu, i, -1)]][col] = params.rat(u.qint_q(up + 1, i))
         mats[("E", i)], mats[("F", i)] = E, F
         pairs = [rd.lambda_i(mu, i) for mu in weights]
-        mats[("K", i)] = _diag(params, [params.vi(i) ** k for k in pairs])
-        mats[("Kinv", i)] = _diag(params, [params.vi(i) ** -k for k in pairs])
+        mats[("K", i)] = _diag(params, [u.q(i) ** k for k in pairs])
+        mats[("Kinv", i)] = _diag(params, [u.q(i) ** -k for k in pairs])
     return WeightModule(rd, params, weights, mats, label)
 
 

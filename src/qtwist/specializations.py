@@ -166,7 +166,7 @@ def c_table_expected(spec: Specialization, i: int, lam) -> LaurentPoly:
                 out = out * (tau[i][j] * gam(i, j)) ** k
         return out
     if name == "super2":
-        return params.vi(i) ** rd.lambda_i(lam, i)
+        return params.untwisted().q(i) ** rd.lambda_i(lam, i)
     raise ValueError(name)
 
 
@@ -313,20 +313,20 @@ def super_second(rd: RootDatum) -> Specialization:
     for i in range(n):
         for j in range(i):
             theta[i][j] = ptil[j] ** (-cartan.a(j, i)) * theta[j][i].inv_unit()
-    vi = lambda i: v ** cartan.d(i)
-    zeta = [[theta[i][j] * vi(i) ** cartan.a(i, j) for j in range(n)] for i in range(n)]
+    v_i = lambda i: v ** cartan.d(i)
+    zeta = [[theta[i][j] * v_i(i) ** cartan.a(i, j) for j in range(n)] for i in range(n)]
     s = [[None] * n for _ in range(n)]
     t = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i > j:
-                s[i][j] = zeta[j][i] * vi(i) ** (-cartan.a(i, j))
+                s[i][j] = zeta[j][i] * v_i(i) ** (-cartan.a(i, j))
             else:
-                s[i][j] = vi(i) ** (-cartan.a(i, j))
+                s[i][j] = v_i(i) ** (-cartan.a(i, j))
             t[i][j] = zeta[i][j] if i >= j else ctx.one
     constraints = []
     for i in range(n):
-        constraints.append(("q_%d == v^d" % (i + 1), ptil[i].unit_pow(Fraction(1, 2)) == vi(i)))
+        constraints.append(("q_%d == v^d" % (i + 1), ptil[i].unit_pow(Fraction(1, 2)) == v_i(i)))
         constraints.append(("th[%d][%d] == ptil_i^-1" % (i + 1, i + 1), theta[i][i] == ptil[i].inv_unit()))
         for j in range(n):
             ok = theta[i][j] * theta[j][i] == ptil[i] ** (-cartan.a(i, j))

@@ -196,8 +196,8 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
         for lam in window:
             for l in range(lmax + 1):
                 for kind in ("E", "F"):
-                    dp_u = divided_power(kind, i, l, lam, rd, params, base="v")
-                    dp_s = divided_power(kind, i, l, lam, rd, params, base="q")
+                    dp_u = divided_power(kind, i, l, lam, rd, params.untwisted())
+                    dp_s = divided_power(kind, i, l, lam, rd, params)
                     image = tw.forward(dp_u)
                     ((w, c_img),) = image.terms.items()
                     mult = c_img / dp_s.terms[w]

@@ -46,10 +46,10 @@ def _inverted_twist_c(rd, params, i, lam):
     return twist_c(rd, params, i, lam).inv_unit()
 
 
-def _flipped_serre_ratios(params, i, j, twisted):
+def _flipped_serre_ratios(params, i, j):
     """s_ij/s_ji and t_ij/t_ji in the twisted Serre sums: each ratio inverted."""
-    ratios = _serre_ratios(params, i, j, twisted)
-    return tuple(r.inv() for r in ratios) if twisted else ratios
+    ratios = _serre_ratios(params, i, j)
+    return ratios if params.untwisted() is params else tuple(r.inv() for r in ratios)
 
 
 def _run_a2():
@@ -233,10 +233,10 @@ def test_f_divided_powers_meet_their_closed_form(monkeypatch):
 _divided_power = twistmap.divided_power
 
 
-def _divided_power_v_times_one_plus_v(kind, i, l, lam, rd, params, base="q"):
-    """divided_power with its base-v coefficient at l = 2 times (1 + v)."""
-    dp = _divided_power(kind, i, l, lam, rd, params, base)
-    return dp.scale(1 + params.v()) if base == "v" and l == 2 else dp
+def _divided_power_v_times_one_plus_v(kind, i, l, lam, rd, params):
+    """divided_power with its untwisted coefficient at l = 2 times (1 + v)."""
+    dp = _divided_power(kind, i, l, lam, rd, params)
+    return dp.scale(1 + params.v()) if params.untwisted() is params and l == 2 else dp
 
 
 def test_non_unit_divided_power_coefficient_is_rejected(monkeypatch):
@@ -290,8 +290,9 @@ def _twisted_raising_serre(edit):
     """presentations._serre_terms with edit(params, i, terms) applied to the
     (steps, coefficient) list of each twisted raising Serre sum."""
 
-    def serre_terms(params, i, j, r, kind, twisted):
-        terms = _serre_terms(params, i, j, r, kind, twisted)
+    def serre_terms(params, i, j, r, kind):
+        terms = _serre_terms(params, i, j, r, kind)
+        twisted = params.untwisted() is not params
         return edit(params, i, terms) if kind == "E" and twisted else terms
 
     return serre_terms
@@ -470,15 +471,15 @@ def test_seeded_module_defect_is_rejected(name, defect, failures, families):
 
 
 def _qint_one_too_big(self, n, i):
-    """ParameterSet.qint_v giving [n+1] for n > 1."""
-    return qint_signed(n + 1 if n > 1 else n, self.vi(i))
+    """ParameterSet.qint_q giving [n+1] for n > 1."""
+    return qint_signed(n + 1 if n > 1 else n, self.q(i))
 
 
 def test_wrong_string_entries_fail_the_modules_report(monkeypatch, tmp_path):
     """With no run-time U check behind the string rule, a wrong E/F entry is a
     FAIL of the report, with a witness, not an internal error: [n+1] for [n]
     breaks the mixed relation of the string modules with a [2] or [3] entry."""
-    monkeypatch.setattr(ParameterSet, "qint_v", _qint_one_too_big)
+    monkeypatch.setattr(ParameterSet, "qint_q", _qint_one_too_big)
     out = tmp_path / "report.json"
     code = main(["verify-modules", "--case", "generic", "--max-n", "3",
                  "--format", "json", "--out", str(out)])

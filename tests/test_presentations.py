@@ -184,6 +184,55 @@ def test_untwisted_needs_v(a2):
         relations_of("Udot", rd, p, window=[rd.zero_weight()])
 
 
+def test_untwisted_parameters_are_lusztigs():
+    """untwisted() has s = t = 1 and q_i = v^{d_i} in the same ring context;
+    it is built once, is its own untwisted set, and carries the U instances,
+    so straightening rules built for it apply to them."""
+    for name in ("a2", "b2", "g2"):
+        rd = rootdata.builtin(name)
+        p = ParameterSet.v_tied(rd.cartan)
+        u = p.untwisted()
+        assert u is not p and u.ctx is p.ctx and u.v() == p.v()
+        assert p.untwisted() is u and u.untwisted() is u
+        for i in rd.index_set:
+            assert u.q(i) == p.v() ** rd.cartan.d(i)
+            assert all(u.s(i, j) == 1 and u.t(i, j) == 1 for j in rd.index_set)
+        assert all(r.expr.params is u for r in relations_of("U", rd, p))
+        assert all(r.expr.params is u for r in relations_of("Udot", rd, p, [rd.zero_weight()]))
+        with pytest.raises(ValueError):
+            ParameterSet.generic(rd.cartan).untwisted()
+
+
+def test_untied_serre_sums_keep_their_own_q():
+    """a2 with q_i = v^2, not v: the scrU Serre sums are in q_i = v^2 and the
+    U ones in v^{d_i} = v, and both sets share one ring context, so the
+    1/[l]! cache must tell them apart by q_i.  [r]! times each coefficient is
+    (-1)^l ratio^l binom(r, l) in the sum's own parameter."""
+    rd = rootdata.builtin("a2")
+    tied = ParameterSet.v_tied(rd.cartan)
+    v, idx = tied.v(), rd.index_set
+    p = ParameterSet(rd.cartan, tied.ctx, [v**2 for _ in idx],
+                     [[tied.s(i, j) for j in idx] for i in idx],
+                     [[tied.t(i, j) for j in idx] for i in idx], v=v, label="untied")
+    assert not p.q_tied_to_v()
+    seen = 0
+    for algebra, q in (("scrU", v**2), ("U", v), ("scrU", v**2)):
+        for inst in relations_of(algebra, rd, p):
+            if inst.family not in ("d-E", "d-F"):
+                continue
+            i, j = inst.i, inst.j
+            r = rd.cartan.serre_exponent(i, j)
+            fam = p.s if inst.family == "d-E" else p.t
+            ratio = p.rat(fam(j, i)) / p.rat(fam(i, j)) if algebra == "scrU" else p.rat(1)
+            for word, c in inst.expr.terms.items():
+                at = [k for _, k in word].index(j)
+                l = r - at if inst.family == "d-E" else at
+                expected = p.rat(qbinom(r, l, q)) * ratio**l * (-1) ** l
+                assert c * qfact(r, q) == expected, (algebra, inst.id, word)
+                seen += 1
+    assert seen == 3 * 4 * 3
+
+
 def test_window_required(a1):
     rd, p = a1
     with pytest.raises(ValueError):
@@ -220,7 +269,7 @@ def test_serre_binomial_is_factorial_times_divided_form():
     seen = set()
     for name in ("a1xa1", "a2", "b2", "g2"):
         rd = rootdata.builtin(name)
-        for p in (ParameterSet.generic(rd.cartan), ParameterSet.one_param(rd.cartan)):
+        for p in (ParameterSet.generic(rd.cartan), ParameterSet.v_tied(rd.cartan).untwisted()):
             for inst in relations_of("scrU", rd, p):
                 if inst.family not in ("d-E", "d-F"):
                     continue
@@ -245,11 +294,11 @@ def test_serre_binomial_untwisted_limit():
     """In the one-parameter limit the a2 raising Serre sum, times [2]!, is the
     classical E1E1E2 - [2]_v E1E2E1 + E2E1E1."""
     rd = rootdata.builtin("a2")
-    p = ParameterSet.one_param(rd.cartan)
+    p = ParameterSet.v_tied(rd.cartan).untwisted()
     words = _a2_raising_serre(p)
     E, F = ("E", 0), ("E", 1)
     assert words[(E, E, F)] == p.rat(1)
-    assert words[(E, F, E)] == -p.rat(qint(2, p.vi(0)))
+    assert words[(E, F, E)] == -p.rat(qint(2, p.v() ** rd.cartan.d(0)))
     assert words[(F, E, E)] == p.rat(1)
 
 
@@ -257,7 +306,7 @@ def test_untwisted_presentation_is_trivial_twist_image():
     """The single-parameter relations equal the twisted ones under s = t = 1,
     q_i = v^{d_i}, with the second K-family folded onto the inverses."""
     rd = rootdata.builtin("a2")
-    p = ParameterSet.one_param(rd.cartan)
+    p = ParameterSet.v_tied(rd.cartan).untwisted()
     rules = StraightenRules(rd, p)
     fold = {"K": "K", "Kinv": "Kinv", "Kp": "Kinv", "Kpinv": "K", "E": "E", "F": "F"}
 
@@ -284,12 +333,18 @@ def test_untwisted_presentation_is_trivial_twist_image():
 
 def _literal_serre(inst, rd, p, twisted):
     """The Serre sum at inst's weight, built term by term from divided powers
-    and arrows, each term scaled by (-1)^l ratio^l."""
-    base = "q" if twisted else "v"
+    and arrows, each term scaled by (-1)^l ratio^l.  A divided power is its
+    word times 1/[m]! in q_i, or in v^{d_i} for the untwisted sum."""
     i, j, lam = inst.i, inst.j, inst.lam
     r = rd.cartan.serre_exponent(i, j)
     fam = p.s if inst.family == "d-E" else p.t
     ratio = p.rat(fam(j, i)) / p.rat(fam(i, j)) if twisted else p.rat(1)
+    qi = p.q(i) if twisted else p.v() ** rd.cartan.d(i)
+
+    def dp(kind, m, at):
+        (word,) = divided_power(kind, i, m, at, rd, p).terms
+        return PathExpr.of(rd, p, word, p.rat(1) / p.rat(qfact(m, qi)))
+
     acc = PathExpr.zero(rd, p)
     for l in range(r + 1):
         mid = lam
@@ -297,17 +352,9 @@ def _literal_serre(inst, rd, p, twisted):
             mid = rd.add_root(mid, i, +1)
         top = rd.add_root(mid, j, +1)
         if inst.family == "d-E":
-            term = (
-                divided_power("E", i, r - l, top, rd, p, base)
-                * _arrow(rd, p, "E", j, mid)
-                * divided_power("E", i, l, lam, rd, p, base)
-            )
+            term = dp("E", r - l, top) * _arrow(rd, p, "E", j, mid) * dp("E", l, lam)
         else:
-            term = (
-                divided_power("F", i, l, lam, rd, p, base)
-                * _arrow(rd, p, "F", j, top)
-                * divided_power("F", i, r - l, top, rd, p, base)
-            )
+            term = dp("F", l, lam) * _arrow(rd, p, "F", j, top) * dp("F", r - l, top)
         acc = acc + term.scale(ratio**l * (-1) ** l)
     return acc
 
@@ -338,9 +385,10 @@ def _literal_nc_serre(inst, p, twisted):
     fam = p.s if kind == "E" else p.t
     ratio = p.rat(fam(j, i)) / p.rat(fam(i, j)) if twisted else p.rat(1)
 
+    qi = p.q(i) if twisted else p.v() ** p.cartan.d(i)
+
     def dp(m):
-        fact = p.qfact_q(m, i) if twisted else p.qfact_v(m, i)
-        return NCExpr.word(p, ((kind, i),) * m, p.rat(1) / p.rat(fact))
+        return NCExpr.word(p, ((kind, i),) * m, p.rat(1) / p.rat(qfact(m, qi)))
 
     acc = NCExpr.zero(p)
     for l in range(r + 1):

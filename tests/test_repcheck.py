@@ -4,6 +4,7 @@ import pytest
 
 from qtwist import rootdata
 from qtwist import specializations as sp
+from qtwist.coeffring import qint_signed
 from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 from qtwist.repcheck import (
@@ -65,7 +66,7 @@ def test_string_module_commutator_eigenvalues(a1):
     fe = _mat_mul(p, F, E)
     for k, lam in enumerate(mod.weights):
         got = ef[k][k] - fe[k][k]
-        assert got == p.rat(p.qint_v(rd.lambda_i(lam, 0), 0))
+        assert got == p.rat(qint_signed(rd.lambda_i(lam, 0), p.v() ** rd.cartan.d(0)))
 
 
 def test_natural_module(a2):
@@ -78,7 +79,7 @@ def test_natural_module(a2):
 
 def test_transport_identity_under_trivial_twist():
     rd = rootdata.builtin("a1")
-    p = ParameterSet.one_param(rd.cartan)
+    p = ParameterSet.v_tied(rd.cartan).untwisted()
     sc = TwistScalars(rd, p)
     mod = sl2_string_module(2, rd, p)
     tmod = transport(mod, sc)

@@ -66,7 +66,7 @@ def test_two_param_images(a2):
     assert p.s(0, 1) == t ** 1        # -omega_12
     assert p.t(0, 1) == t ** 0        # omega_21
     assert p.s(0, 1) * p.t(0, 1) == t ** (0 - (-1))
-    assert p.q(0) == p.vi(0)
+    assert p.q(0) == p.v() ** a2.cartan.d(0)
 
 
 def test_multi_param_resolution(a2):
@@ -154,7 +154,7 @@ def test_super2_images(a2):
         for j in a2.index_set:
             if i < j:
                 assert p.t(i, j) == p.ctx.one
-                assert p.s(i, j) == p.vi(i) ** (-a2.cartan.a(i, j))
+                assert p.s(i, j) == (p.v() ** a2.cartan.d(i)) ** (-a2.cartan.a(i, j))
 
 
 def test_super2_table_on_root_lattice_data():
