@@ -113,6 +113,7 @@ class Context:
     def __init__(self, name: str = ""):
         self.name = name
         self.vars: list[Var] = []
+        self.sign_indices: set = set()  # indices of the sign variables
         self._by_name: dict[str, Var] = {}
         self._qint_cache: dict = {}
         self._qfact_cache: dict = {}
@@ -125,6 +126,8 @@ class Context:
             raise RingError("variable %r already declared" % name)
         v = Var(self, len(self.vars), name, kind, denom)
         self.vars.append(v)
+        if kind == SIGN:
+            self.sign_indices.add(v.index)
         self._by_name[name] = v
         return v
 
@@ -199,9 +202,10 @@ class Context:
         if not b:
             return a
         acc = dict(a)
+        signs = self.sign_indices
         for idx, s in b:
             cur = acc.get(idx, 0) + s
-            if self.vars[idx].kind == SIGN:
+            if idx in signs:
                 cur %= 2
             if cur == 0:
                 acc.pop(idx, None)
@@ -246,10 +250,16 @@ class Context:
                 coeff *= c
             for idx, s in m:
                 exps[idx] = exps.get(idx, 0) + s
-        vs = self.vars
+        return self.unit_from_exps(exps, coeff)
+
+    def unit_from_exps(self, exps: dict, coeff: Scalar = 1) -> "LaurentPoly":
+        """The unit monomial coeff * prod_idx x_idx^{s} from a map of scaled
+        exponents {idx: s}: sign-variable exponents are reduced mod 2 here,
+        once, and zero exponents dropped.  coeff must be nonzero."""
+        signs = self.sign_indices
         pairs = []
         for idx in sorted(exps):
-            s = exps[idx] % 2 if vs[idx].kind == SIGN else exps[idx]
+            s = exps[idx] % 2 if idx in signs else exps[idx]
             if s:
                 pairs.append((idx, s))
         return LaurentPoly(self, {tuple(pairs): _num(coeff)})
@@ -405,8 +415,8 @@ class LaurentPoly:
         if u is None:
             raise RingError("not an invertible monomial: %s" % self)
         c, m = u
-        vs = self.ctx.vars
-        inv = tuple((idx, s if vs[idx].kind == SIGN else -s) for idx, s in m)
+        signs = self.ctx.sign_indices
+        inv = tuple((idx, s if idx in signs else -s) for idx, s in m)
         if c != 1 and c != -1:
             c = _num(Fraction(c.denominator, c.numerator))
         return LaurentPoly(self.ctx, {inv: c})

@@ -12,7 +12,9 @@ any of them.
 
 from __future__ import annotations
 
-from .coeffring import Context, LaurentPoly, RatExpr, qfact, qint_signed
+from fractions import Fraction
+
+from .coeffring import Context, LaurentPoly, RatExpr, RingError, qfact, qint_signed
 from .rootdata import CartanDatum, RootDatum, Weight
 
 
@@ -115,19 +117,29 @@ class ParameterSet:
 
 def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, *bases,
                      sign=1) -> LaurentPoly:
-    """prod_j prod_base base(j)^{sign * lam(j)}, in one unit product; a base
-    that is the ring's one (as every s and t of an untwisted set are) is
-    skipped, not raised to a power."""
-    one = params.ctx.one
-    powers = []
+    """prod_j prod_base base(j)^{sign * lam(j)} as one unit monomial: each
+    base's scaled exponents times sign * lam(j) are summed per variable, with
+    no power taken; a base that is the ring's one (as every s and t of an
+    untwisted set are) is skipped."""
+    ctx = params.ctx
+    one = ctx.one
+    exps, coeff = {}, 1
     for j in rd.index_set:
-        k = rd.lambda_paren(lam, j)
+        k = sign * rd.lambda_paren(lam, j)
         if k:
             for base in bases:
                 b = base(j)
-                if b is not one:
-                    powers.append(b ** (sign * k))
-    return params.ctx.unit_product(powers)
+                if b is one:
+                    continue
+                u = b.unit_mono()
+                if u is None:
+                    raise RingError("rescaling base %s is not a unit monomial" % b)
+                c, m = u
+                if c != 1:
+                    coeff *= Fraction(c) ** k
+                for idx, s in m:
+                    exps[idx] = exps.get(idx, 0) + k * s
+    return ctx.unit_from_exps(exps, coeff)
 
 
 def twist_e(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:

@@ -9,13 +9,28 @@ scalars attach per step, the map is multiplicative on path words by
 construction; the content of the verification is that every untwisted
 relation instance is carried to an exact unit-monomial multiple of the
 matching twisted instance.
+
+e(i, .) and f(i, .) are characters of the weight lattice X, so the scaled
+exponents of each are an integer affine map of lam, and its coefficient is
+c(0) * prod_k (c(eps_k) / c(0))^{lam_k}.  TwistMap reads each one off its
+values at the zero weight and at the coordinate basis eps_k of X, which fix
+a character exactly.  Every step of a word is at its target lam plus a shift
+fixed by the steps before it, so the word's scalar at lam has the exponents
+b + A.lam: b from the steps' scalar at target 0, walked once per step tuple,
+and A the letters' matrices summed with their counts.  A word's scalar is
+one such evaluation, with no per-letter TwistScalars lookup and no product
+of unit monomials.  tests/test_twistmap.py checks it against a walk that
+reads TwistScalars at every step, on the built-in data, a rank-3 lattice,
+permuted lattices and coefficients other than 1.
 """
 
 from __future__ import annotations
 
 import time
+from fractions import Fraction
+from operator import mul
 
-from .coeffring import RatExpr
+from .coeffring import LaurentPoly, RatExpr, RingError
 from .params import ParameterSet, twist_c, twist_e, twist_f
 from .presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from .report import FAIL, PASS, CheckRecord, Report
@@ -46,6 +61,33 @@ class TwistScalars:
         return self._get("c", twist_c, i, lam)
 
 
+def _read_off(rd: RootDatum, scalar, i: int):
+    """The character lam -> scalar(i, lam) as (M, ratios), read off its
+    values at the zero weight and at the coordinate basis eps_k of X: M maps
+    each variable index to its column of scaled exponents, the value at
+    eps_k minus the value at 0 (zero columns left out), so the exponents at
+    lam are those at 0 plus M.lam; ratios is None when the coefficient is 1
+    at every weight, else (c(eps_k) / c(0))_k."""
+    weights = [rd.zero_weight()] + [tuple(int(a == k) for a in range(rd.x_rank))
+                                    for k in range(rd.x_rank)]
+    units = []
+    for lam in weights:
+        value = scalar(i, lam)
+        u = value.unit_mono()
+        if u is None:
+            raise RingError("rescaling scalar %s at %s is not a unit monomial" % (value, lam))
+        units.append((u[0], dict(u[1])))
+    (c0, at0), rest = units[0], units[1:]
+    columns = {}
+    for idx in sorted(set().union(*(m for _, m in units))):
+        column = tuple(m.get(idx, 0) - at0.get(idx, 0) for _, m in rest)
+        if any(column):
+            columns[idx] = column
+    if all(c == 1 for c, _ in units):
+        return columns, None
+    return columns, tuple(Fraction(c, c0) for c, _ in rest)
+
+
 class TwistMap:
     """Forward: untwisted arrows to rescaled twisted arrows.  Backward: inverse."""
 
@@ -58,13 +100,22 @@ class TwistMap:
         self.rd = rd
         self.params = params
         self.scalars = TwistScalars(rd, params)
-        self._steps: dict = {}  # step tuple -> (scalar at target 0, letter counts)
+        # (kind, i) -> e(i, .) or f(i, .) read off as (M, ratios), see _read_off
+        self._letters = {(kind, i): _read_off(rd, scalar, i)
+                         for kind, scalar in (("E", self.scalars.e), ("F", self.scalars.f))
+                         for i in rd.index_set}
+        self._steps: dict = {}  # step tuple -> (scalar at target 0, (rows, ratios))
 
     def _step_data(self, steps: tuple):
-        """The word scalar of steps at target 0, and (e or f, i, count) for
-        each letter: the product of per-step scalars, e at the step target
-        for raising steps and f at the step source for lowering steps,
-        walked once per step tuple."""
+        """The word scalar of steps at target 0, and the exponent matrix of
+        their letters, once per step tuple.
+
+        The scalar at target 0 is the product of per-step scalars, e at the
+        step target for raising steps and f at the step source for lowering
+        steps.  The matrix is A = sum over the letters of count * M_letter,
+        as rows (var index, A_v, whether v is a sign variable) with zero rows
+        dropped, and the coefficient ratios multiplied the same way (None
+        when every coefficient is 1)."""
         data = self._steps.get(steps)
         if data is None:
             e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
@@ -78,21 +129,45 @@ class TwistMap:
                     lam = add_root(lam, i, +1)
                     factors.append(f(i, lam))
                 counts[kind, i] = counts.get((kind, i), 0) + 1
-            letters = tuple((e if kind == "E" else f, i, n) for (kind, i), n in counts.items())
-            data = self._steps[steps] = (self.params.ctx.unit_product(factors), letters)
+            columns, ratios = {}, None
+            for letter, n in counts.items():
+                m, r = self._letters[letter]
+                for idx, column in m.items():
+                    acc = columns.get(idx, (0,) * len(column))
+                    columns[idx] = tuple(x + n * y for x, y in zip(acc, column))
+                if r is not None:
+                    ratios = tuple(x * y ** n for x, y in zip(ratios or (1,) * len(r), r))
+            signs = self.params.ctx.sign_indices
+            rows = tuple((idx, a, idx in signs) for idx, a in sorted(columns.items()) if any(a))
+            data = self._steps[steps] = (self.params.ctx.unit_product(factors), (rows, ratios))
         return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
-        """The steps' scalar at target 0 times the character
-        prod_i e(i, lam)^{#E_i} f(i, lam)^{#F_i} at the word's target lam:
-        e and f are characters of the weight lattice, and every step's
-        weight is lam plus a shift fixed by the steps before it."""
-        base, letters = self._step_data(word.steps)
-        factors = [base]
+        """The word scalar at the word's target lam as one affine map of lam:
+        the exponents b + A.lam and the coefficient c * prod_k r_k^{lam_k},
+        with b and c the steps' scalar at target 0 and A and r from
+        _step_data.  Reads only word.target and word.steps.
+
+        This is the step walk from lam, exactly: e and f are characters of X,
+        so every exponent is affine in lam and read off exactly at 0 and the
+        coordinate basis, and each step's weight is lam plus a shift fixed by
+        the steps before it.  tests/test_twistmap.py checks it against a walk
+        that reads TwistScalars at every step."""
+        base, (rows, ratios) = self._step_data(word.steps)
+        ((m, c),) = base.terms.items()
         lam = word.target
-        for scalar, i, n in letters:
-            factors += [scalar(i, lam)] * n
-        out = self.params.ctx.unit_product(factors)
+        if rows:
+            exps = dict(m)
+            for idx, a, sign in rows:
+                s = exps.get(idx, 0) + sum(map(mul, a, lam))
+                exps[idx] = s % 2 if sign else s
+            m = tuple([p for p in sorted(exps.items()) if p[1]])
+        if ratios is not None:
+            for r, k in zip(ratios, lam):
+                if k:
+                    c *= r ** k
+            c = c.numerator if c.denominator == 1 else c
+        out = LaurentPoly(self.params.ctx, {m: c})
         return out.inv_unit() if invert and not out.is_one() else out
 
     def _apply(self, x: PathExpr, invert: bool) -> PathExpr:

@@ -22,7 +22,7 @@ from qtwist.cli import main
 from qtwist.coeffring import qint_signed
 from qtwist.hopf import star_mul, verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
-from qtwist.params import ParameterSet, _weight_monomial, twist_c
+from qtwist.params import ParameterSet, _weight_monomial, twist_c, twist_e
 from qtwist.presentations import _serre_ratios, relations_of
 from qtwist.repcheck import (
     corrupt,
@@ -190,6 +190,48 @@ def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, 
     assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
     assert collections.Counter(c.family for c in rep.failures()) == families
     assert (rep.failures()[0].id, rep.failures()[0].witness) == first
+
+
+def _twist_e_off_at(lam0):
+    """twist_e times s_ii at the one weight lam0 only, which is not a character."""
+
+    def defect(rd, params, i, lam):
+        out = twist_e(rd, params, i, lam)
+        return out * params.s(i, i) if lam == lam0 else out
+
+    return defect
+
+
+@pytest.mark.parametrize(
+    "lam0, failures, families, first, integrality",
+    [
+        # off {0, eps_k}: the read-off never sees it, the word scalars stay
+        # right, and only the closed forms that read e at lam0 fail
+        ((1, 1, 0), 4, {"c": 4},
+         ("iso:c:i1:j1:lam(1,1,0)",
+          "expected scalar s11^2*s12^2*t11*t12^2, got s11*s12^2*t11*t12^2"), 8),
+        # at eps_1: the read-off takes it into column 1 of e(i, .)'s matrix,
+        # so every word scalar carries s_ii^{lam_1} per E_i letter; a Serre
+        # sum's words share their letters, so only the closed form sees it
+        ((1, 0, 0), 69, {"c": 69},
+         ("iso:c:i1:j1:lam(-1,-1,-1)",
+          "expected scalar s11^-1*s12^-2*t11^-1*t12^-2, got s11^-2*s12^-2*t11^-1*t12^-2"), 167),
+    ],
+    ids=["off-basis", "at-basis-vector"],
+)
+def test_single_weight_defect_is_rejected(monkeypatch, lam0, failures, families, first,
+                                          integrality):
+    """Reading e and f off their values at 0 and the coordinate basis of X
+    hides no defect at a single weight: one off that set still fails the
+    closed forms, one on it spreads to every weight through the matrix."""
+    monkeypatch.setattr(twistmap, "twist_e", _twist_e_off_at(lam0))
+    rep = _run_a2()
+    assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == families
+    assert (rep.failures()[0].id, rep.failures()[0].witness) == first
+    rd = rootdata.builtin("a2")
+    rep = twistmap.verify_integrality(rd, ParameterSet.v_tied(rd.cartan), rd.weights_box(1))
+    assert rep.summary == {"pass": 702 - integrality, "fail": integrality, "warn": 0}
 
 
 def _word_scalar_times_one_plus_v(self, word, invert):

@@ -1,10 +1,12 @@
 """Rescaling scalars, the twist map, and the isomorphism verification."""
 
+import collections
 import random
 
 import pytest
 
 from qtwist import rootdata, specializations
+from qtwist.coeffring import Context
 from qtwist.params import ParameterSet
 from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from qtwist.twistmap import (
@@ -111,6 +113,112 @@ def test_word_scalar_matches_step_walk(name, case):
     for w in sorted(words, key=PathWord.key):
         for invert in (False, True):
             assert tw._word_scalar(w, invert) == _walk_scalar(tw, w, invert), (str(w), invert)
+
+
+def _relabelled(name, sigma, pi):
+    """The built-in datum with root a renamed sigma[a] and lattice coordinate k
+    read from pi[k]; the pairing stays the identity, so permuting X and Y
+    together keeps every pairing."""
+    rd = rootdata.builtin(name)
+
+    def rows(m):
+        return [[m[sigma[a]][pi[k]] for k in range(rd.x_rank)] for a in range(rd.n)]
+
+    return rootdata.from_dict({
+        "I_size": rd.n,
+        "dot": [[rd.cartan.dot[sigma[a]][sigma[b]] for b in range(rd.n)] for a in range(rd.n)],
+        "X_rank": rd.x_rank,
+        "alpha": rows(rd.alpha),
+        "coroot": rows(rd.coroot),
+        "coweight": rows(rd.coweight),
+    }, name=name + "-relabelled")
+
+
+def _a3_gl4():
+    a3 = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
+    return rootdata.from_dict({
+        "I_size": 3,
+        "dot": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        "X_rank": 4,
+        "alpha": a3,
+        "coroot": a3,
+        "coweight": [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]],
+    }, name="a3-gl4")
+
+
+def _with_coefficients(rd, c):
+    """The v-tied parameters with s_12 and t_21 times the rational c, q still
+    tied to v: e(1, .) and f(2, .) then carry a coefficient character."""
+    p = ParameterSet.v_tied(rd.cartan)
+    idx = rd.index_set
+    s = [[p.s(i, j) * (c if (i, j) == (0, 1) else 1) for j in idx] for i in idx]
+    t = [[p.t(i, j) * (c if (i, j) == (1, 0) else 1) for j in idx] for i in idx]
+    return ParameterSet(rd.cartan, p.ctx, [p.q(i) for i in idx], s, t, v=p.v(),
+                        label="coefficient %s" % c)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (_a3_gl4(), None),
+        lambda: (_relabelled("a2", (1, 0), (2, 0, 1)), None),
+        lambda: (_relabelled("g2", (1, 0), (1, 0)), None),
+        lambda: (rootdata.builtin("a2"), -1),
+        lambda: (rootdata.builtin("a2"), 2),
+    ],
+    ids=["a3-gl4", "a2-relabelled", "g2-relabelled", "a2-coefficient-minus-one",
+         "a2-coefficient-two"],
+)
+def test_read_off_characters_match_step_walk(build):
+    """The exponent matrices read off at 0 and the coordinate basis give the
+    step walk's scalar, both ways, on every Udot word over the box 1 of a
+    rank-3 datum, of permuted lattices with relabelled roots, and with
+    coefficients other than 1 on s_12 and t_21."""
+    rd, c = build()
+    p = ParameterSet.v_tied(rd.cartan) if c is None else _with_coefficients(rd, c)
+    tw = TwistMap(rd, p)
+    words = {w for inst in relations_of("Udot", rd, p, rd.weights_box(1)) for w in inst.expr.terms}
+    coefficients = set()
+    for w in sorted(words, key=PathWord.key):
+        for invert in (False, True):
+            got = tw._word_scalar(w, invert)
+            assert got == _walk_scalar(tw, w, invert), (str(w), invert)
+            coefficients.add(got.unit_mono()[0])
+    assert coefficients == {1} if c is None else c in coefficients
+
+
+def test_word_scalars_read_no_scalar_per_letter(monkeypatch):
+    """Forwarding every a2 box-2 Udot instance reads TwistScalars only for the
+    read-off at 0 and the coordinate basis, when the map is built, and for
+    the walk at target 0, once per distinct step tuple; it takes at most one
+    unit product per step tuple, for that walk, and none per word."""
+    calls = collections.Counter()
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(Context, "unit_product")
+    spy(TwistScalars, "_get")
+    rd = rootdata.builtin("a2")
+    p = ParameterSet.v_tied(rd.cartan)
+    instances = relations_of("Udot", rd, p, rd.weights_box(2))
+    calls.clear()
+    tw = TwistMap(rd, p)
+    assert calls["_get"] == 2 * rd.n * (1 + rd.x_rank)
+    calls.clear()
+    words = 0
+    for inst in instances:
+        words += len(inst.expr.terms)
+        tw.forward(inst.expr)
+    assert words > 10 * len(tw._steps) > 10
+    assert calls["_get"] <= sum(len(steps) for steps in tw._steps)
+    assert calls["unit_product"] <= len(tw._steps)
 
 
 def test_map_requires_tied_parameters():
