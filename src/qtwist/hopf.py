@@ -12,7 +12,9 @@ after expansion, to the vanishing of alternating Gaussian-binomial sums;
 the antipode carries the Serre sum and the mixed E/F relation to exact
 unit-monomial multiples of themselves, which is checked by reading off the
 K-monomial and one exact-multiple test (``LinComb.multiple_of``), never by
-general ideal membership.
+general ideal membership.  Both read the scrU relation instances as
+``relations_of`` builds them, in integral form, so no coefficient is
+divided.
 
 All of this requires the deformation parameters to satisfy
 q_i^{a_ij} = q_j^{a_ji}; contexts built from a parameter set where the q_i
@@ -56,9 +58,6 @@ class HopfContext:
             for j in rd.index_set
         )
         self._delta_cache: dict = {}
-        # id(instance) -> (instance, its Serre sum); holding the instance
-        # keeps its id from being reused while the entry lives
-        self._serre_cache: dict = {}
 
     def nf(self, x: NCExpr) -> NCExpr:
         return straighten(x, self.rules)
@@ -184,17 +183,6 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
     return records
 
 
-def _serre_sum(ctx: HopfContext, inst) -> NCExpr:
-    """[r]!_{q_i} times the Serre instance inst, each coefficient divided
-    out to its Gaussian-binomial polynomial; built once per instance, as the
-    coproduct and the antipode checks both read it."""
-    if id(inst) not in ctx._serre_cache:
-        fact = ctx.params.qfact_q(ctx.rd.cartan.serre_exponent(inst.i, inst.j), inst.i)
-        terms = {w: (c * fact).simplified() for w, c in inst.expr.terms.items()}
-        ctx._serre_cache[id(inst)] = (inst, NCExpr(ctx.params, terms))
-    return ctx._serre_cache[id(inst)][1]
-
-
 def verify_coproduct_serre(ctx: HopfContext, instances) -> list:
     """Coproduct of each raising Serre sum R of the presentation equals
     R x 1 + K^beta x R exactly, with K^beta the K-monomial of R's letters."""
@@ -204,7 +192,7 @@ def verify_coproduct_serre(ctx: HopfContext, instances) -> list:
         if inst.family != "d-E":
             continue
         i, j = inst.i, inst.j
-        R = _serre_sum(ctx, inst)
+        R = inst.expr
         kword = tuple(("K", k) for _, k in next(iter(R.terms)))
         rhs = TensorExpr.of(R, NCExpr.unit(p)) + tmul(
             TensorExpr(p, 2, {(kword, ()): p.one()}),
@@ -284,9 +272,10 @@ def verify_antipode(ctx: HopfContext, instances) -> list:
     """Compatibility of the antipode with the scrU relation instances.
 
     Each K-conjugation instance R (family b) must have nf(S(R)) == 0.  Each
-    mixed E/F instance (family c) and each raising Serre sum (family d-E,
-    denominator-free) must map to a scalar-times-K-monomial multiple of
-    itself, read off by extraction.  Families a and d-F are not read.
+    mixed E/F instance (family c) and each raising Serre sum (family d-E),
+    both in their integral form, must map to a scalar-times-K-monomial
+    multiple of itself, read off by extraction.  Families a and d-F are not
+    read.
     """
     p = ctx.params
     records = []
@@ -302,10 +291,9 @@ def verify_antipode(ctx: HopfContext, instances) -> list:
             records.append(_antipode_multiple(
                 ctx, rec, inst.expr, "image is not scalar * K-monomial * relation: "))
         elif inst.family == "d-E":
-            # the denominator-free form, which the coproduct check reads too
             rec = CheckRecord("antipode-serre:i%d:j%d" % (i + 1, j + 1), "antipode-serre", i, j)
             records.append(_antipode_multiple(
-                ctx, rec, _serre_sum(ctx, inst),
+                ctx, rec, inst.expr,
                 "antipode image is not scalar * K-monomial * Serre sum: "))
     return records
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
+from .coeffring import qbinom
 from .ncalg import LinComb, NCExpr, merge_term, word_str
 from .params import ParameterSet, twist_c
 from .rootdata import RootDatum, Weight
@@ -135,9 +136,10 @@ def idempotent(rd, params, lam: Weight) -> PathExpr:
 
 
 def _inv_qfact(params: ParameterSet, i: int, l: int):
-    """1/[l]!_{q_i}, cached per (q_i, l) beside the q-factorials of the ring
-    context, which a parameter set shares with its untwisted set: the key
-    is q_i's value, since the two sets' q_i may differ."""
+    """1/[l]!_{q_i}, the coefficient of a divided power, cached per (q_i, l)
+    beside the q-factorials of the ring context, which a parameter set
+    shares with its untwisted set: the key is q_i's value, since the two
+    sets' q_i may differ."""
     cache = params.ctx._qfact_cache
     key = ("inv", params.q(i).unit_mono(), l)
     inv = cache.get(key)
@@ -170,7 +172,9 @@ def divided_power(
 
 @dataclass(frozen=True)
 class RelationInstance:
-    """One relation, stored literally as LHS - RHS."""
+    """One relation, stored as LHS - RHS in integral form: the Serre sums
+    times [r]!_{q_i} and the mixed relation c_ii times q_i - q_i^{-1}, so
+    every coefficient is a Laurent polynomial."""
 
     algebra: str  # 'U', 'scrU', 'Udot', 'scrUdot'
     family: str   # 'a', 'b', 'c', 'd-E', 'd-F'
@@ -209,23 +213,21 @@ def _serre_ratios(params: ParameterSet, i: int, j: int):
 
 
 def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
-    """The Serre sum of kind 'E' or 'F' as a weight-free list, over l = 0..r,
-    of (steps, coefficient): the steps of E_i^(r-l) E_j E_i^l, or of
-    F_i^l F_j F_i^(r-l), and (-1)^l ratio^l / ([r-l]! [l]!) in q_i, with the
-    s ratio and the factors in the order [r-l]!, [l]! for the raising sum,
-    the t ratio and [l]!, [r-l]! for the lowering one."""
+    """The Serre sum of kind 'E' or 'F' in integral form, as a weight-free
+    list, over l = 0..r, of (steps, coefficient): the steps of
+    E_i^(r-l) E_j E_i^l, or of F_i^l F_j F_i^(r-l), and (-1)^l ratio^l
+    [r, l]_{q_i}, with the s ratio for the raising sum and the t ratio for
+    the lowering one.  This is [r]!_{q_i} times the sum of divided powers,
+    so no coefficient has a denominator."""
     ratio = _serre_ratios(params, i, j)[kind != "E"]
     out = []
     for l in range(r + 1):
         sign = -1 if l % 2 else 1
-        inv_l, inv_rest = _inv_qfact(params, i, l), _inv_qfact(params, i, r - l)
         if kind == "E":
             steps = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
-            coeff = inv_rest * inv_l * (ratio**l * sign)
         else:
             steps = (("F", i),) * l + (("F", j),) + (("F", i),) * (r - l)
-            coeff = inv_l * inv_rest * (ratio**l * sign)
-        out.append((steps, coeff))
+        out.append((steps, ratio**l * params.rat(qbinom(r, l, params.q(i)) * sign)))
     return out
 
 
@@ -306,7 +308,6 @@ def _nc_relations(algebra, rd, params):
     K'_i."""
     out = []
     idx = list(rd.index_set)
-    one = params.rat(1)
     W = lambda *syms: NCExpr.word(params, tuple(syms))
     kfams, kneg = (("K", "Kp"), "Kp") if algebra == "scrU" else (("K",), "Kinv")
 
@@ -358,9 +359,9 @@ def _nc_relations(algebra, rd, params):
             fe = W(("F", j), ("E", i)).scale(params.s(i, j) * params.t(j, i))
             lhs = W(("E", i), ("F", j)) - fe
             if i == j:
+                # times q_i - q_i^{-1}, the integral form of the mixed relation
                 qi = params.q(i)
-                denom = params.rat(qi - qi.inv_unit())
-                lhs = lhs - (W(("K", i)) - W((kneg, i))).scale(one / denom)
+                lhs = lhs.scale(qi - qi.inv_unit()) - (W(("K", i)) - W((kneg, i)))
             out.append(RelationInstance(algebra, "c", i, j, None, "", lhs))
 
     for i in idx:

@@ -203,9 +203,9 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     are both zero, and the map, which fixes zero, is not applied; a nonzero
     side fails with both sides as the witness.  For family c the multiple
     must equal e(i,lam) f(j,lam-a_i+a_j).  For the Serre families the exact
-    multiple is the whole check: both templates carry the same
-    1/([r-l]! [l]!), so image == N * target makes every word's rescaling
-    scalar N times its ratio^l.
+    multiple is the whole check: both templates carry the same Gaussian
+    binomial [r, l]_{q_i}, so image == N * target makes every word's
+    rescaling scalar N times its ratio^l.
     """
     t0 = time.monotonic()
     rep = Report("iso", datum=rd.name, case=params.label)

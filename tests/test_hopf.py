@@ -3,7 +3,7 @@
 import pytest
 
 from qtwist import rootdata
-from qtwist.coeffring import qint
+from qtwist.coeffring import LaurentPoly, qint
 from qtwist.hopf import (
     HopfContext,
     antipode,
@@ -213,3 +213,21 @@ def test_negative_control_untied_parameters():
             "hypothesis:q-compat",
         ], name
         assert all(c.witness for c in fails), name
+
+
+@pytest.mark.parametrize("name", ["a2", "g2"])
+def test_campaign_divides_no_polynomial(monkeypatch, name):
+    """The campaign reads the scrU relations as built: the Serre sums are
+    already in integral form, so no coefficient is divided out again."""
+    calls = []
+    exact_div = LaurentPoly.exact_div
+
+    def spy(self, other):
+        calls.append(other)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", spy)
+    rd = rootdata.builtin(name)
+    rep = verify_hopf(rd, ParameterSet.v_tied(rd.cartan), nmax=3)
+    assert rep.summary == {"pass": 80, "fail": 0, "warn": 0}
+    assert calls == []

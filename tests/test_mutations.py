@@ -75,8 +75,7 @@ def test_clean_control():
           "multiple s11^-1*s12^-1*t11^-1*t12^-1")),
         (presentations, "_serre_ratios", _flipped_serre_ratios, 108,
          ("iso:d-E:i1:j2:lam(-1,-1,-1)", "E1*E1*E2:(1,-2,-2)<-(-1,-1,-1): "
-          "image (v*s11*s12^-2*s21^-1*s22^-1) / (v^2 + 1), target (v) / (v^2 + 1), "
-          "multiple s11*s12^-6*s21^3*s22^-1")),
+          "image s11*s12^-2*s21^-1*s22^-1, target 1, multiple s11*s12^-6*s21^3*s22^-1")),
     ],
     ids=["twist_e-s-transposed", "twist_c-inverted", "serre-ratio-flipped"],
 )
@@ -457,6 +456,41 @@ def test_wrong_scru_relation_fails_hopf_and_modules(monkeypatch):
     rep = verify_transported_modules("generic", max_n=1)
     assert [c.id for c in rep.failures()] == [
         "sl2-string-n1+twist:b:i1:j1:Kp-E", "sl3-natural+twist:b:i1:j1:Kp-E"]
+    assert all(c.witness.startswith("entry (") for c in rep.failures())
+
+
+def _k_part_scaled_relations(algebra, rd, params, window=None):
+    """relations_of with the K-part K_i - K'_i of each scrU mixed relation
+    c_ii times q_i: a wrong factor in the integral form
+    (q_i - q_i^-1)(E_i F_i - c F_i E_i) - (K_i - K'_i)."""
+    out = []
+    for inst in relations_of(algebra, rd, params, window):
+        if algebra == "scrU" and inst.family == "c" and inst.i == inst.j:
+            q = params.rat(params.q(inst.i))
+            terms = {w: c * q if w and w[0][0] not in ("E", "F") else c
+                     for w, c in inst.expr.terms.items()}
+            inst = dataclasses.replace(inst, expr=NCExpr(params, terms))
+        out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("case", ["generic", "super1"])
+def test_wrong_mixed_relation_factor_fails_modules(monkeypatch, case):
+    """The module matrices see a K-part off by q_i in every c_ii instance.
+    The Hopf campaign does not: S takes E_i F_i - c F_i E_i and K_i - K'_i
+    to the same K-monomial multiple of themselves, so S(R) is a multiple of
+    R = a(E_i F_i - c F_i E_i) - b(K_i - K'_i) whatever a and b are, and
+    antipode-c cannot see a relative rescaling of the K-part."""
+    monkeypatch.setattr(hopf, "relations_of", _k_part_scaled_relations)
+    monkeypatch.setattr(repcheck, "relations_of", _k_part_scaled_relations)
+    assert _run_hopf_a2().summary == {"pass": 80, "fail": 0, "warn": 0}
+
+    rep = verify_transported_modules(case, max_n=3)
+    assert rep.summary == {"pass": 87, "fail": 5, "warn": 0}
+    assert [c.id for c in rep.failures()] == [
+        "sl2-string-n1+twist:c:i1:j1", "sl2-string-n2+twist:c:i1:j1",
+        "sl2-string-n3+twist:c:i1:j1", "sl3-natural+twist:c:i1:j1",
+        "sl3-natural+twist:c:i2:j2"]
     assert all(c.witness.startswith("entry (") for c in rep.failures())
 
 

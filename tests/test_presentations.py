@@ -150,17 +150,16 @@ def test_modified_serre_term_count(a2):
     lam = rd.zero_weight()
     rels = relations_of("scrUdot", rd, p, window=[lam])
     inst = [r for r in rels if r.family == "d-E" and r.i == 0 and r.j == 1][0]
-    # r = 2: three distinct words, scalars 1, -(s21/s12)[..], (s21/s12)^2 [..]
+    # r = 2: three distinct words, scalars 1, -(s21/s12)[2, 1], (s21/s12)^2
     assert len(inst.expr.terms) == 3
     by_l = {}
     for w, c in inst.expr.terms.items():
         idx = [i for _, i in w.steps]
         by_l[len(idx) - 1 - idx.index(1)] = c
     ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))
-    fact = p.rat(qfact(2, p.q(0)))
-    assert by_l[0] * fact == p.rat(1)
-    assert by_l[1] * fact == -ratio * qint(2, p.q(0))
-    assert by_l[2] * fact == ratio * ratio
+    assert by_l[0] == p.rat(1)
+    assert by_l[1] == -ratio * qbinom(2, 1, p.q(0))
+    assert by_l[2] == ratio * ratio
 
 
 def test_ordinary_c_family(a1):
@@ -168,12 +167,13 @@ def test_ordinary_c_family(a1):
     rels = relations_of("U", rd, p)
     (c_inst,) = [r for r in rels if r.family == "c"]
     terms = {w: c for w, c in c_inst.expr.terms.items()}
+    # (v - v^-1)(E F - F E) - (K - K^-1): the integral form, with no denominator
     v = p.v()
-    denom = p.rat(v - v.inv_unit())
-    assert terms[(("E", 0), ("F", 0))] == p.rat(1)
-    assert terms[(("F", 0), ("E", 0))] == -p.rat(1)
-    assert terms[(("K", 0),)] == -p.rat(1) / denom
-    assert terms[(("Kinv", 0),)] == p.rat(1) / denom
+    qdiff = p.rat(v - v.inv_unit())
+    assert terms[(("E", 0), ("F", 0))] == qdiff
+    assert terms[(("F", 0), ("E", 0))] == -qdiff
+    assert terms[(("K", 0),)] == -p.rat(1)
+    assert terms[(("Kinv", 0),)] == p.rat(1)
 
 
 def test_untwisted_needs_v(a2):
@@ -206,7 +206,7 @@ def test_untwisted_parameters_are_lusztigs():
 def test_untied_serre_sums_keep_their_own_q():
     """a2 with q_i = v^2, not v: the scrU Serre sums are in q_i = v^2 and the
     U ones in v^{d_i} = v, and both sets share one ring context, so the
-    1/[l]! cache must tell them apart by q_i.  [r]! times each coefficient is
+    q-binomial cache must tell them apart by q_i.  Each coefficient is
     (-1)^l ratio^l binom(r, l) in the sum's own parameter."""
     rd = rootdata.builtin("a2")
     tied = ParameterSet.v_tied(rd.cartan)
@@ -228,7 +228,7 @@ def test_untied_serre_sums_keep_their_own_q():
                 at = [k for _, k in word].index(j)
                 l = r - at if inst.family == "d-E" else at
                 expected = p.rat(qbinom(r, l, q)) * ratio**l * (-1) ** l
-                assert c * qfact(r, q) == expected, (algebra, inst.id, word)
+                assert c == expected, (algebra, inst.id, word)
                 seen += 1
     assert seen == 3 * 4 * 3
 
@@ -240,30 +240,30 @@ def test_window_required(a1):
 
 
 def _a2_raising_serre(p):
-    """The a2 raising Serre sum d-E:i1:j2 of scrU, each coefficient times [2]!_{q_1}."""
+    """The a2 raising Serre sum d-E:i1:j2 of scrU, word -> coefficient."""
     rd = rootdata.builtin("a2")
     (inst,) = [x for x in relations_of("scrU", rd, p) if x.id == "d-E:i1:j2"]
-    return {w: c * qfact(2, p.q(0)) for w, c in inst.expr.terms.items()}
+    return dict(inst.expr.terms)
 
 
 def test_serre_binomial_example(a2):
-    """The a2 raising Serre sum of scrU, times [2]!_{q_1}, is the Gaussian
-    binomial form E1E1E2 - ratio [2] E1E2E1 + ratio^2 E2E1E1."""
+    """The a2 raising Serre sum of scrU is the Gaussian binomial form
+    E1E1E2 - ratio [2, 1] E1E2E1 + ratio^2 E2E1E1."""
     rd, p = a2
     words = _a2_raising_serre(p)
     E, F = ("E", 0), ("E", 1)
     ratio = p.rat(p.s(1, 0)) / p.rat(p.s(0, 1))
-    assert words == {(E, E, F): p.rat(1), (E, F, E): -ratio * qint(2, p.q(0)),
+    assert words == {(E, E, F): p.rat(1), (E, F, E): -ratio * qbinom(2, 1, p.q(0)),
                      (F, E, E): ratio * ratio}
     # a Serre relation joins two distinct indices
     serre = [x for x in relations_of("scrU", rd, p) if x.family in ("d-E", "d-F")]
     assert serre and all(x.i != x.j for x in serre)
 
 
-def test_serre_binomial_is_factorial_times_divided_form():
-    """[r]!_{q_i} times each coefficient of each scrU Serre sum, raising and
-    lowering, for both index orders and r = 1 (a1xa1), 2 (a2), 3 (b2) and 4
-    (g2), is (-1)^l ratio^l binom(r, l)_{q_i}, built from coeffring alone,
+def test_serre_binomial_is_integral_form():
+    """Each coefficient of each scrU Serre sum, raising and lowering, for
+    both index orders and r = 1 (a1xa1), 2 (a2), 3 (b2) and 4 (g2), is
+    (-1)^l ratio^l binom(r, l)_{q_i}, built from coeffring alone,
     with l read off the word: the E_i right of E_j, or the F_i left of F_j.
     The parameters are generic and, for the one-parameter limit, s = t = 1."""
     seen = set()
@@ -283,7 +283,7 @@ def test_serre_binomial_is_factorial_times_divided_form():
                     l = r - at if inst.family == "d-E" else at
                     ls.append(l)
                     expected = p.rat(qbinom(r, l, p.q(i))) * ratio**l * (-1) ** l
-                    assert c * qfact(r, p.q(i)) == expected, (name, p.label, inst.id, word)
+                    assert c == expected, (name, p.label, inst.id, word)
                 assert sorted(ls) == list(range(r + 1)), (name, inst.id)
                 seen.add((name, p.label, inst.family, i, j, r))
     assert len(seen) == 4 * 2 * 2 * 2
@@ -291,14 +291,14 @@ def test_serre_binomial_is_factorial_times_divided_form():
 
 
 def test_serre_binomial_untwisted_limit():
-    """In the one-parameter limit the a2 raising Serre sum, times [2]!, is the
-    classical E1E1E2 - [2]_v E1E2E1 + E2E1E1."""
+    """In the one-parameter limit the a2 raising Serre sum is the classical
+    E1E1E2 - [2, 1]_v E1E2E1 + E2E1E1."""
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan).untwisted()
     words = _a2_raising_serre(p)
     E, F = ("E", 0), ("E", 1)
     assert words[(E, E, F)] == p.rat(1)
-    assert words[(E, F, E)] == -p.rat(qint(2, p.v() ** rd.cartan.d(0)))
+    assert words[(E, F, E)] == -p.rat(qbinom(2, 1, p.v() ** rd.cartan.d(0)))
     assert words[(F, E, E)] == p.rat(1)
 
 
@@ -331,10 +331,17 @@ def test_untwisted_presentation_is_trivial_twist_image():
                 assert (fam, r.i, r.j, r.part) in twisted
 
 
+def _times_factorial(expr, r, qi):
+    """expr times [r]!_{q_i}, each coefficient cancelled to its polynomial."""
+    fact = qfact(r, qi)
+    return expr._new({w: (c * fact).simplified() for w, c in expr.terms.items()})
+
+
 def _literal_serre(inst, rd, p, twisted):
     """The Serre sum at inst's weight, built term by term from divided powers
-    and arrows, each term scaled by (-1)^l ratio^l.  A divided power is its
-    word times 1/[m]! in q_i, or in v^{d_i} for the untwisted sum."""
+    and arrows, each term scaled by (-1)^l ratio^l, then times [r]!: the
+    integral form.  A divided power is its word times 1/[m]! in q_i, or in
+    v^{d_i} for the untwisted sum."""
     i, j, lam = inst.i, inst.j, inst.lam
     r = rd.cartan.serre_exponent(i, j)
     fam = p.s if inst.family == "d-E" else p.t
@@ -356,7 +363,7 @@ def _literal_serre(inst, rd, p, twisted):
         else:
             term = dp("F", l, lam) * _arrow(rd, p, "F", j, top) * dp("F", r - l, top)
         acc = acc + term.scale(ratio**l * (-1) ** l)
-    return acc
+    return _times_factorial(acc, r, qi)
 
 
 def _literal_zero_family(inst, rd, p):
@@ -379,7 +386,7 @@ def _literal_zero_family(inst, rd, p):
 def _literal_nc_serre(inst, p, twisted):
     """The free-word Serre sum of inst, built term by term as the product of
     a divided power, the j-th generator and a divided power, each term
-    scaled by (-1)^l ratio^l."""
+    scaled by (-1)^l ratio^l, then times [r]!: the integral form."""
     i, j, kind = inst.i, inst.j, inst.family[-1]
     r = p.cartan.serre_exponent(i, j)
     fam = p.s if kind == "E" else p.t
@@ -395,7 +402,7 @@ def _literal_nc_serre(inst, p, twisted):
         arrow = NCExpr.word(p, ((kind, j),))
         term = dp(r - l) * arrow * dp(l) if kind == "E" else dp(l) * arrow * dp(r - l)
         acc = acc + term.scale(ratio**l * (-1) ** l)
-    return acc
+    return _times_factorial(acc, r, qi)
 
 
 def _serre_cases():
@@ -435,3 +442,31 @@ def test_modified_relations_match_literal_construction(case):
             assert inst.expr == literal, inst.id
             assert str(inst.expr) == str(literal), inst.id
         assert len(serre) == 2 * rd.n * (rd.n - 1)
+
+
+def _integral_cases():
+    """(label, root datum, parameters, algebras) for the integral-form guard:
+    the five built-ins v-tied and generic (no U without a base v), and each
+    a2 specialization, sign variables included."""
+    for name in sorted(rootdata.BUILTINS):
+        rd = rootdata.builtin(name)
+        yield name + "-v-tied", rd, ParameterSet.v_tied(rd.cartan), ("U", "scrU", "Udot", "scrUdot")
+        yield name + "-generic", rd, ParameterSet.generic(rd.cartan), ("scrU", "scrUdot")
+    for case in sorted(specializations._CASES):
+        spec = specializations.make(case, rootdata.builtin("a2"))
+        yield "a2-" + case, spec.rd, spec.params, ("U", "scrU", "Udot", "scrUdot")
+
+
+@pytest.mark.parametrize("case", list(_integral_cases()), ids=lambda c: c[0])
+def test_every_relation_coefficient_is_a_laurent_polynomial(case):
+    """Every relation instance of every presentation is built in integral
+    form: the Serre sums times [r]!_{q_i} and the mixed relation c_ii times
+    q_i - q_i^{-1}, so no coefficient carries a denominator."""
+    _, rd, p, algebras = case
+    for algebra in algebras:
+        window = rd.weights_box(1) if algebra.endswith("dot") else None
+        instances = relations_of(algebra, rd, p, window)
+        assert instances, algebra
+        bad = [(inst.id, str(c)) for inst in instances for c in inst.expr.terms.values()
+               if not c.den.is_one()]
+        assert bad == [], algebra
