@@ -31,9 +31,9 @@ from .ncalg import (
     NCExpr,
     StraightenRules,
     TensorExpr,
-    bichar,
     grade,
     merge_term,
+    pair_twist,
     straighten,
     tmul,
     word_key,
@@ -139,8 +139,7 @@ def star_mul(p: ParameterSet, x: NCExpr, y: NCExpr) -> NCExpr:
         dx = grade(wx, n)
         for wy, cy in y.terms.items():
             dy = grade(wy, n)
-            twist = bichar(p, "s", dy, dx) * bichar(p, "t", dx, dy)
-            merge_term(terms, wy + wx, cx * cy * twist)
+            merge_term(terms, wy + wx, cx * cy * pair_twist(p, dx, dy))
     return NCExpr(p, terms)
 
 
@@ -276,6 +275,13 @@ def verify_antipode(ctx: HopfContext, instances) -> list:
     both in their integral form, must map to a scalar-times-K-monomial
     multiple of itself, read off by extraction.  Families a and d-F are not
     read.
+
+    Family c is read only up to that multiple, so a wrong relative factor
+    between the two halves of c_ii, a(E_i F_i - c F_i E_i) - b(K_i - K'_i),
+    passes here: S takes both halves to the same K-monomial multiple of
+    themselves, whatever a and b are.  The module campaign is the one check
+    of that factor (tests/test_mutations.py::
+    test_wrong_mixed_relation_factor_fails_modules).
     """
     p = ctx.params
     records = []

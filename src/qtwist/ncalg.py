@@ -19,6 +19,9 @@ the slots that move past each other.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .coeffring import RingError
 from .params import ParameterSet
 
@@ -54,6 +57,12 @@ def bichar(params: ParameterSet, family: str, mu, nu):
             if nj:
                 out = out * get(i, j) ** (mi * nj)
     return out
+
+
+def pair_twist(params: ParameterSet, left, right):
+    """t(left, right) s(right, left): the scalar a homogeneous factor of
+    degree ``right`` picks up on moving past one of degree ``left``."""
+    return bichar(params, "t", left, right) * bichar(params, "s", right, left)
 
 
 def word_str(word) -> str:
@@ -349,28 +358,20 @@ class TensorExpr(LinComb):
 
 
 def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
-    """Twisted multiplication of tensor expressions (2- or 3-fold)."""
+    """Twisted multiplication of tensor expressions (2- or 3-fold): the
+    product of pure tensors picks up pair_twist(|x_b|, |y_a|) for every slot
+    a of y that moves past a slot b > a of x."""
     if a.arity != b.arity:
         raise ValueError("tensor arity mismatch")
     params = a.params
     n = params.cartan.n
+    pairs = [(ya, xb) for ya in range(a.arity) for xb in range(ya + 1, a.arity)]
+    ys = [(ykey, cy, [grade(w, n) for w in ykey]) for ykey, cy in b.terms.items()]
     terms: dict = {}
     for xkey, cx in a.terms.items():
         xdeg = [grade(w, n) for w in xkey]
-        for ykey, cy in b.terms.items():
-            ydeg = [grade(w, n) for w in ykey]
-            if a.arity == 2:
-                twist = bichar(params, "t", xdeg[1], ydeg[0]) * bichar(
-                    params, "s", ydeg[0], xdeg[1]
-                )
-            else:
-                x23 = tuple(p + q for p, q in zip(xdeg[1], xdeg[2]))
-                twist = (
-                    bichar(params, "t", x23, ydeg[0])
-                    * bichar(params, "s", ydeg[0], x23)
-                    * bichar(params, "t", xdeg[2], ydeg[1])
-                    * bichar(params, "s", ydeg[1], xdeg[2])
-                )
+        for ykey, cy, ydeg in ys:
+            twist = reduce(mul, (pair_twist(params, xdeg[xb], ydeg[ya]) for ya, xb in pairs))
             key = tuple(xw + yw for xw, yw in zip(xkey, ykey))
             merge_term(terms, key, cx * cy * twist)
     return TensorExpr(params, a.arity, terms)

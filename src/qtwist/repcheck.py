@@ -2,25 +2,24 @@
 untwisted algebra to the twisted one and check every relation as an exact
 matrix identity over the rational-function field.
 
+A module keeps one sparse matrix per generator symbol, as columns: column b
+lists the (row, entry) pairs of its nonzero entries.  Construction,
+transport, negative controls and evaluation all read and write this one
+form; no dense matrix is ever built.
+
 One string rule (string_module) builds every stock module from its weights:
 the (n+1)-dimensional string modules of the rank-1 datum and the natural
 module of the rank-2 type-A datum, which together exercise the mixed E/F
 relation across a range of weights and the quantum Serre relation at matrix
 level.  Their untwisted relations are checked by the tests, not at run time.
 
-A relation is evaluated by column action, with no dense word matrices:
-column b of a word's matrix M_{w_0} ... M_{w_last} is M_{w_0}(...(M_{w_last}
-e_b)), so each basis vector is pushed through the word's letters by their
-nonzero entries, and the coefficient times the result is summed into column
-b.  Matrix multiplication is associative, so these are the entries of the
-dense product, for any matrices and not only weight-graded ones.  The
-witness of a failed relation is its first nonzero entry in row-major order.
-
-The transport convention is fixed by reading the generator rescaling at the
-acting weight: a raising action into weight lam is divided by e(i, lam), a
-lowering action out of weight lam is divided by f(i, lam); the K-type
-actions become the corrected eigenvalues c(i,lam) q_i^{+-lam_i}.  The
-report prints the convention string so direction disputes are auditable.
+A relation is evaluated by column action: column b of a word's matrix
+M_{w_0} ... M_{w_last} is M_{w_0}(...(M_{w_last} e_b)), so each basis
+vector is pushed through the word's letters by their nonzero entries, and
+the coefficient times the result is summed into column b.  Matrix
+multiplication is associative, so these are the entries of the dense
+product, for any matrices and not only weight-graded ones.  The witness of
+a failed relation is its first nonzero entry in row-major order.
 """
 
 from __future__ import annotations
@@ -34,59 +33,29 @@ from .report import FAIL, PASS, CheckRecord, Report
 from .rootdata import RootDatum
 from .twistmap import TwistScalars
 
-CONVENTION = "E_i|M_lam scaled by e(i, lam+alpha_i)^-1; F_i|M_lam scaled by f(i, lam)^-1"
-
 
 class WeightModule:
-    """Weight-graded module with one matrix per generator symbol."""
+    """Weight-graded module with one sparse matrix per generator symbol."""
 
-    def __init__(self, rd: RootDatum, params: ParameterSet, weights, mats, label=""):
+    def __init__(self, rd: RootDatum, params: ParameterSet, weights, cols, label=""):
         self.rd = rd
         self.params = params
         self.weights = list(weights)  # weight of each basis vector
-        self.mats = mats              # (kind, i) -> dense RatExpr matrix
+        self.cols = cols              # (kind, i) -> [[(row, entry), ...] per column]
         self.label = label
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "WeightModule":
-        mats = {k: [row[:] for row in m] for k, m in self.mats.items()}
-        return WeightModule(self.rd, self.params, self.weights, mats, self.label)
-
-
-def _zeros(params, n):
-    z = params.rat(0)
-    return [[z for _ in range(n)] for _ in range(n)]
-
-
-def _mat_mul(params, a, b):
-    n = len(a)
-    out = _zeros(params, n)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            aik = arow[k]
-            if aik.is_zero():
-                continue
-            brow = b[k]
-            for j in range(n):
-                if not brow[j].is_zero():
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
-
-
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
 
 def _diag(params, entries):
-    m = _zeros(params, len(entries))
-    for k, e in enumerate(entries):
-        m[k][k] = params.rat(e)
-    return m
+    return [[(b, params.rat(e))] for b, e in enumerate(entries)]
+
+
+def _scaled(cols, factors):
+    """The sparse matrix with column b multiplied by factors[b]."""
+    return [[(r, x * c) for r, x in col] for col, c in zip(cols, factors)]
 
 
 def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> WeightModule:
@@ -99,22 +68,22 @@ def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> W
     ``params.untwisted()``."""
     u = params.untwisted()
     index = {mu: col for col, mu in enumerate(weights)}
-    mats = {}
+    cols = {}
     for i in rd.index_set:
-        E, F = _zeros(params, len(weights)), _zeros(params, len(weights))
+        E, F = [[] for _ in weights], [[] for _ in weights]
         for col, mu in enumerate(weights):
             up, down = (_steps(rd, index, mu, i, sign) for sign in (1, -1))
             if down - up != rd.lambda_i(mu, i):
                 raise ValueError("the %d-string through %s is not simple" % (i + 1, mu))
             if up:
-                E[index[rd.add_root(mu, i, 1)]][col] = params.rat(u.qint_q(down + 1, i))
+                E[col].append((index[rd.add_root(mu, i, 1)], params.rat(u.qint_q(down + 1, i))))
             if down:
-                F[index[rd.add_root(mu, i, -1)]][col] = params.rat(u.qint_q(up + 1, i))
-        mats[("E", i)], mats[("F", i)] = E, F
+                F[col].append((index[rd.add_root(mu, i, -1)], params.rat(u.qint_q(up + 1, i))))
+        cols[("E", i)], cols[("F", i)] = E, F
         pairs = [rd.lambda_i(mu, i) for mu in weights]
-        mats[("K", i)] = _diag(params, [u.q(i) ** k for k in pairs])
-        mats[("Kinv", i)] = _diag(params, [u.q(i) ** -k for k in pairs])
-    return WeightModule(rd, params, weights, mats, label)
+        cols[("K", i)] = _diag(params, [u.q(i) ** k for k in pairs])
+        cols[("Kinv", i)] = _diag(params, [u.q(i) ** -k for k in pairs])
+    return WeightModule(rd, params, weights, cols, label)
 
 
 def _steps(rd, index, mu, i, sign):
@@ -149,26 +118,21 @@ def sl3_natural_module(rd: RootDatum, params: ParameterSet) -> WeightModule:
 def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
     """Pull the module across the inverse rescaling map.
 
-    Raising actions are divided by e at the landing weight, lowering actions
-    by f at the starting weight; the two K-families act by the corrected
-    eigenvalues c(i,lam) q_i^{lam_i} and c(i,lam) q_i^{-lam_i}.
+    The convention is read from the generator rescaling at the acting
+    weight: E_i|M_lam is scaled by e(i, lam+alpha_i)^-1, the raising action
+    divided by e at the landing weight, and F_i|M_lam by f(i, lam)^-1, the
+    lowering action divided by f at the starting weight; the two K-families
+    act by the corrected eigenvalues c(i,lam) q_i^{lam_i} and
+    c(i,lam) q_i^{-lam_i}.
     """
     rd = mod.rd
     params = scalars.params
-    mats = {}
+    cols = {}
     for i in rd.index_set:
-        E = [row[:] for row in mod.mats[("E", i)]]
-        F = [row[:] for row in mod.mats[("F", i)]]
-        for b, lam in enumerate(mod.weights):
-            e_scale = params.rat(scalars.e(i, rd.add_root(lam, i, +1)).inv_unit())
-            f_scale = params.rat(scalars.f(i, lam).inv_unit())
-            for r in range(mod.dim):
-                if not E[r][b].is_zero():
-                    E[r][b] = E[r][b] * e_scale
-                if not F[r][b].is_zero():
-                    F[r][b] = F[r][b] * f_scale
-        mats[("E", i)] = E
-        mats[("F", i)] = F
+        e = [params.rat(scalars.e(i, rd.add_root(lam, i, +1)).inv_unit()) for lam in mod.weights]
+        f = [params.rat(scalars.f(i, lam).inv_unit()) for lam in mod.weights]
+        cols[("E", i)] = _scaled(mod.cols[("E", i)], e)
+        cols[("F", i)] = _scaled(mod.cols[("F", i)], f)
         kdiag = []
         kpdiag = []
         for lam in mod.weights:
@@ -176,17 +140,11 @@ def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
             li = rd.lambda_i(lam, i)
             kdiag.append(c * params.q(i) ** li)
             kpdiag.append(c * params.q(i) ** (-li))
-        mats[("K", i)] = _diag(params, kdiag)
-        mats[("Kinv", i)] = _diag(params, [x.inv_unit() for x in kdiag])
-        mats[("Kp", i)] = _diag(params, kpdiag)
-        mats[("Kpinv", i)] = _diag(params, [x.inv_unit() for x in kpdiag])
-    return WeightModule(rd, params, mod.weights, mats, label=mod.label + "+twist")
-
-
-def _columns(mat):
-    """The nonzero entries of each column: [[(row, entry), ...] per column]."""
-    n = len(mat)
-    return [[(r, mat[r][b]) for r in range(n) if not mat[r][b].is_zero()] for b in range(n)]
+        cols[("K", i)] = _diag(params, kdiag)
+        cols[("Kinv", i)] = _diag(params, [x.inv_unit() for x in kdiag])
+        cols[("Kp", i)] = _diag(params, kpdiag)
+        cols[("Kpinv", i)] = _diag(params, [x.inv_unit() for x in kpdiag])
+    return WeightModule(rd, params, mod.weights, cols, label=mod.label + "+twist")
 
 
 def _word_column(cols, word, b, one):
@@ -221,7 +179,6 @@ def verify_module(mod: WeightModule, instances) -> Report:
     """
     t0 = time.monotonic()
     rep = Report("modules", datum=mod.rd.name, case=mod.label)
-    cols = {sym: _columns(m) for sym, m in mod.mats.items()}
     one = mod.params.rat(1)
     for inst in instances:
         rec = CheckRecord("%s:%s" % (mod.label, inst.id), inst.family, inst.i, inst.j)
@@ -229,7 +186,7 @@ def verify_module(mod: WeightModule, instances) -> Report:
         for b in range(mod.dim):
             acc = {}
             for word, coeff in inst.expr.terms.items():
-                for r, x in _word_column(cols, word, b, one).items():
+                for r, x in _word_column(mod.cols, word, b, one).items():
                     y = x * coeff
                     acc[r] = acc[r] + y if r in acc else y
             for r in sorted(acc):
@@ -246,18 +203,21 @@ def verify_module(mod: WeightModule, instances) -> Report:
 
 
 def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
-    """K_i Kp_i acts on the lam weight space by c(i,lam)^2."""
+    """K_i Kp_i acts on the lam weight space by c(i,lam)^2: the (b, b) entry
+    of the word K_i Kp_i, by the column action verify_module uses."""
     rd, params = mod.rd, mod.params
+    zero, one = params.rat(0), params.rat(1)
     out = []
     for i in rd.index_set:
-        prod = _mat_mul(params, mod.mats[("K", i)], mod.mats[("Kp", i)])
+        word = (("K", i), ("Kp", i))
         ok = True
         witness = ""
         for b, lam in enumerate(mod.weights):
+            got = _word_column(mod.cols, word, b, one).get(b, zero)
             want = params.rat(scalars.c(i, lam) ** 2)
-            if not (prod[b][b] == want):
+            if not (got == want):
                 ok = False
-                witness = "basis %d: %s != %s" % (b, prod[b][b], want)
+                witness = "basis %d: %s != %s" % (b, got, want)
                 break
         out.append(
             CheckRecord(
@@ -270,11 +230,9 @@ def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
 
 def corrupt(mod: WeightModule, kind: str, i: int, factor) -> WeightModule:
     """Negative control: damage one generator matrix by a unit factor."""
-    bad = mod.copy()
-    c = mod.params.rat(factor)
-    bad.mats[(kind, i)] = _mat_scale(bad.mats[(kind, i)], c)
-    bad.label = mod.label + "+corrupt"
-    return bad
+    cols = dict(mod.cols)
+    cols[(kind, i)] = _scaled(mod.cols[(kind, i)], [mod.params.rat(factor)] * mod.dim)
+    return WeightModule(mod.rd, mod.params, mod.weights, cols, mod.label + "+corrupt")
 
 
 def verify_transported_modules(case: str, max_n: int = 6) -> Report:

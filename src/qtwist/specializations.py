@@ -188,7 +188,7 @@ def multi_parameter(rd: RootDatum) -> Specialization:
             qm[i][j] = ctx.laurent("q%d%d" % (i + 1, j + 1), denom=2).as_poly()
     for i in range(n):
         for j in range(i):
-            # q_ji resolved: q_jj ... note (j, i) with j < i free
+            # i > j: q_ij = q_jj^{a_ji} q_ji^{-1}, from the free q_ji
             qm[i][j] = qm[j][j] ** cartan.a(j, i) * qm[j][i].inv_unit()
     half = Fraction(1, 2)
     s = [[qm[j][i].unit_pow(half) for j in range(n)] for i in range(n)]
