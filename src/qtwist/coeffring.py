@@ -196,14 +196,24 @@ class Context:
 
     # -- monomial helpers (scaled-exponent tuples) --------------------------
 
-    def mono_mul(self, a: Mono, b: Mono) -> Mono:
-        if not a:
-            return b
-        if not b:
-            return a
-        acc = dict(a)
+    def mono_mul(self, m: Mono, pairs) -> Mono:
+        """The monomial m times prod x_idx^s over (index, scaled exponent)
+        pairs: another monomial, or a dict's items with any exponents.  The
+        exponents are summed per variable, sign-variable exponents reduced
+        mod 2 and zero exponents dropped.  This is the ring's one shift rule:
+        products of polynomials, unit_from_exps and LaurentPoly.times_unit
+        all apply it.  A monomial is canonical, so a product with 1 is the
+        other factor as it is."""
+        if not pairs:
+            return m
         signs = self.sign_indices
-        for idx, s in b:
+        if not m:
+            if type(pairs) is tuple:
+                return pairs
+            if not signs:
+                return tuple(sorted([p for p in pairs if p[1]]))
+        acc = dict(m)
+        for idx, s in pairs:
             cur = acc.get(idx, 0) + s
             if idx in signs:
                 cur %= 2
@@ -254,15 +264,8 @@ class Context:
 
     def unit_from_exps(self, exps: dict, coeff: Scalar = 1) -> "LaurentPoly":
         """The unit monomial coeff * prod_idx x_idx^{s} from a map of scaled
-        exponents {idx: s}: sign-variable exponents are reduced mod 2 here,
-        once, and zero exponents dropped.  coeff must be nonzero."""
-        signs = self.sign_indices
-        pairs = []
-        for idx in sorted(exps):
-            s = exps[idx] % 2 if idx in signs else exps[idx]
-            if s:
-                pairs.append((idx, s))
-        return LaurentPoly(self, {tuple(pairs): _num(coeff)})
+        exponents {idx: s}, through mono_mul.  coeff must be nonzero."""
+        return LaurentPoly(self, {self.mono_mul((), exps.items()): _num(coeff)})
 
     def mono_key(self, m: Mono):
         # Dense exponent vector in declaration order; lex comparison on it is
@@ -365,34 +368,40 @@ class LaurentPoly:
         if isinstance(other, RatExpr):
             return NotImplemented
         other = self._coerce(other)
-        ctx = self.ctx
-        mono_mul = ctx.mono_mul
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         a, b = small.terms, big.terms
         if not a:
             return small
         if len(a) == 1:
-            # A unit monomial permutes monomials, so no two products collide
-            # or cancel and the merge below is unnecessary.
             ((m1, c1),) = a.items()
-            if c1 == 1:
-                if not m1:
-                    return big
-                return LaurentPoly(ctx, {mono_mul(m1, m2): c2 for m2, c2 in b.items()})
-            terms = {mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
-        else:
-            terms = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = mono_mul(m1, m2)
-                    nc = terms.get(m, 0) + c1 * c2
-                    if nc == 0:
-                        terms.pop(m, None)
-                    else:
-                        terms[m] = nc
-        return LaurentPoly(ctx, _canon(terms))
+            if c1 == 1 and not m1:
+                return big
+            return big.times_unit(m1, c1)
+        mono_mul = self.ctx.mono_mul
+        terms = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = mono_mul(m1, m2)
+                nc = terms.get(m, 0) + c1 * c2
+                if nc == 0:
+                    terms.pop(m, None)
+                else:
+                    terms[m] = nc
+        return LaurentPoly(self.ctx, _canon(terms))
 
     __rmul__ = __mul__
+
+    def times_unit(self, pairs, coeff: Scalar = 1) -> "LaurentPoly":
+        """self times the unit monomial coeff * prod x_idx^s over (index,
+        scaled exponent) pairs, a monomial or a dict's items; coeff must be
+        nonzero.  A unit monomial permutes monomials, so no two products
+        collide or cancel: each monomial is shifted (Context.mono_mul) and
+        nothing is merged."""
+        shift = self.ctx.mono_mul
+        if coeff == 1:
+            return LaurentPoly(self.ctx, {shift(m, pairs): c for m, c in self.terms.items()})
+        terms = {shift(m, pairs): c * coeff for m, c in self.terms.items()}
+        return LaurentPoly(self.ctx, _canon(terms))
 
     def __pow__(self, n):
         if len(self.terms) == 1 or (isinstance(n, Fraction) and n.denominator != 1):
@@ -700,13 +709,23 @@ class RatExpr:
                 return RatExpr(num, self.den * other.den)
         if num.is_zero():
             return RatExpr(num, den)
-        # den is a normalised denominator, so __init__ would keep it as is
+        return RatExpr._normalised(num, den)
+
+    __rmul__ = __mul__
+
+    def times_unit(self, pairs, coeff: Scalar = 1) -> "RatExpr":
+        """self times a unit monomial: LaurentPoly.times_unit on the
+        numerator, over the same denominator."""
+        return RatExpr._normalised(self.num.times_unit(pairs, coeff), self.den)
+
+    @staticmethod
+    def _normalised(num: LaurentPoly, den: LaurentPoly) -> "RatExpr":
+        """num / den with no normalisation: den is already a normalised
+        denominator, which __init__ would keep as is, and num is nonzero."""
         out = object.__new__(RatExpr)
         out.num = num
         out.den = den
         return out
-
-    __rmul__ = __mul__
 
     def inv(self) -> "RatExpr":
         if self.is_zero():

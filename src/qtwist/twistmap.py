@@ -19,9 +19,13 @@ fixed by the steps before it, so the word's scalar at lam has the exponents
 b + A.lam: b from the steps' scalar at target 0, walked once per step tuple,
 and A the letters' matrices summed with their counts.  A word's scalar is
 one such evaluation, with no per-letter TwistScalars lookup and no product
-of unit monomials.  tests/test_twistmap.py checks it against a walk that
-reads TwistScalars at every step, on the built-in data, a rank-3 lattice,
-permuted lattices and coefficients other than 1.
+of unit monomials.  It is never built as a polynomial: a unit monomial only
+shifts exponents, so the map adds b + A.lam to the exponents of each
+monomial of the word's coefficient (LaurentPoly.times_unit) and keeps the
+coefficient's denominator.  tests/test_twistmap.py checks the images
+against the coefficient times a walk that reads TwistScalars at every step,
+on the built-in data, a rank-3 lattice, permuted lattices and coefficients
+other than 1.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import time
 from fractions import Fraction
 from operator import mul
 
-from .coeffring import LaurentPoly, RatExpr, RingError
+from .coeffring import RatExpr, RingError
 from .params import ParameterSet, twist_c, twist_e, twist_f
 from .presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from .report import FAIL, PASS, CheckRecord, Report
@@ -112,10 +116,10 @@ class TwistMap:
 
         The scalar at target 0 is the product of per-step scalars, e at the
         step target for raising steps and f at the step source for lowering
-        steps.  The matrix is A = sum over the letters of count * M_letter,
-        as rows (var index, A_v, whether v is a sign variable) with zero rows
-        dropped, and the coefficient ratios multiplied the same way (None
-        when every coefficient is 1)."""
+        steps, kept as its monomial and coefficient.  The matrix is
+        A = sum over the letters of count * M_letter, as rows (var index, A_v)
+        with zero rows dropped, and the coefficient ratios multiplied the
+        same way (None when every coefficient is 1)."""
         data = self._steps.get(steps)
         if data is None:
             e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
@@ -137,45 +141,50 @@ class TwistMap:
                     columns[idx] = tuple(x + n * y for x, y in zip(acc, column))
                 if r is not None:
                     ratios = tuple(x * y ** n for x, y in zip(ratios or (1,) * len(r), r))
-            signs = self.params.ctx.sign_indices
-            rows = tuple((idx, a, idx in signs) for idx, a in sorted(columns.items()) if any(a))
-            data = self._steps[steps] = (self.params.ctx.unit_product(factors), (rows, ratios))
+            rows = tuple((idx, a) for idx, a in sorted(columns.items()) if any(a))
+            (at0,) = self.params.ctx.unit_product(factors).terms.items()
+            data = self._steps[steps] = (at0, (rows, ratios))
         return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
-        """The word scalar at the word's target lam as one affine map of lam:
-        the exponents b + A.lam and the coefficient c * prod_k r_k^{lam_k},
+        """The word scalar at the word's target lam as one affine map of lam,
+        returned as (exps, coeff) for LaurentPoly.times_unit: the scaled
+        exponents b + A.lam, a dict that may hold zero or unreduced
+        sign-variable exponents, and the coefficient c * prod_k r_k^{lam_k},
         with b and c the steps' scalar at target 0 and A and r from
-        _step_data.  Reads only word.target and word.steps.
+        _step_data.  Inverted, every exponent is negated (a sign variable's
+        is the same mod 2) and the coefficient inverted.  Reads only
+        word.target and word.steps.
 
         This is the step walk from lam, exactly: e and f are characters of X,
         so every exponent is affine in lam and read off exactly at 0 and the
         coordinate basis, and each step's weight is lam plus a shift fixed by
-        the steps before it.  tests/test_twistmap.py checks it against a walk
-        that reads TwistScalars at every step."""
-        base, (rows, ratios) = self._step_data(word.steps)
-        ((m, c),) = base.terms.items()
+        the steps before it.  tests/test_twistmap.py checks the map it
+        drives against a walk that reads TwistScalars at every step."""
+        (base, c), (rows, ratios) = self._step_data(word.steps)
         lam = word.target
-        if rows:
-            exps = dict(m)
-            for idx, a, sign in rows:
-                s = exps.get(idx, 0) + sum(map(mul, a, lam))
-                exps[idx] = s % 2 if sign else s
-            m = tuple([p for p in sorted(exps.items()) if p[1]])
+        exps = dict(base)
+        for idx, a in rows:
+            exps[idx] = exps.get(idx, 0) + sum(map(mul, a, lam))
         if ratios is not None:
             for r, k in zip(ratios, lam):
                 if k:
                     c *= r ** k
-            c = c.numerator if c.denominator == 1 else c
-        out = LaurentPoly(self.params.ctx, {m: c})
-        return out.inv_unit() if invert and not out.is_one() else out
+        if invert:
+            exps = {idx: -s for idx, s in exps.items()}
+            if c != 1:
+                c = 1 / Fraction(c)
+        return exps, c
 
     def _apply(self, x: PathExpr, invert: bool) -> PathExpr:
+        """Each coefficient times its word's scalar, a unit monomial: the
+        numerator's monomials shifted, the normalised denominator kept.  A
+        unit times a nonzero coefficient is nonzero, so nothing is dropped."""
+        word_scalar = self._word_scalar
         terms = {}
         for w, c in x.terms.items():
-            nc = c * self._word_scalar(w, invert)
-            if not nc.is_zero():
-                terms[w] = nc
+            exps, coeff = word_scalar(w, invert)
+            terms[w] = c.times_unit(exps.items(), coeff)
         return PathExpr(self.rd, self.params, terms)
 
     def forward(self, x: PathExpr) -> PathExpr:

@@ -389,6 +389,40 @@ def test_unit_product_is_one_pass_product(ctx):
         Context().unit_product([v.as_poly()])
 
 
+def test_times_unit_shifts_by_any_exponent_map(ctx):
+    """times_unit with an exponent map, zero and unreduced sign-variable
+    exponents included, equals the product with that unit monomial, checked
+    on dense exponent vectors (sign exponents mod 2, zeros dropped), and a
+    fraction keeps its denominator."""
+    v, w, g = ctx["v"], ctx["w"], ctx["g"]
+    polys = [ctx.one, v**Fraction(1, 2) * g + 1, w**-2 - 3 * v + g,
+             ctx.monomial({v: -1, g: 1}, coeff=Fraction(-2, 3))]
+    maps = [{}, {v.index: 0, w.index: 0}, {g.index: 3, w.index: -2}, {g.index: -1, v.index: -3},
+            {v.index: 1, w.index: 4, g.index: 2}]
+
+    def dense(m):
+        e = dict(m)
+        return tuple(e.get(x.index, 0) for x in (v, w, g))
+
+    _, (frac, *_) = _fractions(ctx)
+    for p in polys:
+        for exps in maps:
+            for coeff in (1, -1, 2, Fraction(3, 2), Fraction(2, 3)):
+                got = p.times_unit(exps.items(), coeff)
+                assert_canonical_coefficients(got)
+                shift = [exps.get(x.index, 0) for x in (v, w, g)]
+                want = {}
+                for m, c in p.terms.items():
+                    ev, ew, eg = (a + b for a, b in zip(dense(m), shift))
+                    want[(ev, ew, eg % 2)] = c * coeff
+                assert {dense(m): c for m, c in got.terms.items()} == want
+                assert all(s for m in got.terms for _, s in m)
+                _same(got, p * ctx.unit_from_exps(exps, coeff))
+                shifted = (frac * p).times_unit(exps.items(), coeff)
+                assert shifted.den is frac.den
+                _same(shifted.num, (frac * p).num.times_unit(exps.items(), coeff))
+
+
 def _fractions(ctx):
     v, w, g = ctx["v"], ctx["w"], ctx["g"]
     den = v**2 + 3 * w - Fraction(2, 3)

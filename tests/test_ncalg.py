@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtwist import rootdata
+from qtwist import rootdata, specializations
 from qtwist.ncalg import (
     NCExpr,
     StraightenRules,
@@ -238,6 +238,44 @@ def _two_basis_elements(kind, rd, p):
     return a, b, PathExpr.zero(rd, p)
 
 
+def _generic_multiple(x, target):
+    """multiple_of by its definition: one fraction division at target's
+    largest key, and every other key compared as fractions."""
+    if target.is_zero():
+        return x.params.rat(1) if x.is_zero() else None
+    if x.terms.keys() != target.terms.keys():
+        return None
+    ref = max(target.terms, key=target._order)
+    n = x.terms[ref] / target.terms[ref]
+    return n if all(x.terms[k] == n * c for k, c in target.terms.items()) else None
+
+
+def _multiple_cases(p, a, b):
+    """(x, target) pairs through every branch of multiple_of: a unit and a
+    non-unit coefficient at target's largest key, a unit over the divided
+    power's 1/[2]! on both keys, and denominators that differ between the
+    keys or between x and target; each multiple is a unit (with
+    coefficients -1 and 2), a polynomial, 1/[2]! or a fraction, and each x
+    is also perturbed at the smaller key so that it is no multiple."""
+    hi, lo = sorted((a, b), key=lambda e: e._order(next(iter(e.terms))), reverse=True)
+    unit = p.t(1, 0) * p.q(0)
+    poly = p.q(0) + 1
+    inv_fact = p.rat(1) / p.rat(p.qfact_q(2, 0))
+    targets = [
+        hi.scale(unit) + lo.scale(poly),
+        hi.scale(poly) + lo.scale(unit),
+        hi.scale(inv_fact * unit) + lo.scale(inv_fact),
+        hi.scale(unit) + lo.scale(inv_fact),
+    ]
+    multiples = [p.rat(unit), p.rat(-unit), p.rat(2 * unit), p.rat(poly), inv_fact,
+                 p.rat(unit) / p.rat(p.q(1) + 2)]
+    for target in targets:
+        for n in multiples:
+            x = target.scale(n)
+            yield x, target
+            yield x + lo.scale(p.q(1)), target
+
+
 @pytest.mark.parametrize("kind", ["NCExpr", "TensorExpr", "PathExpr"])
 def test_multiple_of(setup, kind):
     rd, p, _ = setup
@@ -252,3 +290,21 @@ def test_multiple_of(setup, kind):
     got = target.scale(n).multiple_of(target)
     assert got == n
     assert target.scale(n) == target.scale(got)
+    # the unit shortcuts change how N is found, never its num or den terms,
+    # in the generic ring and in super1, whose units carry sign variables
+    super1 = specializations.make("super1", rd).params
+    ((mono, _),) = (super1.t(1, 0) * super1.q(0)).terms.items()
+    assert any(idx in super1.ctx.sign_indices for idx, _ in mono)
+    for ring in (p, super1):
+        a, b, _ = _two_basis_elements(kind, rd, ring)
+        found = 0
+        for x, target in _multiple_cases(ring, a, b):
+            want, got = _generic_multiple(x, target), x.multiple_of(target)
+            if want is None:
+                assert got is None, (x, target)
+            else:
+                found += 1
+                assert got is not None, (x, target)
+                assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), (
+                    x, target)
+        assert found == 24

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qtwist import rootdata, specializations
-from qtwist.coeffring import Context
+from qtwist.coeffring import Context, LaurentPoly, RatExpr
 from qtwist.params import ParameterSet
 from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from qtwist.twistmap import (
@@ -99,20 +99,44 @@ def _ring(case, rd):
     return specializations.make(case, rd, **kwargs).params
 
 
+def _assert_map_matches_walk(rd, p):
+    """forward and backward of every Udot instance over the box 1 equal, term
+    by term and structurally, the coefficient times the step walk's scalar
+    through the generic LaurentPoly.__mul__, over the same denominator.
+    Returns the walk scalars' coefficients and the largest coefficient's
+    term count."""
+    tw = TwistMap(rd, p)
+    instances = relations_of("Udot", rd, p, rd.weights_box(1))
+    assert any(w.steps for inst in instances for w in inst.expr.terms)
+    coefficients, widest = set(), 0
+    for inst in instances:
+        for invert, image in ((False, tw.forward(inst.expr)), (True, tw.backward(inst.expr))):
+            assert image.terms.keys() == inst.expr.terms.keys()
+            for w, c in inst.expr.terms.items():
+                scalar = _walk_scalar(tw, w, invert)
+                got = image.terms[w]
+                assert got.num.terms == (c.num * scalar).terms, (inst.id, str(w), invert)
+                assert got.den.terms == c.den.terms, (inst.id, str(w), invert)
+                coefficients.add(scalar.unit_mono()[0])
+                widest = max(widest, len(c.num.terms))
+    return coefficients, widest
+
+
 @pytest.mark.parametrize("case", ["v-tied", "two-param", "multi-param", "super1", "super2"])
 @pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
 def test_word_scalar_matches_step_walk(name, case):
     """The character rule (the steps' scalar at target 0 times
-    prod e^{#E_i} f^{#F_i} at the target) equals the step walk on every
-    word of every Udot instance over the box 1, both ways."""
+    prod e^{#E_i} f^{#F_i} at the target), applied as an exponent shift,
+    equals the step walk on every Udot instance over the box 1, both ways,
+    in rings with sign variables (super1) and half exponents, and
+    on the multi-term coefficients of the Serre instances."""
     rd = rootdata.builtin(name)
     p = _ring(case, rd)
-    tw = TwistMap(rd, p)
-    words = {w for inst in relations_of("Udot", rd, p, rd.weights_box(1)) for w in inst.expr.terms}
-    assert any(w.steps for w in words)
-    for w in sorted(words, key=PathWord.key):
-        for invert in (False, True):
-            assert tw._word_scalar(w, invert) == _walk_scalar(tw, w, invert), (str(w), invert)
+    _, widest = _assert_map_matches_walk(rd, p)
+    assert widest > 1
+    assert bool(p.ctx.sign_indices) == (case == "super1")
+    if case != "v-tied":
+        assert any(v.denom == 2 for v in p.ctx.vars)
 
 
 def _relabelled(name, sigma, pi):
@@ -171,54 +195,85 @@ def _with_coefficients(rd, c):
 )
 def test_read_off_characters_match_step_walk(build):
     """The exponent matrices read off at 0 and the coordinate basis give the
-    step walk's scalar, both ways, on every Udot word over the box 1 of a
-    rank-3 datum, of permuted lattices with relabelled roots, and with
+    step walk's scalar, both ways, on every Udot instance over the box 1 of
+    a rank-3 datum, of permuted lattices with relabelled roots, and with
     coefficients other than 1 on s_12 and t_21."""
     rd, c = build()
     p = ParameterSet.v_tied(rd.cartan) if c is None else _with_coefficients(rd, c)
-    tw = TwistMap(rd, p)
-    words = {w for inst in relations_of("Udot", rd, p, rd.weights_box(1)) for w in inst.expr.terms}
-    coefficients = set()
-    for w in sorted(words, key=PathWord.key):
-        for invert in (False, True):
-            got = tw._word_scalar(w, invert)
-            assert got == _walk_scalar(tw, w, invert), (str(w), invert)
-            coefficients.add(got.unit_mono()[0])
+    coefficients, _ = _assert_map_matches_walk(rd, p)
     assert coefficients == {1} if c is None else c in coefficients
+
+
+def _spy(monkeypatch, calls, cls, name):
+    """Count the calls of cls.name in calls, under the key "cls.name"."""
+    original = getattr(cls, name)
+    key = "%s.%s" % (cls.__name__, name)
+
+    def counted(*args):
+        calls[key] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
 
 
 def test_word_scalars_read_no_scalar_per_letter(monkeypatch):
     """Forwarding every a2 box-2 Udot instance reads TwistScalars only for the
     read-off at 0 and the coordinate basis, when the map is built, and for
-    the walk at target 0, once per distinct step tuple; it takes at most one
-    unit product per step tuple, for that walk, and none per word."""
+    the walk at target 0, once per distinct step tuple."""
     calls = collections.Counter()
-
-    def spy(cls, name):
-        original = getattr(cls, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(cls, name, counted)
-
-    spy(Context, "unit_product")
-    spy(TwistScalars, "_get")
+    _spy(monkeypatch, calls, TwistScalars, "_get")
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
     instances = relations_of("Udot", rd, p, rd.weights_box(2))
     calls.clear()
     tw = TwistMap(rd, p)
-    assert calls["_get"] == 2 * rd.n * (1 + rd.x_rank)
+    assert calls["TwistScalars._get"] == 2 * rd.n * (1 + rd.x_rank)
     calls.clear()
     words = 0
     for inst in instances:
         words += len(inst.expr.terms)
         tw.forward(inst.expr)
     assert words > 10 * len(tw._steps) > 10
-    assert calls["_get"] <= sum(len(steps) for steps in tw._steps)
-    assert calls["unit_product"] <= len(tw._steps)
+    assert calls["TwistScalars._get"] <= sum(len(steps) for steps in tw._steps)
+
+
+def test_map_and_unit_multiples_shift_exponents(monkeypatch):
+    """The rescaling map and the exact multiple of a passing iso record only
+    shift exponents.  Forwarding every a2 box-2 Udot instance takes no
+    polynomial or fraction product and at most one unit product per step
+    tuple, for the walk at target 0, and none per word; multiple_of on each
+    nonzero a2 box-1 record divides and multiplies no fraction."""
+    rd = rootdata.builtin("a2")
+    p = ParameterSet.v_tied(rd.cartan)
+    calls = collections.Counter()
+    spied = [(LaurentPoly, "__mul__"), (RatExpr, "__mul__"), (RatExpr, "__truediv__"),
+             (Context, "unit_product")]
+    instances = relations_of("Udot", rd, p, rd.weights_box(2))
+    tw = TwistMap(rd, p)
+    for cls, name in spied:
+        _spy(monkeypatch, calls, cls, name)
+    words = 0
+    for inst in instances:
+        words += len(inst.expr.terms)
+        tw.forward(inst.expr)
+    assert words > 10 * len(tw._steps) > 10
+    assert calls["Context.unit_product"] <= len(tw._steps)
+    assert calls["LaurentPoly.__mul__"] == calls["RatExpr.__mul__"] == 0
+    monkeypatch.undo()
+
+    window = rd.weights_box(1)
+    targets = {(r.family, r.i, r.j, r.lam, r.part): r.expr
+               for r in relations_of("scrUdot", rd, p, window)}
+    pairs = [(tw.forward(r.expr), targets[r.family, r.i, r.j, r.lam, r.part])
+             for r in relations_of("Udot", rd, p, window) if not r.expr.is_zero()]
+    assert len(pairs) > 100
+    calls.clear()
+    for cls, name in spied:
+        _spy(monkeypatch, calls, cls, name)
+    for image, target in pairs:
+        n = image.multiple_of(target)
+        assert n.is_poly() and n.num.unit_mono() is not None
+    assert calls["RatExpr.__mul__"] == calls["RatExpr.__truediv__"] == 0
 
 
 def test_map_requires_tied_parameters():
