@@ -713,11 +713,6 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    def times_unit(self, pairs, coeff: Scalar = 1) -> "RatExpr":
-        """self times a unit monomial: LaurentPoly.times_unit on the
-        numerator, over the same denominator."""
-        return RatExpr._normalised(self.num.times_unit(pairs, coeff), self.den)
-
     @staticmethod
     def _normalised(num: LaurentPoly, den: LaurentPoly) -> "RatExpr":
         """num / den with no normalisation: den is already a normalised

@@ -153,35 +153,17 @@ class LinComb:
 
         Zero is 1 times zero.  N is one exact division at the largest key
         of target, so N * target[ref] == self[ref] holds by construction;
-        only the other keys are checked against it.  Two cases need no
-        fraction arithmetic, as a unit monomial only shifts exponents
-        (LaurentPoly.times_unit).  When target[ref] is a unit over
-        self[ref]'s denominator, N is self[ref]'s numerator times that
-        unit's inverse.  When N is a unit, a key whose two coefficients share
-        a denominator compares self's numerator with target's shifted by N.
+        only the other keys are checked against it.
         """
         if target.is_zero():
             return self.params.rat(1) if self.is_zero() else None
-        terms = self.terms
-        if terms.keys() != target.terms.keys():
+        if self.terms.keys() != target.terms.keys():
             return None
         ref = max(target.terms, key=self._order)
-        a, b = terms[ref], target.terms[ref]
-        if len(b.num.terms) == 1 and a.den.terms == b.den.terms:
-            n = self.params.rat(a.num * b.num.inv_unit())
-        else:
-            n = a / b
-        unit = n.num.unit_mono() if n.den.is_one() else None
-        for k, c in target.terms.items():
-            if k is ref:
-                continue
-            x = terms[k]
-            if unit is not None and x.den.terms == c.den.terms:
-                if x.num.terms != c.num.times_unit(unit[1], unit[0]).terms:
-                    return None
-            elif not (x == n * c):
-                return None
-        return n
+        n = self.terms[ref] / target.terms[ref]
+        if all(self.terms[k] == n * c for k, c in target.terms.items() if k is not ref):
+            return n
+        return None
 
     def multiple_witness(self, target) -> str:
         """Why self is not an exact multiple of target: the first key, in basis

@@ -156,7 +156,7 @@ def test_family_c_closed_form_is_load_bearing(monkeypatch):
 
 _step_data = twistmap.TwistMap._step_data
 _word_scalar = twistmap.TwistMap._word_scalar
-_apply = twistmap.TwistMap._apply
+_image_num = twistmap.TwistMap._image_num
 
 
 def _step_data_without_base(self, steps):
@@ -235,19 +235,19 @@ def test_single_weight_defect_is_rejected(monkeypatch, lam0, failures, families,
     assert rep.summary == {"pass": 702 - integrality, "fail": integrality, "warn": 0}
 
 
-def _apply_times_one_plus_v(self, x, invert):
-    """TwistMap._apply with the image coefficient of every word of three or
-    more steps times (1 + v), which no word scalar, a unit, can be."""
-    out = _apply(self, x, invert)
-    one_plus_v = 1 + self.params.v()
-    return out._new({w: c * one_plus_v if len(w.steps) >= 3 else c for w, c in out.terms.items()})
+def _image_num_times_one_plus_v(self, word, num, invert, over=None):
+    """TwistMap._image_num, which both the map and its exact multiple read,
+    with the image numerator of every word of three or more steps times
+    (1 + v), which no word scalar, a unit, can be."""
+    out = _image_num(self, word, num, invert, over)
+    return out * (1 + self.params.v()) if len(word.steps) >= 3 else out
 
 
 def test_non_unit_multiple_is_rejected(monkeypatch):
     """Every word of an a2 Serre sum has three steps, so the image is an
     exact multiple of the target, but by 1 + v times a unit: the record
     fails on the unit test and prints the simplified multiple it reports."""
-    monkeypatch.setattr(twistmap.TwistMap, "_apply", _apply_times_one_plus_v)
+    monkeypatch.setattr(twistmap.TwistMap, "_image_num", _image_num_times_one_plus_v)
     rep = _run_a2()
     assert rep.summary == {"pass": 351, "fail": 108, "warn": 0}
     assert collections.Counter(c.family for c in rep.failures()) == {"d-E": 54, "d-F": 54}

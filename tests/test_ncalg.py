@@ -251,12 +251,12 @@ def _generic_multiple(x, target):
 
 
 def _multiple_cases(p, a, b):
-    """(x, target) pairs through every branch of multiple_of: a unit and a
-    non-unit coefficient at target's largest key, a unit over the divided
-    power's 1/[2]! on both keys, and denominators that differ between the
-    keys or between x and target; each multiple is a unit (with
-    coefficients -1 and 2), a polynomial, 1/[2]! or a fraction, and each x
-    is also perturbed at the smaller key so that it is no multiple."""
+    """(x, target) pairs for multiple_of: a unit and a non-unit coefficient
+    at target's largest key, a unit over the divided power's 1/[2]! on both
+    keys, and denominators that differ between the keys or between x and
+    target; each multiple is a unit (with coefficients -1 and 2), a
+    polynomial, 1/[2]! or a fraction, and each x is also perturbed at the
+    smaller key so that it is no multiple."""
     hi, lo = sorted((a, b), key=lambda e: e._order(next(iter(e.terms))), reverse=True)
     unit = p.t(1, 0) * p.q(0)
     poly = p.q(0) + 1
@@ -290,8 +290,8 @@ def test_multiple_of(setup, kind):
     got = target.scale(n).multiple_of(target)
     assert got == n
     assert target.scale(n) == target.scale(got)
-    # the unit shortcuts change how N is found, never its num or den terms,
-    # in the generic ring and in super1, whose units carry sign variables
+    # N has the num and den terms of its definition, in the generic ring and
+    # in super1, whose units carry sign variables
     super1 = specializations.make("super1", rd).params
     ((mono, _),) = (super1.t(1, 0) * super1.q(0)).terms.items()
     assert any(idx in super1.ctx.sign_indices for idx, _ in mono)

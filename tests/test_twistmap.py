@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qtwist import rootdata, specializations
+from qtwist import rootdata, specializations, twistmap
 from qtwist.coeffring import Context, LaurentPoly, RatExpr
 from qtwist.params import ParameterSet
 from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
@@ -209,9 +209,9 @@ def _spy(monkeypatch, calls, cls, name):
     original = getattr(cls, name)
     key = "%s.%s" % (cls.__name__, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[key] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
 
@@ -237,12 +237,20 @@ def test_word_scalars_read_no_scalar_per_letter(monkeypatch):
     assert calls["TwistScalars._get"] <= sum(len(steps) for steps in tw._steps)
 
 
+def _record_pairs(rd, p, window):
+    """(untwisted instance, matching twisted instance) for every record."""
+    targets = {(r.family, r.i, r.j, r.lam, r.part): r for r in relations_of("scrUdot", rd, p, window)}
+    return [(r, targets[r.family, r.i, r.j, r.lam, r.part])
+            for r in relations_of("Udot", rd, p, window)]
+
+
 def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     """The rescaling map and the exact multiple of a passing iso record only
     shift exponents.  Forwarding every a2 box-2 Udot instance takes no
     polynomial or fraction product and at most one unit product per step
-    tuple, for the walk at target 0, and none per word; multiple_of on each
-    nonzero a2 box-1 record divides and multiplies no fraction."""
+    tuple, for the walk at target 0, and none per word.  A passing iso or
+    dp-unit record (TwistMap.multiple) applies no map, builds no PathExpr
+    and divides or multiplies no fraction."""
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
     calls = collections.Counter()
@@ -261,19 +269,108 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     assert calls["LaurentPoly.__mul__"] == calls["RatExpr.__mul__"] == 0
     monkeypatch.undo()
 
+    # a passing record: the a2 box-1 iso campaign, given its instances, and
+    # the divided powers at l = 0..4, whose 1/[l]! is no unit from l = 2 on
     window = rd.weights_box(1)
-    targets = {(r.family, r.i, r.j, r.lam, r.part): r.expr
-               for r in relations_of("scrUdot", rd, p, window)}
-    pairs = [(tw.forward(r.expr), targets[r.family, r.i, r.j, r.lam, r.part])
-             for r in relations_of("Udot", rd, p, window) if not r.expr.is_zero()]
-    assert len(pairs) > 100
+    built = {name: relations_of(name, rd, p, window) for name in ("Udot", "scrUdot")}
+    dps = [(divided_power(kind, i, l, lam, rd, p.untwisted()), divided_power(kind, i, l, lam, rd, p))
+           for kind in ("E", "F") for i in rd.index_set for l in range(5) for lam in window]
+    assert any(not c.is_poly() for dp, _ in dps for c in dp.terms.values())
+    monkeypatch.setattr(twistmap, "relations_of", lambda name, *args: built[name])
     calls.clear()
-    for cls, name in spied:
+    for cls, name in [(TwistMap, "_apply"), (PathExpr, "__init__"), (RatExpr, "__truediv__"),
+                      (RatExpr, "__mul__")]:
         _spy(monkeypatch, calls, cls, name)
-    for image, target in pairs:
-        n = image.multiple_of(target)
+    rep = verify_twist_isomorphism(rd, p, window)
+    assert rep.ok and len(rep.checks) > 400
+    for dp_u, dp_s in dps:
+        n = tw.multiple(dp_u, dp_s)
         assert n.is_poly() and n.num.unit_mono() is not None
-    assert calls["RatExpr.__mul__"] == calls["RatExpr.__truediv__"] == 0
+    assert sum(calls.values()) == 0, calls
+    # the integrality campaign maps only in its round trips, four maps per
+    # generator, and takes each dp-unit record's coefficient from multiple
+    _spy(monkeypatch, calls, TwistMap, "multiple")
+    rep = verify_integrality(rd, p, window)
+    units = [c for c in rep.checks if c.family == "dp"]
+    assert rep.ok and len(units) == len(dps) == calls["TwistMap.multiple"]
+    assert calls["TwistMap._apply"] == 4 * (len(rep.checks) - len(units))
+    assert calls["RatExpr.__truediv__"] == calls["RatExpr.__mul__"] == 0
+
+
+def _assert_same_multiple(tw, x, target):
+    """TwistMap.multiple(x, target) is forward(x).multiple_of(target),
+    structurally: the same num and den terms, or both None.  Returns it."""
+    want, got = tw.forward(x).multiple_of(target), tw.multiple(x, target)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+    return got
+
+
+def _perturbed(target, v):
+    """target with the coefficient of its largest or of its smallest word
+    times 1 + v or over 1 + v, with one word dropped, scaled by the non-unit
+    1 + v, and zero."""
+    words = sorted(target.terms, key=target._order)
+    out = [target.scale(1 + v), target._new({})]
+    for factor in (target.params.rat(1 + v), 1 / target.params.rat(1 + v)):
+        for w in (words[0], words[-1]):
+            out.append(target._new({k: c * factor if k is w else c for k, c in target.terms.items()}))
+    if len(words) > 1:
+        out.append(target._new({k: c for k, c in target.terms.items() if k is not words[0]}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [("a1", "v-tied"), ("a2", "v-tied"), ("b2", "v-tied"), ("g2", "v-tied"),
+     ("a2", "two-param"), ("a2", "multi-param"), ("a2", "super1"), ("a2", "super2"),
+     ("a2", "coefficient-two")],
+)
+def test_multiple_matches_forward_then_multiple_of(name, case):
+    """TwistMap.multiple against forward then multiple_of, on every nonzero
+    record over the box 1 (v-tied, sign-variable and half-exponent rings,
+    and a coefficient character), and on each record's target perturbed so
+    that it is no multiple or not by a unit."""
+    rd = rootdata.builtin(name)
+    if case == "v-tied":
+        p = ParameterSet.v_tied(rd.cartan)
+    elif case == "coefficient-two":
+        p = _with_coefficients(rd, 2)
+    else:
+        p = specializations.make(case, rd).params
+    tw = TwistMap(rd, p)
+    v = p.v()
+    found = missing = 0
+    for su, tgt in _record_pairs(rd, p, rd.weights_box(1)):
+        if su.expr.is_zero():
+            continue
+        assert _assert_same_multiple(tw, su.expr, tgt.expr) is not None, su.id
+        found += 1
+        for target in _perturbed(tgt.expr, v):
+            missing += _assert_same_multiple(tw, su.expr, target) is None
+    assert found >= 9 and missing > 2 * found
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "g2"])
+def test_divided_power_multiple_matches_forward_then_multiple_of(name):
+    """The divided powers l = 0..4, whose 1/[l]! is no unit from l = 2 on,
+    give the same multiple either way, and it is the one their closed form
+    names."""
+    rd = rootdata.builtin(name)
+    p = ParameterSet.v_tied(rd.cartan)
+    tw = TwistMap(rd, p)
+    lam = rd.zero_weight()
+    for kind, scalar, twist in (("E", tw.scalars.e, p.s), ("F", tw.scalars.f, p.t)):
+        for i in rd.index_set:
+            for l in range(5):
+                dp_u = divided_power(kind, i, l, lam, rd, p.untwisted())
+                dp_s = divided_power(kind, i, l, lam, rd, p)
+                assert all(c.is_poly() == (l < 2) for c in dp_s.terms.values())
+                n = _assert_same_multiple(tw, dp_u, dp_s)
+                assert n == p.rat(scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2))
 
 
 def test_map_requires_tied_parameters():
@@ -379,12 +476,10 @@ def test_iso_multiple_needs_no_cancellation(name, case):
     no exact division is left for the report to do."""
     rd = rootdata.builtin(name)
     p = ParameterSet.v_tied(rd.cartan) if case == "v-tied" else specializations.make(case, rd).params
-    window = rd.weights_box(1)
     tw = TwistMap(rd, p)
-    targets = {(r.family, r.i, r.j, r.lam, r.part): r.expr for r in relations_of("scrUdot", rd, p, window)}
     families = set()
-    for su in relations_of("Udot", rd, p, window):
-        n = tw.forward(su.expr).multiple_of(targets[(su.family, su.i, su.j, su.lam, su.part)])
+    for su, tgt in _record_pairs(rd, p, rd.weights_box(1)):
+        n = tw.multiple(su.expr, tgt.expr)
         assert n.is_poly() and n.num.unit_mono() is not None, (su.id, str(n))
         families.add(su.family)
     assert families == {"a", "b", "c", "d-E", "d-F"}
