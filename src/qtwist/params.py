@@ -8,11 +8,21 @@ twist, so its parameters are a ParameterSet too: ``untwisted()`` gives
 q_i = v^{d_i}, s = t = 1 in the same ring.  Specialised parameter sets use
 the exact same interface, so the verification campaigns run unchanged over
 any of them.
+
+The rescaling scalars e(i, lam) = prod_j s_ij^{lam(j)}, f(i, lam) =
+prod_j t_ij^{lam(j)} and the K-correction c(i, lam) = prod_j (s_ij
+t_ij)^{-lam(j)}, with lam(j) = <coweight_j, lam>, are characters of the
+weight lattice X.  Each has one definition, twist_character, built once
+from the unit monomials s_ij, t_ij and the coweight forms of the root
+datum: a linear form on X per variable's scaled exponent and the
+coefficient's value on the coordinate basis.  character_value evaluates it
+at a weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .coeffring import Context, LaurentPoly, RatExpr, RingError, qfact, qint_signed
 from .rootdata import CartanDatum, RootDatum, Weight
@@ -112,47 +122,48 @@ class ParameterSet:
         return cls(cartan, ctx, q, s, t, v=v, label=label)
 
 
-# -- weight-indexed rescaling scalars -----------------------------------------
+# -- the rescaling scalars as characters of X ---------------------------------
 
 
-def _weight_monomial(rd: RootDatum, params: ParameterSet, lam: Weight, *bases,
-                     sign=1) -> LaurentPoly:
-    """prod_j prod_base base(j)^{sign * lam(j)} as one unit monomial: each
-    base's scaled exponents times sign * lam(j) are summed per variable, with
-    no power taken; a base that is the ring's one (as every s and t of an
-    untwisted set are) is skipped."""
-    ctx = params.ctx
-    one = ctx.one
-    exps, coeff = {}, 1
+def twist_character(rd: RootDatum, params: ParameterSet, kind: str, i: int) -> tuple:
+    """The character lam -> prod_j base(j)^{<coweight_j, lam>} of X for
+    e(i, .) (base s_ij), f(i, .) (base t_ij) or c(i, .) (base (s_ij t_ij)^-1),
+    as (rows, ratios).
+
+    rows holds (var index, a) with a the integer linear form on X of that
+    variable's scaled exponent, sum_j exps(base(j)) * <coweight_j, .>, zero
+    forms left out; ratios is None when every base's coefficient is 1, else
+    the coefficient's value at each coordinate basis vector of X.  The value
+    at lam is character_value."""
+    bases = {"e": (params.s,), "f": (params.t,), "c": (params.s, params.t)}[kind]
+    sign = -1 if kind == "c" else 1
+    forms = rd._coweight_forms
+    columns, ratios = {}, [Fraction(1)] * rd.x_rank
     for j in rd.index_set:
-        k = sign * rd.lambda_paren(lam, j)
-        if k:
-            for base in bases:
-                b = base(j)
-                if b is one:
-                    continue
-                u = b.unit_mono()
-                if u is None:
-                    raise RingError("rescaling base %s is not a unit monomial" % b)
-                c, m = u
-                if c != 1:
-                    coeff *= Fraction(c) ** k
-                for idx, s in m:
-                    exps[idx] = exps.get(idx, 0) + k * s
-    return ctx.unit_from_exps(exps, coeff)
+        form = [sign * x for x in forms[j]]
+        for base in bases:
+            u = base(i, j).unit_mono()
+            if u is None:
+                raise RingError("rescaling base %s is not a unit monomial" % base(i, j))
+            c, m = u
+            for idx, s in m:
+                acc = columns.get(idx, (0,) * rd.x_rank)
+                columns[idx] = tuple(a + s * x for a, x in zip(acc, form))
+            if c != 1:
+                ratios = [r * Fraction(c) ** x for r, x in zip(ratios, form)]
+    rows = tuple((idx, a) for idx, a in sorted(columns.items()) if any(a))
+    return rows, None if all(r == 1 for r in ratios) else tuple(ratios)
 
 
-def twist_e(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
-    """prod_j s_ij^{lam(j)}."""
-    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j))
-
-
-def twist_f(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
-    """prod_j t_ij^{lam(j)}."""
-    return _weight_monomial(rd, params, lam, lambda j: params.t(i, j))
-
-
-def twist_c(rd: RootDatum, params: ParameterSet, i: int, lam: Weight) -> LaurentPoly:
-    """prod_j (s_ij t_ij)^{-lam(j)}; the K-eigenvalue correction."""
-    return _weight_monomial(rd, params, lam, lambda j: params.s(i, j), lambda j: params.t(i, j),
-                            sign=-1)
+def character_value(char: tuple, lam: Weight) -> tuple:
+    """The character (rows, ratios) at lam as (exps, coeff): the scaled
+    exponents {var index: a.lam}, which may hold zero or unreduced
+    sign-variable exponents, and the coefficient prod_k ratios_k^{lam_k}."""
+    rows, ratios = char
+    exps = {idx: sum(map(mul, a, lam)) for idx, a in rows}
+    coeff = 1
+    if ratios is not None:
+        for r, k in zip(ratios, lam):
+            if k:
+                coeff *= r ** k
+    return exps, coeff

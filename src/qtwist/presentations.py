@@ -26,7 +26,7 @@ from typing import Optional
 
 from .coeffring import qbinom
 from .ncalg import LinComb, NCExpr, merge_term, word_str
-from .params import ParameterSet, twist_c
+from .params import ParameterSet, character_value, twist_character
 from .rootdata import RootDatum, Weight
 
 # re-exported here because the parameter family is part of the presentation
@@ -270,7 +270,9 @@ def _modified_relations(algebra, rd, params, window):
                 expr = _composition_relation(rd, params, left, right, word)
                 out.append(RelationInstance(algebra, "b", i, None, lam, part, expr))
 
+    unit_from_exps = params.ctx.unit_from_exps
     for i in idx:
+        c_i = twist_character(rd, params, "c", i)
         for j in idx:
             # only the idempotent term of a mixed relation depends on lam
             fe_coeff = -params.rat(params.s(i, j) * params.t(j, i))
@@ -280,7 +282,7 @@ def _modified_relations(algebra, rd, params, window):
                 merge_term(terms, PathWord(rd, lam, (("F", j), ("E", i))), fe_coeff)
                 if i == j:
                     qn = params.qint_q(rd.lambda_i(lam, i), i)
-                    cc = params.rat(qn * twist_c(rd, params, i, lam))
+                    cc = params.rat(qn * unit_from_exps(*character_value(c_i, lam)))
                     merge_term(terms, PathWord(rd, lam, ()), -cc)
                 out.append(RelationInstance(algebra, "c", i, j, lam, "", PathExpr(rd, params, terms)))
 

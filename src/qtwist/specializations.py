@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import Context, LaurentPoly
-from .params import ParameterSet, twist_c
+from .params import ParameterSet
 from .report import FAIL, PASS, WARN, CheckRecord, Report
 from .rootdata import RootDatum
-from .twistmap import verify_twist_isomorphism
+from .twistmap import TwistScalars, verify_twist_isomorphism
 
 
 class SpecializationError(Exception):
@@ -361,9 +361,10 @@ def verify_specialization(spec: Specialization, window) -> Report:
     rep = Report("special", datum=rd.name, case=spec.name)
     rep.extend(spec.constraint_records())
     window = sorted(tuple(w) for w in window)
+    sc = TwistScalars(rd, params)
     for i in rd.index_set:
         for lam in window:
-            got = twist_c(rd, params, i, lam)
+            got = sc.c(i, lam)
             want = c_table_expected(spec, i, lam)
             tag = "ctable:i%d:lam(%s)" % (i + 1, ",".join(map(str, lam)))
             rec = CheckRecord(tag, "ctable", i, None, lam, scalar=str(got))

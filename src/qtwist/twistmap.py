@@ -10,22 +10,18 @@ construction; the content of the verification is that every untwisted
 relation instance is carried to an exact unit-monomial multiple of the
 matching twisted instance.
 
-e(i, .) and f(i, .) are characters of the weight lattice X, so the scaled
-exponents of each are an integer affine map of lam, and its coefficient is
-c(0) * prod_k (c(eps_k) / c(0))^{lam_k}.  TwistMap reads each one off its
-values at the zero weight and at the coordinate basis eps_k of X, which fix
-a character exactly.  Every step of a word is at its target lam plus a shift
+e(i, .), f(i, .) and c(i, .) are characters of the weight lattice X, each
+built once from the parameters (params.twist_character): TwistScalars
+evaluates them per weight for the closed forms, and TwistMap takes its
+letters from them.  Each step of a word is at its target lam plus an offset
 fixed by the steps before it, so the word's scalar at lam has the exponents
-b + A.lam: b from the steps' scalar at target 0, walked once per step tuple,
-and A the letters' matrices summed with their counts.  A word's scalar is
-one such evaluation, with no per-letter TwistScalars lookup and no product
-of unit monomials.  It is never built as a polynomial: a unit monomial only
-shifts exponents, so the map adds b + A.lam to the exponents of each
-monomial of the word's coefficient (LaurentPoly.times_unit) and keeps the
-coefficient's denominator.  tests/test_twistmap.py checks the images
-against the coefficient times a walk that reads TwistScalars at every step,
-on the built-in data, a rank-3 lattice, permuted lattices and coefficients
-other than 1.
+b + A.lam: A the letters' forms summed, b their values at the steps'
+offsets, once per step tuple, with no TwistScalars lookup and no unit
+product.  It is never built as a polynomial: the map adds b + A.lam to the
+exponents of each monomial of the word's coefficient
+(LaurentPoly.times_unit) and keeps its denominator.  tests/test_twistmap.py
+checks the images against a walk that reads TwistScalars at every step, and
+TwistScalars against products of parameter powers.
 
 A campaign builds no image to check a clean record: TwistMap.multiple
 finds the unit N with forward(x) == N * target in the same exponent pass,
@@ -39,64 +35,42 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
-from .coeffring import RatExpr, RingError
-from .params import ParameterSet, twist_c, twist_e, twist_f
+from .coeffring import RatExpr
+from .params import ParameterSet, character_value, twist_character
 from .presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
 from .report import FAIL, PASS, CheckRecord, Report
 from .rootdata import RootDatum, Weight
 
 
 class TwistScalars:
-    """Cached accessors for the rescaling monomials e, f and the K-correction c."""
+    """The rescaling monomials e, f and the K-correction c: their 3n
+    characters built once, each value cached per weight."""
 
     def __init__(self, rd: RootDatum, params: ParameterSet):
         self.rd = rd
         self.params = params
+        self.characters = {(kind, i): twist_character(rd, params, kind, i)
+                           for kind in ("e", "f", "c") for i in rd.index_set}
         self._cache: dict = {}
 
-    def _get(self, tag, fn, i, lam):
-        key = (tag, i, lam)
-        if key not in self._cache:
-            self._cache[key] = fn(self.rd, self.params, i, lam)
-        return self._cache[key]
+    def _get(self, kind, i, lam):
+        key = (kind, i, lam)
+        value = self._cache.get(key)
+        if value is None:
+            exps, coeff = character_value(self.characters[kind, i], lam)
+            value = self._cache[key] = self.params.ctx.unit_from_exps(exps, coeff)
+        return value
 
     def e(self, i: int, lam: Weight):
-        return self._get("e", twist_e, i, lam)
+        return self._get("e", i, lam)
 
     def f(self, i: int, lam: Weight):
-        return self._get("f", twist_f, i, lam)
+        return self._get("f", i, lam)
 
     def c(self, i: int, lam: Weight):
-        return self._get("c", twist_c, i, lam)
-
-
-def _read_off(rd: RootDatum, scalar, i: int):
-    """The character lam -> scalar(i, lam) as (M, ratios), read off its
-    values at the zero weight and at the coordinate basis eps_k of X: M maps
-    each variable index to its column of scaled exponents, the value at
-    eps_k minus the value at 0 (zero columns left out), so the exponents at
-    lam are those at 0 plus M.lam; ratios is None when the coefficient is 1
-    at every weight, else (c(eps_k) / c(0))_k."""
-    weights = [rd.zero_weight()] + [tuple(int(a == k) for a in range(rd.x_rank))
-                                    for k in range(rd.x_rank)]
-    units = []
-    for lam in weights:
-        value = scalar(i, lam)
-        u = value.unit_mono()
-        if u is None:
-            raise RingError("rescaling scalar %s at %s is not a unit monomial" % (value, lam))
-        units.append((u[0], dict(u[1])))
-    (c0, at0), rest = units[0], units[1:]
-    columns = {}
-    for idx in sorted(set().union(*(m for _, m in units))):
-        column = tuple(m.get(idx, 0) - at0.get(idx, 0) for _, m in rest)
-        if any(column):
-            columns[idx] = column
-    if all(c == 1 for c, _ in units):
-        return columns, None
-    return columns, tuple(Fraction(c, c0) for c, _ in rest)
+        return self._get("c", i, lam)
 
 
 class TwistMap:
@@ -111,46 +85,39 @@ class TwistMap:
         self.rd = rd
         self.params = params
         self.scalars = TwistScalars(rd, params)
-        # (kind, i) -> e(i, .) or f(i, .) read off as (M, ratios), see _read_off
-        self._letters = {(kind, i): _read_off(rd, scalar, i)
-                         for kind, scalar in (("E", self.scalars.e), ("F", self.scalars.f))
-                         for i in rd.index_set}
-        self._steps: dict = {}  # step tuple -> (scalar at target 0, (rows, ratios))
+        self._steps: dict = {}  # step tuple -> ((b, c), (rows, ratios))
 
     def _step_data(self, steps: tuple):
-        """The word scalar of steps at target 0, and the exponent matrix of
-        their letters, once per step tuple.
+        """The word scalar of steps at target 0, and the character of their
+        letters, once per step tuple.
 
-        The scalar at target 0 is the product of per-step scalars, e at the
-        step target for raising steps and f at the step source for lowering
-        steps, kept as its monomial and coefficient.  The matrix is
-        A = sum over the letters of count * M_letter, as rows (var index, A_v)
-        with zero rows dropped, and the coefficient ratios multiplied the
-        same way (None when every coefficient is 1)."""
+        A raising step is scaled by e at its target, a lowering step by f at
+        its source: each at the word's target plus an offset, so the scalar
+        at target 0 is (b, c), its letters' values at their offsets summed.
+        The character sums the letters' forms, as rows (var index, A_v) with
+        zero rows dropped, and multiplies their ratios (None when every
+        coefficient is 1)."""
         data = self._steps.get(steps)
         if data is None:
-            e, f, add_root = self.scalars.e, self.scalars.f, self.rd.add_root
-            factors, counts = [], {}
-            lam = self.rd.zero_weight()
+            add_root, letters = self.rd.add_root, self.scalars.characters
+            lam, b, c, columns, ratios = self.rd.zero_weight(), {}, 1, {}, None
             for kind, i in steps:
-                if kind == "E":
-                    factors.append(e(i, lam))
-                    lam = add_root(lam, i, -1)
-                else:
+                if kind == "F":
                     lam = add_root(lam, i, +1)
-                    factors.append(f(i, lam))
-                counts[kind, i] = counts.get((kind, i), 0) + 1
-            columns, ratios = {}, None
-            for letter, n in counts.items():
-                m, r = self._letters[letter]
-                for idx, column in m.items():
-                    acc = columns.get(idx, (0,) * len(column))
-                    columns[idx] = tuple(x + n * y for x, y in zip(acc, column))
+                letter = rows, r = letters[kind.lower(), i]
+                exps, k = character_value(letter, lam)
+                for idx, s in exps.items():
+                    b[idx] = b.get(idx, 0) + s
+                c *= k
+                for idx, a in rows:
+                    acc = columns.get(idx)
+                    columns[idx] = a if acc is None else tuple(map(add, acc, a))
                 if r is not None:
-                    ratios = tuple(x * y ** n for x, y in zip(ratios or (1,) * len(r), r))
+                    ratios = r if ratios is None else tuple(map(mul, ratios, r))
+                if kind == "E":
+                    lam = add_root(lam, i, -1)
             rows = tuple((idx, a) for idx, a in sorted(columns.items()) if any(a))
-            (at0,) = self.params.ctx.unit_product(factors).terms.items()
-            data = self._steps[steps] = (at0, (rows, ratios))
+            data = self._steps[steps] = ((b, c), (rows, ratios))
         return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
@@ -158,25 +125,20 @@ class TwistMap:
         returned as (exps, coeff) for LaurentPoly.times_unit: the scaled
         exponents b + A.lam, a dict that may hold zero or unreduced
         sign-variable exponents, and the coefficient c * prod_k r_k^{lam_k},
-        with b and c the steps' scalar at target 0 and A and r from
-        _step_data.  Inverted, every exponent is negated (a sign variable's
-        is the same mod 2) and the coefficient inverted.  Reads only
-        word.target and word.steps.
+        with (b, c) the steps' scalar at target 0 and (A, r) the character
+        from _step_data.  Inverted, every exponent is negated (a sign
+        variable's is the same mod 2) and the coefficient inverted.  Reads
+        only word.target and word.steps.
 
-        This is the step walk from lam, exactly: e and f are characters of X,
-        so every exponent is affine in lam and read off exactly at 0 and the
-        coordinate basis, and each step's weight is lam plus a shift fixed by
-        the steps before it.  tests/test_twistmap.py checks the map it
-        drives against a walk that reads TwistScalars at every step."""
-        (base, c), (rows, ratios) = self._step_data(word.steps)
-        lam = word.target
-        exps = dict(base)
-        for idx, a in rows:
-            exps[idx] = exps.get(idx, 0) + sum(map(mul, a, lam))
-        if ratios is not None:
-            for r, k in zip(ratios, lam):
-                if k:
-                    c *= r ** k
+        This is the step walk from lam, exactly: each step's weight is lam
+        plus an offset fixed by the steps before it, and a character at a
+        sum is the product of its values.  tests/test_twistmap.py checks the
+        map it drives against a walk that reads TwistScalars at every step."""
+        (b, c), char = self._step_data(word.steps)
+        exps, k = character_value(char, word.target)
+        for idx, s in b.items():
+            exps[idx] = exps.get(idx, 0) + s
+        c *= k
         if invert:
             exps = {idx: -s for idx, s in exps.items()}
             if c != 1:

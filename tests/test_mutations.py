@@ -22,7 +22,7 @@ from qtwist.cli import main
 from qtwist.coeffring import qint_signed
 from qtwist.hopf import star_mul, verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
-from qtwist.params import ParameterSet, _weight_monomial, twist_c, twist_e
+from qtwist.params import ParameterSet, twist_character
 from qtwist.presentations import _serre_ratios, relations_of
 from qtwist.repcheck import (
     corrupt,
@@ -37,13 +37,38 @@ from qtwist.twistmap import TwistScalars, verify_twist_isomorphism
 WITNESS = "image is not an exact multiple of the target instance"
 
 
-def _transposed_twist_e(rd, params, i, lam):
-    """prod_j s_ji^{lam(j)}: the rescaling scalar with s transposed."""
-    return _weight_monomial(rd, params, lam, lambda j: params.s(j, i))
+def _transposed(params, name):
+    """params with s (name "s") or t (name "t") transposed."""
+    idx = params.cartan.index_set
+    s, t = ([[m(j, i) if base == name else m(i, j) for j in idx] for i in idx]
+            for base, m in (("s", params.s), ("t", params.t)))
+    return ParameterSet(params.cartan, params.ctx, [params.q(i) for i in idx], s, t,
+                        v=params.v(), label=params.label)
 
 
-def _inverted_twist_c(rd, params, i, lam):
-    return twist_c(rd, params, i, lam).inv_unit()
+def _inverse(char):
+    """The character lam -> its value at lam, inverted."""
+    rows, ratios = char
+    return (tuple((idx, tuple(-x for x in a)) for idx, a in rows),
+            None if ratios is None else tuple(1 / r for r in ratios))
+
+
+def _character_defect(kind, edit):
+    """twist_character with the character of this kind (e, f or c) replaced
+    by edit(rd, params, i)."""
+
+    def defect(rd, params, k, i):
+        return edit(rd, params, i) if k == kind else twist_character(rd, params, k, i)
+
+    return defect
+
+
+_transposed_twist_e = _character_defect(
+    "e", lambda rd, p, i: twist_character(rd, _transposed(p, "s"), "e", i))
+_transposed_twist_f = _character_defect(
+    "f", lambda rd, p, i: twist_character(rd, _transposed(p, "t"), "f", i))
+_inverted_twist_c = _character_defect(
+    "c", lambda rd, p, i: _inverse(twist_character(rd, p, "c", i)))
 
 
 def _flipped_serre_ratios(params, i, j):
@@ -65,26 +90,33 @@ def test_clean_control():
 
 
 @pytest.mark.parametrize(
-    "module, name, defect, failures, first",
+    "module, name, defect, failures, families, first",
     [
-        (twistmap, "twist_e", _transposed_twist_e, 132,
+        (twistmap, "twist_character", _transposed_twist_e, 132, {"c": 78, "d-E": 54},
          ("iso:c:i1:j1:lam(-1,0,-1)", "1_(-1,0,-1): image 1, target s11*s12*t11*t12, "
           "multiple s11^-1*s21^-1*t11^-1*t12^-1")),
-        (presentations, "twist_c", _inverted_twist_c, 34,
+        (twistmap, "twist_character", _transposed_twist_f, 132, {"c": 78, "d-F": 54},
+         ("iso:c:i1:j1:lam(-1,0,-1)", "1_(-1,0,-1): image 1, target s11*s12*t11*t12, "
+          "multiple s11^-1*s12^-1*t11^-1*t21^-1")),
+        (presentations, "twist_character", _inverted_twist_c, 34, {"c": 34},
          ("iso:c:i1:j1:lam(-1,0,-1)", "1_(-1,0,-1): image 1, target s11^-1*s12^-1*t11^-1*t12^-1, "
           "multiple s11^-1*s12^-1*t11^-1*t12^-1")),
-        (presentations, "_serre_ratios", _flipped_serre_ratios, 108,
+        (presentations, "_serre_ratios", _flipped_serre_ratios, 108, {"d-E": 54, "d-F": 54},
          ("iso:d-E:i1:j2:lam(-1,-1,-1)", "E1*E1*E2:(1,-2,-2)<-(-1,-1,-1): "
           "image s11*s12^-2*s21^-1*s22^-1, target 1, multiple s11*s12^-6*s21^3*s22^-1")),
     ],
-    ids=["twist_e-s-transposed", "twist_c-inverted", "serre-ratio-flipped"],
+    ids=["twist_e-s-transposed", "twist_f-t-transposed", "twist_c-inverted",
+         "serre-ratio-flipped"],
 )
-def test_seeded_defect_is_rejected(monkeypatch, module, name, defect, failures, first):
-    """Each failure names the first word that is not N times the target's."""
+def test_seeded_defect_is_rejected(monkeypatch, module, name, defect, failures, families, first):
+    """Each failure names the first word that is not N times the target's.
+    s transposed in e's character and t transposed in f's fail the mixed
+    relations and the Serre sums of their own side."""
     monkeypatch.setattr(module, name, defect)
     rep = _run_a2()
     assert len(rep.checks) == 459
     assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == families
     assert all(c.witness.startswith(WITNESS) for c in rep.failures())
     rec_id, term = first
     assert rep.failures()[0].id == rec_id
@@ -162,7 +194,7 @@ _image_num = twistmap.TwistMap._image_num
 def _step_data_without_base(self, steps):
     """TwistMap._step_data with the steps' scalar at target 0 dropped, so a
     word's scalar is the character at its target alone."""
-    return ((), 1), _step_data(self, steps)[1]
+    return ({}, 1), _step_data(self, steps)[1]
 
 
 def _word_scalar_character_at_source(self, word, invert):
@@ -193,12 +225,15 @@ def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, 
     assert (rep.failures()[0].id, rep.failures()[0].witness) == first
 
 
-def _twist_e_off_at(lam0):
-    """twist_e times s_ii at the one weight lam0 only, which is not a character."""
+_scalar_e = TwistScalars.e
 
-    def defect(rd, params, i, lam):
-        out = twist_e(rd, params, i, lam)
-        return out * params.s(i, i) if lam == lam0 else out
+
+def _e_off_at(lam0):
+    """TwistScalars.e times s_ii at the one weight lam0 only, which is not a character."""
+
+    def defect(self, i, lam):
+        out = _scalar_e(self, i, lam)
+        return out * self.params.s(i, i) if lam == lam0 else out
 
     return defect
 
@@ -206,26 +241,22 @@ def _twist_e_off_at(lam0):
 @pytest.mark.parametrize(
     "lam0, failures, families, first, integrality",
     [
-        # off {0, eps_k}: the read-off never sees it, the word scalars stay
-        # right, and only the closed forms that read e at lam0 fail
         ((1, 1, 0), 4, {"c": 4},
          ("iso:c:i1:j1:lam(1,1,0)",
           "expected scalar s11^2*s12^2*t11*t12^2, got s11*s12^2*t11*t12^2"), 8),
-        # at eps_1: the read-off takes it into column 1 of e(i, .)'s matrix,
-        # so every word scalar carries s_ii^{lam_1} per E_i letter; a Serre
-        # sum's words share their letters, so only the closed form sees it
-        ((1, 0, 0), 69, {"c": 69},
-         ("iso:c:i1:j1:lam(-1,-1,-1)",
-          "expected scalar s11^-1*s12^-2*t11^-1*t12^-2, got s11^-2*s12^-2*t11^-1*t12^-2"), 167),
+        ((1, 0, 0), 4, {"c": 4},
+         ("iso:c:i1:j1:lam(1,0,0)",
+          "expected scalar s11^2*s12*t11*t12, got s11*s12*t11*t12"), 8),
     ],
     ids=["off-basis", "at-basis-vector"],
 )
 def test_single_weight_defect_is_rejected(monkeypatch, lam0, failures, families, first,
                                           integrality):
-    """Reading e and f off their values at 0 and the coordinate basis of X
-    hides no defect at a single weight: one off that set still fails the
-    closed forms, one on it spreads to every weight through the matrix."""
-    monkeypatch.setattr(twistmap, "twist_e", _twist_e_off_at(lam0))
+    """The map takes its letters from the characters and reads no
+    TwistScalars value, so a defect of e at a single weight, on the
+    coordinate basis of X or off it, reaches only the closed forms that read
+    e there, and they fail."""
+    monkeypatch.setattr(twistmap.TwistScalars, "e", _e_off_at(lam0))
     rep = _run_a2()
     assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
     assert collections.Counter(c.family for c in rep.failures()) == families

@@ -8,7 +8,7 @@ import qtwist
 from qtwist import presentations, rootdata, specializations
 from qtwist.coeffring import qbinom, qfact, qint
 from qtwist.ncalg import NCExpr, StraightenRules, straighten
-from qtwist.params import ParameterSet, twist_c
+from qtwist.params import ParameterSet
 from qtwist.presentations import (
     PathExpr,
     PathWord,
@@ -16,6 +16,7 @@ from qtwist.presentations import (
     idempotent,
     relations_of,
 )
+from qtwist.twistmap import TwistScalars
 
 
 def _arrow(rd, p, kind, i, source):
@@ -116,7 +117,7 @@ def test_modified_c_family_instance(a1):
     terms = {w.steps: c for w, c in c_inst.expr.terms.items()}
     assert terms[(("E", 0), ("F", 0))] == p.rat(1)
     assert terms[(("F", 0), ("E", 0))] == -p.rat(p.s(0, 0) * p.t(0, 0))
-    cc = twist_c(rd, p, 0, lam)
+    cc = TwistScalars(rd, p).c(0, lam)
     assert terms[()] == -p.rat(cc * qint(2, p.q(0)))
 
 

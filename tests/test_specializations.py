@@ -7,10 +7,9 @@ import pytest
 
 from qtwist import rootdata
 from qtwist import specializations as sp
-from qtwist.params import twist_c
 from qtwist.coeffring import substitute
 from qtwist.presentations import relations_of
-from qtwist.twistmap import TwistMap
+from qtwist.twistmap import TwistMap, TwistScalars
 
 
 @pytest.fixture()
@@ -89,7 +88,7 @@ def test_multi_param_c_at_simple_root(a2):
     qm = spec.meta["qmat"]
     for i in a2.index_set:
         for k in a2.index_set:
-            got = twist_c(a2, p, i, a2.alpha[k])
+            got = TwistScalars(a2, p).c(i, a2.alpha[k])
             want = (qm[i][k] * qm[k][i].inv_unit()).unit_pow(Fraction(1, 2))
             assert got == want
 
@@ -108,7 +107,7 @@ def test_super1_c_squares_to_one(a2):
         p = spec.params
         for i in a2.index_set:
             for lam in a2.weights_box(1):
-                c = twist_c(a2, p, i, lam)
+                c = TwistScalars(a2, p).c(i, lam)
                 assert c * c == p.ctx.one
                 # sign/eps data only: the Laurent part of c is trivial
                 _, mono = c.unit_mono()

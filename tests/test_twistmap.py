@@ -181,27 +181,66 @@ def _with_coefficients(rd, c):
                         label="coefficient %s" % c)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: (_a3_gl4(), None),
-        lambda: (_relabelled("a2", (1, 0), (2, 0, 1)), None),
-        lambda: (_relabelled("g2", (1, 0), (1, 0)), None),
-        lambda: (rootdata.builtin("a2"), -1),
-        lambda: (rootdata.builtin("a2"), 2),
-    ],
-    ids=["a3-gl4", "a2-relabelled", "g2-relabelled", "a2-coefficient-minus-one",
-         "a2-coefficient-two"],
-)
-def test_read_off_characters_match_step_walk(build):
-    """The exponent matrices read off at 0 and the coordinate basis give the
-    step walk's scalar, both ways, on every Udot instance over the box 1 of
-    a rank-3 datum, of permuted lattices with relabelled roots, and with
-    coefficients other than 1 on s_12 and t_21."""
+# a rank-3 datum, permuted lattices with relabelled roots, and the a2
+# parameters with coefficients other than 1 on s_12 and t_21, as (datum,
+# coefficient or None)
+_LATTICES = [
+    lambda: (_a3_gl4(), None),
+    lambda: (_relabelled("a2", (1, 0), (2, 0, 1)), None),
+    lambda: (_relabelled("g2", (1, 0), (1, 0)), None),
+    lambda: (rootdata.builtin("a2"), -1),
+    lambda: (rootdata.builtin("a2"), 2),
+]
+_LATTICE_IDS = ["a3-gl4", "a2-relabelled", "g2-relabelled", "a2-coefficient-minus-one",
+                "a2-coefficient-two"]
+
+
+def _lattice_params(build):
     rd, c = build()
-    p = ParameterSet.v_tied(rd.cartan) if c is None else _with_coefficients(rd, c)
+    return rd, c, ParameterSet.v_tied(rd.cartan) if c is None else _with_coefficients(rd, c)
+
+
+@pytest.mark.parametrize("build", _LATTICES, ids=_LATTICE_IDS)
+def test_characters_match_step_walk(build):
+    """The letters' characters, built from the parameters, give the step
+    walk's scalar, both ways, on every Udot instance over the box 1 of a
+    rank-3 datum, of permuted lattices with relabelled roots, and with
+    coefficients other than 1 on s_12 and t_21."""
+    rd, c, p = _lattice_params(build)
     coefficients, _ = _assert_map_matches_walk(rd, p)
     assert coefficients == {1} if c is None else c in coefficients
+
+
+def _assert_scalars_match_parameter_powers(rd, p):
+    """TwistScalars e, f and c equal, structurally at every weight of the
+    box 1, prod_j base(i, j)^{lam(j)} with base s for e, t for f and
+    (s t)^-1 for c, each power taken in the ring and multiplied by
+    LaurentPoly.__mul__."""
+    sc = TwistScalars(rd, p)
+    bases = {"e": p.s, "f": p.t, "c": lambda i, j: (p.s(i, j) * p.t(i, j)).inv_unit()}
+    for kind, base in bases.items():
+        for i in rd.index_set:
+            for lam in rd.weights_box(1):
+                want = p.ctx.one
+                for j in rd.index_set:
+                    want = want * base(i, j) ** rd.lambda_paren(lam, j)
+                assert getattr(sc, kind)(i, lam).terms == want.terms, (p.label, kind, i, lam)
+
+
+@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
+def test_scalars_match_parameter_powers(name):
+    """The one definition of e, f and c, a character built once from the
+    parameters, in the v-tied, sign-variable and half-exponent rings."""
+    rd = rootdata.builtin(name)
+    for case in ["v-tied", "two-param", "multi-param", "super1", "super2"]:
+        _assert_scalars_match_parameter_powers(rd, _ring(case, rd))
+
+
+@pytest.mark.parametrize("build", _LATTICES, ids=_LATTICE_IDS)
+def test_lattice_scalars_match_parameter_powers(build):
+    """The same on a rank-3 datum, permuted lattices and coefficients other than 1."""
+    rd, _, p = _lattice_params(build)
+    _assert_scalars_match_parameter_powers(rd, p)
 
 
 def _spy(monkeypatch, calls, cls, name):
@@ -217,24 +256,25 @@ def _spy(monkeypatch, calls, cls, name):
 
 
 def test_word_scalars_read_no_scalar_per_letter(monkeypatch):
-    """Forwarding every a2 box-2 Udot instance reads TwistScalars only for the
-    read-off at 0 and the coordinate basis, when the map is built, and for
-    the walk at target 0, once per distinct step tuple."""
+    """Building the map and forwarding every a2 box-2 Udot instance reads no
+    TwistScalars value and takes no unit product: the letters are the
+    characters, and each step tuple's scalar at target 0 is their forms at
+    the steps' offsets."""
     calls = collections.Counter()
-    _spy(monkeypatch, calls, TwistScalars, "_get")
+    for cls, name in [(TwistScalars, "e"), (TwistScalars, "f"), (TwistScalars, "c"),
+                      (Context, "unit_product")]:
+        _spy(monkeypatch, calls, cls, name)
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
     instances = relations_of("Udot", rd, p, rd.weights_box(2))
     calls.clear()
     tw = TwistMap(rd, p)
-    assert calls["TwistScalars._get"] == 2 * rd.n * (1 + rd.x_rank)
-    calls.clear()
     words = 0
     for inst in instances:
         words += len(inst.expr.terms)
         tw.forward(inst.expr)
     assert words > 10 * len(tw._steps) > 10
-    assert calls["TwistScalars._get"] <= sum(len(steps) for steps in tw._steps)
+    assert sum(calls.values()) == 0, calls
 
 
 def _record_pairs(rd, p, window):
@@ -247,8 +287,7 @@ def _record_pairs(rd, p, window):
 def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     """The rescaling map and the exact multiple of a passing iso record only
     shift exponents.  Forwarding every a2 box-2 Udot instance takes no
-    polynomial or fraction product and at most one unit product per step
-    tuple, for the walk at target 0, and none per word.  A passing iso or
+    polynomial, fraction or unit product.  A passing iso or
     dp-unit record (TwistMap.multiple) applies no map, builds no PathExpr
     and divides or multiplies no fraction."""
     rd = rootdata.builtin("a2")
@@ -265,8 +304,7 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
         words += len(inst.expr.terms)
         tw.forward(inst.expr)
     assert words > 10 * len(tw._steps) > 10
-    assert calls["Context.unit_product"] <= len(tw._steps)
-    assert calls["LaurentPoly.__mul__"] == calls["RatExpr.__mul__"] == 0
+    assert sum(calls.values()) == 0, calls
     monkeypatch.undo()
 
     # a passing record: the a2 box-1 iso campaign, given its instances, and
