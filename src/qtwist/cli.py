@@ -107,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datum(p)
     _add_window(p)
     _add_output(p)
-    p.add_argument("--case", required=True,
-                   choices=("two-param", "multi-param", "super1", "super2"))
+    p.add_argument("--case", required=True, choices=tuple(specializations.CASES))
     p.add_argument("--omega", default="", help="JSON file with the integer grading matrix")
     p.add_argument("--order", default="",
                    help="comma-separated total order on the index set (1-based), e.g. 2,1")
@@ -121,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix checks on transported modules of the built-in a1 and a2")
     _add_output(p)
     p.add_argument("--max-n", type=int, default=6, help="largest string module dimension - 1")
-    p.add_argument("--case", default="generic",
-                   choices=("generic", "two-param", "multi-param", "super1", "super2"))
+    p.add_argument("--case", default="generic", choices=("generic", *specializations.CASES))
 
     p = subs.add_parser("qcalc", help="q-combinatorics calculator")
-    p.add_argument("op", choices=("qint", "qbinom", "gauss"))
+    p.add_argument("op", choices=tuple(QCALC_ARGS))
     p.add_argument("args", nargs="+", type=int)
 
     p = subs.add_parser("validate-datum", help="validate a root datum config file")

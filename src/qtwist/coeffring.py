@@ -16,9 +16,11 @@ goes through Fraction(a, b)).  Polynomials are canonical by construction
 structural and zero tests are decidable.
 
 Fractions (RatExpr) are pairs of polynomials.  They are never reduced by a
-multivariate gcd; equality is decided by cross multiplication.  Every
-denominator produced by this package is free of sign variables, which keeps
-it a regular element even when sign variables are present.
+multivariate gcd; equality is decided by cross multiplication, which needs
+a regular denominator (one free of sign variables is).  RatExpr is the
+coefficient type of ncalg.LinComb and of values read off coefficients, such
+as exact multiples; every other value is a LaurentPoly, so a campaign with
+no seeded defect builds no denominator (tests/test_integral_forms.py).
 """
 
 from __future__ import annotations

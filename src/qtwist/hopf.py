@@ -170,7 +170,7 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
         lhs = power
         rhs = TensorExpr.zero(p, 2)
         for l in range(n + 1):
-            coeff = p.rat(p.q(i) ** (l * (n - l)) * qbinom(n, l, p.q(i)))
+            coeff = p.q(i) ** (l * (n - l)) * qbinom(n, l, p.q(i))
             left = TensorExpr(p, 2, {((("E", i),) * l, ()): p.one()})
             right = TensorExpr(
                 p, 2, {((("K", i),) * (n - l), (("E", i),) * (n - l)): p.one()}

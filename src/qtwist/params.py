@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .coeffring import Context, LaurentPoly, RatExpr, RingError, qfact, qint_signed
+from .coeffring import Context, LaurentPoly, RatExpr, RingError, qint_signed
 from .rootdata import CartanDatum, RootDatum, Weight
 
 
@@ -89,9 +89,6 @@ class ParameterSet:
 
     def qint_q(self, n: int, i: int) -> LaurentPoly:
         return qint_signed(n, self.q(i))
-
-    def qfact_q(self, n: int, i: int) -> LaurentPoly:
-        return qfact(n, self.q(i))
 
     def q_tied_to_v(self) -> bool:
         """True when q_i = v^{d_i} holds structurally for every i."""

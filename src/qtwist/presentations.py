@@ -135,19 +135,6 @@ def idempotent(rd, params, lam: Weight) -> PathExpr:
     return PathExpr.of(rd, params, PathWord(rd, lam, ()))
 
 
-def _inv_qfact(params: ParameterSet, i: int, l: int):
-    """1/[l]!_{q_i}, the coefficient of a divided power, cached per (q_i, l)
-    beside the q-factorials of the ring context, which a parameter set
-    shares with its untwisted set: the key is q_i's value, since the two
-    sets' q_i may differ."""
-    cache = params.ctx._qfact_cache
-    key = ("inv", params.q(i).unit_mono(), l)
-    inv = cache.get(key)
-    if inv is None:
-        inv = cache[key] = params.rat(1) / params.rat(params.qfact_q(l, i))
-    return inv
-
-
 def divided_power(
     kind: str,
     i: int,
@@ -156,18 +143,18 @@ def divided_power(
     rd: RootDatum,
     params: ParameterSet,
 ) -> PathExpr:
-    """l-th divided power of a raising or lowering generator, as a path.
-
-    For kind 'E' the word climbs from lam to lam + l*alpha_i, for kind 'F'
-    it descends from lam + l*alpha_i to lam; the coefficient is 1/[l]!_{q_i}.
-    """
+    """l-th divided power of a raising or lowering generator, as a path, in
+    integral form: [l]!_{q_i} E_i^(l) (or F_i^(l)), the word with coefficient
+    1, as a RelationInstance stores each Serre sum times [r]!_{q_i}.  For kind
+    'E' the word climbs from lam to lam + l*alpha_i, for kind 'F' it descends
+    from lam + l*alpha_i to lam."""
     if l < 0:
         raise ValueError("divided power needs l >= 0")
     if kind not in ("E", "F"):
         raise ValueError("divided power kind must be 'E' or 'F'")
     descent = PathWord(rd, lam, (("F", i),) * l)
     word = descent if kind == "F" else PathWord(rd, descent.source, (("E", i),) * l)
-    return PathExpr.of(rd, params, word, _inv_qfact(params, i, l))
+    return PathExpr.of(rd, params, word)
 
 
 @dataclass(frozen=True)
@@ -208,8 +195,8 @@ class RelationInstance:
 
 
 def _serre_ratios(params: ParameterSet, i: int, j: int):
-    """(s_ji/s_ij, t_ji/t_ij) for the Serre sums."""
-    return tuple(params.rat(f(j, i)) / params.rat(f(i, j)) for f in (params.s, params.t))
+    """(s_ji/s_ij, t_ji/t_ij) for the Serre sums, as unit monomials."""
+    return tuple(f(j, i) * f(i, j).inv_unit() for f in (params.s, params.t))
 
 
 def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
@@ -227,7 +214,7 @@ def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
             steps = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
         else:
             steps = (("F", i),) * l + (("F", j),) + (("F", i),) * (r - l)
-        out.append((steps, ratio**l * params.rat(qbinom(r, l, params.q(i)) * sign)))
+        out.append((steps, params.rat(ratio**l * qbinom(r, l, params.q(i)) * sign)))
     return out
 
 
@@ -342,13 +329,13 @@ def _nc_relations(algebra, rd, params):
     for i in idx:
         for j in idx:
             a = rd.cartan.a(i, j)
-            st_inv = params.rat((params.s(i, j) * params.t(i, j)).inv_unit())
-            st = params.rat(params.s(i, j) * params.t(i, j))
+            st = params.s(i, j) * params.t(i, j)
+            st_inv, qa, qa_inv = st.inv_unit(), params.q(i) ** a, params.q(i) ** (-a)
             scalars = {
-                ("K", "E"): st_inv * params.rat(params.q(i) ** a),
-                ("Kp", "E"): st_inv * params.rat(params.q(i) ** (-a)),
-                ("K", "F"): st * params.rat(params.q(i) ** (-a)),
-                ("Kp", "F"): st * params.rat(params.q(i) ** a),
+                ("K", "E"): st_inv * qa,
+                ("Kp", "E"): st_inv * qa_inv,
+                ("K", "F"): st * qa_inv,
+                ("Kp", "F"): st * qa,
             }
             for (fam, ef), c in scalars.items():
                 if fam not in kfams:

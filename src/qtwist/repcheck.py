@@ -1,6 +1,7 @@
 """Matrix-level cross-validation: transport explicit weight modules of the
 untwisted algebra to the twisted one and check every relation as an exact
-matrix identity over the rational-function field.
+matrix identity over the Laurent ring: every entry is a Laurent polynomial,
+and a relation's coefficient enters only in verify_module.
 
 A module keeps one sparse matrix per generator symbol, as columns: column b
 lists the (row, entry) pairs of its nonzero entries.  Construction,
@@ -49,8 +50,8 @@ class WeightModule:
         return len(self.weights)
 
 
-def _diag(params, entries):
-    return [[(b, params.rat(e))] for b, e in enumerate(entries)]
+def _diag(entries):
+    return [[(b, e)] for b, e in enumerate(entries)]
 
 
 def _scaled(cols, factors):
@@ -76,13 +77,13 @@ def string_module(rd: RootDatum, params: ParameterSet, weights, label: str) -> W
             if down - up != rd.lambda_i(mu, i):
                 raise ValueError("the %d-string through %s is not simple" % (i + 1, mu))
             if up:
-                E[col].append((index[rd.add_root(mu, i, 1)], params.rat(u.qint_q(down + 1, i))))
+                E[col].append((index[rd.add_root(mu, i, 1)], u.qint_q(down + 1, i)))
             if down:
-                F[col].append((index[rd.add_root(mu, i, -1)], params.rat(u.qint_q(up + 1, i))))
+                F[col].append((index[rd.add_root(mu, i, -1)], u.qint_q(up + 1, i)))
         cols[("E", i)], cols[("F", i)] = E, F
         pairs = [rd.lambda_i(mu, i) for mu in weights]
-        cols[("K", i)] = _diag(params, [u.q(i) ** k for k in pairs])
-        cols[("Kinv", i)] = _diag(params, [u.q(i) ** -k for k in pairs])
+        cols[("K", i)] = _diag([u.q(i) ** k for k in pairs])
+        cols[("Kinv", i)] = _diag([u.q(i) ** -k for k in pairs])
     return WeightModule(rd, params, weights, cols, label)
 
 
@@ -129,21 +130,15 @@ def transport(mod: WeightModule, scalars: TwistScalars) -> WeightModule:
     params = scalars.params
     cols = {}
     for i in rd.index_set:
-        e = [params.rat(scalars.e(i, rd.add_root(lam, i, +1)).inv_unit()) for lam in mod.weights]
-        f = [params.rat(scalars.f(i, lam).inv_unit()) for lam in mod.weights]
+        e = [scalars.e(i, rd.add_root(lam, i, +1)).inv_unit() for lam in mod.weights]
+        f = [scalars.f(i, lam).inv_unit() for lam in mod.weights]
         cols[("E", i)] = _scaled(mod.cols[("E", i)], e)
         cols[("F", i)] = _scaled(mod.cols[("F", i)], f)
-        kdiag = []
-        kpdiag = []
-        for lam in mod.weights:
-            c = scalars.c(i, lam)
-            li = rd.lambda_i(lam, i)
-            kdiag.append(c * params.q(i) ** li)
-            kpdiag.append(c * params.q(i) ** (-li))
-        cols[("K", i)] = _diag(params, kdiag)
-        cols[("Kinv", i)] = _diag(params, [x.inv_unit() for x in kdiag])
-        cols[("Kp", i)] = _diag(params, kpdiag)
-        cols[("Kpinv", i)] = _diag(params, [x.inv_unit() for x in kpdiag])
+        for kind, sign in (("K", 1), ("Kp", -1)):
+            diag = [scalars.c(i, lam) * params.q(i) ** (sign * rd.lambda_i(lam, i))
+                    for lam in mod.weights]
+            cols[(kind, i)] = _diag(diag)
+            cols[(kind + "inv", i)] = _diag([x.inv_unit() for x in diag])
     return WeightModule(rd, params, mod.weights, cols, label=mod.label + "+twist")
 
 
@@ -179,7 +174,7 @@ def verify_module(mod: WeightModule, instances) -> Report:
     """
     t0 = time.monotonic()
     rep = Report("modules", datum=mod.rd.name, case=mod.label)
-    one = mod.params.rat(1)
+    one = mod.params.ctx.one
     for inst in instances:
         rec = CheckRecord("%s:%s" % (mod.label, inst.id), inst.family, inst.i, inst.j)
         bad = None
@@ -187,7 +182,7 @@ def verify_module(mod: WeightModule, instances) -> Report:
             acc = {}
             for word, coeff in inst.expr.terms.items():
                 for r, x in _word_column(mod.cols, word, b, one).items():
-                    y = x * coeff
+                    y = coeff * x
                     acc[r] = acc[r] + y if r in acc else y
             for r in sorted(acc):
                 if not acc[r].is_zero():
@@ -205,8 +200,8 @@ def verify_module(mod: WeightModule, instances) -> Report:
 def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
     """K_i Kp_i acts on the lam weight space by c(i,lam)^2: the (b, b) entry
     of the word K_i Kp_i, by the column action verify_module uses."""
-    rd, params = mod.rd, mod.params
-    zero, one = params.rat(0), params.rat(1)
+    rd, ctx = mod.rd, mod.params.ctx
+    zero, one = ctx.zero, ctx.one
     out = []
     for i in rd.index_set:
         word = (("K", i), ("Kp", i))
@@ -214,7 +209,7 @@ def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
         witness = ""
         for b, lam in enumerate(mod.weights):
             got = _word_column(mod.cols, word, b, one).get(b, zero)
-            want = params.rat(scalars.c(i, lam) ** 2)
+            want = scalars.c(i, lam) ** 2
             if not (got == want):
                 ok = False
                 witness = "basis %d: %s != %s" % (b, got, want)
@@ -231,7 +226,7 @@ def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
 def corrupt(mod: WeightModule, kind: str, i: int, factor) -> WeightModule:
     """Negative control: damage one generator matrix by a unit factor."""
     cols = dict(mod.cols)
-    cols[(kind, i)] = _scaled(mod.cols[(kind, i)], [mod.params.rat(factor)] * mod.dim)
+    cols[(kind, i)] = _scaled(mod.cols[(kind, i)], [mod.params.ctx.poly(factor)] * mod.dim)
     return WeightModule(mod.rd, mod.params, mod.weights, cols, mod.label + "+corrupt")
 
 

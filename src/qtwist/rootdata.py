@@ -2,9 +2,10 @@
 
 A root datum is given by integer coordinate matrices for the simple roots
 (in X), the coroots and the fundamental coweights (in Y), together with a
-pairing matrix Y x X -> Z.  The loader and the built-ins insist on the
-regularity condition <coweight_i, alpha_j> = delta_ij, which is what every
-weight-indexed scalar in this package is built from.
+pairing matrix Y x X -> Z, which must be perfect (determinant +-1).  The
+loader and the built-ins insist on the regularity condition
+<coweight_i, alpha_j> = delta_ij, which is what every weight-indexed scalar
+in this package is built from.
 """
 
 from __future__ import annotations
@@ -182,16 +183,20 @@ class RootDatum:
                 want = 1 if i == j else 0
                 if got != want:
                     errs.append("<coweight_%d, alpha_%d> = %d, expected %d" % (i, j, got, want))
-        if _rank([[Fraction(x) for x in row] for row in self.alpha]) != n:
+        if _rank(self.alpha)[0] != n:
             errs.append("simple roots are not linearly independent in X")
+        det = _rank(self.pairing)[1]
+        if abs(det) != 1:
+            errs.append("pairing Y x X -> Z is not perfect: determinant %s, expected +-1" % det)
         return errs
 
 
-def _rank(rows) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
+def _rank(rows) -> tuple:
+    """(rank, determinant) of integer rows by Gauss-Jordan elimination over
+    the rationals; the determinant is 0 unless the matrix is square of full rank."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
     ncols = len(rows[0]) if rows else 0
-    col = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):
@@ -200,14 +205,17 @@ def _rank(rows) -> int:
                 break
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
         pr = rows[rank]
+        det *= pr[col]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col] / pr[col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
         rank += 1
-    return rank
+    return rank, det if rank == len(rows) == ncols else 0
 
 
 def _identity(k):

@@ -334,7 +334,8 @@ def super_second(rd: RootDatum) -> Specialization:
     return _specialize("super2", rd, v, s, t, constraints, {})
 
 
-_CASES = {
+# case name -> builder; the CLI reads its --case choices from these keys
+CASES = {
     "two-param": two_parameter,
     "multi-param": multi_parameter,
     "super1": super_first,
@@ -343,9 +344,9 @@ _CASES = {
 
 
 def make(case: str, rd: RootDatum, **kwargs) -> Specialization:
-    if case not in _CASES:
-        raise SpecializationError("unknown case %r (have %s)" % (case, sorted(_CASES)))
-    return _CASES[case](rd, **kwargs)
+    if case not in CASES:
+        raise SpecializationError("unknown case %r (have %s)" % (case, sorted(CASES)))
+    return CASES[case](rd, **kwargs)
 
 
 def verify_specialization(spec: Specialization, window) -> Report:

@@ -1,10 +1,15 @@
 """Subcommands, exit codes, report formats, and determinism."""
 
+import argparse
 import json
+import os
+import re
 
 import pytest
 
-from qtwist.cli import main
+from qtwist.cli import build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -189,6 +194,27 @@ def test_bad_datum_entries_are_invalid_configuration(tmp_path, capsys, changes, 
         assert "invalid configuration" in err and message in err and out == ""
     path.write_text(json.dumps(A2_DATUM), encoding="utf-8")
     assert run(capsys, "validate-datum", str(path))[0] == 0
+
+
+# one node in a rank-2 lattice whose pairing Y x X -> Z is not perfect: every
+# <coroot, alpha> and <coweight, alpha> holds, but the pairing has det 2 or 0
+IMPERFECT_PAIRINGS = {
+    "det-2": {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[0, 1]], "coroot": [[0, 2]],
+              "coweight": [[0, 1]], "pairing": [[2, 0], [0, 1]]},
+    "det-0": {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[1, 0]], "coroot": [[2, 0]],
+              "coweight": [[1, 0]], "pairing": [[1, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPERFECT_PAIRINGS))
+def test_imperfect_pairing_is_invalid_configuration(tmp_path, capsys, name):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(IMPERFECT_PAIRINGS[name]), encoding="utf-8")
+    for argv in (("validate-datum", str(path)),
+                 ("verify-iso", "--root-datum", str(path), "--lambda-box", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "pairing Y x X -> Z is not perfect" in err and out == ""
 
 
 def test_missing_file_io_exit(capsys):
@@ -381,3 +407,23 @@ def test_qcalc_wrong_argument_count_is_a_usage_error(capsys, argv):
 )
 def test_qcalc_range_edges_still_compute(capsys, argv, printed):
     assert run(capsys, "qcalc", *argv) == (0, printed, "")
+
+
+def _readme_flag_rows():
+    """subcommand -> the --flags of its row in README's flag table, plus
+    --format, --out and --stable, which all four take."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    rows = re.findall(r"^\| `(verify-[a-z]+)` \| (.*) \|$", text, flags=re.M)
+    return {cmd: set(re.findall(r"--[a-z][a-z-]*", flags)) | {"--format", "--out", "--stable"}
+            for cmd, flags in rows}
+
+
+def test_readme_flag_table_matches_the_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser_flags = {
+        cmd: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for cmd, sub in subparsers.choices.items() if cmd.startswith("verify-")
+    }
+    assert _readme_flag_rows() == parser_flags

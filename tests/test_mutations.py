@@ -74,7 +74,7 @@ _inverted_twist_c = _character_defect(
 def _flipped_serre_ratios(params, i, j):
     """s_ij/s_ji and t_ij/t_ji in the twisted Serre sums: each ratio inverted."""
     ratios = _serre_ratios(params, i, j)
-    return ratios if params.untwisted() is params else tuple(r.inv() for r in ratios)
+    return ratios if params.untwisted() is params else tuple(r.inv_unit() for r in ratios)
 
 
 def _run_a2():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qtwist import rootdata, specializations
+from qtwist.coeffring import qfact
 from qtwist.ncalg import (
     NCExpr,
     StraightenRules,
@@ -252,7 +253,7 @@ def _generic_multiple(x, target):
 
 def _multiple_cases(p, a, b):
     """(x, target) pairs for multiple_of: a unit and a non-unit coefficient
-    at target's largest key, a unit over the divided power's 1/[2]! on both
+    at target's largest key, a unit over 1/[2]! on both
     keys, and denominators that differ between the keys or between x and
     target; each multiple is a unit (with coefficients -1 and 2), a
     polynomial, 1/[2]! or a fraction, and each x is also perturbed at the
@@ -260,7 +261,7 @@ def _multiple_cases(p, a, b):
     hi, lo = sorted((a, b), key=lambda e: e._order(next(iter(e.terms))), reverse=True)
     unit = p.t(1, 0) * p.q(0)
     poly = p.q(0) + 1
-    inv_fact = p.rat(1) / p.rat(p.qfact_q(2, 0))
+    inv_fact = p.rat(1) / p.rat(qfact(2, p.q(0)))
     targets = [
         hi.scale(unit) + lo.scale(poly),
         hi.scale(poly) + lo.scale(unit),

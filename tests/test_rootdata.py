@@ -222,3 +222,22 @@ def test_linear_forms_with_non_identity_pairing(name):
             for sign in (1, -1, 2, -2):
                 want = tuple(lam[k] + sign * twisted.alpha[i][k] for k in range(twisted.x_rank))
                 assert twisted.add_root(lam, i, sign) == want
+
+
+@pytest.mark.parametrize(
+    "rows, rank, det",
+    [
+        (((1, 0), (0, 1)), 2, 1),
+        (((0, 1), (1, 0)), 2, -1),
+        (((2, 0), (0, 1)), 2, 2),
+        (((1, 0), (0, 0)), 1, 0),
+        (((1, -1, 0), (0, 1, -1)), 2, 0),
+    ]
+    + [(pairing, len(pairing), 1) for pairing, _ in _PAIRINGS.values()],
+)
+def test_rank_and_determinant(rows, rank, det):
+    """_rank's elimination gives the rank and, for a square matrix of full
+    rank, the determinant; a row swap flips its sign."""
+    from fractions import Fraction
+
+    assert rootdata._rank([[Fraction(x) for x in row] for row in rows]) == (rank, det)

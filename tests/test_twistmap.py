@@ -308,12 +308,12 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     monkeypatch.undo()
 
     # a passing record: the a2 box-1 iso campaign, given its instances, and
-    # the divided powers at l = 0..4, whose 1/[l]! is no unit from l = 2 on
+    # the divided powers at l = 0..4, in integral form [l]! E^(l)
     window = rd.weights_box(1)
     built = {name: relations_of(name, rd, p, window) for name in ("Udot", "scrUdot")}
     dps = [(divided_power(kind, i, l, lam, rd, p.untwisted()), divided_power(kind, i, l, lam, rd, p))
            for kind in ("E", "F") for i in rd.index_set for l in range(5) for lam in window]
-    assert any(not c.is_poly() for dp, _ in dps for c in dp.terms.values())
+    assert all(c.is_poly() for dp in dps for x in dp for c in x.terms.values())
     monkeypatch.setattr(twistmap, "relations_of", lambda name, *args: built[name])
     calls.clear()
     for cls, name in [(TwistMap, "_apply"), (PathExpr, "__init__"), (RatExpr, "__truediv__"),
@@ -394,9 +394,9 @@ def test_multiple_matches_forward_then_multiple_of(name, case):
 
 @pytest.mark.parametrize("name", ["a1", "a2", "g2"])
 def test_divided_power_multiple_matches_forward_then_multiple_of(name):
-    """The divided powers l = 0..4, whose 1/[l]! is no unit from l = 2 on,
-    give the same multiple either way, and it is the one their closed form
-    names."""
+    """The divided powers l = 0..4, in integral form with polynomial
+    coefficients, give the same multiple either way, and it is the one their
+    closed form names."""
     rd = rootdata.builtin(name)
     p = ParameterSet.v_tied(rd.cartan)
     tw = TwistMap(rd, p)
@@ -406,7 +406,7 @@ def test_divided_power_multiple_matches_forward_then_multiple_of(name):
             for l in range(5):
                 dp_u = divided_power(kind, i, l, lam, rd, p.untwisted())
                 dp_s = divided_power(kind, i, l, lam, rd, p)
-                assert all(c.is_poly() == (l < 2) for c in dp_s.terms.values())
+                assert all(c.is_poly() for dp in (dp_u, dp_s) for c in dp.terms.values())
                 n = _assert_same_multiple(tw, dp_u, dp_s)
                 assert n == p.rat(scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2))
 
