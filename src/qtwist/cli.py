@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "qcalc":
             ctx = Context()
-            v = ctx.laurent("v", denom=2).as_poly()
+            v = ctx.laurent("v", denom=2)
             if args.op == "qint":
                 (n,) = args.args
                 print(qint(n, v))

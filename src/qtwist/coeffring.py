@@ -8,6 +8,13 @@ canonical term order once and for all.  Two kinds of variables exist:
     roots of that variable);
   * sign variables, satisfying x**2 == 1, whose exponents live mod 2.
 
+Outside this module a variable is its name, and its value is its generator,
+the LaurentPoly that declaring it returns (ctx[name] gives it again).  Its
+powers are generator powers, and a substitution maps names to images, so
+one map applies to every ring that declares those names.  The Var records
+in ctx.vars (index, name, kind, denominator bound) are bookkeeping that
+only this module reads.
+
 Coefficients are exact rationals stored integer-first: a coefficient is an
 int when it is integral and otherwise a Fraction with denominator > 1; it is
 never a float and never 0 (_num is the one normaliser, and every division
@@ -43,12 +50,11 @@ class NotDivisible(RingError):
 
 
 class Var:
-    """A declared ring variable.  Identity is per-context."""
+    """The bookkeeping record of a declared variable; see the module docstring."""
 
-    __slots__ = ("ctx", "index", "name", "kind", "denom")
+    __slots__ = ("index", "name", "kind", "denom")
 
-    def __init__(self, ctx, index, name, kind, denom):
-        self.ctx = ctx
+    def __init__(self, index, name, kind, denom):
         self.index = index
         self.name = name
         self.kind = kind
@@ -56,34 +62,6 @@ class Var:
 
     def __repr__(self):
         return self.name
-
-    def as_poly(self) -> "LaurentPoly":
-        return self.ctx.monomial({self: 1})
-
-    def inv(self) -> "LaurentPoly":
-        return self.ctx.monomial({self: -1})
-
-    def __pow__(self, e) -> "LaurentPoly":
-        return self.ctx.monomial({self: e})
-
-    def __mul__(self, other):
-        return self.as_poly() * other
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self.as_poly() + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.as_poly() - other
-
-    def __rsub__(self, other):
-        return (-self.as_poly()) + other
-
-    def __neg__(self):
-        return -self.as_poly()
 
 
 def _num(x) -> Scalar:
@@ -116,46 +94,44 @@ class Context:
         self.name = name
         self.vars: list[Var] = []
         self.sign_indices: set = set()  # indices of the sign variables
-        self._by_name: dict[str, Var] = {}
+        self._gens: dict[str, LaurentPoly] = {}  # name -> generator
         self._qint_cache: dict = {}
         self._qfact_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
         self.one = LaurentPoly(self, {(): 1})
         self.zero = LaurentPoly(self, {})
 
-    def _declare(self, name: str, kind: str, denom: int) -> Var:
-        if name in self._by_name:
+    def _declare(self, name: str, kind: str, denom: int) -> "LaurentPoly":
+        if name in self._gens:
             raise RingError("variable %r already declared" % name)
-        v = Var(self, len(self.vars), name, kind, denom)
+        v = Var(len(self.vars), name, kind, denom)
         self.vars.append(v)
         if kind == SIGN:
             self.sign_indices.add(v.index)
-        self._by_name[name] = v
-        return v
+        gen = self._gens[name] = LaurentPoly(self, {((v.index, denom),): 1})
+        return gen
 
-    def laurent(self, name: str, denom: int = 1) -> Var:
+    def laurent(self, name: str, denom: int = 1) -> "LaurentPoly":
+        """Declare a Laurent variable admitting denom-th roots; its generator."""
         if denom < 1:
             raise RingError("denominator bound must be >= 1")
         return self._declare(name, LAURENT, denom)
 
-    def sign(self, name: str) -> Var:
+    def sign(self, name: str) -> "LaurentPoly":
+        """Declare a sign variable (x**2 == 1); its generator."""
         return self._declare(name, SIGN, 1)
 
-    def __getitem__(self, name: str) -> Var:
-        return self._by_name[name]
+    def __getitem__(self, name: str) -> "LaurentPoly":
+        return self._gens[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._gens
 
     def poly(self, x) -> "LaurentPoly":
         if isinstance(x, LaurentPoly):
             if x.ctx is not self:
                 raise RingError("value from a different ring context")
             return x
-        if isinstance(x, Var):
-            if x.ctx is not self:
-                raise RingError("variable %r from a different context" % x.name)
-            return x.as_poly()
         c = _num(x)
         if c == 0:
             return self.zero
@@ -167,34 +143,6 @@ class Context:
                 raise RingError("value from a different ring context")
             return x
         return RatExpr(self.poly(x), self.one)
-
-    def monomial(self, exps: Mapping[Var, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
-        c = _num(coeff)
-        if c == 0:
-            return self.zero
-        pairs = []
-        for var, e in exps.items():
-            if var.ctx is not self:
-                raise RingError("variable %r from a different context" % var.name)
-            s = self._scale(var, e)
-            if s != 0:
-                pairs.append((var.index, s))
-        pairs.sort()
-        return LaurentPoly(self, {tuple(pairs): c})
-
-    def _scale(self, var: Var, e) -> int:
-        e = Fraction(e)
-        if var.kind == SIGN:
-            if e.denominator != 1:
-                raise RingError("fractional exponent on sign variable %r" % var.name)
-            return e.numerator % 2
-        s = e * var.denom
-        if s.denominator != 1:
-            raise RingError(
-                "exponent %s exceeds the declared denominator bound %d of %r"
-                % (e, var.denom, var.name)
-            )
-        return s.numerator
 
     # -- monomial helpers (scaled-exponent tuples) --------------------------
 
@@ -330,8 +278,6 @@ class LaurentPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, Var):
-            other = other.as_poly()
         if isinstance(other, LaurentPoly):
             if other.ctx is not self.ctx:
                 raise RingError("mixing ring contexts")
@@ -451,8 +397,6 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.poly(other)
-        if isinstance(other, Var):
-            other = other.as_poly()
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.ctx is other.ctx and self.terms == other.terms
@@ -549,8 +493,9 @@ class LaurentPoly:
 
     # -- substitution ------------------------------------------------------------
 
-    def subs(self, images: Mapping[Var, "LaurentPoly"], ctx_out: Context) -> "LaurentPoly":
-        """Apply a substitution sending each variable to a signed unit monomial.
+    def subs(self, images: Mapping[str, "LaurentPoly"], ctx_out: Context) -> "LaurentPoly":
+        """Apply a substitution sending each variable, by name, to a signed
+        unit monomial.
 
         The map must be total on the variables that occur; images must be
         single-term (invertible) polynomials in the target context.
@@ -560,9 +505,9 @@ class LaurentPoly:
             acc = ctx_out.poly(c)
             for idx, s in m:
                 var = self.ctx.vars[idx]
-                if var not in images:
+                img = images.get(var.name)
+                if img is None:
                     raise RingError("unbound variable %r in substitution" % var.name)
-                img = images[var]
                 if img.ctx is not ctx_out:
                     raise RingError("image of %r lives in the wrong context" % var.name)
                 if img.unit_mono() is None:
@@ -748,7 +693,7 @@ class RatExpr:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, Var)):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             other = self._coerce(other)
         if not isinstance(other, RatExpr):
             return NotImplemented
@@ -850,6 +795,6 @@ def gauss_vanish(n: int, q: LaurentPoly) -> LaurentPoly:
     return out
 
 
-def substitute(x, images: Mapping[Var, LaurentPoly], ctx_out: Context):
-    """Ring homomorphism determined by variable -> signed unit monomial."""
+def substitute(x, images: Mapping[str, LaurentPoly], ctx_out: Context):
+    """Ring homomorphism determined by variable name -> signed unit monomial."""
     return x.subs(images, ctx_out)

@@ -31,7 +31,7 @@ from .rootdata import CartanDatum, RootDatum, Weight
 def _free_matrix(ctx: Context, name: str, n: int) -> list:
     """n x n matrix of fresh variables name11, name12, ... admitting square roots."""
     return [
-        [ctx.laurent("%s%d%d" % (name, i + 1, j + 1), denom=2).as_poly() for j in range(n)]
+        [ctx.laurent("%s%d%d" % (name, i + 1, j + 1), denom=2) for j in range(n)]
         for i in range(n)
     ]
 
@@ -104,7 +104,7 @@ class ParameterSet:
         """All of q_i, s_ij, t_ij free; q_i admits 2 d_i-th roots."""
         ctx = Context(label)
         n = cartan.n
-        q = [ctx.laurent("q%d" % (i + 1), denom=2 * cartan.d(i)).as_poly() for i in range(n)]
+        q = [ctx.laurent("q%d" % (i + 1), denom=2 * cartan.d(i)) for i in range(n)]
         s, t = _free_matrix(ctx, "s", n), _free_matrix(ctx, "t", n)
         return cls(cartan, ctx, q, s, t, v=None, label=label)
 
@@ -113,7 +113,7 @@ class ParameterSet:
         """s, t free; every q_i tied to one base parameter by q_i = v^{d_i}."""
         ctx = Context(label)
         n = cartan.n
-        v = ctx.laurent("v", denom=2).as_poly()
+        v = ctx.laurent("v", denom=2)
         s, t = _free_matrix(ctx, "s", n), _free_matrix(ctx, "t", n)
         q = [v ** cartan.d(i) for i in range(n)]
         return cls(cartan, ctx, q, s, t, v=v, label=label)

@@ -3,7 +3,9 @@ v-tied parameters.
 
 Each case is defined once, by what its substitution sigma does to the
 parameters of the v-tied relation correspondence: v -> v, s_ij -> s'_ij,
-t_ij -> t'_ij.  A case resolves its dependent parameters against a small
+t_ij -> t'_ij.  sigma is keyed by parameter name, so it applies to any
+v-tied ring of the datum (ParameterSet.v_tied) and no source ring is
+built here.  A case resolves its dependent parameters against a small
 free variable set and checks its defining constraint identities exactly,
 among them that its own formula for q_i gives v^{d_i}, the hypothesis of
 the v-tied proof.  One builder makes sigma and the target ParameterSet
@@ -82,8 +84,7 @@ class Specialization:
     name: str
     rd: RootDatum
     params: ParameterSet           # resolved target parameters
-    source: ParameterSet           # the v-tied parameters sigma maps out of
-    sigma: dict                    # source Var -> target unit monomial
+    sigma: dict                    # v-tied parameter name -> target unit monomial
     constraints: list              # (description, bool)
     meta: dict
 
@@ -101,18 +102,17 @@ class Specialization:
 
 
 def _specialize(name: str, rd: RootDatum, v, s, t, constraints, meta) -> Specialization:
-    """sigma: v -> v, s_ij -> s[i][j], t_ij -> t[i][j] out of the v-tied
-    parameters, and the target parameters it gives, with q_i = v^{d_i}."""
+    """sigma: v -> v, s_ij -> s[i][j], t_ij -> t[i][j] on the names of the
+    v-tied parameters, and the target parameters it gives, with q_i = v^{d_i}."""
     cartan = rd.cartan
-    source = ParameterSet.v_tied(cartan)
-    sigma = {source.ctx["v"]: v}
+    sigma = {"v": v}
     for i in cartan.index_set:
         for j in cartan.index_set:
-            sigma[source.ctx["s%d%d" % (i + 1, j + 1)]] = s[i][j]
-            sigma[source.ctx["t%d%d" % (i + 1, j + 1)]] = t[i][j]
+            sigma["s%d%d" % (i + 1, j + 1)] = s[i][j]
+            sigma["t%d%d" % (i + 1, j + 1)] = t[i][j]
     q = [v ** cartan.d(i) for i in cartan.index_set]
     params = ParameterSet(cartan, v.ctx, q, s, t, v=v, label=name)
-    return Specialization(name, rd, params, source, sigma, constraints, meta)
+    return Specialization(name, rd, params, sigma, constraints, meta)
 
 
 def two_parameter(rd: RootDatum, omega=None) -> Specialization:
@@ -124,8 +124,8 @@ def two_parameter(rd: RootDatum, omega=None) -> Specialization:
         raise SpecializationError("; ".join(errs))
     n = rd.n
     ctx = Context("two-param")
-    v = ctx.laurent("v", denom=2).as_poly()
-    t = ctx.laurent("t", denom=2).as_poly()
+    v = ctx.laurent("v", denom=2)
+    t = ctx.laurent("t", denom=2)
     s = [[t ** (-omega[i][j]) for j in range(n)] for i in range(n)]
     tt = [[t ** (omega[j][i]) for j in range(n)] for i in range(n)]
     constraints = [("omega matrix conditions", True)]
@@ -143,7 +143,7 @@ def c_table_expected(spec: Specialization, i: int, lam) -> LaurentPoly:
     name = spec.name
     if name == "two-param":
         omega = spec.meta["omega"]
-        t = params.ctx["t"].as_poly()
+        t = params.ctx["t"]
         e = sum(
             rd.lambda_paren(lam, j) * (omega[i][j] - omega[j][i]) for j in rd.index_set
         )
@@ -180,12 +180,12 @@ def multi_parameter(rd: RootDatum) -> Specialization:
     cartan = rd.cartan
     n = cartan.n
     ctx = Context("multi-param")
-    v = ctx.laurent("v", denom=2).as_poly()
+    v = ctx.laurent("v", denom=2)
     qm = [[None] * n for _ in range(n)]
     for i in range(n):
         qm[i][i] = v ** (2 * cartan.d(i))
         for j in range(i + 1, n):
-            qm[i][j] = ctx.laurent("q%d%d" % (i + 1, j + 1), denom=2).as_poly()
+            qm[i][j] = ctx.laurent("q%d%d" % (i + 1, j + 1), denom=2)
     for i in range(n):
         for j in range(i):
             # i > j: q_ij = q_jj^{a_ji} q_ji^{-1}, from the free q_ji
@@ -238,7 +238,7 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
         raise SpecializationError("sign values must be 1 or -1")
 
     ctx = Context("super1")
-    v = ctx.laurent("v", denom=2).as_poly()
+    v = ctx.laurent("v", denom=2)
     gam = [ctx.sign("g%d" % (i + 1)) for i in range(n)]
     theta = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -251,7 +251,7 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
             if rank[i] < rank[j]:
                 key = (i, j)
                 if key not in free_theta:
-                    free_theta[key] = ctx.laurent("th%d%d" % (i + 1, j + 1)).as_poly()
+                    free_theta[key] = ctx.laurent("th%d%d" % (i + 1, j + 1))
                 theta[i][j] = free_theta[key]
     for i in range(n):
         for j in range(n):
@@ -303,13 +303,13 @@ def super_second(rd: RootDatum) -> Specialization:
     cartan = rd.cartan
     n = cartan.n
     ctx = Context("super2")
-    v = ctx.laurent("v", denom=2).as_poly()
+    v = ctx.laurent("v", denom=2)
     ptil = [v ** (2 * cartan.d(i)) for i in range(n)]
     theta = [[None] * n for _ in range(n)]
     for i in range(n):
         theta[i][i] = ptil[i].inv_unit()
         for j in range(i + 1, n):
-            theta[i][j] = ctx.laurent("th%d%d" % (i + 1, j + 1)).as_poly()
+            theta[i][j] = ctx.laurent("th%d%d" % (i + 1, j + 1))
     for i in range(n):
         for j in range(i):
             theta[i][j] = ptil[j] ** (-cartan.a(j, i)) * theta[j][i].inv_unit()

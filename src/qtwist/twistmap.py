@@ -239,17 +239,16 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     tw = TwistMap(rd, params)
     src = relations_of("Udot", rd, params, window)
     dst = relations_of("scrUdot", rd, params, window)
-    by_key = {(r.family, r.i, r.j, r.lam, r.part): r for r in dst}
     sc = tw.scalars
+    # one builder emits both lists in one sort_key order, so they pair in
+    # lockstep; a mismatch is an engine bug, not a failed record
+    if len(src) != len(dst):
+        raise RuntimeError("%d untwisted but %d twisted relation instances" % (len(src), len(dst)))
 
-    for su in src:
-        key = (su.family, su.i, su.j, su.lam, su.part)
-        tgt = by_key.get(key)
+    for su, tgt in zip(src, dst):
+        if su.sort_key() != tgt.sort_key():
+            raise RuntimeError("untwisted instance %s paired with twisted %s" % (su.id, tgt.id))
         rec = rep.add(CheckRecord("iso:" + su.id, su.family, su.i, su.j, su.lam))
-        if tgt is None:
-            rec.status = FAIL
-            rec.witness = "no matching twisted instance"
-            continue
         if su.family in ("a", "b"):
             if su.expr.is_zero() and tgt.expr.is_zero():
                 rec.scalar = "1"

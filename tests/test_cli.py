@@ -308,6 +308,25 @@ def test_engine_error_is_internal_error(monkeypatch, capsys):
     assert "invalid configuration" not in err
 
 
+def test_unpaired_relation_instance_is_internal_error(monkeypatch, capsys):
+    """The iso campaign pairs the untwisted and twisted instances in
+    lockstep; a twisted list missing an instance is an engine bug, never a
+    failed record."""
+    from qtwist import twistmap
+
+    relations_of = twistmap.relations_of
+
+    def one_twisted_dropped(algebra, rd, params, window=None):
+        out = relations_of(algebra, rd, params, window)
+        return out[:-1] if algebra == "scrUdot" else out
+
+    monkeypatch.setattr(twistmap, "relations_of", one_twisted_dropped)
+    code, out, err = run(capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1")
+    assert code == 5
+    assert "internal error" in err and "twisted relation instances" in err
+    assert "invalid configuration" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

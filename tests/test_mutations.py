@@ -6,7 +6,8 @@ the module under test, and the campaign must fail exactly the records the
 defect touches, each with a witness: the iso campaign on a2 over
 weights_box(1), the Hopf campaign on a2 with nmax=3, the matrix checks
 of scrU on the transported a1 n=3 string module and a2 natural module, and
-the specialization tables on a2 over weights_box(1).  The clean controls
+the specialization tables on a2 over weights_box(1).  A wrong backward
+map must fail the integrality round trips on a2 there.  The clean controls
 show the same runs pass, so the failures come from the defect.
 """
 
@@ -14,6 +15,7 @@ import collections
 import dataclasses
 import json
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +34,7 @@ from qtwist.repcheck import (
     verify_module,
     verify_transported_modules,
 )
-from qtwist.twistmap import TwistScalars, verify_twist_isomorphism
+from qtwist.twistmap import TwistScalars, verify_integrality, verify_twist_isomorphism
 
 WITNESS = "image is not an exact multiple of the target instance"
 
@@ -223,6 +225,33 @@ def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, 
     assert rep.summary == {"pass": 459 - failures, "fail": failures, "warn": 0}
     assert collections.Counter(c.family for c in rep.failures()) == families
     assert (rep.failures()[0].id, rep.failures()[0].witness) == first
+
+
+def _backward_negates_first_variable_only(self, word, invert):
+    """TwistMap._word_scalar whose inverse negates only the exponent of the
+    first variable: the backward map is no longer the forward map's inverse."""
+    exps, c = _word_scalar(self, word, False)
+    if invert:
+        exps = dict(exps)
+        for idx in exps:
+            exps[idx] = -exps[idx]
+            break
+        if c != 1:
+            c = 1 / Fraction(c)
+    return exps, c
+
+
+def test_wrong_backward_map_fails_the_round_trips(monkeypatch):
+    """The round-trip records reject a backward map that is not the inverse;
+    the iso campaign, which maps forward only, still passes."""
+    monkeypatch.setattr(twistmap.TwistMap, "_word_scalar", _backward_negates_first_variable_only)
+    rd = rootdata.builtin("a2")
+    params = ParameterSet.v_tied(rd.cartan)
+    rep = verify_integrality(rd, params, rd.weights_box(1))
+    assert rep.summary == {"pass": 627, "fail": 75, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == {"roundtrip": 75}
+    assert rep.failures()[0].id == "roundtrip:E:i1:lam(-1,-1,-1)"
+    assert _run_a2().summary == {"pass": 459, "fail": 0, "warn": 0}
 
 
 _scalar_e = TwistScalars.e
@@ -423,6 +452,26 @@ def test_seeded_hopf_defect_is_rejected(monkeypatch, module, name, defect, failu
     assert rep.summary == {"pass": 80 - failures, "fail": failures, "warn": 0}
     assert {c.family for c in rep.failures()} == families
     assert all(c.witness for c in rep.failures())
+
+
+def _delta_k_with_kp(ctx, sym):
+    """Delta(K_i) = K_i x Kp_i: K_i no longer group-like."""
+    if sym[0] != "K":
+        return _delta_symbol(ctx, sym)
+    p = ctx.params
+    return TensorExpr(p, 2, {((sym,), (("Kp", sym[1]),)): p.one()})
+
+
+def test_non_group_like_k_fails_coassociativity(monkeypatch):
+    """The coassociativity records reject a defect: with K_i x Kp_i for
+    Delta(K_i), Delta(E_i) = E_i x 1 + K_i x E_i is no longer coassociative,
+    and the counit and antipode axioms fail on K_i."""
+    monkeypatch.setattr(hopf, "_delta_symbol", _delta_k_with_kp)
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 72, "fail": 8, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == {
+        "hopf-axiom": 4, "coassoc": 2, "counit": 2}
+    assert rep.failures()[0].id == "coassoc:E1"
 
 
 def test_hopf_witness_shows_both_sides(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from qtwist import rootdata
 from qtwist import specializations as sp
 from qtwist.coeffring import substitute
+from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 from qtwist.twistmap import TwistMap, TwistScalars
 
@@ -61,7 +62,7 @@ def test_constraints_vanish(name, case):
 def test_two_param_images(a2):
     spec = sp.two_parameter(a2, [[1, -1], [0, 1]])
     p = spec.params
-    t = p.ctx["t"].as_poly()
+    t = p.ctx["t"]
     assert p.s(0, 1) == t ** 1        # -omega_12
     assert p.t(0, 1) == t ** 0        # omega_21
     assert p.s(0, 1) * p.t(0, 1) == t ** (0 - (-1))
@@ -132,10 +133,10 @@ def test_super1_collapses_to_trivial_twist(a2):
     spec = sp.super_first(a2)
     p = spec.params
     out = Context()
-    v2 = out.laurent("v", denom=2).as_poly()
+    v2 = out.laurent("v", denom=2)
     images = {}
     for var in p.ctx.vars:
-        images[var] = v2 if var.name == "v" else out.one
+        images[var.name] = v2 if var.name == "v" else out.one
     for i in a2.index_set:
         assert substitute(p.q(i), images, out) == v2 ** a2.cartan.d(i)
         for j in a2.index_set:
@@ -146,7 +147,7 @@ def test_super1_collapses_to_trivial_twist(a2):
 def test_super2_images(a2):
     spec = sp.super_second(a2)
     p = spec.params
-    v = p.ctx["v"].as_poly()
+    v = p.ctx["v"]
     for i in a2.index_set:
         d = a2.cartan.d(i)
         assert p.s(i, i) * p.t(i, i) == v ** (-2 * d)
@@ -182,17 +183,19 @@ def test_super2_discrepancy_reported_off_root_span(a2):
 @pytest.mark.parametrize("case", ("two-param", "multi-param", "super1", "super2"))
 def test_sigma_is_ring_homomorphism(case, a2):
     spec = sp.make(case, a2)
-    src = spec.source
+    src = ParameterSet.v_tied(a2.cartan)
     rng = random.Random(5)
-    vars_ = list(spec.sigma)
+    names = list(spec.sigma)
 
     def rand_poly():
         acc = src.ctx.zero
         for _ in range(rng.randint(1, 4)):
-            mono = {}
-            for v in rng.sample(vars_, k=rng.randint(0, 3)):
-                mono[v] = rng.randint(-2, 2)
-            acc = acc + src.ctx.monomial(mono, coeff=rng.randint(-3, 3))
+            mono = [(name, rng.randint(-2, 2))
+                    for name in rng.sample(names, k=rng.randint(0, 3))]
+            term = src.ctx.poly(rng.randint(-3, 3))
+            for name, e in mono:
+                term = term * src.ctx[name] ** e
+            acc = acc + term
         return acc
 
     for _ in range(20):
@@ -205,23 +208,29 @@ def test_sigma_is_ring_homomorphism(case, a2):
 
 def test_sigma_sends_st_to_collapsed_monomial(a2):
     spec = sp.two_parameter(a2, [[1, -1], [0, 1]])
-    src = spec.source
-    t = spec.params.ctx["t"].as_poly()
+    src = ParameterSet.v_tied(a2.cartan)
+    t = spec.params.ctx["t"]
     prod = src.ctx["s12"] * src.ctx["t12"]
     assert substitute(prod, spec.sigma, spec.params.ctx) == t ** (0 - (-1))
 
 
-def _pushed_multiples(spec, window, sigma):
-    """Record id -> the v-tied iso multiple pushed through sigma, as printed."""
-    rd, src = spec.rd, spec.source
+def _v_tied_multiples(rd, window):
+    """Record id -> the multiple of the iso correspondence over one fresh
+    v-tied ring of rd."""
+    src = ParameterSet.v_tied(rd.cartan)
     tw = TwistMap(rd, src)
     dst = {(r.family, r.i, r.j, r.lam, r.part): r for r in relations_of("scrUdot", rd, src, window)}
     out = {}
     for u in relations_of("Udot", rd, src, window):
         tgt = dst[(u.family, u.i, u.j, u.lam, u.part)]
-        n = tw.forward(u.expr).multiple_of(tgt.expr).simplified()
-        out["iso:" + u.id] = str(substitute(n, sigma, spec.params.ctx).simplified())
+        out["iso:" + u.id] = tw.forward(u.expr).multiple_of(tgt.expr).simplified()
     return out
+
+
+def _pushed_multiples(multiples, spec, sigma):
+    """Record id -> the v-tied multiple pushed through sigma, as printed."""
+    ctx = spec.params.ctx
+    return {k: str(substitute(n, sigma, ctx).simplified()) for k, n in multiples.items()}
 
 
 @pytest.mark.parametrize(
@@ -235,17 +244,31 @@ def test_sigma_carries_the_v_tied_proof(case, kwargs, a2):
     prints exactly the scalar the campaign recomputes in the target ring;
     with the images of s12 and s21 swapped, 120 of the 459 differ."""
     spec = sp.make(case, a2, **kwargs)
-    assert set(spec.sigma) == set(spec.source.ctx.vars)
+    assert set(spec.sigma) == {x.name for x in ParameterSet.v_tied(a2.cartan).ctx.vars}
     window = a2.weights_box(1)
     rep = sp.apply_to_isomorphism(spec, window)
     assert rep.summary == {"pass": 459, "fail": 0, "warn": 0}
     want = {c.id: c.scalar for c in rep.checks}
-    assert _pushed_multiples(spec, window, spec.sigma) == want
+    multiples = _v_tied_multiples(a2, window)
+    assert _pushed_multiples(multiples, spec, spec.sigma) == want
     swapped = dict(spec.sigma)
-    s12, s21 = spec.source.ctx["s12"], spec.source.ctx["s21"]
-    swapped[s12], swapped[s21] = spec.sigma[s21], spec.sigma[s12]
-    got = _pushed_multiples(spec, window, swapped)
+    swapped["s12"], swapped["s21"] = spec.sigma["s21"], spec.sigma["s12"]
+    got = _pushed_multiples(multiples, spec, swapped)
     assert sum(got[k] != want[k] for k in want) == 120
+
+
+def test_one_v_tied_proof_specializes_to_every_case(a2):
+    """sigma is keyed by parameter name, so the multiples of one v-tied ring,
+    built once, push through each case's sigma to the 459 scalars that
+    case's campaign recomputes in its target ring."""
+    window = a2.weights_box(1)
+    multiples = _v_tied_multiples(a2, window)
+    assert len(multiples) == 459
+    for case in sp.CASES:
+        spec = sp.make(case, a2)
+        rep = sp.apply_to_isomorphism(spec, window)
+        want = {c.id: c.scalar for c in rep.checks}
+        assert _pushed_multiples(multiples, spec, spec.sigma) == want, case
 
 
 # -- specialized campaigns ------------------------------------------------------------
