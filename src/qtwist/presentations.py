@@ -1,17 +1,20 @@
 """Relation families for the twisted and untwisted algebras and their
 modified (idempotented) forms, plus the weight-decorated path-word model.
 
-There is one builder per form.  Lusztig's algebra is the twisted one at the
-trivial twist, so the untwisted presentations are the twisted formulas run
-over ``params.untwisted()`` (s = t = 1, q_i = v^{d_i}); the unital builder
-differs only in its generator set, K_i^{-1} in U where scrU has K'_i.
+Lusztig's algebra is the twisted one at the trivial twist, so the untwisted
+presentations are the twisted formulas run over ``params.untwisted()``
+(s = t = 1, q_i = v^{d_i}); the unital builder differs only in its
+generator set, K_i^{-1} in U where scrU has K'_i.  The modified builder
+makes one pass over a tuple of parameter sets, each path word built once
+with a coefficient table per set: the iso campaign takes (untwisted,
+twisted) pairs from it, relations_of one side.
 
 The modified algebras are non-unital, with orthogonal idempotents indexed by
 weights and arrow generators that raise or lower a weight by a simple root.
 A PathWord records the target weight and the sequence of raising/lowering
 steps; products of words concatenate exactly when the inner weights match
-and die otherwise, which makes the idempotent and weight-absorption
-relations hold by construction.
+and die otherwise, so the idempotent and weight-absorption relations
+(families a and b) hold by construction: an instance keeps its words.
 
 Relation enumeration over the (infinite) weight lattice is windowed: the
 caller supplies a finite set of base weights and every relation instance is
@@ -21,6 +24,7 @@ emitted per base weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Optional
 
@@ -35,6 +39,8 @@ __all__ = [
     "PathWord",
     "PathExpr",
     "RelationInstance",
+    "PathRelation",
+    "modified_relations",
     "idempotent",
     "divided_power",
     "relations_of",
@@ -157,8 +163,26 @@ def divided_power(
     return PathExpr.of(rd, params, word)
 
 
+class _RelationKey:
+    """The id and sort key of a relation instance."""
+
+    @property
+    def id(self) -> str:
+        bits = [self.family]
+        bits += ["%s%d" % (name, k + 1) for name, k in (("i", self.i), ("j", self.j)) if k is not None]
+        if self.lam is not None:
+            bits.append("lam(%s)" % ",".join(map(str, self.lam)))
+        if self.part:
+            bits.append(self.part)
+        return ":".join(bits)
+
+    def sort_key(self):
+        return (self.family, -1 if self.i is None else self.i, -1 if self.j is None else self.j,
+                self.lam or (), self.part)
+
+
 @dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(_RelationKey):
     """One relation, stored as LHS - RHS in integral form: the Serre sums
     times [r]!_{q_i} and the mixed relation c_ii times q_i - q_i^{-1}, so
     every coefficient is a Laurent polynomial."""
@@ -171,27 +195,33 @@ class RelationInstance:
     part: str
     expr: object  # PathExpr or NCExpr
 
-    @property
-    def id(self) -> str:
-        bits = [self.family]
-        if self.i is not None:
-            bits.append("i%d" % (self.i + 1))
-        if self.j is not None:
-            bits.append("j%d" % (self.j + 1))
-        if self.lam is not None:
-            bits.append("lam(%s)" % ",".join(map(str, self.lam)))
-        if self.part:
-            bits.append(self.part)
-        return ":".join(bits)
 
-    def sort_key(self):
-        return (
-            self.family,
-            -1 if self.i is None else self.i,
-            -1 if self.j is None else self.j,
-            self.lam or (),
-            self.part,
-        )
+@dataclass(eq=False)
+class PathRelation(_RelationKey):
+    """One modified-algebra relation instance over each parameter set of
+    sides, on shared path words: words = (left, right, word) for families a
+    and b, left*right == word, and one PathExpr per side in exprs for c, d."""
+
+    rd: RootDatum
+    sides: tuple
+    family: str
+    i: Optional[int]
+    j: Optional[int]
+    lam: Weight
+    part: str
+    words: Optional[tuple]
+    exprs: Optional[tuple]
+
+    def expr(self, k: int) -> PathExpr:
+        """The instance over sides[k]; for families a and b, left*right - word."""
+        if self.exprs is not None:
+            return self.exprs[k]
+        params, (left, right, word) = self.sides[k], self.words
+        product = left.compose(right)
+        terms = {} if product == word else {word: -params.one()}
+        if terms and product is not None:
+            terms[product] = params.one()
+        return PathExpr(self.rd, params, terms)
 
 
 def _serre_ratios(params: ParameterSet, i: int, j: int):
@@ -209,86 +239,72 @@ def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
     ratio = _serre_ratios(params, i, j)[kind != "E"]
     out = []
     for l in range(r + 1):
-        sign = -1 if l % 2 else 1
         if kind == "E":
             steps = (("E", i),) * (r - l) + (("E", j),) + (("E", i),) * l
         else:
             steps = (("F", i),) * l + (("F", j),) + (("F", i),) * (r - l)
-        out.append((steps, params.rat(ratio**l * qbinom(r, l, params.q(i)) * sign)))
+        out.append((steps, params.rat(ratio**l * qbinom(r, l, params.q(i)) * (-1) ** l)))
     return out
 
 
-def _composition_relation(rd, params, left: PathWord, right: PathWord, expected: PathWord):
-    """left*right - expected, with unit coefficients: the empty expression
-    when the composed word is the expected one, as it is by construction for
-    the idempotent and weight-absorption relations."""
-    word = left.compose(right)
-    if word == expected:
-        return PathExpr(rd, params, {})
-    terms = {expected: -params.one()}
-    if word is not None:
-        terms[word] = params.one()
-    return PathExpr(rd, params, terms)
-
-
-def _modified_relations(algebra, rd, params, window):
-    """Relation instances of a modified algebra over a window of base weights."""
-    out = []
-    idx = list(rd.index_set)
-    window = sorted(tuple(w) for w in window)
+def modified_relations(rd: RootDatum, sides: tuple, window) -> list:
+    """Every modified-algebra relation instance over a window of base
+    weights, in sort_key order, as PathRelations over the parameter sets of
+    sides: one pass that builds each path word once for every side."""
+    window = sorted(tuple(w) for w in window or ())
     if not window:
         raise ValueError("modified algebras need a nonempty weight window")
-    one = params.rat(1)
+    rel = partial(PathRelation, rd, sides)
 
     units = {lam: PathWord(rd, lam, ()) for lam in window}
-    for lam, unit in units.items():
-        out.append(RelationInstance(algebra, "a", None, None, lam, "",
-                                    _composition_relation(rd, params, unit, unit, unit)))
-    for i in idx:
+    out = [rel("a", None, None, lam, "", (unit, unit, unit), None) for lam, unit in units.items()]
+    for i in rd.index_set:
         for lam, unit in units.items():
             e_up = PathWord(rd, rd.add_root(lam, i, +1), (("E", i),))  # source lam
             e_in = PathWord(rd, lam, (("E", i),))
             f_dn = PathWord(rd, rd.add_root(lam, i, -1), (("F", i),))  # source lam
             f_in = PathWord(rd, lam, (("F", i),))
-            for part, left, right, word in (
-                ("E-right", e_up, unit, e_up), ("E-left", unit, e_in, e_in),
-                ("F-right", f_dn, unit, f_dn), ("F-left", unit, f_in, f_in),
-            ):
-                expr = _composition_relation(rd, params, left, right, word)
-                out.append(RelationInstance(algebra, "b", i, None, lam, part, expr))
+            out += [rel("b", i, None, lam, part, words, None) for part, words in (
+                ("E-left", (unit, e_in, e_in)), ("E-right", (e_up, unit, e_up)),
+                ("F-left", (unit, f_in, f_in)), ("F-right", (f_dn, unit, f_dn)))]
 
-    unit_from_exps = params.ctx.unit_from_exps
-    for i in idx:
-        c_i = twist_character(rd, params, "c", i)
-        for j in idx:
+    ones = [p.one() for p in sides]
+    for i in rd.index_set:
+        chars = [twist_character(rd, p, "c", i) for p in sides]
+        for j in rd.index_set:
             # only the idempotent term of a mixed relation depends on lam
-            fe_coeff = -params.rat(params.s(i, j) * params.t(j, i))
+            fe_coeffs = [-p.rat(p.s(i, j) * p.t(j, i)) for p in sides]
             for lam in window:
                 # E_i F_j - c F_j E_i on 1_lam, and for i = j minus [<i,lam>] c_{i,lam} 1_lam
-                terms = {PathWord(rd, lam, (("E", i), ("F", j))): one}
-                merge_term(terms, PathWord(rd, lam, (("F", j), ("E", i))), fe_coeff)
-                if i == j:
-                    qn = params.qint_q(rd.lambda_i(lam, i), i)
-                    cc = params.rat(qn * unit_from_exps(*character_value(c_i, lam)))
-                    merge_term(terms, PathWord(rd, lam, ()), -cc)
-                out.append(RelationInstance(algebra, "c", i, j, lam, "", PathExpr(rd, params, terms)))
+                ef, fe = PathWord(rd, lam, (("E", i), ("F", j))), PathWord(rd, lam, (("F", j), ("E", i)))
+                exprs = []
+                for p, one, c_i, fe_coeff in zip(sides, ones, chars, fe_coeffs):
+                    terms = {ef: one, fe: fe_coeff}
+                    if i == j:
+                        qn = p.qint_q(rd.lambda_i(lam, i), i)
+                        cc = p.rat(qn * p.ctx.unit_from_exps(*character_value(c_i, lam)))
+                        merge_term(terms, units[lam], -cc)
+                    exprs.append(PathExpr(rd, p, terms))
+                out.append(rel("c", i, j, lam, "", None, tuple(exprs)))
 
-    for i in idx:
-        for j in idx:
+    out_f = []
+    for i in rd.index_set:
+        for j in rd.index_set:
             if i == j:
                 continue
             r = rd.cartan.serre_exponent(i, j)
-            terms_e = _serre_terms(params, i, j, r, "E")
-            terms_f = _serre_terms(params, i, j, r, "F")
+            serre = {kind: [_serre_terms(p, i, j, r, kind) for p in sides] for kind in "EF"}
+            steps = {kind: dict.fromkeys(s for terms in serre[kind] for s, _ in terms) for kind in "EF"}
             for lam in window:
                 # the F words descend into lam; the E words climb from lam to their source
-                words_f = {PathWord(rd, lam, steps): c for steps, c in terms_f}
-                top = next(iter(words_f)).source
-                words_e = {PathWord(rd, top, steps): c for steps, c in terms_e}
-                out.append(RelationInstance(algebra, "d-E", i, j, lam, "", PathExpr(rd, params, words_e)))
-                out.append(RelationInstance(algebra, "d-F", i, j, lam, "", PathExpr(rd, params, words_f)))
-    out.sort(key=lambda r: r.sort_key())
-    return out
+                words = {s: PathWord(rd, lam, s) for s in steps["F"]}
+                top = next(iter(words.values())).source
+                words.update((s, PathWord(rd, top, s)) for s in steps["E"])
+                for kind, dest in (("E", out), ("F", out_f)):
+                    exprs = tuple(PathExpr(rd, p, {words[s]: c for s, c in terms})
+                                  for p, terms in zip(sides, serre[kind]))
+                    dest.append(rel("d-" + kind, i, j, lam, "", None, exprs))
+    return out + out_f
 
 
 def _nc_relations(algebra, rd, params):
@@ -307,36 +323,21 @@ def _nc_relations(algebra, rd, params):
                     if a_fam == b_fam and i >= j:
                         continue
                     expr = W((a_fam, i), (b_fam, j)) - W((b_fam, j), (a_fam, i))
-                    out.append(
-                        RelationInstance(algebra, "a", i, j, None, "%s%s-comm" % (a_fam, b_fam), expr)
-                    )
+                    out.append(RelationInstance(algebra, "a", i, j, None, a_fam + b_fam + "-comm", expr))
     for fam in kfams:
         for i in idx:
-            inv = fam + "inv"
-            out.append(
-                RelationInstance(
-                    algebra, "a", i, None, None, fam + "-inv",
-                    W((fam, i), (inv, i)) - NCExpr.unit(params),
-                )
-            )
-            out.append(
-                RelationInstance(
-                    algebra, "a", i, None, None, fam + "-inv2",
-                    W((inv, i), (fam, i)) - NCExpr.unit(params),
-                )
-            )
+            k, inv = (fam, i), (fam + "inv", i)
+            for part, word in (("-inv", (k, inv)), ("-inv2", (inv, k))):
+                expr = W(*word) - NCExpr.unit(params)
+                out.append(RelationInstance(algebra, "a", i, None, None, fam + part, expr))
 
     for i in idx:
         for j in idx:
             a = rd.cartan.a(i, j)
             st = params.s(i, j) * params.t(i, j)
             st_inv, qa, qa_inv = st.inv_unit(), params.q(i) ** a, params.q(i) ** (-a)
-            scalars = {
-                ("K", "E"): st_inv * qa,
-                ("Kp", "E"): st_inv * qa_inv,
-                ("K", "F"): st * qa_inv,
-                ("Kp", "F"): st * qa,
-            }
+            scalars = {("K", "E"): st_inv * qa, ("Kp", "E"): st_inv * qa_inv,
+                       ("K", "F"): st * qa_inv, ("Kp", "F"): st * qa}
             for (fam, ef), c in scalars.items():
                 if fam not in kfams:
                     continue
@@ -376,9 +377,8 @@ def relations_of(algebra: str, rd: RootDatum, params: ParameterSet, window=None)
     if algebra in ("U", "Udot"):
         params = params.untwisted()
     if algebra in ("Udot", "scrUdot"):
-        if not window:
-            raise ValueError("modified algebras need a nonempty weight window")
-        return _modified_relations(algebra, rd, params, window)
+        return [RelationInstance(algebra, r.family, r.i, r.j, r.lam, r.part, r.expr(0))
+                for r in modified_relations(rd, (params,), window)]
     if algebra in ("U", "scrU"):
         return _nc_relations(algebra, rd, params)
     raise ValueError("unknown algebra %r" % algebra)

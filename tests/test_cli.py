@@ -309,21 +309,19 @@ def test_engine_error_is_internal_error(monkeypatch, capsys):
 
 
 def test_unpaired_relation_instance_is_internal_error(monkeypatch, capsys):
-    """The iso campaign pairs the untwisted and twisted instances in
-    lockstep; a twisted list missing an instance is an engine bug, never a
-    failed record."""
+    """The iso campaign takes its untwisted and twisted instances as pairs
+    from one builder, so they cannot fall out of step; an engine error
+    raised inside that builder is an internal error, never a failed record
+    or an invalid configuration."""
     from qtwist import twistmap
 
-    relations_of = twistmap.relations_of
+    def broken_pairs(rd, sides, window):
+        raise RuntimeError("relation pair builder failed")
 
-    def one_twisted_dropped(algebra, rd, params, window=None):
-        out = relations_of(algebra, rd, params, window)
-        return out[:-1] if algebra == "scrUdot" else out
-
-    monkeypatch.setattr(twistmap, "relations_of", one_twisted_dropped)
+    monkeypatch.setattr(twistmap, "modified_relations", broken_pairs)
     code, out, err = run(capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1")
     assert code == 5
-    assert "internal error" in err and "twisted relation instances" in err
+    assert "internal error" in err and "relation pair builder failed" in err
     assert "invalid configuration" not in err
 
 

@@ -242,8 +242,9 @@ def _backward_negates_first_variable_only(self, word, invert):
 
 
 def test_wrong_backward_map_fails_the_round_trips(monkeypatch):
-    """The round-trip records reject a backward map that is not the inverse;
-    the iso campaign, which maps forward only, still passes."""
+    """The round-trip records reject a backward map that is not the inverse,
+    each witness naming the generator and both round trips; the iso
+    campaign, which maps forward only, still passes."""
     monkeypatch.setattr(twistmap.TwistMap, "_word_scalar", _backward_negates_first_variable_only)
     rd = rootdata.builtin("a2")
     params = ParameterSet.v_tied(rd.cartan)
@@ -251,6 +252,10 @@ def test_wrong_backward_map_fails_the_round_trips(monkeypatch):
     assert rep.summary == {"pass": 627, "fail": 75, "warn": 0}
     assert collections.Counter(c.family for c in rep.failures()) == {"roundtrip": 75}
     assert rep.failures()[0].id == "roundtrip:E:i1:lam(-1,-1,-1)"
+    assert rep.failures()[0].witness == (
+        "E1:(-1,-1,-1)<-(-2,0,-1): backward(forward) (s12^-4)*E1:(-1,-1,-1)<-(-2,0,-1), "
+        "forward(backward) (s12^-4)*E1:(-1,-1,-1)<-(-2,0,-1)")
+    assert all(": backward(forward) " in c.witness for c in rep.failures())
     assert _run_a2().summary == {"pass": 459, "fail": 0, "warn": 0}
 
 

@@ -14,6 +14,7 @@ from qtwist.presentations import (
     PathWord,
     divided_power,
     idempotent,
+    modified_relations,
     relations_of,
 )
 from qtwist.twistmap import TwistScalars
@@ -443,6 +444,43 @@ def test_modified_relations_match_literal_construction(case):
             assert inst.expr == literal, inst.id
             assert str(inst.expr) == str(literal), inst.id
         assert len(serre) == 2 * rd.n * (rd.n - 1)
+
+
+def _pair_cases():
+    """(label, root datum, parameters) for the paired builder: five built-ins
+    v-tied, and the super2 and two-param rings on a2."""
+    for name in ("a1", "a1xa1", "a2", "b2", "g2"):
+        rd = rootdata.builtin(name)
+        yield name, rd, ParameterSet.v_tied(rd.cartan)
+    for case in ("super2", "two-param"):
+        spec = specializations.make(case, rootdata.builtin("a2"))
+        yield "a2-" + case, spec.rd, spec.params
+
+
+@pytest.mark.parametrize("case", list(_pair_cases()), ids=lambda c: c[0])
+def test_untwisted_side_is_lusztigs_presentation(case):
+    """The untwisted side of each (untwisted, twisted) pair is the twisted
+    side of the pairs built over params.untwisted(), term for term; the
+    family-c and d sides share their PathWord objects, families a and b are
+    zero on both sides, and the pairs come out in sort_key order."""
+    _, rd, p = case
+    u, window = p.untwisted(), rd.weights_box(1)
+    pairs = modified_relations(rd, (u, p), window)
+    lusztig = modified_relations(rd, (u, u), window)
+    assert [r.id for r in pairs] == [r.id for r in lusztig]
+    keys = [r.sort_key() for r in pairs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    shared = paired = 0
+    for rel, ref in zip(pairs, lusztig):
+        x, target = rel.expr(0), rel.expr(1)
+        assert x.params is u and target.params is p
+        assert x == ref.expr(1) and str(x) == str(ref.expr(1)), rel.id
+        if rel.family in ("a", "b"):
+            assert rel.exprs is None and x.is_zero() and target.is_zero(), rel.id
+            continue
+        assert {id(w) for w in x.terms} == {id(w) for w in target.terms}, rel.id
+        shared, paired = shared + len(x.terms), paired + 1
+    assert paired > 0 and shared >= 2 * paired
 
 
 def _integral_cases():

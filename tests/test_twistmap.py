@@ -8,7 +8,8 @@ import pytest
 from qtwist import rootdata, specializations, twistmap
 from qtwist.coeffring import Context, LaurentPoly, RatExpr
 from qtwist.params import ParameterSet
-from qtwist.presentations import PathExpr, PathWord, divided_power, idempotent, relations_of
+from qtwist.presentations import (PathExpr, PathWord, divided_power, idempotent, modified_relations,
+                                  relations_of)
 from qtwist.twistmap import (
     TwistMap,
     TwistScalars,
@@ -307,14 +308,14 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     assert sum(calls.values()) == 0, calls
     monkeypatch.undo()
 
-    # a passing record: the a2 box-1 iso campaign, given its instances, and
-    # the divided powers at l = 0..4, in integral form [l]! E^(l)
+    # a passing record: the a2 box-1 iso campaign, given its instance pairs,
+    # and the divided powers at l = 0..4, in integral form [l]! E^(l)
     window = rd.weights_box(1)
-    built = {name: relations_of(name, rd, p, window) for name in ("Udot", "scrUdot")}
+    built = modified_relations(rd, (p.untwisted(), p), window)
     dps = [(divided_power(kind, i, l, lam, rd, p.untwisted()), divided_power(kind, i, l, lam, rd, p))
            for kind in ("E", "F") for i in rd.index_set for l in range(5) for lam in window]
     assert all(c.is_poly() for dp in dps for x in dp for c in x.terms.values())
-    monkeypatch.setattr(twistmap, "relations_of", lambda name, *args: built[name])
+    monkeypatch.setattr(twistmap, "modified_relations", lambda *args: built)
     calls.clear()
     for cls, name in [(TwistMap, "_apply"), (PathExpr, "__init__"), (RatExpr, "__truediv__"),
                       (RatExpr, "__mul__")]:
