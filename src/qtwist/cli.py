@@ -74,9 +74,8 @@ def _add_datum(sub):
                      help="%s, or a JSON config file" % ", ".join(rootdata.BUILTINS))
 
 
-def _add_window(sub):
-    sub.add_argument("--lambda-box", type=int, default=2,
-                     help="weight window: all coordinates in [-K, K]")
+def _add_window(sub, help="weight window: all coordinates in [-K, K]"):
+    sub.add_argument("--lambda-box", type=int, default=2, metavar="K", help=help)
 
 
 def _add_output(sub):
@@ -95,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-iso", help="relation correspondence under the rescaling map")
     _add_datum(p)
-    _add_window(p)
+    _add_window(p, "weight window: all coordinates in [-K, K] for the relation records, "
+                   "in [-min(K, 1), min(K, 1)] for the dp-unit and roundtrip records")
     _add_output(p)
 
     p = subs.add_parser("verify-hopf", help="coproduct, antipode and bialgebra axioms")

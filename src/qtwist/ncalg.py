@@ -20,7 +20,7 @@ the slots that move past each other.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul
+from operator import mul, ne
 
 from .coeffring import RingError
 from .params import ParameterSet
@@ -85,9 +85,9 @@ def merge_term(terms: dict, key, coeff) -> None:
 class LinComb:
     """Finite linear combination of basis keys with RatExpr coefficients.
 
-    Subclasses fix the basis: ``_new`` rebuilds an expression of the same
-    kind from a term dict, ``_order`` sorts keys, ``key_str`` displays one,
-    and ``_mul_keys`` multiplies two keys (None when the product is zero).
+    Subclasses fix only the basis: ``_order`` sorts keys, ``key_str``
+    displays one, and ``_mul_keys`` multiplies two keys (None when the
+    product is zero) or ``_product`` replaces the bilinear product.
     """
 
     __slots__ = ("params", "terms")
@@ -98,6 +98,16 @@ class LinComb:
 
     def _new(self, terms: dict):
         return type(self)(self.params, terms)
+
+    @classmethod
+    def zero(cls, params):
+        return cls(params, {})
+
+    @classmethod
+    def word(cls, params, key, coeff=1):
+        """The single term coeff * key, zero when coeff is."""
+        c = params.rat(coeff)
+        return cls(params, {} if c.is_zero() else {key: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -165,21 +175,30 @@ class LinComb:
             return n
         return None
 
+    def difference_witness(self, other, differs=ne, labels=("lhs", "rhs")) -> str:
+        """The first key, in basis order, whose two coefficients (0 where a
+        side lacks the key) ``differs`` holds for, shown with both as
+        "<key>: lhs A, rhs B" under the two labels; empty when there is none."""
+        zero = self.params.rat(0)
+        for k in sorted(self.terms.keys() | other.terms.keys(), key=self._order):
+            a, b = self.terms.get(k, zero), other.terms.get(k, zero)
+            if differs(a, b):
+                return "%s: %s %s, %s %s" % (
+                    self.key_str(k), labels[0], a.simplified(), labels[1], b.simplified())
+        return ""
+
     def multiple_witness(self, target) -> str:
         """Why self is not an exact multiple of target: the first key, in basis
         order, that only one side has or whose coefficient is not N times
         target's, N being the multiple read at target's largest key as in
         multiple_of.  Both coefficients are shown (0 where a side lacks the
         key), then N when it exists; empty when self is an exact multiple."""
-        zero = self.params.rat(0)
         ref = max(target.terms, key=self._order) if target.terms else None
         n = self.terms[ref] / target.terms[ref] if ref in self.terms else None
-        for k in sorted(self.terms.keys() | target.terms.keys(), key=self._order):
-            a, b = self.terms.get(k, zero), target.terms.get(k, zero)
-            if a.is_zero() or b.is_zero() or (n is not None and not a == n * b):
-                shown = "%s: image %s, target %s" % (self.key_str(k), a.simplified(), b.simplified())
-                return shown if n is None else "%s, multiple %s" % (shown, n.simplified())
-        return ""
+        shown = self.difference_witness(
+            target, lambda a, b: a.is_zero() or b.is_zero() or (n is not None and not a == n * b),
+            ("image", "target"))
+        return shown if n is None or not shown else "%s, multiple %s" % (shown, n.simplified())
 
     def sorted_terms(self):
         order = self._order
@@ -199,19 +218,8 @@ class NCExpr(LinComb):
     __slots__ = ()
 
     @classmethod
-    def zero(cls, params):
-        return cls(params, {})
-
-    @classmethod
     def unit(cls, params):
-        return cls(params, {(): params.one()})
-
-    @classmethod
-    def word(cls, params, word, coeff=1):
-        c = params.rat(coeff)
-        if c.is_zero():
-            return cls.zero(params)
-        return cls(params, {tuple(word): c})
+        return cls.word(params, ())
 
     _order = staticmethod(word_key)
 
@@ -287,27 +295,14 @@ def straighten(x: NCExpr, rules: StraightenRules) -> NCExpr:
 
 
 class TensorExpr(LinComb):
-    """Linear combination of 2- or 3-fold word tensors with the twisted product."""
+    """Linear combination of 2- or 3-fold word tensors with the twisted
+    product; the arity is the length of the keys."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, params: ParameterSet, arity: int, terms: dict):
-        if arity not in (2, 3):
-            raise ValueError("tensor arity must be 2 or 3")
-        self.params = params
-        self.arity = arity
-        self.terms = terms  # tuple of words -> RatExpr
-
-    def _new(self, terms: dict):
-        return TensorExpr(self.params, self.arity, terms)
-
-    @classmethod
-    def zero(cls, params, arity=2):
-        return cls(params, arity, {})
+    __slots__ = ()
 
     @classmethod
     def unit(cls, params, arity=2):
-        return cls(params, arity, {((),) * arity: params.one()})
+        return cls.word(params, ((),) * arity)
 
     @classmethod
     def of(cls, *factors: NCExpr):
@@ -323,17 +318,7 @@ class TensorExpr(LinComb):
         out: dict = {}
         for key, c in keys:
             merge_term(out, key, c)
-        return cls(params, len(factors), out)
-
-    def __add__(self, other):
-        if other.arity != self.arity:
-            raise ValueError("tensor arity mismatch")
-        return LinComb.__add__(self, other)
-
-    def __eq__(self, other):
-        if isinstance(other, TensorExpr) and self.arity != other.arity:
-            return False
-        return LinComb.__eq__(self, other)
+        return cls(params, out)
 
     def _product(self, other):
         return tmul(self, other)
@@ -347,7 +332,7 @@ class TensorExpr(LinComb):
         for key, coeff in self.terms.items():
             nf_key, scalars = zip(*(_straighten_word(w, rules) for w in key))
             merge_term(out, nf_key, coeff * unit_product(scalars))
-        return TensorExpr(self.params, self.arity, out)
+        return TensorExpr(self.params, out)
 
     @staticmethod
     def _order(key):
@@ -360,12 +345,15 @@ class TensorExpr(LinComb):
 def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
     """Twisted multiplication of tensor expressions (2- or 3-fold): the
     product of pure tensors picks up pair_twist(|x_b|, |y_a|) for every slot
-    a of y that moves past a slot b > a of x."""
-    if a.arity != b.arity:
+    a of y that moves past a slot b > a of x.  The arity is the length of
+    every key of both factors."""
+    arities = {len(key) for key in a.terms} | {len(key) for key in b.terms}
+    if len(arities) > 1:
         raise ValueError("tensor arity mismatch")
+    arity = arities.pop() if arities else 0
     params = a.params
     n = params.cartan.n
-    pairs = [(ya, xb) for ya in range(a.arity) for xb in range(ya + 1, a.arity)]
+    pairs = [(ya, xb) for ya in range(arity) for xb in range(ya + 1, arity)]
     ys = [(ykey, cy, [grade(w, n) for w in ykey]) for ykey, cy in b.terms.items()]
     terms: dict = {}
     for xkey, cx in a.terms.items():
@@ -374,4 +362,4 @@ def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
             twist = reduce(mul, (pair_twist(params, xdeg[xb], ydeg[ya]) for ya, xb in pairs))
             key = tuple(xw + yw for xw, yw in zip(xkey, ykey))
             merge_term(terms, key, cx * cy * twist)
-    return TensorExpr(params, a.arity, terms)
+    return TensorExpr(params, terms)

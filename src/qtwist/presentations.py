@@ -107,26 +107,7 @@ class PathExpr(LinComb):
     """Linear combination of path words; the product composes paths whose
     inner weights match and kills the rest."""
 
-    __slots__ = ("rd",)
-
-    def __init__(self, rd: RootDatum, params: ParameterSet, terms: dict):
-        self.rd = rd
-        self.params = params
-        self.terms = terms  # PathWord -> RatExpr
-
-    def _new(self, terms: dict):
-        return PathExpr(self.rd, self.params, terms)
-
-    @classmethod
-    def zero(cls, rd, params):
-        return cls(rd, params, {})
-
-    @classmethod
-    def of(cls, rd, params, word: PathWord, coeff=1):
-        c = params.rat(coeff)
-        if c.is_zero():
-            return cls.zero(rd, params)
-        return cls(rd, params, {word: c})
+    __slots__ = ()
 
     _order = staticmethod(PathWord.key)
 
@@ -138,7 +119,7 @@ class PathExpr(LinComb):
 
 
 def idempotent(rd, params, lam: Weight) -> PathExpr:
-    return PathExpr.of(rd, params, PathWord(rd, lam, ()))
+    return PathExpr.word(params, PathWord(rd, lam, ()))
 
 
 def divided_power(
@@ -160,7 +141,7 @@ def divided_power(
         raise ValueError("divided power kind must be 'E' or 'F'")
     descent = PathWord(rd, lam, (("F", i),) * l)
     word = descent if kind == "F" else PathWord(rd, descent.source, (("E", i),) * l)
-    return PathExpr.of(rd, params, word)
+    return PathExpr.word(params, word)
 
 
 class _RelationKey:
@@ -187,8 +168,7 @@ class RelationInstance(_RelationKey):
     times [r]!_{q_i} and the mixed relation c_ii times q_i - q_i^{-1}, so
     every coefficient is a Laurent polynomial."""
 
-    algebra: str  # 'U', 'scrU', 'Udot', 'scrUdot'
-    family: str   # 'a', 'b', 'c', 'd-E', 'd-F'
+    family: str  # 'a', 'b', 'c', 'd-E', 'd-F'
     i: Optional[int]
     j: Optional[int]
     lam: Optional[Weight]
@@ -202,7 +182,6 @@ class PathRelation(_RelationKey):
     sides, on shared path words: words = (left, right, word) for families a
     and b, left*right == word, and one PathExpr per side in exprs for c, d."""
 
-    rd: RootDatum
     sides: tuple
     family: str
     i: Optional[int]
@@ -221,7 +200,7 @@ class PathRelation(_RelationKey):
         terms = {} if product == word else {word: -params.one()}
         if terms and product is not None:
             terms[product] = params.one()
-        return PathExpr(self.rd, params, terms)
+        return PathExpr(params, terms)
 
 
 def _serre_ratios(params: ParameterSet, i: int, j: int):
@@ -254,7 +233,7 @@ def modified_relations(rd: RootDatum, sides: tuple, window) -> list:
     window = sorted(tuple(w) for w in window or ())
     if not window:
         raise ValueError("modified algebras need a nonempty weight window")
-    rel = partial(PathRelation, rd, sides)
+    rel = partial(PathRelation, sides)
 
     units = {lam: PathWord(rd, lam, ()) for lam in window}
     out = [rel("a", None, None, lam, "", (unit, unit, unit), None) for lam, unit in units.items()]
@@ -284,7 +263,7 @@ def modified_relations(rd: RootDatum, sides: tuple, window) -> list:
                         qn = p.qint_q(rd.lambda_i(lam, i), i)
                         cc = p.rat(qn * p.ctx.unit_from_exps(*character_value(c_i, lam)))
                         merge_term(terms, units[lam], -cc)
-                    exprs.append(PathExpr(rd, p, terms))
+                    exprs.append(PathExpr(p, terms))
                 out.append(rel("c", i, j, lam, "", None, tuple(exprs)))
 
     out_f = []
@@ -301,7 +280,7 @@ def modified_relations(rd: RootDatum, sides: tuple, window) -> list:
                 top = next(iter(words.values())).source
                 words.update((s, PathWord(rd, top, s)) for s in steps["E"])
                 for kind, dest in (("E", out), ("F", out_f)):
-                    exprs = tuple(PathExpr(rd, p, {words[s]: c for s, c in terms})
+                    exprs = tuple(PathExpr(p, {words[s]: c for s, c in terms})
                                   for p, terms in zip(sides, serre[kind]))
                     dest.append(rel("d-" + kind, i, j, lam, "", None, exprs))
     return out + out_f
@@ -313,7 +292,7 @@ def _nc_relations(algebra, rd, params):
     K'_i."""
     out = []
     idx = list(rd.index_set)
-    W = lambda *syms: NCExpr.word(params, tuple(syms))
+    W = lambda *syms: NCExpr.word(params, syms)
     kfams, kneg = (("K", "Kp"), "Kp") if algebra == "scrU" else (("K",), "Kinv")
 
     for a_fam in kfams:
@@ -323,13 +302,13 @@ def _nc_relations(algebra, rd, params):
                     if a_fam == b_fam and i >= j:
                         continue
                     expr = W((a_fam, i), (b_fam, j)) - W((b_fam, j), (a_fam, i))
-                    out.append(RelationInstance(algebra, "a", i, j, None, a_fam + b_fam + "-comm", expr))
+                    out.append(RelationInstance("a", i, j, None, a_fam + b_fam + "-comm", expr))
     for fam in kfams:
         for i in idx:
             k, inv = (fam, i), (fam + "inv", i)
             for part, word in (("-inv", (k, inv)), ("-inv2", (inv, k))):
                 expr = W(*word) - NCExpr.unit(params)
-                out.append(RelationInstance(algebra, "a", i, None, None, fam + part, expr))
+                out.append(RelationInstance("a", i, None, None, fam + part, expr))
 
     for i in idx:
         for j in idx:
@@ -342,7 +321,7 @@ def _nc_relations(algebra, rd, params):
                 if fam not in kfams:
                     continue
                 expr = W((fam, i), (ef, j), (fam + "inv", i)) - W((ef, j)).scale(c)
-                out.append(RelationInstance(algebra, "b", i, j, None, "%s-%s" % (fam, ef), expr))
+                out.append(RelationInstance("b", i, j, None, "%s-%s" % (fam, ef), expr))
 
     for i in idx:
         for j in idx:
@@ -352,7 +331,7 @@ def _nc_relations(algebra, rd, params):
                 # times q_i - q_i^{-1}, the integral form of the mixed relation
                 qi = params.q(i)
                 lhs = lhs.scale(qi - qi.inv_unit()) - (W(("K", i)) - W((kneg, i)))
-            out.append(RelationInstance(algebra, "c", i, j, None, "", lhs))
+            out.append(RelationInstance("c", i, j, None, "", lhs))
 
     for i in idx:
         for j in idx:
@@ -361,7 +340,7 @@ def _nc_relations(algebra, rd, params):
             r = rd.cartan.serre_exponent(i, j)
             for kind in ("E", "F"):
                 terms = dict(_serre_terms(params, i, j, r, kind))
-                out.append(RelationInstance(algebra, "d-" + kind, i, j, None, "", NCExpr(params, terms)))
+                out.append(RelationInstance("d-" + kind, i, j, None, "", NCExpr(params, terms)))
     out.sort(key=lambda r: r.sort_key())
     return out
 
@@ -377,7 +356,7 @@ def relations_of(algebra: str, rd: RootDatum, params: ParameterSet, window=None)
     if algebra in ("U", "Udot"):
         params = params.untwisted()
     if algebra in ("Udot", "scrUdot"):
-        return [RelationInstance(algebra, r.family, r.i, r.j, r.lam, r.part, r.expr(0))
+        return [RelationInstance(r.family, r.i, r.j, r.lam, r.part, r.expr(0))
                 for r in modified_relations(rd, (params,), window)]
     if algebra in ("U", "scrU"):
         return _nc_relations(algebra, rd, params)

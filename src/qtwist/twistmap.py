@@ -169,7 +169,7 @@ class TwistMap:
         image_num = self._image_num
         terms = {w: RatExpr._normalised(image_num(w, c.num, invert), c.den)
                  for w, c in x.terms.items()}
-        return PathExpr(self.rd, self.params, terms)
+        return PathExpr(self.params, terms)
 
     def forward(self, x: PathExpr) -> PathExpr:
         return self._apply(x, invert=False)
@@ -214,13 +214,28 @@ class TwistMap:
         return self.forward(x).multiple_of(target)
 
 
-def _simplify_multiple(n: RatExpr):
-    """(n.simplified(), whether n is a unit monomial), with at most one exact
-    division: a multiple still carrying a denominator is not a polynomial.
-    A clean multiple is already a polynomial, as the coefficients it divides
-    share their denominators, and needs none."""
+def _unit_multiple(rec: CheckRecord, tw: TwistMap, x: PathExpr, target: PathExpr, not_unit: str):
+    """The unit monomial N with forward(x) == N * target, simplified and
+    shown as rec's scalar; or None, with rec FAIL and a witness, when there
+    is no exact multiple (the first word that is not N times the target's)
+    or N is no unit monomial (the not_unit text, formatted with N).
+
+    Simplifying makes at most one exact division: a multiple still carrying
+    a denominator is not a polynomial.  A clean multiple is already a
+    polynomial, as the coefficients it divides share their denominators."""
+    n = tw.multiple(x, target)
+    if n is None:
+        rec.status = FAIL
+        rec.witness = "image is not an exact multiple of the target instance: " + (
+            tw.forward(x).multiple_witness(target))
+        return None
     simple = n.simplified()
-    return simple, simple.is_poly() and simple.num.unit_mono() is not None
+    rec.scalar = str(simple)
+    if simple.is_poly() and simple.num.unit_mono() is not None:
+        return simple
+    rec.status = FAIL
+    rec.witness = not_unit % simple
+    return None
 
 
 def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Report:
@@ -252,20 +267,8 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
                 rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
                     rel.family, rel.expr(0), rel.expr(1))
             continue
-        x, target = rel.exprs
-        n = tw.multiple(x, target)
-        if n is None:
-            rec.status = FAIL
-            rec.witness = "image is not an exact multiple of the target instance: " + (
-                tw.forward(x).multiple_witness(target))
-            continue
-        simple, unit = _simplify_multiple(n)
-        rec.scalar = str(simple)
-        if not unit:
-            rec.status = FAIL
-            rec.witness = "multiple %s is not a unit monomial" % simple
-            continue
-        if rel.family == "c":
+        simple = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
+        if simple is not None and rel.family == "c":
             # not implied by the exact multiple, which only ties the words'
             # scalars to each other: a rescaling off by the same factor on
             # every word still gives a unit multiple, just the wrong one
@@ -287,7 +290,8 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
 
     The coefficient is TwistMap.multiple of the untwisted over the twisted
     divided power, both in integral form with the same [l]!_{q_i} (TwistMap
-    requires q_i = v^{d_i}), so N and every printed scalar stay the same."""
+    requires q_i = v^{d_i}), so N and every printed scalar stay the same; a
+    missing or non-unit multiple fails the record as in the iso campaign."""
     t0 = time.monotonic()
     rep = Report("integrality", datum=rd.name, case=params.label)
     tw = TwistMap(rd, params)
@@ -297,28 +301,24 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
         for lam in window:
             for l in range(lmax + 1):
                 for kind in ("E", "F"):
-                    dp_u = divided_power(kind, i, l, lam, rd, params.untwisted())
-                    dp_s = divided_power(kind, i, l, lam, rd, params)
-                    simple, unit = _simplify_multiple(tw.multiple(dp_u, dp_s))
-                    rec = CheckRecord(
+                    rec = rep.add(CheckRecord(
                         "dp-unit:%s:i%d:l%d:lam(%s)" % (kind, i + 1, l, ",".join(map(str, lam))),
                         "dp", i, None, lam,
-                    )
-                    rec.scalar = str(simple)
-                    if not unit:
+                    ))
+                    simple = _unit_multiple(
+                        rec, tw, divided_power(kind, i, l, lam, rd, params.untwisted()),
+                        divided_power(kind, i, l, lam, rd, params), "coefficient %s is not a unit monomial")
+                    if simple is None:
+                        continue
+                    scalar, twist = (sc.e, params.s) if kind == "E" else (sc.f, params.t)
+                    expected = scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2)
+                    if simple.num != expected:
                         rec.status = FAIL
-                        rec.witness = "coefficient %s is not a unit monomial" % rec.scalar
-                    else:
-                        scalar, twist = (sc.e, params.s) if kind == "E" else (sc.f, params.t)
-                        expected = scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2)
-                        if simple.num != expected:
-                            rec.status = FAIL
-                            rec.witness = "closed form %s, got %s" % (expected, simple)
-                    rep.add(rec)
+                        rec.witness = "closed form %s, got %s" % (expected, simple)
             gens = [
                 idempotent(rd, params, lam),
-                PathExpr.of(rd, params, PathWord(rd, lam, (("E", i),))),
-                PathExpr.of(rd, params, PathWord(rd, lam, (("F", i),))),
+                PathExpr.word(params, PathWord(rd, lam, (("E", i),))),
+                PathExpr.word(params, PathWord(rd, lam, (("F", i),))),
             ]
             for tag, g in zip(("idem", "E", "F"), gens):
                 bf, fb = tw.backward(tw.forward(g)), tw.forward(tw.backward(g))

@@ -37,7 +37,7 @@ def test_delta_generators(a1ctx):
     ctx = a1ctx
     p = ctx.params
     dK = delta(ctx, NCExpr.word(p, (("K", 0),)))
-    assert dK == TensorExpr(p, 2, {((("K", 0),), (("K", 0),)): p.one()})
+    assert dK == TensorExpr(p, {((("K", 0),), (("K", 0),)): p.one()})
     d1 = delta(ctx, NCExpr.unit(p))
     assert d1 == TensorExpr.unit(p, 2)
     dE = delta(ctx, NCExpr.word(p, (("E", 0),)))
@@ -62,8 +62,8 @@ def test_delta_square_coefficient(a1ctx):
     assert sq.terms[nf_word] == expected
     # and the oracle route: coefficient q[2] against the product form
     prod = tmul(
-        TensorExpr(p, 2, {((("E", 0),), ()): p.one()}),
-        TensorExpr(p, 2, {((("K", 0),), (("E", 0),)): p.one()}),
+        TensorExpr(p, {((("E", 0),), ()): p.one()}),
+        TensorExpr(p, {((("K", 0),), (("E", 0),)): p.one()}),
     )
     oracle = ctx.tnf(prod.scale(q * qint(2, q)))
     assert oracle.terms[nf_word] == expected

@@ -365,6 +365,31 @@ def test_non_unit_divided_power_coefficient_is_rejected(monkeypatch):
     assert first.scalar == "v*s11*s12^-4 + s11*s12^-4"
 
 
+def _twisted_first_power_one_root_higher(kind, i, l, lam, rd, params):
+    """divided_power with the twisted side's l = 1 word at lam + alpha_i."""
+    if params.untwisted() is not params and l == 1:
+        lam = rd.add_root(lam, i, +1)
+    return _divided_power(kind, i, l, lam, rd, params)
+
+
+def test_missing_divided_power_multiple_fails_with_witness(monkeypatch, tmp_path, capsys):
+    """When the twisted divided power sits on other words, there is no exact
+    multiple: each l = 1 dp-unit record is a FAIL of the report naming the
+    first word that only one side has, not an internal error."""
+    monkeypatch.setattr(twistmap, "divided_power", _twisted_first_power_one_root_higher)
+    out = tmp_path / "report.json"
+    code = main(["verify-iso", "--root-datum", "a1", "--lambda-box", "1",
+                 "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert "internal error" not in capsys.readouterr().err
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    assert len(failed) == 18
+    assert all(c["id"].startswith("dp-unit:") and ":l1:" in c["id"] for c in failed)
+    assert all(c["witness"].startswith(WITNESS + ": ") for c in failed)
+    assert (failed[0]["id"], failed[0]["witness"]) == (
+        "dp-unit:E:i1:l1:lam(-1,-1)", WITNESS + ": E1:(0,-2)<-(-1,-1): image 1, target 0")
+
+
 _antipode = hopf.antipode
 _delta_symbol = hopf._delta_symbol
 _serre_terms = presentations._serre_terms
@@ -393,7 +418,7 @@ def _delta_e_with_kp(ctx, sym):
         return _delta_symbol(ctx, sym)
     p = ctx.params
     e, kp = (sym,), (("Kp", sym[1]),)
-    return TensorExpr(p, 2, {(e, ()): p.one(), (kp, e): p.one()})
+    return TensorExpr(p, {(e, ()): p.one(), (kp, e): p.one()})
 
 
 def _twisted_raising_serre(edit):
@@ -464,7 +489,7 @@ def _delta_k_with_kp(ctx, sym):
     if sym[0] != "K":
         return _delta_symbol(ctx, sym)
     p = ctx.params
-    return TensorExpr(p, 2, {((sym,), (("Kp", sym[1]),)): p.one()})
+    return TensorExpr(p, {((sym,), (("Kp", sym[1]),)): p.one()})
 
 
 def test_non_group_like_k_fails_coassociativity(monkeypatch):

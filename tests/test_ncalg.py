@@ -142,7 +142,7 @@ def test_straightening_factors_first_is_exact(name, make):
                 pairs = [_split_word_pair(rng, n) for _ in range(arity)]
                 xt[tuple(a for a, _ in pairs)] = _random_coeff(rng, p)
                 yt[tuple(b for _, b in pairs)] = _random_coeff(rng, p)
-            x, y = TensorExpr(p, arity, xt), TensorExpr(p, arity, yt)
+            x, y = TensorExpr(p, xt), TensorExpr(p, yt)
             assert tnf(tmul(tnf(x), tnf(y))) == tnf(tmul(x, y))
 
 
@@ -230,13 +230,13 @@ def _two_basis_elements(kind, rd, p):
     if kind == "NCExpr":
         return NCExpr.word(p, (("E", 0),)), NCExpr.word(p, (("F", 1), ("K", 0))), NCExpr.zero(p)
     if kind == "TensorExpr":
-        a = TensorExpr(p, 2, {((("E", 0),), ()): p.one()})
-        b = TensorExpr(p, 2, {((("K", 0),), (("E", 0),)): p.one()})
-        return a, b, TensorExpr.zero(p, 2)
+        a = TensorExpr(p, {((("E", 0),), ()): p.one()})
+        b = TensorExpr(p, {((("K", 0),), (("E", 0),)): p.one()})
+        return a, b, TensorExpr.zero(p)
     lam = rd.zero_weight()
-    a = PathExpr.of(rd, p, PathWord(rd, lam, (("E", 0),)))
-    b = PathExpr.of(rd, p, PathWord(rd, lam, (("F", 1), ("E", 0))))
-    return a, b, PathExpr.zero(rd, p)
+    a = PathExpr.word(p, PathWord(rd, lam, (("E", 0),)))
+    b = PathExpr.word(p, PathWord(rd, lam, (("F", 1), ("E", 0))))
+    return a, b, PathExpr.zero(p)
 
 
 def _generic_multiple(x, target):
@@ -309,3 +309,12 @@ def test_multiple_of(setup, kind):
                 assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), (
                     x, target)
         assert found == 24
+
+
+@pytest.mark.parametrize("cls", [NCExpr, TensorExpr, PathExpr], ids=lambda c: c.__name__)
+def test_expression_kinds_differ_only_in_their_basis(cls):
+    """Each expression kind inherits its state, constructors, sum and
+    equality from LinComb and adds only its basis."""
+    assert cls.__slots__ == ()
+    own = {"__init__", "_new", "__add__", "__eq__", "zero"} & set(vars(cls))
+    assert not own, own

@@ -23,7 +23,7 @@ from qtwist.twistmap import TwistScalars
 def _arrow(rd, p, kind, i, source):
     """The raising ('E') or lowering ('F') arrow out of source."""
     target = rd.add_root(source, i, +1 if kind == "E" else -1)
-    return PathExpr.of(rd, p, PathWord(rd, target, ((kind, i),)))
+    return PathExpr.word(p, PathWord(rd, target, ((kind, i),)))
 
 
 @pytest.mark.parametrize("module", [qtwist, presentations], ids=lambda m: m.__name__)
@@ -79,7 +79,7 @@ def test_path_mul_associative_random(a2):
             kind = rng.choice(("E", "F"))
             i = rng.randrange(rd.n)
             steps.append((kind, i))
-        return PathExpr.of(rd, p, PathWord(rd, lam, tuple(steps)))
+        return PathExpr.word(p, PathWord(rd, lam, tuple(steps)))
 
     for _ in range(40):
         lam = tuple(rng.randint(-2, 2) for _ in range(rd.x_rank))
@@ -352,9 +352,9 @@ def _literal_serre(inst, rd, p, twisted):
 
     def dp(kind, m, at):
         (word,) = divided_power(kind, i, m, at, rd, p).terms
-        return PathExpr.of(rd, p, word, p.rat(1) / p.rat(qfact(m, qi)))
+        return PathExpr.word(p, word, p.rat(1) / p.rat(qfact(m, qi)))
 
-    acc = PathExpr.zero(rd, p)
+    acc = PathExpr.zero(p)
     for l in range(r + 1):
         mid = lam
         for _ in range(l):
@@ -381,7 +381,7 @@ def _literal_zero_family(inst, rd, p):
         arrow = _arrow(rd, p, kind, i, lam)
         return arrow * unit - arrow
     # the arrow into lam, absorbing 1_lam on its left
-    arrow = PathExpr.of(rd, p, PathWord(rd, lam, ((kind, i),)))
+    arrow = PathExpr.word(p, PathWord(rd, lam, ((kind, i),)))
     return unit * arrow - arrow
 
 

@@ -66,12 +66,12 @@ def test_map_fixes_idempotents_and_scales_arrows(a1):
     lam = (1, -1)
     u = idempotent(rd, p, lam)
     assert tw.forward(u) == u
-    e = PathExpr.of(rd, p, PathWord(rd, lam, (("E", 0),)))
+    e = PathExpr.word(p, PathWord(rd, lam, (("E", 0),)))
     img = tw.forward(e)
     ((w, c),) = img.terms.items()
     assert w.steps == (("E", 0),)
     assert c == p.rat(tw.scalars.e(0, lam))
-    f = PathExpr.of(rd, p, PathWord(rd, rd.add_root(lam, 0, -1), (("F", 0),)))
+    f = PathExpr.word(p, PathWord(rd, rd.add_root(lam, 0, -1), (("F", 0),)))
     img = tw.backward(f)
     ((w, c),) = img.terms.items()
     assert c == p.rat(tw.scalars.f(0, lam).inv_unit())
@@ -448,8 +448,8 @@ def test_roundtrip_and_multiplicativity(a2):
         lam = tuple(rng.randint(-2, 2) for _ in range(rd.x_rank))
         w1 = random_word(lam)
         w2 = random_word(w1.source)
-        x = PathExpr.of(rd, p, w1)
-        y = PathExpr.of(rd, p, w2)
+        x = PathExpr.word(p, w1)
+        y = PathExpr.word(p, w2)
         assert tw.forward(x * y) == tw.forward(x) * tw.forward(y)
         assert tw.backward(tw.forward(x)) == x
         assert tw.forward(tw.backward(y)) == y
@@ -459,7 +459,7 @@ def test_forward_preserves_weights_and_degree(a2):
     rd, p = a2
     tw = TwistMap(rd, p)
     w = PathWord(rd, (1, 0, -1), (("E", 0), ("F", 1), ("E", 0)))
-    img = tw.forward(PathExpr.of(rd, p, w))
+    img = tw.forward(PathExpr.word(p, w))
     ((w2, _),) = img.terms.items()
     assert w2.target == w.target and w2.source == w.source
     assert w2.degree(rd.n) == w.degree(rd.n)
