@@ -156,12 +156,21 @@ class Context:
         other factor as it is."""
         if not pairs:
             return m
+        if not m and type(pairs) is tuple:
+            return pairs
         signs = self.sign_indices
-        if not m:
-            if type(pairs) is tuple:
-                return pairs
-            if not signs:
+        if not signs:
+            # a property of the ring: no exponent is reduced mod 2
+            if not m:
                 return tuple(sorted([p for p in pairs if p[1]]))
+            acc = dict(m)
+            for idx, s in pairs:
+                cur = acc.get(idx, 0) + s
+                if cur:
+                    acc[idx] = cur
+                else:
+                    acc.pop(idx, None)
+            return tuple(sorted(acc.items()))
         acc = dict(m)
         for idx, s in pairs:
             cur = acc.get(idx, 0) + s
@@ -523,7 +532,8 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        # a single term needs no sort: every printed iso scalar is a unit monomial
+        for m, c in self.sorted_terms() if len(self.terms) > 1 else self.terms.items():
             ms = self.ctx.mono_str(m)
             if ms == "1":
                 body = str(c)

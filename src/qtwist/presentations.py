@@ -6,8 +6,11 @@ presentations are the twisted formulas run over ``params.untwisted()``
 (s = t = 1, q_i = v^{d_i}); the unital builder differs only in its
 generator set, K_i^{-1} in U where scrU has K'_i.  The modified builder
 makes one pass over a tuple of parameter sets, each path word built once
-with a coefficient table per set: the iso campaign takes (untwisted,
-twisted) pairs from it, relations_of one side.
+with a coefficient table per set, and yields its instances one at a time:
+the iso campaign checks each (untwisted, twisted) pair as it comes and
+keeps none, and relations_of lists one side.  Its weight-free data (step
+tuples, coefficient tables, weight shifts and id text) is made once per
+(family, i, j) template, so an instance only places its words at a weight.
 
 The modified algebras are non-unital, with orthogonal idempotents indexed by
 weights and arrow generators that raise or lower a weight by a simple root.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import add
+from operator import add, sub
 from typing import Optional
 
 from .coeffring import qbinom
@@ -57,12 +60,22 @@ class PathWord:
     empty word at its weight.
     """
 
-    __slots__ = ("target", "steps", "source")
+    __slots__ = ("target", "steps", "source", "_hash")
 
     def __init__(self, rd: RootDatum, target: Weight, steps: tuple):
         self.target = tuple(target)
         self.steps = tuple(steps)
         self.source = tuple(map(add, self.target, rd.step_shift(self.steps)))
+        self._hash = hash((self.target, self.steps))
+
+    @classmethod
+    def _placed(cls, target: Weight, steps: tuple, source: Weight) -> "PathWord":
+        """The word with these steps from source to target, given as tuples
+        with source = target + the steps' shift; nothing is walked."""
+        word = cls.__new__(cls)
+        word.target, word.steps, word.source = target, steps, source
+        word._hash = hash((target, steps))
+        return word
 
     def key(self):
         return (self.target, self.steps, self.source)
@@ -72,11 +85,7 @@ class PathWord:
         differ.  Its source is other's, so no step is walked again."""
         if self.source != other.target:
             return None
-        word = PathWord.__new__(PathWord)
-        word.target = self.target
-        word.steps = self.steps + other.steps
-        word.source = other.source
-        return word
+        return PathWord._placed(self.target, self.steps + other.steps, other.source)
 
     def __eq__(self, other):
         return (
@@ -86,7 +95,7 @@ class PathWord:
         )
 
     def __hash__(self):
-        return hash((self.target, self.steps))
+        return self._hash
 
     def degree(self, n: int) -> tuple:
         deg = [0] * n
@@ -144,18 +153,18 @@ def divided_power(
     return PathExpr.word(params, word)
 
 
-class _RelationKey:
-    """The id and sort key of a relation instance."""
+def _lam_text(lam: Weight) -> str:
+    return "lam(%s)" % ",".join(map(str, lam))
 
-    @property
-    def id(self) -> str:
-        bits = [self.family]
-        bits += ["%s%d" % (name, k + 1) for name, k in (("i", self.i), ("j", self.j)) if k is not None]
-        if self.lam is not None:
-            bits.append("lam(%s)" % ",".join(map(str, self.lam)))
-        if self.part:
-            bits.append(self.part)
-        return ":".join(bits)
+
+def _key_id(family: str, i: Optional[int], j: Optional[int]) -> str:
+    """The id text of a relation template: family, then i and j when set."""
+    bits = [family] + ["%s%d" % (name, k + 1) for name, k in (("i", i), ("j", j)) if k is not None]
+    return ":".join(bits)
+
+
+class _RelationKey:
+    """The sort key of a relation instance."""
 
     def sort_key(self):
         return (self.family, -1 if self.i is None else self.i, -1 if self.j is None else self.j,
@@ -175,14 +184,26 @@ class RelationInstance(_RelationKey):
     part: str
     expr: object  # PathExpr or NCExpr
 
+    @property
+    def id(self) -> str:
+        bits = [_key_id(self.family, self.i, self.j)]
+        if self.lam is not None:
+            bits.append(_lam_text(self.lam))
+        if self.part:
+            bits.append(self.part)
+        return ":".join(bits)
+
 
 @dataclass(eq=False)
 class PathRelation(_RelationKey):
     """One modified-algebra relation instance over each parameter set of
     sides, on shared path words: words = (left, right, word) for families a
-    and b, left*right == word, and one PathExpr per side in exprs for c, d."""
+    and b, left*right == word, and one PathExpr per side in exprs for c, d.
+    id is the instance's id text, made by the builder from per-template and
+    per-weight pieces."""
 
     sides: tuple
+    id: str
     family: str
     i: Optional[int]
     j: Optional[int]
@@ -226,64 +247,92 @@ def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
     return out
 
 
-def modified_relations(rd: RootDatum, sides: tuple, window) -> list:
+def modified_relations(rd: RootDatum, sides: tuple, window):
     """Every modified-algebra relation instance over a window of base
     weights, in sort_key order, as PathRelations over the parameter sets of
-    sides: one pass that builds each path word once for every side."""
+    sides, yielded one at a time: each path word is built once for every
+    side, and the builder keeps no instance it has yielded.  An empty window
+    raises ValueError here, at the call."""
     window = sorted(tuple(w) for w in window or ())
     if not window:
         raise ValueError("modified algebras need a nonempty weight window")
-    rel = partial(PathRelation, sides)
+    return _modified_relations(rd, sides, window)
 
-    units = {lam: PathWord(rd, lam, ()) for lam in window}
-    out = [rel("a", None, None, lam, "", (unit, unit, unit), None) for lam, unit in units.items()]
+
+def _modified_relations(rd: RootDatum, sides: tuple, window: list):
+    """The generator behind modified_relations.  Each (family, i, j)
+    template makes its weight-free data once: step tuples, one coefficient
+    table per side, the weight shift between a word's target and source, and
+    its id text; each instance then only places its words at the window
+    weight."""
+    word, rel = PathWord._placed, partial(PathRelation, sides)
+    lam_ids = {lam: _lam_text(lam) for lam in window}
+    units = {lam: word(lam, (), lam) for lam in window}
+    for lam, unit in units.items():
+        yield rel("a:" + lam_ids[lam], "a", None, None, lam, "", (unit, unit, unit), None)
     for i in rd.index_set:
+        key, alpha = _key_id("b", i, None) + ":", rd.alpha[i]
+        e, f = (("E", i),), (("F", i),)
         for lam, unit in units.items():
-            e_up = PathWord(rd, rd.add_root(lam, i, +1), (("E", i),))  # source lam
-            e_in = PathWord(rd, lam, (("E", i),))
-            f_dn = PathWord(rd, rd.add_root(lam, i, -1), (("F", i),))  # source lam
-            f_in = PathWord(rd, lam, (("F", i),))
-            out += [rel("b", i, None, lam, part, words, None) for part, words in (
-                ("E-left", (unit, e_in, e_in)), ("E-right", (e_up, unit, e_up)),
-                ("F-left", (unit, f_in, f_in)), ("F-right", (f_dn, unit, f_dn)))]
+            up, dn = tuple(map(add, lam, alpha)), tuple(map(sub, lam, alpha))
+            e_up, e_in = word(up, e, lam), word(lam, e, dn)
+            f_dn, f_in = word(dn, f, lam), word(lam, f, up)
+            lam_key = key + lam_ids[lam] + ":"
+            for part, words in (("E-left", (unit, e_in, e_in)), ("E-right", (e_up, unit, e_up)),
+                                ("F-left", (unit, f_in, f_in)), ("F-right", (f_dn, unit, f_dn))):
+                yield rel(lam_key + part, "b", i, None, lam, part, words, None)
 
     ones = [p.one() for p in sides]
     for i in rd.index_set:
         chars = [twist_character(rd, p, "c", i) for p in sides]
         for j in rd.index_set:
             # only the idempotent term of a mixed relation depends on lam
-            fe_coeffs = [-p.rat(p.s(i, j) * p.t(j, i)) for p in sides]
+            key = _key_id("c", i, j) + ":"
+            ef_steps, fe_steps = (("E", i), ("F", j)), (("F", j), ("E", i))
+            shift = rd.step_shift(ef_steps)
+            tables = [(p, one, -p.rat(p.s(i, j) * p.t(j, i)), c_i)
+                      for p, one, c_i in zip(sides, ones, chars)]
             for lam in window:
                 # E_i F_j - c F_j E_i on 1_lam, and for i = j minus [<i,lam>] c_{i,lam} 1_lam
-                ef, fe = PathWord(rd, lam, (("E", i), ("F", j))), PathWord(rd, lam, (("F", j), ("E", i)))
+                source = tuple(map(add, lam, shift))
+                ef, fe = word(lam, ef_steps, source), word(lam, fe_steps, source)
                 exprs = []
-                for p, one, c_i, fe_coeff in zip(sides, ones, chars, fe_coeffs):
+                for p, one, fe_coeff, c_i in tables:
                     terms = {ef: one, fe: fe_coeff}
                     if i == j:
                         qn = p.qint_q(rd.lambda_i(lam, i), i)
                         cc = p.rat(qn * p.ctx.unit_from_exps(*character_value(c_i, lam)))
                         merge_term(terms, units[lam], -cc)
                     exprs.append(PathExpr(p, terms))
-                out.append(rel("c", i, j, lam, "", None, tuple(exprs)))
+                yield rel(key + lam_ids[lam], "c", i, j, lam, "", None, tuple(exprs))
 
-    out_f = []
-    for i in rd.index_set:
-        for j in rd.index_set:
-            if i == j:
-                continue
-            r = rd.cartan.serre_exponent(i, j)
-            serre = {kind: [_serre_terms(p, i, j, r, kind) for p in sides] for kind in "EF"}
-            steps = {kind: dict.fromkeys(s for terms in serre[kind] for s, _ in terms) for kind in "EF"}
-            for lam in window:
-                # the F words descend into lam; the E words climb from lam to their source
-                words = {s: PathWord(rd, lam, s) for s in steps["F"]}
-                top = next(iter(words.values())).source
-                words.update((s, PathWord(rd, top, s)) for s in steps["E"])
-                for kind, dest in (("E", out), ("F", out_f)):
-                    exprs = tuple(PathExpr(p, {words[s]: c for s, c in terms})
-                                  for p, terms in zip(sides, serre[kind]))
-                    dest.append(rel("d-" + kind, i, j, lam, "", None, exprs))
-    return out + out_f
+    for kind in "EF":
+        for i in rd.index_set:
+            for j in rd.index_set:
+                if i == j:
+                    continue
+                yield from _serre_relations(rd, sides, kind, i, j, window, lam_ids)
+
+
+def _serre_relations(rd, sides: tuple, kind: str, i: int, j: int, window: list, lam_ids: dict):
+    """The d-E or d-F instances of one index pair over the window: the step
+    tuples of every side's Serre sum listed once, each side's table as
+    (step index, coefficient), and the lift from the F words' target to
+    their source (the E words climb from lam by the same lift)."""
+    r = rd.cartan.serre_exponent(i, j)
+    serre = [(p, _serre_terms(p, i, j, r, kind)) for p in sides]
+    steps = list(dict.fromkeys(s for _, terms in serre for s, _ in terms))
+    index = {s: k for k, s in enumerate(steps)}
+    tables = [(p, [(index[s], c) for s, c in terms]) for p, terms in serre]
+    lift = rd.step_shift((("F", i),) * r + (("F", j),))
+    word, rel = PathWord._placed, partial(PathRelation, sides)
+    key, family = _key_id("d-" + kind, i, j) + ":", "d-" + kind
+    for lam in window:
+        top = tuple(map(add, lam, lift))
+        target, source = (top, lam) if kind == "E" else (lam, top)
+        words = [word(target, s, source) for s in steps]
+        exprs = tuple(PathExpr(p, {words[k]: c for k, c in table}) for p, table in tables)
+        yield rel(key + lam_ids[lam], family, i, j, lam, "", None, exprs)
 
 
 def _nc_relations(algebra, rd, params):

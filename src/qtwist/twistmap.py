@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from operator import add, mul
 
 from .coeffring import RatExpr
@@ -136,11 +137,15 @@ class TwistMap:
         plus an offset fixed by the steps before it, and a character at a
         sum is the product of its values.  tests/test_twistmap.py checks the
         map it drives against a walk that reads TwistScalars at every step."""
-        (b, c), char = self._step_data(word.steps)
-        exps, k = character_value(char, word.target)
-        for idx, s in b.items():
-            exps[idx] = exps.get(idx, 0) + s
-        c *= k
+        (b, c), (rows, ratios) = self._step_data(word.steps)
+        lam = word.target
+        exps = dict(b)
+        for idx, a in rows:
+            exps[idx] = exps.get(idx, 0) + sum(map(mul, a, lam))
+        if ratios is not None:
+            for r, k in zip(ratios, lam):
+                if k:
+                    c *= r ** k
         if invert:
             exps = {idx: -s for idx, s in exps.items()}
             if c != 1:
@@ -243,7 +248,9 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     check it is an exact unit multiple of the matching twisted instance.
 
     One pass of modified_relations over (params.untwisted(), params) gives
-    every instance with both sides on the same word objects.  Families a
+    every instance with both sides on the same word objects, one at a time:
+    each is made into its record (_iso_record) and dropped, so the campaign
+    holds the records and never the whole window's instances.  Families a
     and b have no parameters and are zero in the path model: a record
     passes, with scalar 1, when PathWord.compose gives left*right == word,
     and no expression is built; a failing one builds both sides as its
@@ -254,31 +261,37 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     """
     t0 = time.monotonic()
     rep = Report("iso", datum=rd.name, case=params.label)
-    tw = TwistMap(rd, params)
-    sc = tw.scalars
-    for rel in modified_relations(rd, (params.untwisted(), params), window):
-        rec = rep.add(CheckRecord("iso:" + rel.id, rel.family, rel.i, rel.j, rel.lam))
-        if rel.exprs is None:
-            left, right, word = rel.words
-            if left.compose(right) == word:
-                rec.scalar = "1"
-            else:
-                rec.status = FAIL
-                rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
-                    rel.family, rel.expr(0), rel.expr(1))
-            continue
-        simple = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
-        if simple is not None and rel.family == "c":
-            # not implied by the exact multiple, which only ties the words'
-            # scalars to each other: a rescaling off by the same factor on
-            # every word still gives a unit multiple, just the wrong one
-            i, j, lam = rel.i, rel.j, rel.lam
-            expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
-            if simple.num != expected:
-                rec.status = FAIL
-                rec.witness = "expected scalar %s, got %s" % (expected, simple)
+    record = partial(_iso_record, TwistMap(rd, params))
+    # the loop names records, not instances: none is held once its record is made
+    for rec in map(record, modified_relations(rd, (params.untwisted(), params), window)):
+        rep.add(rec)
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()
+
+
+def _iso_record(tw: TwistMap, rel) -> CheckRecord:
+    """The iso record of one PathRelation (see verify_twist_isomorphism)."""
+    rec = CheckRecord("iso:" + rel.id, rel.family, rel.i, rel.j, rel.lam)
+    if rel.exprs is None:
+        left, right, word = rel.words
+        if left.compose(right) == word:
+            rec.scalar = "1"
+        else:
+            rec.status = FAIL
+            rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
+                rel.family, rel.expr(0), rel.expr(1))
+        return rec
+    simple = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
+    if simple is not None and rel.family == "c":
+        # not implied by the exact multiple, which only ties the words'
+        # scalars to each other: a rescaling off by the same factor on
+        # every word still gives a unit multiple, just the wrong one
+        i, j, lam, rd, sc = rel.i, rel.j, rel.lam, tw.rd, tw.scalars
+        expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
+        if simple.num != expected:
+            rec.status = FAIL
+            rec.witness = "expected scalar %s, got %s" % (expected, simple)
+    return rec
 
 
 def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 4) -> Report:

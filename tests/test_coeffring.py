@@ -1,7 +1,9 @@
 """Exact arithmetic: canonical forms, q-combinatorics, fractions, substitution."""
 
+import collections
 import functools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -534,6 +536,52 @@ def test_substitute_signed_image_fractional_power_rejected(ctx):
 
 
 # -- randomized structure tests ---------------------------------------------------
+
+
+def _merged(m, pairs, signs=()):
+    """The reference shift: exponents summed per variable, sign variables
+    reduced mod 2, zeros dropped, sorted."""
+    acc = collections.Counter(dict(m))
+    for idx, s in pairs:
+        acc[idx] += s
+    return tuple(sorted((idx, s % 2 if idx in signs else s) for idx, s in acc.items()
+                        if (s % 2 if idx in signs else s)))
+
+
+def _random_shift(rng, m, n):
+    """A random exponent map over n variables with zero entries, entries
+    that cancel m's and negative entries."""
+    out = {idx: rng.randint(-3, 3) for idx in rng.sample(range(n), rng.randint(0, n))}
+    for idx, s in m:
+        if rng.random() < 0.5:
+            out[idx] = -s
+    return out
+
+
+def test_mono_mul_matches_the_reference_merge():
+    """Context.mono_mul in a ring without sign variables (its sign-free
+    branch) and with one, against a reference merge, for shifts given as
+    monomial tuples and as dict items."""
+    rng = random.Random(29)
+    free, signed = Context(), Context()
+    signed.sign("g")
+    for k in range(6):
+        free.laurent("x%d" % k, denom=2)
+    for k in range(1, 6):
+        signed.laurent("x%d" % k, denom=2)
+    assert not free.sign_indices and signed.sign_indices == {0}
+    for _ in range(400):
+        m = _merged((), _random_shift(rng, (), 6).items())
+        shift = _random_shift(rng, m, 6)
+        for ctx, signs in ((free, ()), (signed, (0,))):
+            m_ctx = _merged((), m, signs)
+            tup = _merged((), shift.items(), signs)
+            assert ctx.mono_mul(m_ctx, shift.items()) == _merged(m_ctx, shift.items(), signs)
+            assert ctx.mono_mul(m_ctx, tup) == _merged(m_ctx, tup, signs)
+    # the sign variable's exponent lives mod 2: g * g^3 = 1, g * g^2 = g
+    assert signed.mono_mul(((0, 1),), {0: 3}.items()) == ()
+    assert signed.mono_mul(((0, 1), (2, 4)), {0: 2, 2: -4}.items()) == ((0, 1),)
+    assert free.mono_mul(((0, 1),), {0: 3}.items()) == ((0, 4),)
 
 
 def _polys():

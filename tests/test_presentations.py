@@ -241,6 +241,14 @@ def test_window_required(a1):
         relations_of("scrUdot", rd, p, window=[])
 
 
+def test_empty_window_raises_at_the_call(a1):
+    """modified_relations yields its instances lazily, but an empty window
+    is refused when it is called, before any instance is asked for."""
+    rd, p = a1
+    with pytest.raises(ValueError):
+        modified_relations(rd, (p.untwisted(), p), [])
+
+
 def _a2_raising_serre(p):
     """The a2 raising Serre sum d-E:i1:j2 of scrU, word -> coefficient."""
     rd = rootdata.builtin("a2")
@@ -465,8 +473,8 @@ def test_untwisted_side_is_lusztigs_presentation(case):
     zero on both sides, and the pairs come out in sort_key order."""
     _, rd, p = case
     u, window = p.untwisted(), rd.weights_box(1)
-    pairs = modified_relations(rd, (u, p), window)
-    lusztig = modified_relations(rd, (u, u), window)
+    pairs = list(modified_relations(rd, (u, p), window))
+    lusztig = list(modified_relations(rd, (u, u), window))
     assert [r.id for r in pairs] == [r.id for r in lusztig]
     keys = [r.sort_key() for r in pairs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)

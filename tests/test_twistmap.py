@@ -2,6 +2,7 @@
 
 import collections
 import random
+import weakref
 
 import pytest
 
@@ -311,7 +312,7 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     # a passing record: the a2 box-1 iso campaign, given its instance pairs,
     # and the divided powers at l = 0..4, in integral form [l]! E^(l)
     window = rd.weights_box(1)
-    built = modified_relations(rd, (p.untwisted(), p), window)
+    built = list(modified_relations(rd, (p.untwisted(), p), window))
     dps = [(divided_power(kind, i, l, lam, rd, p.untwisted()), divided_power(kind, i, l, lam, rd, p))
            for kind in ("E", "F") for i in rd.index_set for l in range(5) for lam in window]
     assert all(c.is_poly() for dp in dps for x in dp for c in x.terms.values())
@@ -540,3 +541,24 @@ def test_integrality_report(a2):
     units = [c for c in rep.checks if c.family == "dp"]
     assert units and all(c.status == "pass" for c in units)
 
+
+def test_iso_campaign_streams_its_instances(monkeypatch, a2):
+    """The iso campaign keeps no relation instance once its record is made:
+    each instance the builder yields is dead before it yields the next, and
+    the a2 box-1 campaign still passes every record."""
+    rd, p = a2
+    build = twistmap.modified_relations
+    seen = []
+
+    def watched(*args):
+        previous = None
+        for rel in build(*args):
+            assert previous is None or previous() is None, "instance kept: %s" % seen[-1]
+            previous = weakref.ref(rel)
+            seen.append(rel.id)
+            yield rel
+
+    monkeypatch.setattr(twistmap, "modified_relations", watched)
+    rep = verify_twist_isomorphism(rd, p, rd.weights_box(1))
+    assert rep.summary == {"pass": 459, "fail": 0, "warn": 0}
+    assert len(seen) == 459
