@@ -19,8 +19,18 @@ Coefficients are exact rationals stored integer-first: a coefficient is an
 int when it is integral and otherwise a Fraction with denominator > 1; it is
 never a float and never 0 (_num is the one normaliser, and every division
 goes through Fraction(a, b)).  Polynomials are canonical by construction
-(no zero coefficients, sorted structural monomials), so equality is
-structural and zero tests are decidable.
+(no zero coefficients, one int per monomial), so equality is structural and
+zero tests are decidable.
+
+A monomial is one int, sum_v s_v * 2^(64 v), whose signed digits s_v are
+the scaled exponents (exponent * denominator bound; a sign variable's is 0
+or 1): 1 is 0, a product is a sum (sign digits then reduced mod 2), an
+inverse is the negation, and a variable declared later has a zero digit.
+Other modules build and read monomials only through Context.mono and
+Context.mono_exps, and only add, subtract or scale them
+(tests/test_variable_names.py).  Display and term order decode the digits
+(mono_key, mono_str).  Building a monomial rejects a scaled exponent of
+magnitude 2^32 or more, which leaves 2^31 products before a digit carries.
 
 Fractions (RatExpr) are pairs of polynomials.  They are never reduced by a
 multivariate gcd; equality is decided by cross multiplication, which needs
@@ -81,10 +91,12 @@ def _canon(terms: dict) -> dict:
     return terms
 
 
-# A monomial is a sorted tuple of (var_index, scaled_exponent) pairs with no
-# zero entries.  The scaled exponent of a Laurent variable is exponent*denom
-# (an integer); sign variables store the exponent mod 2.
-Mono = tuple
+# A monomial is an int whose signed _W-bit digit v is the scaled exponent of variable v.
+Mono = int
+_W = 64
+_HALF = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+_LIMIT = 1 << 32  # bound on the magnitude of a scaled exponent a monomial is built from
 
 
 class Context:
@@ -94,11 +106,12 @@ class Context:
         self.name = name
         self.vars: list[Var] = []
         self.sign_indices: set = set()  # indices of the sign variables
+        self._sign_digits: list = []  # (bit offset, lower-digit bias) per sign variable
         self._gens: dict[str, LaurentPoly] = {}  # name -> generator
         self._qint_cache: dict = {}
         self._qfact_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
-        self.one = LaurentPoly(self, {(): 1})
+        self.one = LaurentPoly(self, {0: 1})
         self.zero = LaurentPoly(self, {})
 
     def _declare(self, name: str, kind: str, denom: int) -> "LaurentPoly":
@@ -108,7 +121,10 @@ class Context:
         self.vars.append(v)
         if kind == SIGN:
             self.sign_indices.add(v.index)
-        gen = self._gens[name] = LaurentPoly(self, {((v.index, denom),): 1})
+            # the bias lifts every digit up to v's into [0, 2^W): no borrow
+            bias = sum(_HALF << (_W * u) for u in range(v.index + 1))
+            self._sign_digits.append((_W * v.index, bias))
+        gen = self._gens[name] = LaurentPoly(self, {denom << (_W * v.index): 1})
         return gen
 
     def laurent(self, name: str, denom: int = 1) -> "LaurentPoly":
@@ -135,7 +151,7 @@ class Context:
         c = _num(x)
         if c == 0:
             return self.zero
-        return LaurentPoly(self, {(): c})
+        return LaurentPoly(self, {0: c})
 
     def rat(self, x) -> "RatExpr":
         if isinstance(x, RatExpr):
@@ -144,93 +160,84 @@ class Context:
             return x
         return RatExpr(self.poly(x), self.one)
 
-    # -- monomial helpers (scaled-exponent tuples) --------------------------
+    # -- monomials (packed ints, see the module docstring) --------------------
 
-    def mono_mul(self, m: Mono, pairs) -> Mono:
-        """The monomial m times prod x_idx^s over (index, scaled exponent)
-        pairs: another monomial, or a dict's items with any exponents.  The
-        exponents are summed per variable, sign-variable exponents reduced
-        mod 2 and zero exponents dropped.  This is the ring's one shift rule:
-        products of polynomials, unit_from_exps and LaurentPoly.times_unit
-        all apply it.  A monomial is canonical, so a product with 1 is the
-        other factor as it is."""
-        if not pairs:
-            return m
-        if not m and type(pairs) is tuple:
-            return pairs
-        signs = self.sign_indices
-        if not signs:
-            # a property of the ring: no exponent is reduced mod 2
-            if not m:
-                return tuple(sorted([p for p in pairs if p[1]]))
-            acc = dict(m)
-            for idx, s in pairs:
-                cur = acc.get(idx, 0) + s
-                if cur:
-                    acc[idx] = cur
-                else:
-                    acc.pop(idx, None)
-            return tuple(sorted(acc.items()))
-        acc = dict(m)
-        for idx, s in pairs:
-            cur = acc.get(idx, 0) + s
-            if idx in signs:
-                cur %= 2
-            if cur == 0:
-                acc.pop(idx, None)
-            else:
-                acc[idx] = cur
-        return tuple(sorted(acc.items()))
+    def _reduced(self, m: Mono) -> Mono:
+        """m with every sign-variable digit reduced mod 2: the canonical form
+        of a sum of monomials.  m itself in a ring with no sign variable."""
+        for pos, bias in self._sign_digits:
+            s = (((m + bias) >> pos) & _MASK) - _HALF
+            if s & ~1:
+                m -= (s & ~1) << pos
+        return m
+
+    def mono(self, exps) -> Mono:
+        """The monomial prod x_idx^s over (index, scaled exponent) pairs or a
+        dict {index: s}, zero and unreduced sign-variable exponents allowed.
+        A scaled exponent of magnitude 2^32 or more is a RingError."""
+        m = 0
+        for idx, s in exps.items() if isinstance(exps, dict) else exps:
+            if not -_LIMIT < s < _LIMIT:
+                raise RingError("scaled exponent %s is out of range" % s)
+            m += s << (_W * idx)
+        return self._reduced(m)
+
+    def mono_exps(self, m: Mono) -> tuple:
+        """The (index, scaled exponent) pairs of m's nonzero digits in
+        declaration order; the inverse of mono."""
+        out, idx = [], 0
+        while m:
+            s = ((m + _HALF) & _MASK) - _HALF
+            if s:
+                out.append((idx, s))
+            m = (m - s) >> _W
+            idx += 1
+        return tuple(out)
+
+    def mono_mul(self, m1: Mono, m2: Mono) -> Mono:
+        """The product of two monomials: their sum, sign digits reduced; the
+        rule that products, unit_product and times_unit apply inline."""
+        return self._reduced(m1 + m2)
 
     def mono_pow(self, m: Mono, k) -> Mono:
         if type(k) is not int:
             k = Fraction(k)
         pairs = []
-        for idx, s in m:
+        for idx, s in self.mono_exps(m):
             var = self.vars[idx]
-            if var.kind == SIGN:
-                ns = s * k
-                if ns.denominator != 1:
+            ns = s * k
+            if ns.denominator != 1:
+                if var.kind == SIGN:
                     raise RingError("fractional power of sign variable %r" % var.name)
-                ns = ns.numerator % 2
-            else:
-                ns = s * k
-                if ns.denominator != 1:
-                    raise RingError(
-                        "power %s takes %r outside its declared denominator bound"
-                        % (k, var.name)
-                    )
-                ns = ns.numerator
-            if ns != 0:
-                pairs.append((idx, ns))
-        return tuple(pairs)
+                raise RingError(
+                    "power %s takes %r outside its declared denominator bound" % (k, var.name))
+            pairs.append((idx, ns.numerator))
+        return self.mono(pairs)
 
     def unit_product(self, factors) -> "LaurentPoly":
-        """Product of unit monomials in one pass: the exponents are summed per
-        variable (sign variables mod 2) and the coefficients multiplied, with
-        no intermediate polynomial."""
-        exps: dict = {}
-        coeff = 1
+        """Product of unit monomials in one pass: the monomials summed, sign
+        digits reduced once, and the coefficients multiplied, with no
+        intermediate polynomial."""
+        m, coeff = 0, 1
         for f in factors:
             if f.ctx is not self or len(f.terms) != 1:
                 raise RingError("unit_product takes unit monomials of this context, got %s" % f)
-            ((m, c),) = f.terms.items()
+            ((fm, c),) = f.terms.items()
             if c != 1:
                 coeff *= c
-            for idx, s in m:
-                exps[idx] = exps.get(idx, 0) + s
-        return self.unit_from_exps(exps, coeff)
+            m += fm
+        return LaurentPoly(self, {self._reduced(m): _num(coeff)})
 
     def unit_from_exps(self, exps: dict, coeff: Scalar = 1) -> "LaurentPoly":
         """The unit monomial coeff * prod_idx x_idx^{s} from a map of scaled
-        exponents {idx: s}, through mono_mul.  coeff must be nonzero."""
-        return LaurentPoly(self, {self.mono_mul((), exps.items()): _num(coeff)})
+        exponents {idx: s}, through mono.  coeff must be nonzero."""
+        return LaurentPoly(self, {self.mono(exps): _num(coeff)})
 
     def mono_key(self, m: Mono):
         # Dense exponent vector in declaration order; lex comparison on it is
         # the canonical term order.
         key = [0] * len(self.vars)
-        for idx, s in m:
+        for idx, s in self.mono_exps(m):
             key[idx] = s
         return tuple(key)
 
@@ -238,7 +245,7 @@ class Context:
         if not m:
             return "1"
         pieces = self._mono_pieces
-        return "*".join([pieces.get(p) or self._mono_piece(p) for p in m])
+        return "*".join([pieces.get(p) or self._mono_piece(p) for p in self.mono_exps(m)])
 
     def _mono_piece(self, p) -> str:
         """Display of one (variable index, scaled exponent) pair, made once."""
@@ -262,7 +269,7 @@ class LaurentPoly:
 
     def __init__(self, ctx: Context, terms: dict):
         self.ctx = ctx
-        self.terms = terms  # Mono -> Fraction, canonical, treated immutable
+        self.terms = terms  # Mono -> coefficient, canonical, treated immutable
 
     # -- predicates ----------------------------------------------------------
 
@@ -271,7 +278,7 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         t = self.terms
-        return len(t) == 1 and t.get(()) == 1
+        return len(t) == 1 and t.get(0) == 1
 
     def unit_mono(self) -> Optional[tuple]:
         """Return (coeff, mono) when this is a single-term (hence invertible) poly."""
@@ -281,8 +288,8 @@ class LaurentPoly:
         return (c, m)
 
     def has_sign_vars(self) -> bool:
-        vs = self.ctx.vars
-        return any(vs[idx].kind == SIGN for m in self.terms for idx, _ in m)
+        ctx = self.ctx
+        return any(idx in ctx.sign_indices for m in self.terms for idx, _ in ctx.mono_exps(m))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -334,11 +341,11 @@ class LaurentPoly:
             if c1 == 1 and not m1:
                 return big
             return big.times_unit(m1, c1)
-        mono_mul = self.ctx.mono_mul
+        reduced = self.ctx._reduced if self.ctx._sign_digits else None
         terms = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
+                m = m1 + m2 if reduced is None else reduced(m1 + m2)
                 nc = terms.get(m, 0) + c1 * c2
                 if nc == 0:
                     terms.pop(m, None)
@@ -348,17 +355,24 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def times_unit(self, pairs, coeff: Scalar = 1) -> "LaurentPoly":
-        """self times the unit monomial coeff * prod x_idx^s over (index,
-        scaled exponent) pairs, a monomial or a dict's items; coeff must be
-        nonzero.  A unit monomial permutes monomials, so no two products
-        collide or cancel: each monomial is shifted (Context.mono_mul) and
-        nothing is merged."""
-        shift = self.ctx.mono_mul
+    def times_unit(self, shift: Mono, coeff: Scalar = 1) -> "LaurentPoly":
+        """self times the unit monomial coeff * shift, shift any sum of
+        monomials (its sign digits need not be reduced) and coeff nonzero.
+        A unit monomial permutes monomials, so no two products collide or
+        cancel: shift is added to each monomial (the rule of
+        Context.mono_mul) and nothing is merged.  A coefficient 1 or -1
+        keeps every coefficient's type, so only another one needs _canon."""
+        ctx = self.ctx
+        if ctx._sign_digits:
+            reduced = ctx._reduced
+            terms = {reduced(m + shift): c for m, c in self.terms.items()}
+        else:
+            terms = {m + shift: c for m, c in self.terms.items()}
         if coeff == 1:
-            return LaurentPoly(self.ctx, {shift(m, pairs): c for m, c in self.terms.items()})
-        terms = {shift(m, pairs): c * coeff for m, c in self.terms.items()}
-        return LaurentPoly(self.ctx, _canon(terms))
+            return LaurentPoly(ctx, terms)
+        if coeff == -1:
+            return LaurentPoly(ctx, {m: -c for m, c in terms.items()})
+        return LaurentPoly(ctx, _canon({m: c * coeff for m, c in terms.items()}))
 
     def __pow__(self, n):
         if len(self.terms) == 1 or (isinstance(n, Fraction) and n.denominator != 1):
@@ -381,11 +395,9 @@ class LaurentPoly:
         if u is None:
             raise RingError("not an invertible monomial: %s" % self)
         c, m = u
-        signs = self.ctx.sign_indices
-        inv = tuple((idx, s if idx in signs else -s) for idx, s in m)
         if c != 1 and c != -1:
             c = _num(Fraction(c.denominator, c.numerator))
-        return LaurentPoly(self.ctx, {inv: c})
+        return LaurentPoly(self.ctx, {self.ctx._reduced(-m): c})
 
     def unit_pow(self, e) -> "LaurentPoly":
         """Raise a unit monomial to an exact rational power."""
@@ -429,17 +441,16 @@ class LaurentPoly:
 
     def _laurent_shift(self) -> Mono:
         """Per-variable minimum exponents across all terms (Laurent vars only)."""
+        ctx = self.ctx
         mins: Optional[dict] = None
         for m in self.terms:
-            seen = {idx: s for idx, s in m if self.ctx.vars[idx].kind == LAURENT}
+            seen = {idx: s for idx, s in ctx.mono_exps(m) if idx not in ctx.sign_indices}
             if mins is None:
                 mins = seen
             else:
                 for idx in set(mins) | set(seen):
                     mins[idx] = min(mins.get(idx, 0), seen.get(idx, 0))
-        if mins is None:
-            return ()
-        return tuple(sorted((i, s) for i, s in mins.items() if s != 0))
+        return 0 if mins is None else ctx.mono(mins)
 
     def exact_div(self, other) -> "LaurentPoly":
         """Exact division; raises NotDivisible when a remainder is left.
@@ -464,29 +475,18 @@ class LaurentPoly:
             raise RingError("exact division by a non-unit with sign variables")
         sa = self._laurent_shift()
         sb = other._laurent_shift()
-        a = self * LaurentPoly(ctx, {ctx.mono_pow(sa, -1): 1})
-        b = other * LaurentPoly(ctx, {ctx.mono_pow(sb, -1): 1})
+        a = self.times_unit(-sa)
+        b = other.times_unit(-sb)
         lt_b, lc_b = b.leading()
-        lt_b = dict(lt_b)
         quot: dict = {}
         f = dict(a.terms)
         key = ctx.mono_key
         while f:
             ltf = max(f, key=key)
-            t_pairs = dict(ltf)
-            ok = True
-            for idx, s in lt_b.items():
-                ns = t_pairs.get(idx, 0) - s
-                if ns < 0:
-                    ok = False
-                    break
-                if ns == 0:
-                    t_pairs.pop(idx, None)
-                else:
-                    t_pairs[idx] = ns
-            if not ok or any(s < 0 for s in t_pairs.values()):
+            # b has no sign variable, so the quotient's digits are plain differences
+            t = ltf - lt_b
+            if any(s < 0 for _, s in ctx.mono_exps(t)):
                 raise NotDivisible("%s is not divisible by %s" % (self, other))
-            t = tuple(sorted(t_pairs.items()))
             c = f[ltf] if lc_b == 1 else _num(Fraction(f[ltf], lc_b))
             quot[t] = quot.get(t, 0) + c
             for m2, c2 in b.terms.items():
@@ -496,9 +496,8 @@ class LaurentPoly:
                     f.pop(m, None)
                 else:
                     f[m] = nc
-        shift = ctx.mono_mul(sa, ctx.mono_pow(sb, -1))
         q = LaurentPoly(ctx, _canon({m: c for m, c in quot.items() if c != 0}))
-        return q * LaurentPoly(ctx, {shift: 1})
+        return q.times_unit(sa - sb)
 
     # -- substitution ------------------------------------------------------------
 
@@ -512,7 +511,7 @@ class LaurentPoly:
         out = ctx_out.zero
         for m, c in self.terms.items():
             acc = ctx_out.poly(c)
-            for idx, s in m:
+            for idx, s in self.ctx.mono_exps(m):
                 var = self.ctx.vars[idx]
                 img = images.get(var.name)
                 if img is None:
@@ -589,9 +588,8 @@ class RatExpr:
             else:
                 shift = den._laurent_shift()
                 if shift:
-                    m = LaurentPoly(ctx, {ctx.mono_pow(shift, -1): 1})
-                    num = num * m
-                    den = den * m
+                    num = num.times_unit(-shift)
+                    den = den.times_unit(-shift)
                 _, lc = den.leading()
                 if lc != 1:
                     inv = _num(Fraction(lc.denominator, lc.numerator))

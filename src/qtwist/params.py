@@ -143,7 +143,7 @@ def twist_character(rd: RootDatum, params: ParameterSet, kind: str, i: int) -> t
             if u is None:
                 raise RingError("rescaling base %s is not a unit monomial" % base(i, j))
             c, m = u
-            for idx, s in m:
+            for idx, s in params.ctx.mono_exps(m):
                 acc = columns.get(idx, (0,) * rd.x_rank)
                 columns[idx] = tuple(a + s * x for a, x in zip(acc, form))
             if c != 1:

@@ -17,8 +17,10 @@ letters from them.  Each step of a word is at its target lam plus an offset
 fixed by the steps before it, so the word's scalar at lam has the exponents
 b + A.lam: A the letters' forms summed, b their values at the steps'
 offsets, once per step tuple, with no TwistScalars lookup and no unit
-product.  It is never built as a polynomial: the map adds b + A.lam to the
-exponents of each monomial of the word's coefficient
+product.  Monomials are packed ints (coeffring), so b and the columns of A
+are monomials and the scalar's monomial is b + sum_k lam_k A_k, a few int
+operations.  It is never built as a polynomial: the map adds that
+monomial to each monomial of the word's coefficient
 (LaurentPoly.times_unit) and keeps its denominator.  tests/test_twistmap.py
 checks the images against a walk that reads TwistScalars at every step, and
 TwistScalars against products of parameter powers.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from operator import add, mul
+from operator import mul
 
 from .coeffring import RatExpr
 from .params import ParameterSet, character_value, twist_character
@@ -88,7 +90,7 @@ class TwistMap:
         self.rd = rd
         self.params = params
         self.scalars = TwistScalars(rd, params)
-        self._steps: dict = {}  # step tuple -> ((b, c), (rows, ratios))
+        self._steps: dict = {}  # step tuple -> ((b, c), (columns, ratios))
 
     def _step_data(self, steps: tuple):
         """The word scalar of steps at target 0, and the character of their
@@ -97,75 +99,74 @@ class TwistMap:
         A raising step is scaled by e at its target, a lowering step by f at
         its source: each at the word's target plus an offset, so the scalar
         at target 0 is (b, c), its letters' values at their offsets summed.
-        The character sums the letters' forms, as rows (var index, A_v) with
-        zero rows dropped, and multiplies their ratios (None when every
-        coefficient is 1)."""
+        The character sums the letters' forms, as one monomial A_k per
+        coordinate k of X (digit v the form of variable v at the k-th basis
+        vector), and multiplies their ratios (None when every coefficient
+        is 1)."""
         data = self._steps.get(steps)
         if data is None:
             add_root, letters = self.rd.add_root, self.scalars.characters
-            lam, b, c, columns, ratios = self.rd.zero_weight(), {}, 1, {}, None
+            lam, b, c, columns, ratios = self.rd.zero_weight(), 0, 1, [0] * self.rd.x_rank, None
+            mono = self.params.ctx.mono
             for kind, i in steps:
                 if kind == "F":
                     lam = add_root(lam, i, +1)
                 letter = rows, r = letters[kind.lower(), i]
                 exps, k = character_value(letter, lam)
-                for idx, s in exps.items():
-                    b[idx] = b.get(idx, 0) + s
+                b += mono(exps)
                 c *= k
-                for idx, a in rows:
-                    acc = columns.get(idx)
-                    columns[idx] = a if acc is None else tuple(map(add, acc, a))
+                for x in range(len(columns)):
+                    columns[x] += mono([(idx, a[x]) for idx, a in rows])
                 if r is not None:
                     ratios = r if ratios is None else tuple(map(mul, ratios, r))
                 if kind == "E":
                     lam = add_root(lam, i, -1)
-            rows = tuple((idx, a) for idx, a in sorted(columns.items()) if any(a))
-            data = self._steps[steps] = ((b, c), (rows, ratios))
+            data = self._steps[steps] = ((b, c), (tuple(columns), ratios))
         return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
         """The word scalar at the word's target lam as one affine map of lam,
-        returned as (exps, coeff) for LaurentPoly.times_unit: the scaled
-        exponents b + A.lam, a dict that may hold zero or unreduced
-        sign-variable exponents, and the coefficient c * prod_k r_k^{lam_k},
+        returned as (mono, coeff) for LaurentPoly.times_unit: the monomial
+        b + sum_k lam_k A_k, a few int operations whose sign digits
+        times_unit reduces, and the coefficient c * prod_k r_k^{lam_k},
         with (b, c) the steps' scalar at target 0 and (A, r) the character
-        from _step_data.  Inverted, every exponent is negated (a sign
-        variable's is the same mod 2) and the coefficient inverted.  Reads
-        only word.target and word.steps.
+        from _step_data.  Inverted, the monomial is negated (a sign digit
+        is the same mod 2) and the coefficient inverted.  Reads only
+        word.target and word.steps.
 
         This is the step walk from lam, exactly: each step's weight is lam
         plus an offset fixed by the steps before it, and a character at a
         sum is the product of its values.  tests/test_twistmap.py checks the
         map it drives against a walk that reads TwistScalars at every step."""
-        (b, c), (rows, ratios) = self._step_data(word.steps)
+        (b, c), (columns, ratios) = self._step_data(word.steps)
         lam = word.target
-        exps = dict(b)
-        for idx, a in rows:
-            exps[idx] = exps.get(idx, 0) + sum(map(mul, a, lam))
+        m = sum(map(mul, columns, lam), b)
         if ratios is not None:
             for r, k in zip(ratios, lam):
                 if k:
                     c *= r ** k
         if invert:
-            exps = {idx: -s for idx, s in exps.items()}
+            m = -m
             if c != 1:
                 c = 1 / Fraction(c)
-        return exps, c
+        return m, c
 
     def _image_num(self, word: PathWord, num, invert: bool, over=None):
         """num times word's scalar (inverted when invert), and over the unit
-        monomial over = (coeff, mono) when given: one LaurentPoly.times_unit,
-        whose exponents are the word scalar's less mono and whose
-        coefficient is the word scalar's over coeff.  The map and the exact
-        multiple both take every image numerator from here."""
-        exps, coeff = self._word_scalar(word, invert)
+        monomial over = (coeff, mono) when given: one LaurentPoly.times_unit
+        by the word scalar's monomial less mono, with the word scalar's
+        coefficient over coeff (negated when coeff is -1, so a coefficient
+        1 or -1 stays an int).  The map and the exact multiple both take
+        every image numerator from here."""
+        m, coeff = self._word_scalar(word, invert)
         if over is not None:
             c, mono = over
-            for idx, s in mono:
-                exps[idx] = exps.get(idx, 0) - s
-            if c != 1:
+            m -= mono
+            if c == -1:
+                coeff = -coeff
+            elif c != 1:
                 coeff = Fraction(coeff) / c
-        return num.times_unit(exps.items(), coeff)
+        return num.times_unit(m, coeff)
 
     def _apply(self, x: PathExpr, invert: bool) -> PathExpr:
         """Each coefficient times its word's scalar, a unit monomial: the

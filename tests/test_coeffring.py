@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qtwist.coeffring import (
     LAURENT,
     Context,
+    LaurentPoly,
     NotDivisible,
     RatExpr,
     RingError,
@@ -124,7 +125,8 @@ def test_ratexpr_normalises_leading_coefficient(ctx, lc):
     # num = (v + lc) / lc: the v term is 1/lc, the constant lc/lc is the int 1
     assert r.num == Fraction(1, lc) * v + 1
     assert_canonical_coefficients(r.num)
-    assert type(r.num.terms[()]) is int and r.num.terms[()] == 1
+    one = ctx.mono(())
+    assert type(r.num.terms[one]) is int and r.num.terms[one] == 1
     assert r == RatExpr(v + lc, lc * v**2 + 2 * lc)
     assert r * RatExpr(lc * v**2 + 2 * lc, ctx.one) == ctx.rat(v + lc)
 
@@ -372,7 +374,7 @@ def test_unit_monomial_power_scales_exponents(ctx, n):
         _same(got, _general_pow(u, n))
         assert_canonical_coefficients(got)
         if n % 2 == 0:
-            assert _index(ctx, "g") not in dict(only_monomial(got))
+            assert _index(ctx, "g") not in dict(ctx.mono_exps(only_monomial(got)))
 
 
 def test_unit_product_is_one_pass_product(ctx):
@@ -387,7 +389,7 @@ def test_unit_product_is_one_pass_product(ctx):
     cancel = [v**Fraction(1, 2), v**Fraction(-1, 2), g, g, ctx.poly(Fraction(2, 3)),
               ctx.poly(Fraction(3, 2))]
     one = ctx.unit_product(cancel)
-    assert one.terms == {(): 1} and type(only_coefficient(one)) is int
+    assert one.terms == {ctx.mono(()): 1} and type(only_coefficient(one)) is int
     with pytest.raises(RingError):
         ctx.unit_product([v + 1])
     with pytest.raises(RingError):
@@ -395,9 +397,9 @@ def test_unit_product_is_one_pass_product(ctx):
 
 
 def test_times_unit_shifts_by_any_exponent_map(ctx):
-    """times_unit with an exponent map, zero and unreduced sign-variable
-    exponents included, equals the product with that unit monomial, checked
-    on dense exponent vectors (sign exponents mod 2, zeros dropped)."""
+    """times_unit by a sum of scaled generator monomials, zero and unreduced
+    sign-variable exponents included, equals the product with that unit
+    monomial, checked on dense exponent vectors (sign exponents mod 2)."""
     v, w, g = ctx["v"], ctx["w"], ctx["g"]
     polys = [ctx.one, v**Fraction(1, 2) * g + 1, w**-2 - 3 * v + g,
              Fraction(-2, 3) * v**-1 * g]
@@ -405,13 +407,14 @@ def test_times_unit_shifts_by_any_exponent_map(ctx):
     maps = [{}, {iv: 0, iw: 0}, {ig: 3, iw: -2}, {ig: -1, iv: -3}, {iv: 1, iw: 4, ig: 2}]
 
     def dense(m):
-        e = dict(m)
+        e = dict(ctx.mono_exps(m))
         return tuple(e.get(i, 0) for i in (iv, iw, ig))
 
     for p in polys:
         for exps in maps:
+            unit = sum(s * ctx.mono({i: 1}) for i, s in exps.items())
             for coeff in (1, -1, 2, Fraction(3, 2), Fraction(2, 3)):
-                got = p.times_unit(exps.items(), coeff)
+                got = p.times_unit(unit, coeff)
                 assert_canonical_coefficients(got)
                 shift = [exps.get(i, 0) for i in (iv, iw, ig)]
                 want = {}
@@ -419,7 +422,7 @@ def test_times_unit_shifts_by_any_exponent_map(ctx):
                     ev, ew, eg = (a + b for a, b in zip(dense(m), shift))
                     want[(ev, ew, eg % 2)] = c * coeff
                 assert {dense(m): c for m, c in got.terms.items()} == want
-                assert all(s for m in got.terms for _, s in m)
+                assert all(m == ctx.mono(ctx.mono_exps(m)) for m in got.terms)
                 _same(got, p * ctx.unit_from_exps(exps, coeff))
 
 
@@ -561,7 +564,7 @@ def _random_shift(rng, m, n):
 def test_mono_mul_matches_the_reference_merge():
     """Context.mono_mul in a ring without sign variables (its sign-free
     branch) and with one, against a reference merge, for shifts given as
-    monomial tuples and as dict items."""
+    monomials and as unreduced sums of scaled generator monomials."""
     rng = random.Random(29)
     free, signed = Context(), Context()
     signed.sign("g")
@@ -576,12 +579,153 @@ def test_mono_mul_matches_the_reference_merge():
         for ctx, signs in ((free, ()), (signed, (0,))):
             m_ctx = _merged((), m, signs)
             tup = _merged((), shift.items(), signs)
-            assert ctx.mono_mul(m_ctx, shift.items()) == _merged(m_ctx, shift.items(), signs)
-            assert ctx.mono_mul(m_ctx, tup) == _merged(m_ctx, tup, signs)
+            summed = sum(s * ctx.mono({idx: 1}) for idx, s in shift.items())
+            got = ctx.mono_mul(ctx.mono(m_ctx), summed)
+            assert ctx.mono_exps(got) == _merged(m_ctx, shift.items(), signs)
+            got = ctx.mono_mul(ctx.mono(m_ctx), ctx.mono(tup))
+            assert ctx.mono_exps(got) == _merged(m_ctx, tup, signs)
     # the sign variable's exponent lives mod 2: g * g^3 = 1, g * g^2 = g
-    assert signed.mono_mul(((0, 1),), {0: 3}.items()) == ()
-    assert signed.mono_mul(((0, 1), (2, 4)), {0: 2, 2: -4}.items()) == ((0, 1),)
-    assert free.mono_mul(((0, 1),), {0: 3}.items()) == ((0, 4),)
+    g, g3 = signed.mono({0: 1}), 3 * signed.mono({0: 1})
+    assert signed.mono_mul(g, g3) == signed.mono(())
+    assert signed.mono_mul(signed.mono(((0, 1), (2, 4))), 2 * g + signed.mono({2: -4})) == g
+    assert free.mono_exps(free.mono_mul(free.mono({0: 1}), 3 * free.mono({0: 1}))) == ((0, 4),)
+
+
+# -- the packed monomial encoding ----------------------------------------------
+#
+# A ring with sign variables below and above a Laurent variable, so a sign
+# digit is read past negative digits and has negative digits above it.
+
+
+def _packed_ring():
+    """g (sign), v (denominator 2), h (sign), w, in that order."""
+    ctx = Context()
+    ctx.sign("g")
+    ctx.laurent("v", denom=2)
+    ctx.sign("h")
+    ctx.laurent("w")
+    return ctx
+
+
+_SIGN_SLOTS = (0, 2)
+_exponents = st.tuples(*[st.integers(-9, 9)] * 4)
+
+
+def _dense(e):
+    """The canonical dense exponent vector of scaled exponents e: sign slots mod 2."""
+    return tuple(s % 2 if i in _SIGN_SLOTS else s for i, s in enumerate(e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exponents)
+def test_mono_round_trips_negative_half_and_sign_exponents(e):
+    """mono and mono_exps are inverse on canonical exponents; a negative,
+    half (v's odd scaled exponents) or unreduced sign exponent comes back
+    canonical, and the generator powers build the same monomial."""
+    ctx = _packed_ring()
+    m = ctx.mono(enumerate(e))
+    assert ctx.mono_exps(m) == tuple((i, s) for i, s in enumerate(_dense(e)) if s)
+    assert ctx.mono(ctx.mono_exps(m)) == m
+    assert ctx.mono_key(m) == _dense(e)
+    g, v, h, w = (ctx[name] for name in "gvhw")
+    power = g ** e[0] * v ** Fraction(e[1], 2) * h ** e[2] * w ** e[3]
+    assert power.terms == {m: 1}
+
+
+def test_variable_declared_after_monomials_exist():
+    """Declaring a variable gives it a zero digit in every monomial made
+    before: values, keys and text are unchanged, and the new variable
+    multiplies in like any other."""
+    ctx = Context()
+    v, g = ctx.laurent("v", denom=2), ctx.sign("g")
+    p = v ** Fraction(-3, 2) * g + 2 * v**2 - 1
+    terms, text, keys = dict(p.terms), str(p), [ctx.mono_key(m) for m in p.terms]
+    x = ctx.laurent("x", denom=3)
+    assert p.terms == terms and str(p) == text
+    assert [ctx.mono_key(m) for m in p.terms] == [k + (0,) for k in keys]
+    q = p * x ** Fraction(-2, 3)
+    assert str(q) == "2*v^2*x^(-2/3) - x^(-2/3) + v^(-3/2)*g*x^(-2/3)"
+    assert q * x ** Fraction(2, 3) == p
+    assert {ctx.mono_exps(m)[-1] for m in q.terms} == {(2, -2)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exponents, _exponents)
+def test_product_is_the_digitwise_sum(a, b):
+    """A product of monomials adds them digit by digit, sign digits mod 2;
+    in a ring without sign variables it is the plain int sum."""
+    ctx = _packed_ring()
+    ma, mb = ctx.mono(enumerate(a)), ctx.mono(enumerate(b))
+    want = _dense([x + y for x, y in zip(_dense(a), _dense(b))])
+    assert ctx.mono_key(ctx.mono_mul(ma, mb)) == want
+    product = LaurentPoly(ctx, {ma: 1}) * LaurentPoly(ctx, {mb: 1})
+    assert product.terms == {ctx.mono(enumerate(want)): 1}
+    free = Context()
+    for name in "abcd":
+        free.laurent(name)
+    fa, fb = free.mono(enumerate(a)), free.mono(enumerate(b))
+    summed = free.mono([(i, x + y) for i, (x, y) in enumerate(zip(a, b))])
+    assert free.mono_mul(fa, fb) == fa + fb == summed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exponents, min_size=1, max_size=4), _exponents, st.integers(-3, 3))
+def test_sign_digits_stay_zero_or_one(es, shift, k):
+    """Every monomial the ring makes has sign digits in {0, 1}: products,
+    inverses, powers, unit products and shifts by an unreduced sum."""
+    ctx = _packed_ring()
+    units = [LaurentPoly(ctx, {ctx.mono(enumerate(e)): 1}) for e in es]
+    p = sum(units, ctx.zero)
+    unreduced = sum(s * ctx.mono({i: 1}) for i, s in enumerate(shift))
+    made = [p * p, p.times_unit(unreduced, -1), ctx.unit_product(units)]
+    made += [u.inv_unit() for u in units] + [u**k for u in units]
+    for q in made:
+        for m in q.terms:
+            assert all(ctx.mono_key(m)[i] in (0, 1) for i in _SIGN_SLOTS), (q, m)
+            assert ctx.mono(ctx.mono_exps(m)) == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exponents, min_size=1, max_size=12))
+def test_mono_key_order_is_the_dense_lex_order(es):
+    """Sorting by mono_key, the leading term and the printed term order are
+    the lex order of the dense exponent vectors, as when a monomial was
+    its sorted (index, exponent) pairs."""
+    ctx = _packed_ring()
+    dense = sorted({_dense(e) for e in es})
+    monos = [ctx.mono(enumerate(d)) for d in reversed(dense)]
+    assert [ctx.mono_key(m) for m in sorted(monos, key=ctx.mono_key)] == dense
+    p = LaurentPoly(ctx, {m: 1 for m in monos})
+    assert [ctx.mono_key(m) for m, _ in p.sorted_terms()] == dense[::-1]
+    assert ctx.mono_key(p.leading()[0]) == dense[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(2**32 - 3, 2**32 + 3) | st.integers(2**32, 2**80),
+       st.sampled_from([1, -1]))
+def test_range_guard_rejects_and_never_wraps(idx, size, sign):
+    """A scaled exponent of magnitude 2^32 or more is a RingError wherever a
+    monomial is built (mono, exponent maps, powers); anything below is the
+    exact monomial, so no digit ever carries into its neighbour."""
+    ctx = _packed_ring()
+    s = sign * size
+    w = ctx["w"]
+    builders = [lambda: ctx.mono({idx: s}), lambda: ctx.unit_from_exps({idx: s}).terms,
+                lambda: (w**s).terms]
+    for build in builders:
+        if size < 2**32:
+            build()
+            want = _dense([s if i == idx else 0 for i in range(4)])
+            assert ctx.mono_key(ctx.mono({idx: s})) == want
+            assert (w**s).terms == {ctx.mono({3: s}): 1}
+        else:
+            with pytest.raises(RingError):
+                build()
+    big = w ** (2**31)
+    with pytest.raises(RingError):
+        big**2
+    inverse_times_w = ctx.mono_mul(big.inv_unit().leading()[0], ctx.mono({3: 1}))
+    assert ctx.mono_key(inverse_times_w) == (0, 0, 0, 1 - 2**31)
 
 
 def _polys():
@@ -707,7 +851,7 @@ def test_product_matches_schoolbook(a_terms, b_terms):
     def as_schoolbook(p):
         out = {}
         for m, c in p.terms.items():
-            exps = dict(m)
+            exps = dict(ctx.mono_exps(m))
             out[tuple(exps.get(x.index, 0) for x in ctx.vars)] = c
         return out
 
@@ -753,4 +897,4 @@ def test_mono_str_matches_fraction_rule():
         ctx.laurent("c", denom=4)
         ctx.sign("g")
         for m in order:
-            assert ctx.mono_str(m) == _mono_str_by_fraction(ctx, m)
+            assert ctx.mono_str(ctx.mono(m)) == _mono_str_by_fraction(ctx, m)

@@ -170,7 +170,7 @@ def _word_scalar_f_at_target(self, word, invert):
             out = out * self.scalars.f(i, lam)
             lam = self.rd.add_root(lam, i, +1)
     ((m, c),) = (out.inv_unit() if invert else out).terms.items()
-    return dict(m), c
+    return m, c
 
 
 def test_family_c_closed_form_is_load_bearing(monkeypatch):
@@ -196,7 +196,7 @@ _image_num = twistmap.TwistMap._image_num
 def _step_data_without_base(self, steps):
     """TwistMap._step_data with the steps' scalar at target 0 dropped, so a
     word's scalar is the character at its target alone."""
-    return ({}, 1), _step_data(self, steps)[1]
+    return (0, 1), _step_data(self, steps)[1]
 
 
 def _word_scalar_character_at_source(self, word, invert):
@@ -229,16 +229,18 @@ def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, 
 
 def _backward_negates_first_variable_only(self, word, invert):
     """TwistMap._word_scalar whose inverse negates only the exponent of the
-    first variable: the backward map is no longer the forward map's inverse."""
-    exps, c = _word_scalar(self, word, False)
+    first variable of the word's first letter: the backward map is no
+    longer the forward map's inverse."""
+    m, c = _word_scalar(self, word, False)
     if invert:
-        exps = dict(exps)
-        for idx in exps:
-            exps[idx] = -exps[idx]
-            break
+        if word.steps:
+            kind, i = word.steps[0]
+            (first, _), *_ = self.scalars.characters[kind.lower(), i][0]
+            ctx = self.params.ctx
+            m -= ctx.mono({first: 2 * dict(ctx.mono_exps(m)).get(first, 0)})
         if c != 1:
             c = 1 / Fraction(c)
-    return exps, c
+    return m, c
 
 
 def test_wrong_backward_map_fails_the_round_trips(monkeypatch):

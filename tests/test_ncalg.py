@@ -295,7 +295,7 @@ def test_multiple_of(setup, kind):
     # in super1, whose units carry sign variables
     super1 = specializations.make("super1", rd).params
     ((mono, _),) = (super1.t(1, 0) * super1.q(0)).terms.items()
-    assert any(idx in super1.ctx.sign_indices for idx, _ in mono)
+    assert any(idx in super1.ctx.sign_indices for idx, _ in super1.ctx.mono_exps(mono))
     for ring in (p, super1):
         a, b, _ = _two_basis_elements(kind, rd, ring)
         found = 0

@@ -112,7 +112,7 @@ def test_super1_c_squares_to_one(a2):
                 assert c * c == p.ctx.one
                 # sign/eps data only: the Laurent part of c is trivial
                 _, mono = c.unit_mono()
-                for idx, _e in mono:
+                for idx, _e in p.ctx.mono_exps(mono):
                     assert p.ctx.vars[idx].kind == "sign"
 
 
