@@ -31,6 +31,9 @@ Context.mono_exps, and only add, subtract or scale them
 (tests/test_variable_names.py).  Display and term order decode the digits
 (mono_key, mono_str).  Building a monomial rejects a scaled exponent of
 magnitude 2^32 or more, which leaves 2^31 products before a digit carries.
+That headroom is why a twist character needs no guard when it is
+evaluated: params.twist_character builds its columns through mono, and its
+value at lam (params.character_value) is a sum of |lam|_1 of them.
 
 Fractions (RatExpr) are pairs of polynomials.  They are never reduced by a
 multivariate gcd; equality is decided by cross multiplication, which needs
@@ -227,11 +230,6 @@ class Context:
                 coeff *= c
             m += fm
         return LaurentPoly(self, {self._reduced(m): _num(coeff)})
-
-    def unit_from_exps(self, exps: dict, coeff: Scalar = 1) -> "LaurentPoly":
-        """The unit monomial coeff * prod_idx x_idx^{s} from a map of scaled
-        exponents {idx: s}, through mono.  coeff must be nonzero."""
-        return LaurentPoly(self, {self.mono(exps): _num(coeff)})
 
     def mono_key(self, m: Mono):
         # Dense exponent vector in declaration order; lex comparison on it is
@@ -687,9 +685,6 @@ class RatExpr:
         if self.den.terms == other.den.terms and not other.is_zero():
             return RatExpr(self.num, other.num)
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
 
     def __pow__(self, n):
         n = int(n)

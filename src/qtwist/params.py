@@ -14,9 +14,10 @@ prod_j t_ij^{lam(j)} and the K-correction c(i, lam) = prod_j (s_ij
 t_ij)^{-lam(j)}, with lam(j) = <coweight_j, lam>, are characters of the
 weight lattice X.  Each has one definition, twist_character, built once
 from the unit monomials s_ij, t_ij and the coweight forms of the root
-datum: a linear form on X per variable's scaled exponent and the
-coefficient's value on the coordinate basis.  character_value evaluates it
-at a weight.
+datum: one packed monomial per coordinate of X, the character's value at
+that basis vector, and the coefficient's value there.  character_value is
+the one evaluator: the value at lam is sum_k lam_k * column_k, a few int
+operations, and the coefficient prod_k ratio_k^{lam_k}.
 """
 
 from __future__ import annotations
@@ -125,17 +126,17 @@ class ParameterSet:
 def twist_character(rd: RootDatum, params: ParameterSet, kind: str, i: int) -> tuple:
     """The character lam -> prod_j base(j)^{<coweight_j, lam>} of X for
     e(i, .) (base s_ij), f(i, .) (base t_ij) or c(i, .) (base (s_ij t_ij)^-1),
-    as (rows, ratios).
+    as (columns, ratios).
 
-    rows holds (var index, a) with a the integer linear form on X of that
-    variable's scaled exponent, sum_j exps(base(j)) * <coweight_j, .>, zero
-    forms left out; ratios is None when every base's coefficient is 1, else
-    the coefficient's value at each coordinate basis vector of X.  The value
-    at lam is character_value."""
+    columns holds one monomial per coordinate k of X, built by Context.mono
+    (so a scaled exponent out of its range is a RingError here): digit v is
+    sum_j exps_v(base(j)) * <coweight_j, e_k>.  ratios is None when every
+    base's coefficient is 1, else the coefficient's value at each e_k.  The
+    value at lam is character_value."""
     bases = {"e": (params.s,), "f": (params.t,), "c": (params.s, params.t)}[kind]
     sign = -1 if kind == "c" else 1
-    forms = rd._coweight_forms
-    columns, ratios = {}, [Fraction(1)] * rd.x_rank
+    ctx, forms = params.ctx, rd._coweight_forms
+    exps, ratios = {}, [Fraction(1)] * rd.x_rank
     for j in rd.index_set:
         form = [sign * x for x in forms[j]]
         for base in bases:
@@ -143,24 +144,24 @@ def twist_character(rd: RootDatum, params: ParameterSet, kind: str, i: int) -> t
             if u is None:
                 raise RingError("rescaling base %s is not a unit monomial" % base(i, j))
             c, m = u
-            for idx, s in params.ctx.mono_exps(m):
-                acc = columns.get(idx, (0,) * rd.x_rank)
-                columns[idx] = tuple(a + s * x for a, x in zip(acc, form))
+            for idx, s in ctx.mono_exps(m):
+                acc = exps.get(idx, (0,) * rd.x_rank)
+                exps[idx] = tuple(a + s * x for a, x in zip(acc, form))
             if c != 1:
                 ratios = [r * Fraction(c) ** x for r, x in zip(ratios, form)]
-    rows = tuple((idx, a) for idx, a in sorted(columns.items()) if any(a))
-    return rows, None if all(r == 1 for r in ratios) else tuple(ratios)
+    columns = tuple(ctx.mono([(idx, a[k]) for idx, a in exps.items()]) for k in range(rd.x_rank))
+    return columns, None if all(r == 1 for r in ratios) else tuple(ratios)
 
 
 def character_value(char: tuple, lam: Weight) -> tuple:
-    """The character (rows, ratios) at lam as (exps, coeff): the scaled
-    exponents {var index: a.lam}, which may hold zero or unreduced
-    sign-variable exponents, and the coefficient prod_k ratios_k^{lam_k}."""
-    rows, ratios = char
-    exps = {idx: sum(map(mul, a, lam)) for idx, a in rows}
+    """The character (columns, ratios) at lam as (mono, coeff) for
+    LaurentPoly.times_unit, the one evaluator of a twist character: the
+    monomial sum_k lam_k * columns_k, sign digits unreduced, and the
+    coefficient prod_k ratios_k^{lam_k}."""
+    columns, ratios = char
     coeff = 1
     if ratios is not None:
         for r, k in zip(ratios, lam):
             if k:
                 coeff *= r ** k
-    return exps, coeff
+    return sum(map(mul, columns, lam)), coeff

@@ -97,12 +97,6 @@ class PathWord:
     def __hash__(self):
         return self._hash
 
-    def degree(self, n: int) -> tuple:
-        deg = [0] * n
-        for kind, i in self.steps:
-            deg[i] += 1 if kind == "E" else -1
-        return tuple(deg)
-
     def __str__(self):
         tgt = ",".join(map(str, self.target))
         if not self.steps:
@@ -301,7 +295,7 @@ def _modified_relations(rd: RootDatum, sides: tuple, window: list):
                     terms = {ef: one, fe: fe_coeff}
                     if i == j:
                         qn = p.qint_q(rd.lambda_i(lam, i), i)
-                        cc = p.rat(qn * p.ctx.unit_from_exps(*character_value(c_i, lam)))
+                        cc = p.rat(qn.times_unit(*character_value(c_i, lam)))
                         merge_term(terms, units[lam], -cc)
                     exprs.append(PathExpr(p, terms))
                 yield rel(key + lam_ids[lam], "c", i, j, lam, "", None, tuple(exprs))

@@ -6,6 +6,12 @@ pairing matrix Y x X -> Z, which must be perfect (determinant +-1).  The
 loader and the built-ins insist on the regularity condition
 <coweight_i, alpha_j> = delta_ij, which is what every weight-indexed scalar
 in this package is built from.
+
+Validation also refuses a datum whose d_i, alpha entries or coroot /
+coweight form entries reach ENTRY_BOUND = 2^10 in magnitude: the largest
+exponent the engine builds, 2 d_i <coroot_i, lam> for q_i^{<coroot_i, lam>},
+then stays below 2^21 |lam|_1, inside a ring's 2^32 for |lam|_1 < 2^11, so
+a larger datum is invalid configuration, not a failure inside a campaign.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 Weight = tuple  # integer coordinate vector in X
+ENTRY_BOUND = 2**10  # bound on |d_i| and on the entries of alpha and the coroot / coweight forms
 
 
 class DatumError(Exception):
@@ -173,6 +180,11 @@ class RootDatum:
         if len(self.pairing) != self.x_rank or any(len(r) != self.x_rank for r in self.pairing):
             errs.append("pairing must be %d x %d" % (self.x_rank, self.x_rank))
             return errs
+        for label, rows in (("d_i", [(self.cartan.d(i),) for i in range(n)]), ("alpha", self.alpha),
+                            ("coroot form", self._coroot_forms),
+                            ("coweight form", self._coweight_forms)):
+            if any(abs(x) >= ENTRY_BOUND for row in rows for x in row):
+                errs.append("%s entries must have magnitude below %d" % (label, ENTRY_BOUND))
         for i in range(n):
             for j in range(n):
                 got = self.pair(self.coroot[i], self.alpha[j])

@@ -11,19 +11,19 @@ relation instance is carried to an exact unit-monomial multiple of the
 matching twisted instance.
 
 e(i, .), f(i, .) and c(i, .) are characters of the weight lattice X, each
-built once from the parameters (params.twist_character): TwistScalars
-evaluates them per weight for the closed forms, and TwistMap takes its
-letters from them.  Each step of a word is at its target lam plus an offset
-fixed by the steps before it, so the word's scalar at lam has the exponents
-b + A.lam: A the letters' forms summed, b their values at the steps'
-offsets, once per step tuple, with no TwistScalars lookup and no unit
-product.  Monomials are packed ints (coeffring), so b and the columns of A
-are monomials and the scalar's monomial is b + sum_k lam_k A_k, a few int
-operations.  It is never built as a polynomial: the map adds that
-monomial to each monomial of the word's coefficient
-(LaurentPoly.times_unit) and keeps its denominator.  tests/test_twistmap.py
-checks the images against a walk that reads TwistScalars at every step, and
-TwistScalars against products of parameter powers.
+built once as one packed monomial per coordinate of X
+(params.twist_character) and evaluated only by params.character_value, per
+weight in TwistScalars for the closed forms and per word in TwistMap.  Each
+step of a word is at its target lam plus an offset fixed by the steps
+before it, so the word's scalar at lam is b times a character A at lam: A
+the letters' characters multiplied (their columns added as ints), b their
+values at the steps' offsets, once per step tuple, with no TwistScalars
+lookup and no unit product.  The scalar's monomial b + sum_k lam_k A_k is
+never built as a polynomial: the map adds it to each monomial of the word's
+coefficient (LaurentPoly.times_unit) and keeps its denominator.
+tests/test_twistmap.py checks the images against a walk that reads
+TwistScalars at every step, and TwistScalars against products of parameter
+powers.
 
 A campaign builds no image to check a clean record: TwistMap.multiple
 finds the unit N with forward(x) == N * target in the same exponent pass,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import add, mul
 
 from .coeffring import RatExpr
 from .params import ParameterSet, character_value, twist_character
@@ -64,8 +64,8 @@ class TwistScalars:
         key = (kind, i, lam)
         value = self._cache.get(key)
         if value is None:
-            exps, coeff = character_value(self.characters[kind, i], lam)
-            value = self._cache[key] = self.params.ctx.unit_from_exps(exps, coeff)
+            value = self._cache[key] = self.params.ctx.one.times_unit(
+                *character_value(self.characters[kind, i], lam))
         return value
 
     def e(self, i: int, lam: Weight):
@@ -98,53 +98,44 @@ class TwistMap:
 
         A raising step is scaled by e at its target, a lowering step by f at
         its source: each at the word's target plus an offset, so the scalar
-        at target 0 is (b, c), its letters' values at their offsets summed.
-        The character sums the letters' forms, as one monomial A_k per
-        coordinate k of X (digit v the form of variable v at the k-th basis
-        vector), and multiplies their ratios (None when every coefficient
-        is 1)."""
+        at target 0 is (b, c), its letters' values at their offsets
+        (character_value) multiplied.  The character is the letters'
+        product: their packed columns added as ints and their ratios
+        multiplied (None when every coefficient is 1)."""
         data = self._steps.get(steps)
         if data is None:
             add_root, letters = self.rd.add_root, self.scalars.characters
-            lam, b, c, columns, ratios = self.rd.zero_weight(), 0, 1, [0] * self.rd.x_rank, None
-            mono = self.params.ctx.mono
+            lam, b, c, columns, ratios = self.rd.zero_weight(), 0, 1, (0,) * self.rd.x_rank, None
             for kind, i in steps:
                 if kind == "F":
                     lam = add_root(lam, i, +1)
-                letter = rows, r = letters[kind.lower(), i]
-                exps, k = character_value(letter, lam)
-                b += mono(exps)
+                letter = cols, r = letters[kind.lower(), i]
+                m, k = character_value(letter, lam)
+                b += m
                 c *= k
-                for x in range(len(columns)):
-                    columns[x] += mono([(idx, a[x]) for idx, a in rows])
+                columns = tuple(map(add, columns, cols))
                 if r is not None:
                     ratios = r if ratios is None else tuple(map(mul, ratios, r))
                 if kind == "E":
                     lam = add_root(lam, i, -1)
-            data = self._steps[steps] = ((b, c), (tuple(columns), ratios))
+            data = self._steps[steps] = ((b, c), (columns, ratios))
         return data
 
     def _word_scalar(self, word: PathWord, invert: bool):
-        """The word scalar at the word's target lam as one affine map of lam,
-        returned as (mono, coeff) for LaurentPoly.times_unit: the monomial
-        b + sum_k lam_k A_k, a few int operations whose sign digits
-        times_unit reduces, and the coefficient c * prod_k r_k^{lam_k},
-        with (b, c) the steps' scalar at target 0 and (A, r) the character
-        from _step_data.  Inverted, the monomial is negated (a sign digit
-        is the same mod 2) and the coefficient inverted.  Reads only
-        word.target and word.steps.
+        """The word scalar at the word's target lam, returned as (mono,
+        coeff) for LaurentPoly.times_unit: the steps' scalar (b, c) at
+        target 0 times their character at lam (character_value), both from
+        _step_data.  Inverted, the monomial is negated (a sign digit is the
+        same mod 2) and the coefficient inverted.  Reads only word.target
+        and word.steps.
 
         This is the step walk from lam, exactly: each step's weight is lam
         plus an offset fixed by the steps before it, and a character at a
         sum is the product of its values.  tests/test_twistmap.py checks the
         map it drives against a walk that reads TwistScalars at every step."""
-        (b, c), (columns, ratios) = self._step_data(word.steps)
-        lam = word.target
-        m = sum(map(mul, columns, lam), b)
-        if ratios is not None:
-            for r, k in zip(ratios, lam):
-                if k:
-                    c *= r ** k
+        (b, c), char = self._step_data(word.steps)
+        m, k = character_value(char, word.target)
+        m, c = m + b, c * k
         if invert:
             m = -m
             if c != 1:

@@ -217,6 +217,34 @@ def test_imperfect_pairing_is_invalid_configuration(tmp_path, capsys, name):
         assert "pairing Y x X -> Z is not perfect" in err and out == ""
 
 
+# regular data whose entries are too large for the engine's exponents: d_1 =
+# 2^39, a coweight form entry 2^32, and d_1 and a coroot form entry just
+# below 2^16; each loaded and then failed inside verify-iso as a RingError
+OVERSIZED_DATA = {
+    "dot-2^40": {"I_size": 1, "dot": [[2**40]], "X_rank": 1, "alpha": [[1]], "coroot": [[2]],
+                 "coweight": [[1]]},
+    "coweight-2^32": {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[1, -1]],
+                      "coroot": [[1, -1]], "coweight": [[2**32, 2**32 - 1]]},
+    "coroot-65000": {"I_size": 1, "dot": [[65534]], "X_rank": 2, "alpha": [[1, -1]],
+                     "coroot": [[65000, 64998]], "coweight": [[1, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_DATA))
+def test_oversized_datum_is_invalid_configuration(tmp_path, capsys, name):
+    """A datum past rootdata.ENTRY_BOUND is refused when it is loaded, by
+    every subcommand that reads it, never reported as an internal error."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(OVERSIZED_DATA[name]), encoding="utf-8")
+    for argv in (("validate-datum", str(path)),
+                 ("verify-iso", "--root-datum", str(path), "--lambda-box", "1"),
+                 ("verify-hopf", "--root-datum", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "invalid configuration" in err and "below 1024" in err and out == ""
+        assert "internal error" not in err
+
+
 def test_missing_file_io_exit(capsys):
     code, _, err = run(capsys, "validate-datum", "/nonexistent/d.json")
     assert code == 4

@@ -423,7 +423,7 @@ def test_times_unit_shifts_by_any_exponent_map(ctx):
                     want[(ev, ew, eg % 2)] = c * coeff
                 assert {dense(m): c for m, c in got.terms.items()} == want
                 assert all(m == ctx.mono(ctx.mono_exps(m)) for m in got.terms)
-                _same(got, p * ctx.unit_from_exps(exps, coeff))
+                _same(got, p * LaurentPoly(ctx, {ctx.mono(exps): coeff}))
 
 
 def _fractions(ctx):
@@ -710,8 +710,7 @@ def test_range_guard_rejects_and_never_wraps(idx, size, sign):
     ctx = _packed_ring()
     s = sign * size
     w = ctx["w"]
-    builders = [lambda: ctx.mono({idx: s}), lambda: ctx.unit_from_exps({idx: s}).terms,
-                lambda: (w**s).terms]
+    builders = [lambda: ctx.mono({idx: s}), lambda: (w**s).terms]
     for build in builders:
         if size < 2**32:
             build()

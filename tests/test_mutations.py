@@ -49,9 +49,10 @@ def _transposed(params, name):
 
 
 def _inverse(char):
-    """The character lam -> its value at lam, inverted."""
-    rows, ratios = char
-    return (tuple((idx, tuple(-x for x in a)) for idx, a in rows),
+    """The character lam -> its value at lam, inverted: its packed columns
+    negated and its ratios inverted."""
+    columns, ratios = char
+    return (tuple(-m for m in columns),
             None if ratios is None else tuple(1 / r for r in ratios))
 
 
@@ -229,14 +230,16 @@ def test_character_rule_defect_is_rejected(monkeypatch, name, defect, failures, 
 
 def _backward_negates_first_variable_only(self, word, invert):
     """TwistMap._word_scalar whose inverse negates only the exponent of the
-    first variable of the word's first letter: the backward map is no
-    longer the forward map's inverse."""
+    first variable of the word's first letter, the lowest variable index
+    among its character's column digits: the backward map is no longer the
+    forward map's inverse."""
     m, c = _word_scalar(self, word, False)
     if invert:
         if word.steps:
             kind, i = word.steps[0]
-            (first, _), *_ = self.scalars.characters[kind.lower(), i][0]
             ctx = self.params.ctx
+            columns = self.scalars.characters[kind.lower(), i][0]
+            first = min(idx for col in columns for idx, _ in ctx.mono_exps(col))
             m -= ctx.mono({first: 2 * dict(ctx.mono_exps(m)).get(first, 0)})
         if c != 1:
             c = 1 / Fraction(c)

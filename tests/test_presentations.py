@@ -7,7 +7,7 @@ import pytest
 import qtwist
 from qtwist import presentations, rootdata, specializations
 from qtwist.coeffring import qbinom, qfact, qint
-from qtwist.ncalg import NCExpr, StraightenRules, straighten
+from qtwist.ncalg import NCExpr, StraightenRules, grade, straighten
 from qtwist.params import ParameterSet
 from qtwist.presentations import (
     PathExpr,
@@ -135,7 +135,7 @@ def test_modified_families_are_homogeneous(a2):
     rd, p = a2
     window = [rd.zero_weight(), (1, -1, 0)]
     for inst in relations_of("scrUdot", rd, p, window=window):
-        degs = {w.degree(rd.n) for w in inst.expr.terms}
+        degs = {grade(w.steps, rd.n) for w in inst.expr.terms}
         srcs = {w.source for w in inst.expr.terms}
         tgts = {w.target for w in inst.expr.terms}
         assert len(degs) <= 1 and len(srcs) <= 1 and len(tgts) <= 1

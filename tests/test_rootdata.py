@@ -115,6 +115,30 @@ def test_validate_reports_coweight_defect():
     assert any("coweight" in e for e in errs)
 
 
+# an a1 datum in the gl2 lattice with one entry k: d_1 = k, an alpha entry k,
+# or a coroot or coweight form entry k, every pairing kept
+_SIZED_A1 = {
+    "d_i": lambda k: ([[2 * k]], [[1, -1]], [[1, -1]], [[1, 0]]),
+    "alpha": lambda k: ([[2]], [[k, k - 1]], [[2, -2]], [[1, -1]]),
+    "coroot form": lambda k: ([[2]], [[1, -1]], [[k, k - 2]], [[1, 0]]),
+    "coweight form": lambda k: ([[2]], [[1, -1]], [[1, -1]], [[k, k - 1]]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SIZED_A1))
+def test_validate_bounds_the_entries(label):
+    """d_i and the entries of alpha and of the coroot and coweight forms
+    must have magnitude below ENTRY_BOUND: at the bound (or its negative)
+    the datum is refused, naming what is too large; just below, it loads."""
+    bound = rootdata.ENTRY_BOUND
+    # a negative d_i is refused by the Cartan checks before any bound
+    for k in (bound - 1, bound) if label == "d_i" else (bound - 1, bound, -bound):
+        dot, alpha, coroot, coweight = (tuple(map(tuple, m)) for m in _SIZED_A1[label](k))
+        rd = RootDatum(CartanDatum(dot), 2, alpha, coroot, coweight, rootdata._identity(2))
+        want = [] if k == bound - 1 else ["%s entries must have magnitude below 1024" % label]
+        assert rd.validate() == want, (label, k)
+
+
 def test_validate_reports_symmetrizability_defect():
     bad = CartanDatum(dot=((2, -1), (-2, 2)))
     assert any("symmetr" in e for e in bad.validate())

@@ -7,8 +7,9 @@ import weakref
 import pytest
 
 from qtwist import rootdata, specializations, twistmap
-from qtwist.coeffring import Context, LaurentPoly, RatExpr
-from qtwist.params import ParameterSet
+from qtwist.coeffring import Context, LaurentPoly, RatExpr, RingError
+from qtwist.ncalg import grade
+from qtwist.params import ParameterSet, twist_character
 from qtwist.presentations import (PathExpr, PathWord, divided_power, idempotent, modified_relations,
                                   relations_of)
 from qtwist.twistmap import (
@@ -245,6 +246,24 @@ def test_lattice_scalars_match_parameter_powers(build):
     _assert_scalars_match_parameter_powers(rd, p)
 
 
+def test_character_out_of_range_is_refused_when_built():
+    """A character is built through Context.mono, so the range guard holds
+    when it is made: a datum built without validation whose coweight form
+    gives s a scaled exponent of 2^32 or more is a RingError at
+    twist_character, for every kind, not at some later evaluation."""
+    a1 = rootdata.builtin("a1")
+    p = ParameterSet.v_tied(a1.cartan)
+    for coweight in (((2**31, 2**31 - 1),), ((-2**31 + 1, -2**31),)):
+        rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, coweight, a1.pairing)
+        for kind in "efc":
+            with pytest.raises(RingError, match="out of range"):
+                twist_character(rd, p, kind, 0)
+    ok = ((2**30, 2**30 - 1),)
+    rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, ok, a1.pairing)
+    for kind in "efc":
+        twist_character(rd, p, kind, 0)
+
+
 def _spy(monkeypatch, calls, cls, name):
     """Count the calls of cls.name in calls, under the key "cls.name"."""
     original = getattr(cls, name)
@@ -355,7 +374,7 @@ def _perturbed(target, v):
     1 + v, and zero."""
     words = sorted(target.terms, key=target._order)
     out = [target.scale(1 + v), target._new({})]
-    for factor in (target.params.rat(1 + v), 1 / target.params.rat(1 + v)):
+    for factor in (target.params.rat(1 + v), target.params.rat(1 + v).inv()):
         for w in (words[0], words[-1]):
             out.append(target._new({k: c * factor if k is w else c for k, c in target.terms.items()}))
     if len(words) > 1:
@@ -463,7 +482,7 @@ def test_forward_preserves_weights_and_degree(a2):
     img = tw.forward(PathExpr.word(p, w))
     ((w2, _),) = img.terms.items()
     assert w2.target == w.target and w2.source == w.source
-    assert w2.degree(rd.n) == w.degree(rd.n)
+    assert grade(w2.steps, rd.n) == grade(w.steps, rd.n)
 
 
 def test_isomorphism_campaign_a1(a1):

@@ -6,7 +6,9 @@ reads its generator with ctx[name] and keys substitutions by name; the Var
 records and the context's index bookkeeping stay inside coeffring.  A
 monomial is an int there, which other modules build and read only through
 Context.mono and Context.mono_exps and only add, subtract or scale: none of
-them names the layout's helpers or shifts bits.
+them names the layout's helpers or shifts bits.  The twist characters are
+built in params, so twistmap and presentations only add and scale their
+packed columns and call neither.
 """
 
 import ast
@@ -70,5 +72,19 @@ def test_only_coeffring_knows_the_packed_monomial_layout():
         for path in SOURCES
         if path.name != "coeffring.py"
         for line, what in _packed_layout_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_twistmap_and_presentations_build_no_monomial():
+    """The characters' packed columns come from params.twist_character, so
+    the map and the relation builders never build or decode a monomial."""
+    assert {path.name for path in SOURCES} >= {"twistmap.py", "presentations.py"}
+    found = [
+        "%s:%d uses .%s" % (path.name, node.lineno, node.attr)
+        for path in SOURCES
+        if path.name in ("twistmap.py", "presentations.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("mono", "mono_exps")
     ]
     assert not found, found
