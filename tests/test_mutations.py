@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtwist import hopf, presentations, repcheck, rootdata, specializations, twistmap
+from qtwist import hopf, ncalg, presentations, repcheck, rootdata, specializations, twistmap
 from qtwist.cli import main
 from qtwist.coeffring import qint_signed
 from qtwist.hopf import star_mul, verify_hopf
@@ -530,6 +530,45 @@ def _counit_kp_zero(ctx, x):
         if all(kind not in ("E", "F", "Kp") for kind, _ in word):
             out = out + coeff
     return out
+
+
+_bichar = ncalg.bichar
+_hop = ncalg.StraightenRules.hop
+
+
+def _bichar_s_t_swapped(params, family, mu, nu):
+    """ncalg.bichar reading t where it should read s, and s for t."""
+    return _bichar(params, "t" if family == "s" else "s", mu, nu)
+
+
+def _hop_e_off_diagonal_times_q(self, k_kind, i, ef_kind, j):
+    """StraightenRules.hop with every hop of a K-type symbol of index i over
+    E_j, j != i, times q_i."""
+    scalar = _hop(self, k_kind, i, ef_kind, j)
+    return scalar * self.params.q(i) if ef_kind == "E" and j != i else scalar
+
+
+@pytest.mark.parametrize(
+    "module, name, defect, failures, families, first",
+    [
+        (ncalg, "bichar", _bichar_s_t_swapped, 6,
+         {"antipode-c": 2, "antipode-serre": 2, "coprod-serre": 2}, "antipode-c:i1:j2"),
+        (ncalg.StraightenRules, "hop", _hop_e_off_diagonal_times_q, 8,
+         {"antipode-b": 4, "antipode-c": 2, "coprod-serre": 2}, "antipode-b:K-E:i1:j2"),
+    ],
+    ids=["bichar-s-t-swapped", "hop-off-diagonal-E-times-q"],
+)
+def test_seeded_twist_or_hop_defect_is_rejected(monkeypatch, module, name, defect, failures,
+                                                families, first):
+    """The twisted product's bicharacters and the straightener's hop scalars
+    are read by the Hopf campaign, however they are cached: a wrong one
+    fails exactly these records, each with a witness."""
+    monkeypatch.setattr(module, name, defect)
+    rep = _run_hopf_a2()
+    assert rep.summary == {"pass": 80 - failures, "fail": failures, "warn": 0}
+    assert collections.Counter(c.family for c in rep.failures()) == families
+    assert rep.failures()[0].id == first
+    assert all(c.witness for c in rep.failures())
 
 
 def test_counit_witness_shows_both_sides(monkeypatch):
