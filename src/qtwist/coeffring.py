@@ -199,7 +199,7 @@ class Context:
 
     def mono_mul(self, m1: Mono, m2: Mono) -> Mono:
         """The product of two monomials: their sum, sign digits reduced; the
-        rule that products, unit_product and times_unit apply inline."""
+        rule that products and times_unit apply inline."""
         return self._reduced(m1 + m2)
 
     def mono_pow(self, m: Mono, k) -> Mono:
@@ -216,20 +216,6 @@ class Context:
                     "power %s takes %r outside its declared denominator bound" % (k, var.name))
             pairs.append((idx, ns.numerator))
         return self.mono(pairs)
-
-    def unit_product(self, factors) -> "LaurentPoly":
-        """Product of unit monomials in one pass: the monomials summed, sign
-        digits reduced once, and the coefficients multiplied, with no
-        intermediate polynomial."""
-        m, coeff = 0, 1
-        for f in factors:
-            if f.ctx is not self or len(f.terms) != 1:
-                raise RingError("unit_product takes unit monomials of this context, got %s" % f)
-            ((fm, c),) = f.terms.items()
-            if c != 1:
-                coeff *= c
-            m += fm
-        return LaurentPoly(self, {self._reduced(m): _num(coeff)})
 
     def mono_key(self, m: Mono):
         # Dense exponent vector in declaration order; lex comparison on it is

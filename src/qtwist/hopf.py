@@ -35,6 +35,7 @@ from .ncalg import (
     merge_term,
     pair_twist,
     straighten,
+    times_unit,
     tmul,
     word_key,
     word_str,
@@ -84,14 +85,25 @@ def _delta_symbol(ctx: HopfContext, sym) -> TensorExpr:
 
 
 def delta(ctx: HopfContext, x: NCExpr) -> TensorExpr:
-    """Coproduct, extended to words as a product in the twisted tensor square."""
+    """Coproduct, extended to words as a product in the twisted tensor
+    square, in straightened form and memoised per word.
+
+    The product is straightened after every factor, so Delta of a word of
+    length L holds at most about (L+1)^2 tensors, not the 2^L of the
+    unstraightened product.  This is exact: straightening a concatenation
+    gives what straightening its factors first and then the concatenation
+    gives, since every K symbol hops over the same E/F letters either way,
+    and ``tmul``'s twist depends only on the slot gradings, which
+    straightening keeps.  No parameter relation is used, so it holds for
+    untied parameters too.
+    """
     p = ctx.params
     out = TensorExpr.zero(p)
     for word, coeff in x.terms.items():
         if word not in ctx._delta_cache:
             acc = TensorExpr.unit(p, 2)
             for sym in word:
-                acc = tmul(acc, _delta_symbol(ctx, sym))
+                acc = ctx.tnf(tmul(acc, _delta_symbol(ctx, sym)))
             ctx._delta_cache[word] = acc
         out = out + ctx._delta_cache[word].scale(coeff)
     return out
@@ -139,7 +151,7 @@ def star_mul(p: ParameterSet, x: NCExpr, y: NCExpr) -> NCExpr:
         dx = grade(wx, n)
         for wy, cy in y.terms.items():
             dy = grade(wy, n)
-            merge_term(terms, wy + wx, cx * cy * pair_twist(p, dx, dy))
+            merge_term(terms, wy + wx, times_unit(cx * cy, *pair_twist(p, dx, dy)))
     return NCExpr(p, terms)
 
 
@@ -153,12 +165,8 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
     both sides straightened in the tensor square.
 
     The power is straightened after every factor, so it holds n+1 terms, not
-    the 2^n words of the unstraightened product.  This is exact:
-    straightening a concatenation gives what straightening its factors
-    first and then the concatenation gives, since every K symbol hops over
-    the same E/F letters either way, and ``tmul``'s twist depends only on
-    the slot gradings, which straightening keeps.  No parameter relation is
-    used, so it holds for untied parameters too.
+    the 2^n words of the unstraightened product; this is exact by the
+    argument in ``delta``'s docstring.
     """
     p = ctx.params
     records = []

@@ -10,19 +10,22 @@ Straightening moves every invertible K-type symbol to the front of a word,
 collecting the commutation scalar of each hop, cancelling inverses, and
 sorting the K-prefix canonically.  No rewriting beyond that is ever done:
 the verification campaigns are arranged so K-straightening plus linear
-algebra over the remaining free E/F-words decides every identity.
+algebra over the remaining free E/F-words decides every identity.  The
+StraightenRules memoise each word's normal form with its scalar, a unit
+(mono, coeff) whose hops are summed as packed ints.
 
 Tensor squares and cubes carry the bicharacter-twisted multiplication: the
 product of pure tensors picks up s/t factors determined by the gradings of
-the slots that move past each other.
+the slots that move past each other.  Each factor is a unit (mono, coeff),
+memoised per degree pair on the ParameterSet (pair_twist), so a product
+adds the factors' monomials and scales its coefficient once (times_unit).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul, ne
+from operator import ne
 
-from .coeffring import RingError
+from .coeffring import RatExpr, RingError
 from .params import ParameterSet
 
 E_KIND = "E"
@@ -59,10 +62,24 @@ def bichar(params: ParameterSet, family: str, mu, nu):
     return out
 
 
-def pair_twist(params: ParameterSet, left, right):
+def pair_twist(params: ParameterSet, left, right) -> tuple:
     """t(left, right) s(right, left): the scalar a homogeneous factor of
-    degree ``right`` picks up on moving past one of degree ``left``."""
-    return bichar(params, "t", left, right) * bichar(params, "s", right, left)
+    degree ``right`` picks up on moving past one of degree ``left``, as a
+    unit (mono, coeff) for times_unit.  It is memoised per degree pair on
+    params, and a miss computes it through bichar, its one definition."""
+    twist = params._pair_twists.get((left, right))
+    if twist is None:
+        c, m = (bichar(params, "t", left, right) * bichar(params, "s", right, left)).unit_mono()
+        twist = params._pair_twists[left, right] = (m, c)
+    return twist
+
+
+def times_unit(coeff: RatExpr, mono, c) -> RatExpr:
+    """coeff times the unit c * mono (mono any sum of monomials, c != 0):
+    one LaurentPoly.times_unit on the numerator, the denominator kept."""
+    if (not mono and c == 1) or coeff.is_zero():
+        return coeff
+    return RatExpr._normalised(coeff.num.times_unit(mono, c), coeff.den)
 
 
 def word_str(word) -> str:
@@ -232,12 +249,14 @@ class NCExpr(LinComb):
 
 
 class StraightenRules:
-    """Commutation scalars for moving K-type symbols left across E/F symbols."""
+    """Commutation scalars for moving K-type symbols left across E/F symbols,
+    and the memoised normal form of every word straightened so far."""
 
     def __init__(self, rd, params: ParameterSet):
         self.rd = rd
         self.params = params
         self._cache: dict = {}
+        self._words: dict = {}  # word -> (normal-form word, (mono, coeff))
 
     def hop(self, k_kind: str, i: int, ef_kind: str, j: int):
         """Scalar acquired by rewriting (EF symbol)(K symbol) -> (K symbol)(EF symbol)."""
@@ -257,10 +276,14 @@ class StraightenRules:
 
 
 def _straighten_word(word, rules: StraightenRules):
-    """(normal-form word, scalar): the word is the canonical K-monomial prefix
-    followed by the untouched E/F symbols, and the scalar, a unit monomial,
-    is the product of the hops taken to get there."""
-    hops = []
+    """(normal-form word, (mono, coeff)): the word is the canonical K-monomial
+    prefix followed by the untouched E/F symbols, and the unit is the
+    product of the hops taken to get there, their monomials summed as ints.
+    Memoised per word on rules; hop is called only on a miss."""
+    hit = rules._words.get(word)
+    if hit is not None:
+        return hit
+    mono, coeff = 0, 1
     kexp: dict = {}  # (i, family 'K'/'Kp') -> exponent
     ef = []
     for kind, i in word:
@@ -270,7 +293,10 @@ def _straighten_word(word, rules: StraightenRules):
             fam = "K" if kind in ("K", "Kinv") else "Kp"
             sgn = 1 if kind in ("K", "Kp") else -1
             for ef_kind, j in ef:
-                hops.append(rules.hop(kind, i, ef_kind, j))
+                c, m = rules.hop(kind, i, ef_kind, j).unit_mono()
+                mono += m
+                if c != 1:
+                    coeff *= c
             cur = kexp.get((i, fam), 0) + sgn
             if cur == 0:
                 kexp.pop((i, fam), None)
@@ -280,7 +306,8 @@ def _straighten_word(word, rules: StraightenRules):
     for (i, fam), e in sorted(kexp.items()):
         kind = fam if e > 0 else (fam + "inv")
         prefix.extend([(kind, i)] * abs(e))
-    return tuple(prefix) + tuple(ef), rules.params.ctx.unit_product(hops)
+    hit = rules._words[word] = (tuple(prefix) + tuple(ef), (mono, coeff))
+    return hit
 
 
 def straighten(x: NCExpr, rules: StraightenRules) -> NCExpr:
@@ -289,8 +316,8 @@ def straighten(x: NCExpr, rules: StraightenRules) -> NCExpr:
         raise RingError("straightening rules built for a different parameter set")
     out: dict = {}
     for word, coeff in x.terms.items():
-        nf, scalar = _straighten_word(word, rules)
-        merge_term(out, nf, coeff * scalar)
+        nf, (mono, c) = _straighten_word(word, rules)
+        merge_term(out, nf, times_unit(coeff, mono, c))
     return NCExpr(x.params, out)
 
 
@@ -327,11 +354,16 @@ class TensorExpr(LinComb):
         """Apply the K-straightening normal form in every tensor slot."""
         if rules.params is not self.params:
             raise RingError("straightening rules built for a different parameter set")
-        unit_product = self.params.ctx.unit_product
         out: dict = {}
         for key, coeff in self.terms.items():
-            nf_key, scalars = zip(*(_straighten_word(w, rules) for w in key))
-            merge_term(out, nf_key, coeff * unit_product(scalars))
+            nf_key, mono, c = [], 0, 1
+            for w in key:
+                nf, (m, wc) = _straighten_word(w, rules)
+                nf_key.append(nf)
+                mono += m
+                if wc != 1:
+                    c *= wc
+            merge_term(out, tuple(nf_key), times_unit(coeff, mono, c))
         return TensorExpr(self.params, out)
 
     @staticmethod
@@ -359,7 +391,12 @@ def tmul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
     for xkey, cx in a.terms.items():
         xdeg = [grade(w, n) for w in xkey]
         for ykey, cy, ydeg in ys:
-            twist = reduce(mul, (pair_twist(params, xdeg[xb], ydeg[ya]) for ya, xb in pairs))
+            mono, c = 0, 1
+            for ya, xb in pairs:
+                m, tc = pair_twist(params, xdeg[xb], ydeg[ya])
+                mono += m
+                if tc != 1:
+                    c *= tc
             key = tuple(xw + yw for xw, yw in zip(xkey, ykey))
-            merge_term(terms, key, cx * cy * twist)
+            merge_term(terms, key, times_unit(cx * cy, mono, c))
     return TensorExpr(params, terms)

@@ -49,6 +49,7 @@ class ParameterSet:
         self._v = v
         self.label = label
         self._untwisted = None
+        self._pair_twists: dict = {}  # ncalg.pair_twist's memo: (left, right) -> (mono, coeff)
 
     # -- accessors -------------------------------------------------------
 

@@ -377,25 +377,6 @@ def test_unit_monomial_power_scales_exponents(ctx, n):
             assert _index(ctx, "g") not in dict(ctx.mono_exps(only_monomial(got)))
 
 
-def test_unit_product_is_one_pass_product(ctx):
-    v, g = ctx["v"], ctx["g"]
-    us = _units(ctx)
-    for k in range(len(us) + 1):
-        for factors in (us[:k], us[k:], us[::-1][:k]):
-            got = ctx.unit_product(factors)
-            _same(got, functools.reduce(operator.mul, factors, ctx.one))
-            assert_canonical_coefficients(got)
-    # exponents and signs cancel to the integer 1
-    cancel = [v**Fraction(1, 2), v**Fraction(-1, 2), g, g, ctx.poly(Fraction(2, 3)),
-              ctx.poly(Fraction(3, 2))]
-    one = ctx.unit_product(cancel)
-    assert one.terms == {ctx.mono(()): 1} and type(only_coefficient(one)) is int
-    with pytest.raises(RingError):
-        ctx.unit_product([v + 1])
-    with pytest.raises(RingError):
-        Context().unit_product([v])
-
-
 def test_times_unit_shifts_by_any_exponent_map(ctx):
     """times_unit by a sum of scaled generator monomials, zero and unreduced
     sign-variable exponents included, equals the product with that unit
@@ -672,12 +653,12 @@ def test_product_is_the_digitwise_sum(a, b):
 @given(st.lists(_exponents, min_size=1, max_size=4), _exponents, st.integers(-3, 3))
 def test_sign_digits_stay_zero_or_one(es, shift, k):
     """Every monomial the ring makes has sign digits in {0, 1}: products,
-    inverses, powers, unit products and shifts by an unreduced sum."""
+    inverses, powers and shifts by an unreduced sum."""
     ctx = _packed_ring()
     units = [LaurentPoly(ctx, {ctx.mono(enumerate(e)): 1}) for e in es]
     p = sum(units, ctx.zero)
     unreduced = sum(s * ctx.mono({i: 1}) for i, s in enumerate(shift))
-    made = [p * p, p.times_unit(unreduced, -1), ctx.unit_product(units)]
+    made = [p * p, p.times_unit(unreduced, -1)]
     made += [u.inv_unit() for u in units] + [u**k for u in units]
     for q in made:
         for m in q.terms:

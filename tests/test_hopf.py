@@ -6,6 +6,7 @@ from qtwist import rootdata
 from qtwist.coeffring import LaurentPoly, qint
 from qtwist.hopf import (
     HopfContext,
+    _delta_symbol,
     antipode,
     counit,
     delta,
@@ -16,7 +17,7 @@ from qtwist.hopf import (
     verify_coproduct_serre,
     verify_hopf,
 )
-from qtwist.ncalg import NCExpr, TensorExpr, tmul
+from qtwist.ncalg import NCExpr, TensorExpr, tmul, word_key
 from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 
@@ -117,6 +118,63 @@ def test_coproduct_power_stays_small(monkeypatch, name):
         recs = verify_coproduct_powers(ctx, i, nmax)
         assert all(r.status == "pass" for r in recs)
     assert sizes and max(sizes) <= 2 * (nmax + 1)
+
+
+def _k_datum(k):
+    """The rank-2 datum with dot [[2, -k], [-k, 2]] (alpha and coweight the
+    identity, coroot the Cartan matrix): a_12 = a_21 = -k, so its Serre
+    words have length k + 2."""
+    return rootdata.from_dict({"I_size": 2, "dot": [[2, -k], [-k, 2]], "X_rank": 2,
+                               "alpha": [[1, 0], [0, 1]], "coroot": [[2, -k], [-k, 2]],
+                               "coweight": [[1, 0], [0, 1]]}, name="k%d" % k)
+
+
+def _serre_words(rd, p):
+    return {w for inst in relations_of("scrU", rd, p) if inst.family in ("d-E", "d-F")
+            for w in inst.expr.terms}
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "b2", "g2", "k6"])
+@pytest.mark.parametrize("make", [ParameterSet.v_tied, ParameterSet.generic], ids=["v-tied", "generic"])
+def test_delta_per_factor_is_the_straightened_product(name, make):
+    """Delta of every Serre word, and of words that put K-type letters after
+    E/F letters, is the straightened product of its letters' coproducts,
+    straightened once at the end by a context of its own."""
+    rd = _k_datum(6) if name == "k6" else rootdata.builtin(name)
+    p = make(rd.cartan)
+    ctx, fresh = HopfContext(rd, p), HopfContext(rd, p)
+    words = _serre_words(rd, p)
+    for i in rd.index_set:
+        for j in rd.index_set:
+            words.add((("E", i), ("F", j), ("K", j), ("E", j), ("Kpinv", i)))
+            words.add((("F", i), ("Kinv", j), ("E", i), ("Kp", j), ("F", j)))
+    for word in sorted(words, key=word_key):
+        product = TensorExpr.unit(p, 2)
+        for sym in word:
+            product = tmul(product, _delta_symbol(ctx, sym))
+        assert delta(ctx, NCExpr.word(p, word)) == fresh.tnf(product), word
+
+
+def test_delta_of_a_long_serre_word_stays_small(monkeypatch):
+    """Delta of a word is straightened after every factor: on the k = 12
+    datum, whose Serre words have length L = 14, no tensor that delta hands
+    to the straightener has more than (L+1)^2 terms, where the unstraightened
+    product would carry all 2^L."""
+    sizes = []
+    tnf = HopfContext.tnf
+
+    def recording_tnf(self, x):
+        sizes.append(len(x.terms))
+        return tnf(self, x)
+
+    monkeypatch.setattr(HopfContext, "tnf", recording_tnf)
+    rd = _k_datum(12)
+    ctx = HopfContext(rd, ParameterSet.v_tied(rd.cartan))
+    words = _serre_words(rd, ctx.params)
+    assert {len(w) for w in words} == {14}
+    for word in words:
+        delta(ctx, NCExpr.word(ctx.params, word))
+    assert sizes and max(sizes) <= 15**2
 
 
 def test_coproduct_serre_all_data():

@@ -1,5 +1,6 @@
 """Graded words, bicharacters, K-straightening, twisted tensor products."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from qtwist.ncalg import (
     TensorExpr,
     bichar,
     grade,
+    pair_twist,
     straighten,
     tmul,
 )
@@ -144,6 +146,55 @@ def test_straightening_factors_first_is_exact(name, make):
                 yt[tuple(b for _, b in pairs)] = _random_coeff(rng, p)
             x, y = TensorExpr(p, xt), TensorExpr(p, yt)
             assert tnf(tmul(tnf(x), tnf(y))) == tnf(tmul(x, y))
+
+
+def _twist_rings():
+    """(label, a2 parameter set) for the generic, v-tied and untied rings
+    (q_i = v^2, not v^{d_i}) and each specializations case's ring; super1's
+    holds sign variables."""
+    rd = rootdata.builtin("a2")
+    tied = ParameterSet.v_tied(rd.cartan)
+    v, idx = tied.v(), rd.index_set
+    untied = ParameterSet(rd.cartan, tied.ctx, [v**2 for _ in idx],
+                          [[tied.s(i, j) for j in idx] for i in idx],
+                          [[tied.t(i, j) for j in idx] for i in idx], v=v, label="untied")
+    rings = [("generic", ParameterSet.generic(rd.cartan)), ("v-tied", tied), ("untied", untied)]
+    return rings + [(case, specializations.make(case, rd).params) for case in specializations.CASES]
+
+
+_TWIST_RINGS = _twist_rings()
+
+
+@pytest.mark.parametrize("label, p", _TWIST_RINGS, ids=[label for label, _ in _TWIST_RINGS])
+def test_memoised_pair_twist_is_the_bichar_product(label, p):
+    """pair_twist's unit is t(l, r) s(r, l) for every degree pair in
+    [-3, 3]^n, both when it fills the memo and when it reads it back."""
+    degrees = list(itertools.product(range(-3, 4), repeat=p.cartan.n))
+    want = {(l, r): bichar(p, "t", l, r) * bichar(p, "s", r, l) for l in degrees for r in degrees}
+    for _ in range(2):
+        for (l, r), twist in want.items():
+            assert p.ctx.one.times_unit(*pair_twist(p, l, r)) == twist, (label, l, r)
+
+
+@pytest.mark.parametrize("name, case", [("a2", "generic"), ("g2", "v-tied"), ("a2", "super1")])
+def test_memoised_straightened_word_is_a_fresh_walk(name, case):
+    """A word straightened through rules that have already straightened many
+    others, including its own letters in other orders, gets the normal form
+    and scalar of a walk through fresh rules."""
+    rd = rootdata.builtin(name)
+    p = {"generic": ParameterSet.generic, "v-tied": ParameterSet.v_tied}.get(case)
+    p = p(rd.cartan) if p else specializations.make(case, rd).params
+    rules = StraightenRules(rd, p)
+    rng = random.Random(5)
+    words = [_random_word(rng, rd.cartan.n, 6) for _ in range(100)]
+    words += [tuple(rng.sample(w, len(w))) for w in words]
+    for _ in range(2):
+        for w in words:
+            x = NCExpr.word(p, w)
+            assert straighten(x, rules) == straighten(x, StraightenRules(rd, p)), w
+    pairs = [TensorExpr(p, {(w1, w2): p.one()}) for w1, w2 in zip(words, reversed(words))]
+    for t in pairs:
+        assert t.straighten(rules) == t.straighten(StraightenRules(rd, p))
 
 
 def test_straighten_preserves_grade(setup):

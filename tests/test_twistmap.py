@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from qtwist import rootdata, specializations, twistmap
-from qtwist.coeffring import Context, LaurentPoly, RatExpr, RingError
+from qtwist.coeffring import LaurentPoly, RatExpr, RingError
 from qtwist.ncalg import grade
 from qtwist.params import ParameterSet, twist_character
 from qtwist.presentations import (PathExpr, PathWord, divided_power, idempotent, modified_relations,
@@ -278,12 +278,10 @@ def _spy(monkeypatch, calls, cls, name):
 
 def test_word_scalars_read_no_scalar_per_letter(monkeypatch):
     """Building the map and forwarding every a2 box-2 Udot instance reads no
-    TwistScalars value and takes no unit product: the letters are the
-    characters, and each step tuple's scalar at target 0 is their forms at
-    the steps' offsets."""
+    TwistScalars value: the letters are the characters, and each step
+    tuple's scalar at target 0 is their forms at the steps' offsets."""
     calls = collections.Counter()
-    for cls, name in [(TwistScalars, "e"), (TwistScalars, "f"), (TwistScalars, "c"),
-                      (Context, "unit_product")]:
+    for cls, name in [(TwistScalars, "e"), (TwistScalars, "f"), (TwistScalars, "c")]:
         _spy(monkeypatch, calls, cls, name)
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
@@ -308,14 +306,13 @@ def _record_pairs(rd, p, window):
 def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     """The rescaling map and the exact multiple of a passing iso record only
     shift exponents.  Forwarding every a2 box-2 Udot instance takes no
-    polynomial, fraction or unit product.  A passing iso or
+    polynomial or fraction product.  A passing iso or
     dp-unit record (TwistMap.multiple) applies no map, builds no PathExpr
     and divides or multiplies no fraction."""
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
     calls = collections.Counter()
-    spied = [(LaurentPoly, "__mul__"), (RatExpr, "__mul__"), (RatExpr, "__truediv__"),
-             (Context, "unit_product")]
+    spied = [(LaurentPoly, "__mul__"), (RatExpr, "__mul__"), (RatExpr, "__truediv__")]
     instances = relations_of("Udot", rd, p, rd.weights_box(2))
     tw = TwistMap(rd, p)
     for cls, name in spied:
