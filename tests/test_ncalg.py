@@ -182,8 +182,8 @@ def test_memoised_straightened_word_is_a_fresh_walk(name, case):
     others, including its own letters in other orders, gets the normal form
     and scalar of a walk through fresh rules."""
     rd = rootdata.builtin(name)
-    p = {"generic": ParameterSet.generic, "v-tied": ParameterSet.v_tied}.get(case)
-    p = p(rd.cartan) if p else specializations.make(case, rd).params
+    makers = {"generic": ParameterSet.generic, "v-tied": ParameterSet.v_tied}
+    p = makers[case](rd.cartan) if case in makers else specializations.make(case, rd).params
     rules = StraightenRules(rd, p)
     rng = random.Random(5)
     words = [_random_word(rng, rd.cartan.n, 6) for _ in range(100)]
