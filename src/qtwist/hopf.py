@@ -24,8 +24,6 @@ loudly with a witness term, which is the intended negative control.
 
 from __future__ import annotations
 
-import time
-
 from .coeffring import qbinom
 from .ncalg import (
     NCExpr,
@@ -86,7 +84,8 @@ def _delta_symbol(ctx: HopfContext, sym) -> TensorExpr:
 
 def delta(ctx: HopfContext, x: NCExpr) -> TensorExpr:
     """Coproduct, extended to words as a product in the twisted tensor
-    square, in straightened form and memoised per word.
+    square, in straightened form and memoised per word: Delta(x) sums each
+    word's cached tensor times its coefficient into one dict.
 
     The product is straightened after every factor, so Delta of a word of
     length L holds at most about (L+1)^2 tensors, not the 2^L of the
@@ -98,15 +97,17 @@ def delta(ctx: HopfContext, x: NCExpr) -> TensorExpr:
     untied parameters too.
     """
     p = ctx.params
-    out = TensorExpr.zero(p)
+    terms: dict = {}
     for word, coeff in x.terms.items():
-        if word not in ctx._delta_cache:
-            acc = TensorExpr.unit(p, 2)
+        cached = ctx._delta_cache.get(word)
+        if cached is None:
+            cached = TensorExpr.unit(p, 2)
             for sym in word:
-                acc = ctx.tnf(tmul(acc, _delta_symbol(ctx, sym)))
-            ctx._delta_cache[word] = acc
-        out = out + ctx._delta_cache[word].scale(coeff)
-    return out
+                cached = ctx.tnf(tmul(cached, _delta_symbol(ctx, sym)))
+            ctx._delta_cache[word] = cached
+        for key, c in cached.terms.items():
+            merge_term(terms, key, c * coeff)
+    return TensorExpr(p, terms)
 
 
 def counit(ctx: HopfContext, x: NCExpr):
@@ -204,7 +205,7 @@ def verify_coproduct_serre(ctx: HopfContext, instances) -> list:
             TensorExpr.of(NCExpr.unit(p), R),
         )
         rec = CheckRecord("coprod-serre:i%d:j%d" % (i + 1, j + 1), "coprod-serre", i, j)
-        records.append(_compare(rec, ctx.tnf(delta(ctx, R)), ctx.tnf(rhs)))
+        records.append(_compare(rec, delta(ctx, R), ctx.tnf(rhs)))
     return records
 
 
@@ -305,7 +306,9 @@ def verify_bialgebra(ctx: HopfContext) -> list:
     The multiplication used to contract S(x_1) x_2 (and x_1 S(x_2)) is plain
     concatenation; on generators one tensor slot is always K-type of degree
     zero, so the bicharacter twist of the *-structure is invisible here and
-    the axiom set matches the displayed formulas.
+    the axiom set matches the displayed formulas.  delta gives normal
+    forms, so coassociativity and the counit laws compare its tensors as
+    they are, against a normalised other side.
     """
     p = ctx.params
     records = []
@@ -320,17 +323,14 @@ def verify_bialgebra(ctx: HopfContext) -> list:
         g = NCExpr.word(p, (sym,))
         dg = delta(ctx, g)
 
-        lhs3 = TensorExpr.zero(p)
-        rhs3 = TensorExpr.zero(p)
+        lhs3, rhs3 = {}, {}
         for (w1, w2), c in dg.terms.items():
-            inner = delta(ctx, NCExpr.word(p, w1))
-            for (u1, u2), cu in inner.terms.items():
-                lhs3 = lhs3 + TensorExpr(p, {(u1, u2, w2): c * cu})
-            inner = delta(ctx, NCExpr.word(p, w2))
-            for (u1, u2), cu in inner.terms.items():
-                rhs3 = rhs3 + TensorExpr(p, {(w1, u1, u2): c * cu})
+            for (u1, u2), cu in delta(ctx, NCExpr.word(p, w1)).terms.items():
+                merge_term(lhs3, (u1, u2, w2), c * cu)
+            for (u1, u2), cu in delta(ctx, NCExpr.word(p, w2)).terms.items():
+                merge_term(rhs3, (w1, u1, u2), c * cu)
         rec = CheckRecord("coassoc:%s" % name, "coassoc")
-        records.append(_compare(rec, ctx.tnf(lhs3), ctx.tnf(rhs3)))
+        records.append(_compare(rec, TensorExpr(p, lhs3), TensorExpr(p, rhs3)))
 
         left = NCExpr.zero(p)
         right = NCExpr.zero(p)
@@ -340,7 +340,7 @@ def verify_bialgebra(ctx: HopfContext) -> list:
         rec = CheckRecord("counit:%s" % name, "counit")
         for side in (left, right):
             if rec.status != FAIL:
-                _compare(rec, ctx.nf(side), ctx.nf(g))
+                _compare(rec, side, ctx.nf(g))
         records.append(rec)
 
         target = counit(ctx, g)
@@ -362,9 +362,8 @@ def verify_bialgebra(ctx: HopfContext) -> list:
 def verify_hopf(rd: RootDatum, params: ParameterSet, nmax: int = 4) -> Report:
     """The whole coalgebra campaign on one datum: coproduct powers and Serre
     compatibility, antipode compatibility, and the bialgebra axioms."""
-    t0 = time.monotonic()
-    ctx = HopfContext(rd, params)
     rep = Report("hopf", datum=rd.name, case=params.label)
+    ctx = HopfContext(rd, params)
     if not ctx.hypothesis_ok:
         rep.add(
             CheckRecord(
@@ -378,5 +377,4 @@ def verify_hopf(rd: RootDatum, params: ParameterSet, nmax: int = 4) -> Report:
     rep.extend(verify_coproduct_serre(ctx, instances))
     rep.extend(verify_antipode(ctx, instances))
     rep.extend(verify_bialgebra(ctx))
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()

@@ -21,7 +21,8 @@ and die otherwise, so the idempotent and weight-absorption relations
 
 Relation enumeration over the (infinite) weight lattice is windowed: the
 caller supplies a finite set of base weights and every relation instance is
-emitted per base weight.
+emitted per base weight.  Every builder makes one record type, Relation,
+whose side(k) is the instance over its k-th parameter set.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ from .ncalg import LinComb, NCExpr, merge_term, word_str
 from .params import ParameterSet, character_value, twist_character
 from .rootdata import RootDatum, Weight
 
-# re-exported here because the parameter family is part of the presentation
 __all__ = [
-    "ParameterSet",
     "PathWord",
     "PathExpr",
-    "RelationInstance",
-    "PathRelation",
+    "Relation",
     "modified_relations",
     "idempotent",
     "divided_power",
@@ -135,7 +133,7 @@ def divided_power(
 ) -> PathExpr:
     """l-th divided power of a raising or lowering generator, as a path, in
     integral form: [l]!_{q_i} E_i^(l) (or F_i^(l)), the word with coefficient
-    1, as a RelationInstance stores each Serre sum times [r]!_{q_i}.  For kind
+    1, as a Relation stores each Serre sum times [r]!_{q_i}.  For kind
     'E' the word climbs from lam to lam + l*alpha_i, for kind 'F' it descends
     from lam + l*alpha_i to lam."""
     if l < 0:
@@ -157,56 +155,32 @@ def _key_id(family: str, i: Optional[int], j: Optional[int]) -> str:
     return ":".join(bits)
 
 
-class _RelationKey:
-    """The sort key of a relation instance."""
+@dataclass(eq=False)
+class Relation:
+    """One relation instance of any of the four presentations, over each
+    parameter set of sides, stored as LHS - RHS in integral form: the Serre
+    sums times [r]!_{q_i} and the mixed relation c_ii times q_i - q_i^{-1},
+    so every coefficient is a Laurent polynomial.  exprs holds one
+    expression per side (NCExpr for U and scrU, PathExpr for Udot and
+    scrUdot); the parameter-free modified families a and b keep only their
+    shared path words, words = (left, right, word) with left*right == word,
+    and exprs None.  id is the instance's id text, made by the builder."""
 
-    def sort_key(self):
-        return (self.family, -1 if self.i is None else self.i, -1 if self.j is None else self.j,
-                self.lam or (), self.part)
-
-
-@dataclass(frozen=True)
-class RelationInstance(_RelationKey):
-    """One relation, stored as LHS - RHS in integral form: the Serre sums
-    times [r]!_{q_i} and the mixed relation c_ii times q_i - q_i^{-1}, so
-    every coefficient is a Laurent polynomial."""
-
+    sides: tuple
+    id: str
     family: str  # 'a', 'b', 'c', 'd-E', 'd-F'
     i: Optional[int]
     j: Optional[int]
     lam: Optional[Weight]
     part: str
-    expr: object  # PathExpr or NCExpr
-
-    @property
-    def id(self) -> str:
-        bits = [_key_id(self.family, self.i, self.j)]
-        if self.lam is not None:
-            bits.append(_lam_text(self.lam))
-        if self.part:
-            bits.append(self.part)
-        return ":".join(bits)
-
-
-@dataclass(eq=False)
-class PathRelation(_RelationKey):
-    """One modified-algebra relation instance over each parameter set of
-    sides, on shared path words: words = (left, right, word) for families a
-    and b, left*right == word, and one PathExpr per side in exprs for c, d.
-    id is the instance's id text, made by the builder from per-template and
-    per-weight pieces."""
-
-    sides: tuple
-    id: str
-    family: str
-    i: Optional[int]
-    j: Optional[int]
-    lam: Weight
-    part: str
     words: Optional[tuple]
     exprs: Optional[tuple]
 
-    def expr(self, k: int) -> PathExpr:
+    def sort_key(self):
+        return (self.family, -1 if self.i is None else self.i, -1 if self.j is None else self.j,
+                self.lam or (), self.part)
+
+    def side(self, k: int):
         """The instance over sides[k]; for families a and b, left*right - word."""
         if self.exprs is not None:
             return self.exprs[k]
@@ -216,6 +190,11 @@ class PathRelation(_RelationKey):
         if terms and product is not None:
             terms[product] = params.one()
         return PathExpr(params, terms)
+
+    @property
+    def expr(self):
+        """The instance over the first (for relations_of, the only) side."""
+        return self.side(0)
 
 
 def _serre_ratios(params: ParameterSet, i: int, j: int):
@@ -243,7 +222,7 @@ def _serre_terms(params: ParameterSet, i: int, j: int, r: int, kind: str):
 
 def modified_relations(rd: RootDatum, sides: tuple, window):
     """Every modified-algebra relation instance over a window of base
-    weights, in sort_key order, as PathRelations over the parameter sets of
+    weights, in sort_key order, as Relations over the parameter sets of
     sides, yielded one at a time: each path word is built once for every
     side, and the builder keeps no instance it has yielded.  An empty window
     raises ValueError here, at the call."""
@@ -259,7 +238,7 @@ def _modified_relations(rd: RootDatum, sides: tuple, window: list):
     table per side, the weight shift between a word's target and source, and
     its id text; each instance then only places its words at the window
     weight."""
-    word, rel = PathWord._placed, partial(PathRelation, sides)
+    word, rel = PathWord._placed, partial(Relation, sides)
     lam_ids = {lam: _lam_text(lam) for lam in window}
     units = {lam: word(lam, (), lam) for lam in window}
     for lam, unit in units.items():
@@ -319,7 +298,7 @@ def _serre_relations(rd, sides: tuple, kind: str, i: int, j: int, window: list, 
     index = {s: k for k, s in enumerate(steps)}
     tables = [(p, [(index[s], c) for s, c in terms]) for p, terms in serre]
     lift = rd.step_shift((("F", i),) * r + (("F", j),))
-    word, rel = PathWord._placed, partial(PathRelation, sides)
+    word, rel = PathWord._placed, partial(Relation, sides)
     key, family = _key_id("d-" + kind, i, j) + ":", "d-" + kind
     for lam in window:
         top = tuple(map(add, lam, lift))
@@ -332,8 +311,14 @@ def _serre_relations(rd, sides: tuple, kind: str, i: int, j: int, window: list, 
 def _nc_relations(algebra, rd, params):
     """Relation instances of the unital algebras as free-word expressions.
     The two differ only in their generators: U has K_i^{-1} where scrU has
-    K'_i."""
+    K'_i.  An id is the template's id text, then the part when there is one."""
     out = []
+
+    def emit(family, i, j, part, expr):
+        key = _key_id(family, i, j)
+        out.append(Relation((params,), key + ":" + part if part else key, family, i, j, None, part,
+                            None, (expr,)))
+
     idx = list(rd.index_set)
     W = lambda *syms: NCExpr.word(params, syms)
     kfams, kneg = (("K", "Kp"), "Kp") if algebra == "scrU" else (("K",), "Kinv")
@@ -344,14 +329,13 @@ def _nc_relations(algebra, rd, params):
                 for j in idx:
                     if a_fam == b_fam and i >= j:
                         continue
-                    expr = W((a_fam, i), (b_fam, j)) - W((b_fam, j), (a_fam, i))
-                    out.append(RelationInstance("a", i, j, None, a_fam + b_fam + "-comm", expr))
+                    emit("a", i, j, a_fam + b_fam + "-comm",
+                        W((a_fam, i), (b_fam, j)) - W((b_fam, j), (a_fam, i)))
     for fam in kfams:
         for i in idx:
             k, inv = (fam, i), (fam + "inv", i)
             for part, word in (("-inv", (k, inv)), ("-inv2", (inv, k))):
-                expr = W(*word) - NCExpr.unit(params)
-                out.append(RelationInstance("a", i, None, None, fam + part, expr))
+                emit("a", i, None, fam + part, W(*word) - NCExpr.unit(params))
 
     for i in idx:
         for j in idx:
@@ -363,8 +347,8 @@ def _nc_relations(algebra, rd, params):
             for (fam, ef), c in scalars.items():
                 if fam not in kfams:
                     continue
-                expr = W((fam, i), (ef, j), (fam + "inv", i)) - W((ef, j)).scale(c)
-                out.append(RelationInstance("b", i, j, None, "%s-%s" % (fam, ef), expr))
+                emit("b", i, j, "%s-%s" % (fam, ef),
+                    W((fam, i), (ef, j), (fam + "inv", i)) - W((ef, j)).scale(c))
 
     for i in idx:
         for j in idx:
@@ -374,7 +358,7 @@ def _nc_relations(algebra, rd, params):
                 # times q_i - q_i^{-1}, the integral form of the mixed relation
                 qi = params.q(i)
                 lhs = lhs.scale(qi - qi.inv_unit()) - (W(("K", i)) - W((kneg, i)))
-            out.append(RelationInstance("c", i, j, None, "", lhs))
+            emit("c", i, j, "", lhs)
 
     for i in idx:
         for j in idx:
@@ -382,8 +366,7 @@ def _nc_relations(algebra, rd, params):
                 continue
             r = rd.cartan.serre_exponent(i, j)
             for kind in ("E", "F"):
-                terms = dict(_serre_terms(params, i, j, r, kind))
-                out.append(RelationInstance("d-" + kind, i, j, None, "", NCExpr(params, terms)))
+                emit("d-" + kind, i, j, "", NCExpr(params, dict(_serre_terms(params, i, j, r, kind))))
     out.sort(key=lambda r: r.sort_key())
     return out
 
@@ -399,8 +382,7 @@ def relations_of(algebra: str, rd: RootDatum, params: ParameterSet, window=None)
     if algebra in ("U", "Udot"):
         params = params.untwisted()
     if algebra in ("Udot", "scrUdot"):
-        return [RelationInstance(r.family, r.i, r.j, r.lam, r.part, r.expr(0))
-                for r in modified_relations(rd, (params,), window)]
+        return list(modified_relations(rd, (params,), window))
     if algebra in ("U", "scrU"):
         return _nc_relations(algebra, rd, params)
     raise ValueError("unknown algebra %r" % algebra)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,6 +56,9 @@ class Report:
     case: str = ""
     checks: list = field(default_factory=list)
     elapsed_ms: int = 0
+    # time.monotonic() when the report was made; finalize measures from it
+    started: float = field(default_factory=lambda: time.monotonic(), init=False, repr=False,
+                           compare=False)
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)
@@ -64,11 +68,14 @@ class Report:
         self.checks.extend(records)
 
     def merge(self, other: "Report") -> None:
+        """Take other's checks; its time was spent inside this report's span."""
         self.checks.extend(other.checks)
-        self.elapsed_ms += other.elapsed_ms
 
     def finalize(self) -> "Report":
+        """Sort the checks and set elapsed_ms to the wall time since the
+        report was made."""
         self.checks.sort(key=lambda c: c.id)
+        self.elapsed_ms = int((time.monotonic() - self.started) * 1000)
         return self
 
     @property

@@ -237,41 +237,47 @@ def _identity(k):
 # Built-in data.  Types A1 and A2 use gl-style lattices (X = Z^2, Z^3 with
 # roots e_i - e_{i+1}) so the fundamental coweights are integral and the
 # familiar string/natural modules have integral weights; the others use the
-# root-lattice coordinates alpha_j = e_j.
+# root-lattice coordinates alpha_j = e_j.  Each entry is written in the
+# datum-file format and read by from_dict, like a file.
 BUILTINS = {
     "a1": dict(
+        I_size=1,
         dot=((2,),),
-        x_rank=2,
+        X_rank=2,
         alpha=((1, -1),),
         coroot=((1, -1),),
         coweight=((1, 0),),
     ),
     "a1xa1": dict(
+        I_size=2,
         dot=((2, 0), (0, 2)),
-        x_rank=2,
+        X_rank=2,
         alpha=((1, 0), (0, 1)),
         coroot=((2, 0), (0, 2)),
         coweight=((1, 0), (0, 1)),
     ),
     "a2": dict(
+        I_size=2,
         dot=((2, -1), (-1, 2)),
-        x_rank=3,
+        X_rank=3,
         alpha=((1, -1, 0), (0, 1, -1)),
         coroot=((1, -1, 0), (0, 1, -1)),
         coweight=((1, 0, 0), (1, 1, 0)),
     ),
     "b2": dict(
         # long root first: d = (2, 1), a_12 = -1, a_21 = -2
+        I_size=2,
         dot=((4, -2), (-2, 2)),
-        x_rank=2,
+        X_rank=2,
         alpha=((1, 0), (0, 1)),
         coroot=((2, -1), (-2, 2)),
         coweight=((1, 0), (0, 1)),
     ),
     "g2": dict(
         # short root first: d = (1, 3), a_12 = -3, a_21 = -1
+        I_size=2,
         dot=((2, -3), (-3, 6)),
-        x_rank=2,
+        X_rank=2,
         alpha=((1, 0), (0, 1)),
         coroot=((2, -3), (-1, 2)),
         coweight=((1, 0), (0, 1)),
@@ -280,23 +286,11 @@ BUILTINS = {
 
 
 def builtin(name: str) -> RootDatum:
+    """The named built-in, read and validated as a datum file would be."""
     key = name.lower()
     if key not in BUILTINS:
         raise DatumError("unknown built-in root datum %r (have %s)" % (name, sorted(BUILTINS)))
-    entry = BUILTINS[key]
-    rd = RootDatum(
-        cartan=CartanDatum(dot=entry["dot"]),
-        x_rank=entry["x_rank"],
-        alpha=entry["alpha"],
-        coroot=entry["coroot"],
-        coweight=entry["coweight"],
-        pairing=_identity(entry["x_rank"]),
-        name=key,
-    )
-    errs = rd.validate()
-    if errs:  # would be a table bug, not a user error
-        raise DatumError("built-in %s failed validation: %s" % (key, errs))
-    return rd
+    return from_dict(BUILTINS[key], name=key)
 
 
 def _integer(x) -> int:

@@ -35,7 +35,6 @@ denominators builds the image and compares it as fractions
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from functools import partial
 from operator import add, mul
@@ -251,18 +250,16 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     templates carry the same Gaussian binomial [r, l]_{q_i}, so image == N *
     target makes every word's rescaling scalar N times its ratio^l.
     """
-    t0 = time.monotonic()
     rep = Report("iso", datum=rd.name, case=params.label)
     record = partial(_iso_record, TwistMap(rd, params))
     # the loop names records, not instances: none is held once its record is made
     for rec in map(record, modified_relations(rd, (params.untwisted(), params), window)):
         rep.add(rec)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()
 
 
 def _iso_record(tw: TwistMap, rel) -> CheckRecord:
-    """The iso record of one PathRelation (see verify_twist_isomorphism)."""
+    """The iso record of one Relation (see verify_twist_isomorphism)."""
     rec = CheckRecord("iso:" + rel.id, rel.family, rel.i, rel.j, rel.lam)
     if rel.exprs is None:
         left, right, word = rel.words
@@ -271,7 +268,7 @@ def _iso_record(tw: TwistMap, rel) -> CheckRecord:
         else:
             rec.status = FAIL
             rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
-                rel.family, rel.expr(0), rel.expr(1))
+                rel.family, rel.side(0), rel.side(1))
         return rec
     simple = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
     if simple is not None and rel.family == "c":
@@ -297,7 +294,6 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
     divided power, both in integral form with the same [l]!_{q_i} (TwistMap
     requires q_i = v^{d_i}), so N and every printed scalar stay the same; a
     missing or non-unit multiple fails the record as in the iso campaign."""
-    t0 = time.monotonic()
     rep = Report("integrality", datum=rd.name, case=params.label)
     tw = TwistMap(rd, params)
     sc = tw.scalars
@@ -335,5 +331,4 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
                     rec.status = FAIL
                     rec.witness = "%s: backward(forward) %s, forward(backward) %s" % (
                         next(iter(g.terms)), bf, fb)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()

@@ -155,6 +155,22 @@ def test_delta_per_factor_is_the_straightened_product(name, make):
         assert delta(ctx, NCExpr.word(p, word)) == fresh.tnf(product), word
 
 
+@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
+@pytest.mark.parametrize("make", [ParameterSet.v_tied, ParameterSet.generic], ids=["v-tied", "generic"])
+def test_delta_of_every_scru_instance_is_a_normal_form(name, make):
+    """delta hands back normal forms, so its callers compare it without
+    straightening again: straightening Delta of each scrU instance changes
+    no key and no coefficient."""
+    rd = rootdata.builtin(name)
+    p = make(rd.cartan)
+    ctx = HopfContext(rd, p)
+    for inst in relations_of("scrU", rd, p):
+        d = delta(ctx, inst.expr)
+        straightened = ctx.tnf(d)
+        assert straightened.terms.keys() == d.terms.keys(), inst.id
+        assert all(straightened.terms[k] == c for k, c in d.terms.items()), inst.id
+
+
 def test_delta_of_a_long_serre_word_stays_small(monkeypatch):
     """Delta of a word is straightened after every factor: on the k = 12
     datum, whose Serre words have length L = 14, no tensor that delta hands

@@ -595,7 +595,7 @@ def _kp_e_scaled_relations(algebra, rd, params, window=None):
         if (inst.family, inst.i, inst.j, inst.part) == ("b", 0, 0, "Kp-E"):
             terms = dict(inst.expr.terms)
             terms[(("E", 0),)] = terms[(("E", 0),)] * params.rat(params.q(0))
-            inst = dataclasses.replace(inst, expr=NCExpr(params, terms))
+            inst = dataclasses.replace(inst, exprs=(NCExpr(params, terms),))
         out.append(inst)
     return out
 
@@ -627,7 +627,7 @@ def _k_part_scaled_relations(algebra, rd, params, window=None):
             q = params.rat(params.q(inst.i))
             terms = {w: c * q if w and w[0][0] not in ("E", "F") else c
                      for w, c in inst.expr.terms.items()}
-            inst = dataclasses.replace(inst, expr=NCExpr(params, terms))
+            inst = dataclasses.replace(inst, exprs=(NCExpr(params, terms),))
         out.append(inst)
     return out
 

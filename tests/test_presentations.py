@@ -480,9 +480,9 @@ def test_untwisted_side_is_lusztigs_presentation(case):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     shared = paired = 0
     for rel, ref in zip(pairs, lusztig):
-        x, target = rel.expr(0), rel.expr(1)
+        x, target = rel.side(0), rel.side(1)
         assert x.params is u and target.params is p
-        assert x == ref.expr(1) and str(x) == str(ref.expr(1)), rel.id
+        assert x == ref.side(1) and str(x) == str(ref.side(1)), rel.id
         if rel.family in ("a", "b"):
             assert rel.exprs is None and x.is_zero() and target.is_zero(), rel.id
             continue
@@ -517,3 +517,40 @@ def test_every_relation_coefficient_is_a_laurent_polynomial(case):
         bad = [(inst.id, str(c)) for inst in instances for c in inst.expr.terms.values()
                if not c.den.is_one()]
         assert bad == [], algebra
+
+
+@pytest.mark.parametrize("case", list(_integral_cases()), ids=lambda c: c[0])
+def test_every_presentation_gives_one_relation_type(case):
+    """relations_of and modified_relations make one record type, and
+    relations_of("scrUdot") is the one-sided modified_relations itself: the
+    same ids in the same order, each expr its side(0)."""
+    _, rd, p, algebras = case
+    window = rd.weights_box(1)
+    for algebra in algebras:
+        instances = relations_of(algebra, rd, p, window if algebra.endswith("dot") else None)
+        assert all(type(inst) is presentations.Relation for inst in instances), algebra
+    listed = relations_of("scrUdot", rd, p, window)
+    made = list(modified_relations(rd, (p,), window))
+    assert all(type(inst) is presentations.Relation for inst in made)
+    assert [r.id for r in listed] == [r.id for r in made]
+    for rel, ref in zip(listed, made):
+        assert rel.sides == (p,) and rel.expr == rel.side(0) == ref.side(0), rel.id
+
+
+def _instance_id(rel):
+    """The id rule of the unital presentations: family, then i and j
+    (1-based) when set, the weight when set, and the part when nonempty."""
+    bits = [rel.family] + ["%s%d" % (name, k + 1) for name, k in (("i", rel.i), ("j", rel.j))
+                           if k is not None]
+    if rel.lam is not None:
+        bits.append("lam(%s)" % ",".join(map(str, rel.lam)))
+    if rel.part:
+        bits.append(rel.part)
+    return ":".join(bits)
+
+
+def test_scru_ids_follow_the_instance_rule(a2):
+    rd, p = a2
+    instances = relations_of("scrU", rd, p)
+    assert [r.id for r in instances] == [_instance_id(r) for r in instances]
+    assert [r.id for r in instances[:3]] == ["a:i1:K-inv", "a:i1:K-inv2", "a:i1:Kp-inv"]

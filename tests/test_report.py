@@ -3,6 +3,7 @@ sort_keys=True) from fixed record templates, and to_dict stays the contract
 it is compared against, on hand-made reports and on random ones."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -58,3 +59,16 @@ _report = st.builds(
 def test_to_json_matches_json_dumps_on_random_reports(rep, include_timing):
     want = json.dumps(rep.to_dict(include_timing), indent=2, sort_keys=True)
     assert rep.to_json(include_timing) == want
+
+
+def test_finalize_sets_the_elapsed_time_and_merge_adds_none(monkeypatch):
+    """finalize reads the wall time since the report was made; a merged
+    report ran inside that span, so merge takes its checks and no time."""
+    clock = iter([10.0, 10.5, 11.0, 12.25])
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    outer, inner = Report("iso"), Report("integrality")
+    inner.add(CheckRecord("dp-unit:E"))
+    assert inner.finalize().elapsed_ms == 500
+    outer.merge(inner)
+    assert outer.elapsed_ms == 0 and [c.id for c in outer.checks] == ["dp-unit:E"]
+    assert outer.finalize().elapsed_ms == 2250

@@ -1,5 +1,6 @@
 """Built-in root data, pairings, validation, and the config loader."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +12,17 @@ from qtwist.presentations import PathWord
 from qtwist.rootdata import CartanDatum, DatumError, RootDatum
 
 ALL = ("a1", "a1xa1", "a2", "b2", "g2")
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_builtin_entry_is_a_datum_file(tmp_path, name):
+    """Each built-in entry, written as JSON and loaded as a datum file, is
+    the built-in itself: both go through from_dict."""
+    path = tmp_path / (name + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rootdata.BUILTINS[name], fh)
+    loaded = rootdata.load(str(path))
+    assert dataclasses.replace(loaded, name=name) == rootdata.builtin(name)
 
 
 @pytest.mark.parametrize("name", ALL)

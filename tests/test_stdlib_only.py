@@ -28,3 +28,14 @@ def test_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert not outside, outside
+
+
+def test_only_the_report_reads_the_clock():
+    """Report owns the campaign clock: no other runtime module imports time."""
+    readers = sorted(
+        path.name
+        for path in SOURCES
+        for _, name in _absolute_imports(ast.parse(path.read_text(), str(path)))
+        if name == "time"
+    )
+    assert readers == ["report.py"], readers
