@@ -24,6 +24,8 @@ loudly with a witness term, which is the intended negative control.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .coeffring import qbinom
 from .ncalg import (
     NCExpr,
@@ -65,21 +67,26 @@ class HopfContext:
         return x.straighten(self.rules)
 
 
+# Delta and S of each generator kind, in words of kinds at the generator's
+# index: the coproduct's (left, right) tensor words, then S's sign and word.
+GENERATORS = {
+    "K": (((("K",), ("K",)),), 1, ("Kinv",)),
+    "Kinv": (((("Kinv",), ("Kinv",)),), 1, ("K",)),
+    "Kp": (((("Kp",), ("Kp",)),), 1, ("Kpinv",)),
+    "Kpinv": (((("Kpinv",), ("Kpinv",)),), 1, ("Kp",)),
+    "E": (((("E",), ()), (("K",), ("E",))), -1, ("Kinv", "E")),
+    "F": ((((), ("F",)), (("F",), ("Kp",))), -1, ("F", "Kpinv")),
+}
+
+
+def _at(kinds, i) -> tuple:
+    return tuple((kind, i) for kind in kinds)
+
+
 def _delta_symbol(ctx: HopfContext, sym) -> TensorExpr:
     kind, i = sym
     p = ctx.params
-    if kind in ("K", "Kinv", "Kp", "Kpinv"):
-        w = ((kind, i),)
-        return TensorExpr(p, {(w, w): p.one()})
-    if kind == "E":
-        e = (("E", i),)
-        k = (("K", i),)
-        return TensorExpr(p, {(e, ()): p.one(), (k, e): p.one()})
-    if kind == "F":
-        f = (("F", i),)
-        kp = (("Kp", i),)
-        return TensorExpr(p, {((), f): p.one(), (f, kp): p.one()})
-    raise ValueError("no coproduct for %r" % (sym,))
+    return TensorExpr(p, {(_at(l, i), _at(r, i)): p.one() for l, r in GENERATORS[kind][0]})
 
 
 def delta(ctx: HopfContext, x: NCExpr) -> TensorExpr:
@@ -122,24 +129,18 @@ def counit(ctx: HopfContext, x: NCExpr):
 def antipode(ctx: HopfContext, x: NCExpr) -> NCExpr:
     """Algebra map into the twisted-opposite algebra.
 
-    On generators: E_i -> -K_i^{-1} E_i, F_i -> -F_i Kp_i^{-1}, K-types are
-    inverted.  A word maps to the *-product of the images, which reverses
-    the word and collects the bicharacter twist of each transposition.
+    On generators it is ``GENERATORS``' sign times word: E_i -> -K_i^{-1} E_i,
+    F_i -> -F_i Kp_i^{-1}, K-types are inverted.  A word maps to the
+    *-product of the images, which reverses the word and collects the
+    bicharacter twist of each transposition.
     """
     p = ctx.params
-    images = {
-        "E": lambda i: NCExpr.word(p, (("Kinv", i), ("E", i)), -1),
-        "F": lambda i: NCExpr.word(p, (("F", i), ("Kpinv", i)), -1),
-        "K": lambda i: NCExpr.word(p, (("Kinv", i),)),
-        "Kinv": lambda i: NCExpr.word(p, (("K", i),)),
-        "Kp": lambda i: NCExpr.word(p, (("Kpinv", i),)),
-        "Kpinv": lambda i: NCExpr.word(p, (("Kp", i),)),
-    }
     out = NCExpr.zero(p)
     for word, coeff in x.terms.items():
         acc = NCExpr.unit(p)
-        for sym in word:
-            acc = star_mul(p, acc, images[sym[0]](sym[1]))
+        for kind, i in word:
+            _, sign, image = GENERATORS[kind]
+            acc = star_mul(p, acc, NCExpr.word(p, _at(image, i), sign))
         out = out + acc.scale(coeff)
     return out
 
@@ -312,15 +313,9 @@ def verify_bialgebra(ctx: HopfContext) -> list:
     """
     p = ctx.params
     records = []
-    gens = []
-    for i in ctx.rd.index_set:
-        gens.extend(
-            [("E%d" % (i + 1), ("E", i)), ("F%d" % (i + 1), ("F", i)),
-             ("K%d" % (i + 1), ("K", i)), ("Kp%d" % (i + 1), ("Kp", i)),
-             ("Kinv%d" % (i + 1), ("Kinv", i)), ("Kpinv%d" % (i + 1), ("Kpinv", i))]
-        )
-    for name, sym in gens:
-        g = NCExpr.word(p, (sym,))
+    for kind, i in product(GENERATORS, ctx.rd.index_set):
+        name = "%s%d" % (kind, i + 1)
+        g = NCExpr.word(p, ((kind, i),))
         dg = delta(ctx, g)
 
         lhs3, rhs3 = {}, {}

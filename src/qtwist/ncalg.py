@@ -30,7 +30,6 @@ from .params import ParameterSet
 
 E_KIND = "E"
 F_KIND = "F"
-K_KINDS = ("K", "Kinv", "Kp", "Kpinv")
 _KIND_RANK = {"K": 0, "Kinv": 1, "Kp": 2, "Kpinv": 3, "E": 4, "F": 5}
 
 

@@ -311,7 +311,9 @@ def from_dict(data: dict, name: str = "") -> RootDatum:
         dot = matrix("dot")
         x_rank = _integer(data["X_rank"])
         alpha, coroot, coweight = matrix("alpha"), matrix("coroot"), matrix("coweight")
-        pairing = matrix("pairing") if "pairing" in data else _identity(x_rank)
+        # the default pairing is X_rank^2 entries; validate refuses rows of other lengths
+        fits = all(len(row) == x_rank for row in alpha + coroot + coweight)
+        pairing = matrix("pairing") if "pairing" in data else _identity(x_rank if fits else 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise DatumError("malformed root datum config: %s" % exc)
     if len(dot) != n:

@@ -242,19 +242,13 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     theta = [[None] * n for _ in range(n)]
     for i in range(n):
         theta[i][i] = ctx.poly(epsval[(i, i)])
-    free_theta = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
             if rank[i] < rank[j]:
-                key = (i, j)
-                if key not in free_theta:
-                    free_theta[key] = ctx.laurent("th%d%d" % (i + 1, j + 1))
-                theta[i][j] = free_theta[key]
+                theta[i][j] = ctx.laurent("th%d%d" % (i + 1, j + 1))
     for i in range(n):
         for j in range(n):
-            if i != j and rank[i] > rank[j]:
+            if rank[i] > rank[j]:
                 # resolved against the free one on the other side of the order
                 a_ji = cartan.a(j, i)
                 a_ij = cartan.a(i, j)

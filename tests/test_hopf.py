@@ -5,6 +5,7 @@ import pytest
 from qtwist import rootdata
 from qtwist.coeffring import LaurentPoly, qint
 from qtwist.hopf import (
+    GENERATORS,
     HopfContext,
     _delta_symbol,
     antipode,
@@ -17,7 +18,7 @@ from qtwist.hopf import (
     verify_coproduct_serre,
     verify_hopf,
 )
-from qtwist.ncalg import NCExpr, TensorExpr, tmul, word_key
+from qtwist.ncalg import _KIND_RANK, NCExpr, TensorExpr, tmul, word_key
 from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 
@@ -47,6 +48,33 @@ def test_delta_generators(a1ctx):
     dF = delta(ctx, NCExpr.word(p, (("F", 0),)))
     assert dF.terms[((), (("F", 0),))] == p.rat(1)
     assert dF.terms[((("F", 0),), (("Kp", 0),))] == p.rat(1)
+
+
+@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
+def test_delta_and_antipode_of_every_generator(name):
+    """Delta and S of all six generator kinds at every index, written out:
+    K-types are grouplike and S inverts them, Delta(E) = E x 1 + K x E,
+    Delta(F) = 1 x F + F x Kp, S(E) = -Kinv E and S(F) = -F Kpinv."""
+    rd = rootdata.builtin(name)
+    ctx = HopfContext(rd, ParameterSet.v_tied(rd.cartan))
+    p = ctx.params
+    inverse = {"K": "Kinv", "Kinv": "K", "Kp": "Kpinv", "Kpinv": "Kp"}
+    for i in rd.index_set:
+        for kind, inv in inverse.items():
+            w = ((kind, i),)
+            assert delta(ctx, NCExpr.word(p, w)) == TensorExpr.word(p, (w, w))
+            assert antipode(ctx, NCExpr.word(p, w)) == NCExpr.word(p, ((inv, i),))
+        e, f = (("E", i),), (("F", i),)
+        k, kp = (("K", i),), (("Kp", i),)
+        assert delta(ctx, NCExpr.word(p, e)) == TensorExpr(p, {(e, ()): p.one(), (k, e): p.one()})
+        assert delta(ctx, NCExpr.word(p, f)) == TensorExpr(p, {((), f): p.one(), (f, kp): p.one()})
+        assert antipode(ctx, NCExpr.word(p, e)) == NCExpr.word(p, (("Kinv", i), ("E", i)), -1)
+        assert antipode(ctx, NCExpr.word(p, f)) == NCExpr.word(p, (("F", i), ("Kpinv", i)), -1)
+
+
+def test_generator_table_has_every_letter_kind():
+    """A new letter kind cannot arrive without a coproduct and an antipode."""
+    assert set(GENERATORS) == set(_KIND_RANK)
 
 
 def test_delta_square_coefficient(a1ctx):

@@ -224,6 +224,26 @@ def test_loader_rejects_dependent_roots(tmp_path):
         rootdata.load(str(path))
 
 
+def test_loader_refuses_short_rows_without_the_default_pairing(tmp_path, monkeypatch):
+    """Rows shorter than X_rank are refused before the X_rank x X_rank
+    default pairing is built, so a huge X_rank cannot stall the loader."""
+    sizes = []
+    identity = rootdata._identity
+
+    def spy(k):
+        sizes.append(k)
+        return identity(k)
+
+    monkeypatch.setattr(rootdata, "_identity", spy)
+    data = {"I_size": 1, "dot": [[2]], "X_rank": 2048,
+            "alpha": [[2, 0]], "coroot": [[1, 0]], "coweight": [[1, 0]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DatumError, match="alpha must be 1 rows of length 2048"):
+        rootdata.load(str(path))
+    assert 2048 not in sizes
+
+
 # a unimodular, non-symmetric pairing per lattice rank, with its inverse
 _PAIRINGS = {
     2: (((2, 3), (1, 2)), ((2, -3), (-1, 2))),
