@@ -11,9 +11,7 @@ from .coeffring import (
     RingError,
     gauss_vanish,
     qbinom,
-    qfact,
     qint,
-    substitute,
 )
 from .params import ParameterSet
 from .rootdata import CartanDatum, DatumError, RootDatum, builtin
@@ -25,10 +23,8 @@ __all__ = [
     "RingError",
     "NotDivisible",
     "qint",
-    "qfact",
     "qbinom",
     "gauss_vanish",
-    "substitute",
     "ParameterSet",
     "CartanDatum",
     "RootDatum",

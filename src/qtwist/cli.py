@@ -3,10 +3,10 @@ deterministic text/JSON reports.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors
 (argparse, including a flag the subcommand does not read), 3 invalid
-configuration (bad datum/constraint files, negative window sizes, qcalc
-values out of range, --omega/--order/--signs given for a case that does not
-read them or --signs naming a pair twice or outside the index set), 4 I/O
-failures, 5 internal errors (any other exception).
+configuration (bad datum or --omega grading-matrix files, negative window
+sizes, qcalc values out of range, --omega/--order/--signs given for a case
+that does not read them or --signs naming a pair twice or outside the index
+set), 4 I/O failures, 5 internal errors (any other exception).
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ canonical term order once and for all.  Two kinds of variables exist:
 
 Outside this module a variable is its name, and its value is its generator,
 the LaurentPoly that declaring it returns (ctx[name] gives it again).  Its
-powers are generator powers, and a substitution maps names to images, so
-one map applies to every ring that declares those names.  The Var records
-in ctx.vars (index, name, kind, denominator bound) are bookkeeping that
-only this module reads.
+powers are generator powers, and a map of variables (a specialization's
+sigma) is keyed by name, so one map applies to every ring that declares
+those names.  The Var records in ctx.vars (index, name, kind, denominator
+bound) are bookkeeping that only this module reads.
 
 Coefficients are exact rationals stored integer-first: a coefficient is an
 int when it is integral and otherwise a Fraction with denominator > 1; it is
@@ -46,7 +46,7 @@ no seeded defect builds no denominator (tests/test_integral_forms.py).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -112,7 +112,6 @@ class Context:
         self._sign_digits: list = []  # (bit offset, lower-digit bias) per sign variable
         self._gens: dict[str, LaurentPoly] = {}  # name -> generator
         self._qint_cache: dict = {}
-        self._qfact_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
         self.one = LaurentPoly(self, {0: 1})
         self.zero = LaurentPoly(self, {})
@@ -483,32 +482,6 @@ class LaurentPoly:
         q = LaurentPoly(ctx, _canon({m: c for m, c in quot.items() if c != 0}))
         return q.times_unit(sa - sb)
 
-    # -- substitution ------------------------------------------------------------
-
-    def subs(self, images: Mapping[str, "LaurentPoly"], ctx_out: Context) -> "LaurentPoly":
-        """Apply a substitution sending each variable, by name, to a signed
-        unit monomial.
-
-        The map must be total on the variables that occur; images must be
-        single-term (invertible) polynomials in the target context.
-        """
-        out = ctx_out.zero
-        for m, c in self.terms.items():
-            acc = ctx_out.poly(c)
-            for idx, s in self.ctx.mono_exps(m):
-                var = self.ctx.vars[idx]
-                img = images.get(var.name)
-                if img is None:
-                    raise RingError("unbound variable %r in substitution" % var.name)
-                if img.ctx is not ctx_out:
-                    raise RingError("image of %r lives in the wrong context" % var.name)
-                if img.unit_mono() is None:
-                    raise RingError("image of %r is not an invertible monomial" % var.name)
-                e = Fraction(s, var.denom) if var.kind == LAURENT else Fraction(s)
-                acc = acc * img.unit_pow(e)
-            out = out + acc
-        return out
-
     # -- display -------------------------------------------------------------------
 
     def __str__(self):
@@ -692,9 +665,6 @@ class RatExpr:
 
     __hash__ = None
 
-    def subs(self, images, ctx_out: Context) -> "RatExpr":
-        return RatExpr(self.num.subs(images, ctx_out), self.den.subs(images, ctx_out))
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -734,20 +704,6 @@ def qint_signed(n: int, q: LaurentPoly) -> LaurentPoly:
     return -qint(-n, q)
 
 
-def qfact(n: int, q: LaurentPoly) -> LaurentPoly:
-    """q-factorial [n]! = [1][2]...[n]."""
-    if n < 0:
-        raise ValueError("qfact requires n >= 0")
-    key = ("qfact", _unit_key(q), n)
-    cache = q.ctx._qfact_cache
-    if key not in cache:
-        out = q.ctx.one
-        for p in range(1, n + 1):
-            out = out * qint(p, q)
-        cache[key] = out
-    return cache[key]
-
-
 def qbinom(n: int, p: int, q: LaurentPoly) -> LaurentPoly:
     """Gaussian binomial [n, p] = [n]! / ([p]! [n-p]!), built without division.
 
@@ -783,7 +739,3 @@ def gauss_vanish(n: int, q: LaurentPoly) -> LaurentPoly:
         out = out + term if l % 2 == 0 else out - term
     return out
 
-
-def substitute(x, images: Mapping[str, LaurentPoly], ctx_out: Context):
-    """Ring homomorphism determined by variable name -> signed unit monomial."""
-    return x.subs(images, ctx_out)

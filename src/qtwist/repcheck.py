@@ -5,8 +5,8 @@ and a relation's coefficient enters only in verify_module.
 
 A module keeps one sparse matrix per generator symbol, as columns: column b
 lists the (row, entry) pairs of its nonzero entries.  Construction,
-transport, negative controls and evaluation all read and write this one
-form; no dense matrix is ever built.
+transport and evaluation (and the tests' negative controls) all read and
+write this one form; no dense matrix is ever built.
 
 One string rule (string_module) builds every stock module from its weights:
 the (n+1)-dimensional string modules of the rank-1 datum and the natural
@@ -217,13 +217,6 @@ def kkp_eigenvalue_records(mod: WeightModule, scalars: TwistScalars) -> list:
             )
         )
     return out
-
-
-def corrupt(mod: WeightModule, kind: str, i: int, factor) -> WeightModule:
-    """Negative control: damage one generator matrix by a unit factor."""
-    cols = dict(mod.cols)
-    cols[(kind, i)] = _scaled(mod.cols[(kind, i)], [mod.params.ctx.poly(factor)] * mod.dim)
-    return WeightModule(mod.rd, mod.params, mod.weights, cols, mod.label + "+corrupt")
 
 
 def verify_transported_modules(case: str, max_n: int = 6) -> Report:

@@ -197,7 +197,8 @@ class RootDatum:
                     errs.append("<coweight_%d, alpha_%d> = %d, expected %d" % (i, j, got, want))
         if _rank(self.alpha)[0] != n:
             errs.append("simple roots are not linearly independent in X")
-        det = _rank(self.pairing)[1]
+        # the default identity pairing is perfect; _rank is O(X_rank^3)
+        det = 1 if self.pairing == _identity(self.x_rank) else _rank(self.pairing)[1]
         if abs(det) != 1:
             errs.append("pairing Y x X -> Z is not perfect: determinant %s, expected +-1" % det)
         return errs
@@ -231,7 +232,7 @@ def _rank(rows) -> tuple:
 
 
 def _identity(k):
-    return tuple(tuple(1 if a == b else 0 for b in range(k)) for a in range(k))
+    return tuple((0,) * a + (1,) + (0,) * (k - 1 - a) for a in range(k))
 
 
 # Built-in data.  Types A1 and A2 use gl-style lattices (X = Z^2, Z^3 with

@@ -114,9 +114,13 @@ def _specialize(name: str, rd: RootDatum, v, s, t, constraints, meta) -> Special
     return Specialization(name, rd, params, sigma, constraints, meta)
 
 
-def two_parameter(rd: RootDatum, omega=None) -> Specialization:
+# two_parameter's "no omega given"; None (a JSON null) is refused like any non-matrix
+_DEFAULT_OMEGA = object()
+
+
+def two_parameter(rd: RootDatum, omega=_DEFAULT_OMEGA) -> Specialization:
     """v -> v, s_ij -> t^{-omega_ij}, t_ij -> t^{omega_ji} over Z[v,t]."""
-    if omega is None:
+    if omega is _DEFAULT_OMEGA:
         omega = default_omega(rd)
     errs = validate_omega(rd, omega)
     if errs:

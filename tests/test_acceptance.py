@@ -10,13 +10,14 @@ import time
 from math import comb
 
 import pytest
+from oracles import corrupt
 
 from qtwist import rootdata
 from qtwist import specializations as sp
 from qtwist.coeffring import Context, gauss_vanish, qbinom
 from qtwist.hopf import HopfContext, verify_coproduct_serre, verify_hopf
 from qtwist.params import ParameterSet
-from qtwist.repcheck import corrupt, sl2_string_module, transport, verify_module, \
+from qtwist.repcheck import sl2_string_module, transport, verify_module, \
     verify_transported_modules
 from qtwist.presentations import relations_of
 from qtwist.twistmap import TwistScalars, verify_integrality, verify_twist_isomorphism

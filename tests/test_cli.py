@@ -85,14 +85,17 @@ def test_verify_special_with_omega_file(tmp_path, capsys):
 
 
 def test_verify_special_bad_omega_exit(tmp_path, capsys):
+    """A matrix that breaks condition (a), and a JSON null, which is no matrix."""
     omega = tmp_path / "omega.json"
-    omega.write_text("[[1, 1], [1, 1]]", encoding="utf-8")
-    code, _, err = run(
-        capsys, "verify-special", "--case", "two-param", "--root-datum", "a2",
-        "--omega", str(omega),
-    )
-    assert code == 3
-    assert "invalid configuration" in err
+    for text, message in (("[[1, 1], [1, 1]]", "(a)"), ("null", "omega must be 2 x 2")):
+        omega.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "verify-special", "--case", "two-param", "--root-datum", "a2",
+            "--omega", str(omega),
+        )
+        assert code == 3, text
+        assert "invalid configuration" in err
+        assert message in err, text
 
 
 def test_verify_special_non_integer_omega_exit(tmp_path, capsys):

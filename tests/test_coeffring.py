@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import qfact, substitute
 
 from qtwist.coeffring import (
     LAURENT,
@@ -19,10 +20,8 @@ from qtwist.coeffring import (
     RingError,
     gauss_vanish,
     qbinom,
-    qfact,
     qint,
     qint_signed,
-    substitute,
 )
 
 

@@ -8,12 +8,13 @@ watched.  The campaigns are the four the benchmark contract traces.
 """
 
 import pytest
+from oracles import corrupt, qfact
 from test_bench_contract import CAMPAIGNS
 
 from qtwist import cli, rootdata, specializations
-from qtwist.coeffring import LaurentPoly, RatExpr, qfact
+from qtwist.coeffring import LaurentPoly, RatExpr
 from qtwist.params import ParameterSet
-from qtwist.repcheck import corrupt, sl2_string_module, sl3_natural_module, transport
+from qtwist.repcheck import sl2_string_module, sl3_natural_module, transport
 from qtwist.twistmap import TwistScalars
 
 

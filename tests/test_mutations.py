@@ -18,6 +18,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from oracles import corrupt
 
 from qtwist import hopf, ncalg, presentations, repcheck, rootdata, specializations, twistmap
 from qtwist.cli import main
@@ -27,7 +28,6 @@ from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, twist_character
 from qtwist.presentations import _serre_ratios, relations_of
 from qtwist.repcheck import (
-    corrupt,
     sl2_string_module,
     sl3_natural_module,
     transport,

@@ -4,9 +4,9 @@ import itertools
 import random
 
 import pytest
+from oracles import qfact
 
 from qtwist import rootdata, specializations
-from qtwist.coeffring import qfact
 from qtwist.ncalg import (
     NCExpr,
     StraightenRules,

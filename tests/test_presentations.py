@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from oracles import qfact
 
 import qtwist
 from qtwist import presentations, rootdata, specializations
-from qtwist.coeffring import qbinom, qfact, qint
+from qtwist.coeffring import qbinom, qint
 from qtwist.ncalg import NCExpr, StraightenRules, grade, straighten
 from qtwist.params import ParameterSet
 from qtwist.presentations import (

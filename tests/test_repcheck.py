@@ -1,6 +1,7 @@
 """Weight modules as exact sparse matrices: construction, transport, verification."""
 
 import pytest
+from oracles import corrupt
 
 from qtwist import rootdata
 from qtwist import specializations as sp
@@ -9,7 +10,6 @@ from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 from qtwist.repcheck import (
     WeightModule,
-    corrupt,
     kkp_eigenvalue_records,
     sl2_string_module,
     sl3_natural_module,

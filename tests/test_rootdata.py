@@ -280,6 +280,37 @@ def test_linear_forms_with_non_identity_pairing(name):
                 assert twisted.add_root(lam, i, sign) == want
 
 
+def test_validate_takes_no_determinant_of_the_default_pairing(monkeypatch):
+    """_rank is O(X_rank^3), and the identity pairing is perfect: validate
+    takes the determinant of every other pairing only, and an imperfect one
+    is still refused."""
+    seen = []
+    rank = rootdata._rank
+
+    def spy(rows):
+        seen.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(rootdata, "_rank", spy)
+    for name in ALL:
+        rd = rootdata.builtin(name)
+        del seen[:]
+        assert rd.validate() == []
+        assert seen and not any(rows is rd.pairing for rows in seen), name
+        data = _datum_dict(rd)
+        pairing, inverse = _PAIRINGS[rd.x_rank]
+        data["pairing"] = [list(r) for r in pairing]
+        data["coroot"] = [list(r) for r in _mat_mul(rd.coroot, inverse)]
+        data["coweight"] = [list(r) for r in _mat_mul(rd.coweight, inverse)]
+        twisted = rootdata.from_dict(data, name=name)
+        assert any(rows is twisted.pairing for rows in seen), name
+    imperfect = {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[0, 1]], "coroot": [[0, 2]],
+                 "coweight": [[0, 1]], "pairing": [[2, 0], [0, 1]]}
+    with pytest.raises(DatumError, match="not perfect: determinant 2"):
+        rootdata.from_dict(imperfect)
+    assert ((2, 0), (0, 1)) in seen
+
+
 @pytest.mark.parametrize(
     "rows, rank, det",
     [

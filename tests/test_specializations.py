@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import substitute
 
 from qtwist import rootdata
 from qtwist import specializations as sp
-from qtwist.coeffring import substitute
 from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
 from qtwist.twistmap import TwistMap, TwistScalars
