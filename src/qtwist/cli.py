@@ -236,7 +236,7 @@ def main(argv=None) -> int:
             spec = specializations.make(args.case, rd, **_spec_kwargs(args, rd))
             report = specializations.verify_specialization(spec, window)
             if args.with_iso:
-                report.merge(specializations.apply_to_isomorphism(spec, window))
+                report.merge(verify_twist_isomorphism(rd, spec.params, window))
                 report.finalize()
         elif args.command == "verify-modules":
             report = verify_transported_modules(args.case, max_n=args.max_n)

@@ -136,7 +136,7 @@ def twist_character(rd: RootDatum, params: ParameterSet, kind: str, i: int) -> t
     value at lam is character_value."""
     bases = {"e": (params.s,), "f": (params.t,), "c": (params.s, params.t)}[kind]
     sign = -1 if kind == "c" else 1
-    ctx, forms = params.ctx, rd._coweight_forms
+    ctx, forms = params.ctx, rd.coweight
     exps, ratios = {}, [Fraction(1)] * rd.x_rank
     for j in rd.index_set:
         form = [sign * x for x in forms[j]]

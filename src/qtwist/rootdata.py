@@ -2,8 +2,10 @@
 
 A root datum is given by integer coordinate matrices for the simple roots
 (in X), the coroots and the fundamental coweights (in Y), together with a
-pairing matrix Y x X -> Z, which must be perfect (determinant +-1).  The
-loader and the built-ins insist on the regularity condition
+pairing matrix P : Y x X -> Z, which must be perfect (determinant +-1) and
+is the identity when a file gives none.  The loader folds P into each Y row
+y once, so RootDatum stores the linear forms y.P on X, all the engine reads.
+The loader and the built-ins insist on the regularity condition
 <coweight_i, alpha_j> = delta_ij, which is what every weight-indexed scalar
 in this package is built from.
 
@@ -12,6 +14,8 @@ coweight form entries reach ENTRY_BOUND = 2^10 in magnitude: the largest
 exponent the engine builds, 2 d_i <coroot_i, lam> for q_i^{<coroot_i, lam>},
 then stays below 2^21 |lam|_1, inside a ring's 2^32 for |lam|_1 < 2^11, so
 a larger datum is invalid configuration, not a failure inside a campaign.
+So is |a_ij| > A_BOUND = 16, as the Serre relations have degree 1 - a_ij:
+verify-hopf takes seconds at |a_ij| = 16 and gave no result in 300 s at 32.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Sequence
 
 Weight = tuple  # integer coordinate vector in X
 ENTRY_BOUND = 2**10  # bound on |d_i| and on the entries of alpha and the coroot / coweight forms
+A_BOUND = 16  # bound on the Cartan entries |a_ij|
 
 
 class DatumError(Exception):
@@ -77,6 +81,8 @@ class CartanDatum:
         if not errs:
             for i in range(n):
                 for j in range(n):
+                    if abs(self.a(i, j)) > A_BOUND:
+                        errs.append("|a_ij| must be at most %d at (%d,%d)" % (A_BOUND, i, j))
                     if self.d(i) * self.a(i, j) != self.d(j) * self.a(j, i):
                         errs.append("symmetrizability d_i a_ij = d_j a_ji fails at (%d,%d)" % (i, j))
         return errs
@@ -86,16 +92,15 @@ class CartanDatum:
 class RootDatum:
     """Cartan datum plus explicit lattice coordinates.
 
-    alpha[i] are the simple roots in X, coroot[i] and coweight[i] live in Y,
-    and pairing is the matrix of <.,.> : Y x X -> Z (identity by default).
+    alpha[i] are the simple roots in X; coroot[i] and coweight[i] are the
+    forms <coroot_i, .> and <coweight_i, .> on X, a file's pairing folded in.
     """
 
     cartan: CartanDatum
     x_rank: int
     alpha: tuple    # n rows of length x_rank
-    coroot: tuple   # n rows
-    coweight: tuple  # n rows
-    pairing: tuple  # x_rank x x_rank
+    coroot: tuple   # n forms of length x_rank
+    coweight: tuple  # n forms of length x_rank
     name: str = ""
 
     @property
@@ -106,33 +111,13 @@ class RootDatum:
     def index_set(self):
         return range(self.n)
 
-    def pair(self, y: Sequence, x: Sequence) -> int:
-        return sum(
-            y[a] * self.pairing[a][b] * x[b]
-            for a in range(self.x_rank)
-            for b in range(self.x_rank)
-        )
-
-    def _forms(self, rows) -> tuple:
-        """Each row y folded with the pairing into the linear form <y, .> on X."""
-        cols = range(self.x_rank)
-        return tuple(tuple(sum(y[a] * self.pairing[a][b] for a in cols) for b in cols) for y in rows)
-
-    @cached_property
-    def _coroot_forms(self) -> tuple:
-        return self._forms(self.coroot)
-
-    @cached_property
-    def _coweight_forms(self) -> tuple:
-        return self._forms(self.coweight)
-
     def lambda_i(self, lam: Weight, i: int) -> int:
         """<coroot_i, lam>."""
-        return sum(map(mul, self._coroot_forms[i], lam))
+        return sum(map(mul, self.coroot[i], lam))
 
     def lambda_paren(self, lam: Weight, i: int) -> int:
         """<coweight_i, lam>."""
-        return sum(map(mul, self._coweight_forms[i], lam))
+        return sum(map(mul, self.coweight[i], lam))
 
     def add_root(self, lam: Weight, i: int, sign: int = 1) -> Weight:
         alpha = self.alpha[i]
@@ -170,37 +155,29 @@ class RootDatum:
 
     def validate(self) -> list:
         errs = list(self.cartan.validate())
-        if errs:  # the pairing checks below read a_ij
+        if errs:  # the form checks below read a_ij
             return errs
         n = self.n
         for label, rows in (("alpha", self.alpha), ("coroot", self.coroot), ("coweight", self.coweight)):
             if len(rows) != n or any(len(r) != self.x_rank for r in rows):
                 errs.append("%s must be %d rows of length %d" % (label, n, self.x_rank))
                 return errs
-        if len(self.pairing) != self.x_rank or any(len(r) != self.x_rank for r in self.pairing):
-            errs.append("pairing must be %d x %d" % (self.x_rank, self.x_rank))
-            return errs
         for label, rows in (("d_i", [(self.cartan.d(i),) for i in range(n)]), ("alpha", self.alpha),
-                            ("coroot form", self._coroot_forms),
-                            ("coweight form", self._coweight_forms)):
+                            ("coroot form", self.coroot), ("coweight form", self.coweight)):
             if any(abs(x) >= ENTRY_BOUND for row in rows for x in row):
                 errs.append("%s entries must have magnitude below %d" % (label, ENTRY_BOUND))
         for i in range(n):
             for j in range(n):
-                got = self.pair(self.coroot[i], self.alpha[j])
+                got = self.lambda_i(self.alpha[j], i)
                 want = self.cartan.a(i, j)
                 if got != want:
                     errs.append("<coroot_%d, alpha_%d> = %d, expected a_ij = %d" % (i, j, got, want))
-                got = self.pair(self.coweight[i], self.alpha[j])
+                got = self.lambda_paren(self.alpha[j], i)
                 want = 1 if i == j else 0
                 if got != want:
                     errs.append("<coweight_%d, alpha_%d> = %d, expected %d" % (i, j, got, want))
         if _rank(self.alpha)[0] != n:
             errs.append("simple roots are not linearly independent in X")
-        # the default identity pairing is perfect; _rank is O(X_rank^3)
-        det = 1 if self.pairing == _identity(self.x_rank) else _rank(self.pairing)[1]
-        if abs(det) != 1:
-            errs.append("pairing Y x X -> Z is not perfect: determinant %s, expected +-1" % det)
         return errs
 
 
@@ -229,10 +206,6 @@ def _rank(rows) -> tuple:
                 rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
         rank += 1
     return rank, det if rank == len(rows) == ncols else 0
-
-
-def _identity(k):
-    return tuple((0,) * a + (1,) + (0,) * (k - 1 - a) for a in range(k))
 
 
 # Built-in data.  Types A1 and A2 use gl-style lattices (X = Z^2, Z^3 with
@@ -312,14 +285,26 @@ def from_dict(data: dict, name: str = "") -> RootDatum:
         dot = matrix("dot")
         x_rank = _integer(data["X_rank"])
         alpha, coroot, coweight = matrix("alpha"), matrix("coroot"), matrix("coweight")
-        # the default pairing is X_rank^2 entries; validate refuses rows of other lengths
-        fits = all(len(row) == x_rank for row in alpha + coroot + coweight)
-        pairing = matrix("pairing") if "pairing" in data else _identity(x_rank if fits else 0)
+        pairing = matrix("pairing") if "pairing" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DatumError("malformed root datum config: %s" % exc)
     if len(dot) != n:
         raise DatumError("dot matrix size disagrees with I_size")
-    rd = RootDatum(CartanDatum(dot), x_rank, alpha, coroot, coweight, pairing, name=name or "file")
+    if pairing is not None:  # fold P into each Y row y as y.P; zip would truncate a short row
+        for label, rows in (("coroot", coroot), ("coweight", coweight)):
+            if len(rows) != n or any(len(y) != x_rank for y in rows):
+                raise DatumError("root datum rejected: %s must be %d rows of length %d"
+                                 % (label, n, x_rank))
+        if len(pairing) != x_rank or any(len(row) != x_rank for row in pairing):
+            raise DatumError("root datum rejected: pairing must be %d x %d" % (x_rank, x_rank))
+        det = _rank(pairing)[1]
+        if abs(det) != 1:
+            raise DatumError("root datum rejected: pairing Y x X -> Z is not perfect: "
+                             "determinant %s, expected +-1" % det)
+        cols = tuple(zip(*pairing))
+        coroot, coweight = (tuple(tuple(sum(map(mul, y, col)) for col in cols) for y in rows)
+                            for rows in (coroot, coweight))
+    rd = RootDatum(CartanDatum(dot), x_rank, alpha, coroot, coweight, name=name or "file")
     errs = rd.validate()
     if errs:
         raise DatumError("root datum rejected: " + "; ".join(errs))

@@ -23,7 +23,7 @@ from .coeffring import Context, LaurentPoly
 from .params import ParameterSet
 from .report import FAIL, PASS, WARN, CheckRecord, Report
 from .rootdata import RootDatum
-from .twistmap import TwistScalars, verify_twist_isomorphism
+from .twistmap import TwistScalars
 
 
 class SpecializationError(Exception):
@@ -389,11 +389,3 @@ def verify_specialization(spec: Specialization, window) -> Report:
                     rec.witness = "c^2 = %s" % sq
                 rep.add(rec)
     return rep.finalize()
-
-
-def apply_to_isomorphism(spec: Specialization, window) -> Report:
-    """Re-run the full relation-correspondence campaign in the target ring."""
-    rep = verify_twist_isomorphism(spec.rd, spec.params, window)
-    rep.campaign = "special-iso"
-    rep.case = spec.name
-    return rep

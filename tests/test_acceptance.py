@@ -129,7 +129,7 @@ def test_criterion_6_specializations():
             rep = sp.verify_specialization(spec, rd.weights_box(2))
             assert rep.ok, (name, case, rep.failures()[:3])
             t0 = time.monotonic()
-            iso = sp.apply_to_isomorphism(spec, rd.weights_box(2))
+            iso = verify_twist_isomorphism(rd, spec.params, rd.weights_box(2))
             dt = time.monotonic() - t0
             assert iso.ok, (name, case, iso.failures()[:3])
             _report(

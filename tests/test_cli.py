@@ -181,8 +181,11 @@ A2_DATUM = {
          "entries must be integers"),
         ({"dot": [[2, -1], [-1]]}, "dot matrix row 1 has wrong length"),
         ({"dot": [[0, 0], [0, 2]]}, "i.i must be a positive even integer"),
+        ({"pairing": [[1, 0], [0, 1], [0, 0]]}, "pairing must be 3 x 3"),
+        ({"dot": [[2, -17], [-17, 2]]}, "|a_ij| must be at most 16"),
     ],
-    ids=["half-integer-dot", "float-string-bool", "ragged-dot", "zero-diagonal"],
+    ids=["half-integer-dot", "float-string-bool", "ragged-dot", "zero-diagonal", "pairing-3x2",
+         "a12=-17"],
 )
 def test_bad_datum_entries_are_invalid_configuration(tmp_path, capsys, changes, message):
     """Each entry must be an int (-1.5, 2.9, "3" and true are refused, not

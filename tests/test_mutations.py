@@ -751,7 +751,7 @@ def _run_special_a2(case):
     spec = specializations.make(case, rd)
     window = rd.weights_box(1)
     return (specializations.verify_specialization(spec, window),
-            specializations.apply_to_isomorphism(spec, window))
+            verify_twist_isomorphism(rd, spec.params, window))
 
 
 @pytest.mark.parametrize("case", list(SPECIAL_RECORDS))

@@ -31,13 +31,17 @@ def test_builtins_validate(name):
     assert rd.validate() == []
 
 
+def _dot(form, x):
+    return sum(a * b for a, b in zip(form, x))
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_pairing_identities(name):
     rd = rootdata.builtin(name)
     for i in rd.index_set:
         for j in rd.index_set:
-            assert rd.pair(rd.coroot[i], rd.alpha[j]) == rd.cartan.a(i, j)
-            assert rd.pair(rd.coweight[i], rd.alpha[j]) == (1 if i == j else 0)
+            assert _dot(rd.coroot[i], rd.alpha[j]) == rd.cartan.a(i, j)
+            assert _dot(rd.coweight[i], rd.alpha[j]) == (1 if i == j else 0)
             assert rd.cartan.d(i) * rd.cartan.a(i, j) == rd.cartan.d(j) * rd.cartan.a(j, i)
 
 
@@ -119,10 +123,7 @@ def test_step_shift_matches_root_walk(name):
 
 def test_validate_reports_coweight_defect():
     rd = rootdata.builtin("a2")
-    broken = RootDatum(
-        rd.cartan, rd.x_rank, rd.alpha, rd.coroot, coweight=rd.coroot,
-        pairing=rd.pairing,
-    )
+    broken = RootDatum(rd.cartan, rd.x_rank, rd.alpha, rd.coroot, coweight=rd.coroot)
     errs = broken.validate()
     assert any("coweight" in e for e in errs)
 
@@ -146,9 +147,25 @@ def test_validate_bounds_the_entries(label):
     # a negative d_i is refused by the Cartan checks before any bound
     for k in (bound - 1, bound) if label == "d_i" else (bound - 1, bound, -bound):
         dot, alpha, coroot, coweight = (tuple(map(tuple, m)) for m in _SIZED_A1[label](k))
-        rd = RootDatum(CartanDatum(dot), 2, alpha, coroot, coweight, rootdata._identity(2))
+        rd = RootDatum(CartanDatum(dot), 2, alpha, coroot, coweight)
         want = [] if k == bound - 1 else ["%s entries must have magnitude below 1024" % label]
         assert rd.validate() == want, (label, k)
+
+
+def test_validate_bounds_the_cartan_entries():
+    """|a_ij| may be at most A_BOUND = 16: the rank-2 datum with dot
+    [[2, -k], [-k, 2]] (alpha and coweight the identity, coroot the Cartan
+    matrix) loads at k = 16 and is refused at k = 17, naming the bound."""
+    assert rootdata.A_BOUND == 16
+
+    def k_datum(k):
+        return {"I_size": 2, "dot": [[2, -k], [-k, 2]], "X_rank": 2, "alpha": [[1, 0], [0, 1]],
+                "coroot": [[2, -k], [-k, 2]], "coweight": [[1, 0], [0, 1]]}
+
+    assert rootdata.from_dict(k_datum(16)).cartan.a(0, 1) == -16
+    with pytest.raises(DatumError, match=r"\|a_ij\| must be at most 16 at \(0,1\)"):
+        rootdata.from_dict(k_datum(17))
+    assert CartanDatum(((2, -17), (-17, 34))).validate() == ["|a_ij| must be at most 16 at (0,1)"]
 
 
 def test_validate_reports_symmetrizability_defect():
@@ -172,7 +189,6 @@ def _datum_dict(rd):
         "alpha": [list(r) for r in rd.alpha],
         "coroot": [list(r) for r in rd.coroot],
         "coweight": [list(r) for r in rd.coweight],
-        "pairing": [list(r) for r in rd.pairing],
     }
 
 
@@ -224,24 +240,30 @@ def test_loader_rejects_dependent_roots(tmp_path):
         rootdata.load(str(path))
 
 
-def test_loader_refuses_short_rows_without_the_default_pairing(tmp_path, monkeypatch):
-    """Rows shorter than X_rank are refused before the X_rank x X_rank
-    default pairing is built, so a huge X_rank cannot stall the loader."""
-    sizes = []
-    identity = rootdata._identity
+def test_wide_lattice_loads_in_bounded_memory():
+    """No X_rank x X_rank matrix is built for a file without a pairing: a
+    zero-node datum with X_rank 3000 loads with a traced peak under 1 MB.
+    Rows shorter than X_rank are refused, with or without a pairing, where
+    folding by zip would have truncated a short coroot row."""
+    import tracemalloc
 
-    def spy(k):
-        sizes.append(k)
-        return identity(k)
-
-    monkeypatch.setattr(rootdata, "_identity", spy)
-    data = {"I_size": 1, "dot": [[2]], "X_rank": 2048,
-            "alpha": [[2, 0]], "coroot": [[1, 0]], "coweight": [[1, 0]]}
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    wide = {"I_size": 0, "dot": [], "X_rank": 3000, "alpha": [], "coroot": [], "coweight": []}
+    tracemalloc.start()
+    try:
+        rd = rootdata.from_dict(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rd.n, rd.x_rank) == (0, 3000)
+    assert peak < 2**20, peak
+    short = {"I_size": 1, "dot": [[2]], "X_rank": 2048,
+             "alpha": [[2, 0]], "coroot": [[1, 0]], "coweight": [[1, 0]]}
     with pytest.raises(DatumError, match="alpha must be 1 rows of length 2048"):
-        rootdata.load(str(path))
-    assert 2048 not in sizes
+        rootdata.from_dict(short)
+    short = {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[1, 0]], "coroot": [[2]],
+             "coweight": [[1, 0]], "pairing": [[1, 0], [0, 1]]}
+    with pytest.raises(DatumError, match="coroot must be 1 rows of length 2"):
+        rootdata.from_dict(short)
 
 
 # a unimodular, non-symmetric pairing per lattice rank, with its inverse
@@ -255,35 +277,47 @@ def _mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_linear_forms_with_non_identity_pairing(name):
-    """The same datum with the pairing P and every Y row multiplied by P^-1:
-    the folded forms and add_root agree with the pair() double sum and the
-    coordinate loop, and with the identity-pairing built-in."""
-    rd = rootdata.builtin(name)
+def _with_pairing(rd):
+    """rd's datum dict with its pairing P and every Y row multiplied by P^-1."""
     pairing, inverse = _PAIRINGS[rd.x_rank]
-    assert _mat_mul(pairing, inverse) == rootdata._identity(rd.x_rank)
     data = _datum_dict(rd)
     data["pairing"] = [list(r) for r in pairing]
     data["coroot"] = [list(r) for r in _mat_mul(rd.coroot, inverse)]
     data["coweight"] = [list(r) for r in _mat_mul(rd.coweight, inverse)]
+    return data
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_linear_forms_with_non_identity_pairing(name):
+    """The same datum with the pairing P and every Y row multiplied by P^-1:
+    the folded forms are the identity-pairing built-in's, and they and
+    add_root agree with the double sum of y P lam and the coordinate loop."""
+    rd = rootdata.builtin(name)
+    pairing, inverse = _PAIRINGS[rd.x_rank]
+    cols = range(rd.x_rank)
+    assert _mat_mul(pairing, inverse) == tuple(tuple(int(a == b) for b in cols) for a in cols)
+    data = _with_pairing(rd)
     twisted = rootdata.from_dict(data, name=name)
-    assert twisted.coroot != rd.coroot
+    assert twisted.coroot == rd.coroot and twisted.coweight == rd.coweight
+
+    def pair(y, lam):
+        return sum(y[a] * pairing[a][b] * lam[b] for a in cols for b in cols)
+
     for lam in twisted.weights_box(2):
         for i in twisted.index_set:
             got = twisted.lambda_i(lam, i)
-            assert got == twisted.pair(twisted.coroot[i], lam) == rd.lambda_i(lam, i)
+            assert got == pair(data["coroot"][i], lam) == rd.lambda_i(lam, i)
             got = twisted.lambda_paren(lam, i)
-            assert got == twisted.pair(twisted.coweight[i], lam) == rd.lambda_paren(lam, i)
+            assert got == pair(data["coweight"][i], lam) == rd.lambda_paren(lam, i)
             for sign in (1, -1, 2, -2):
                 want = tuple(lam[k] + sign * twisted.alpha[i][k] for k in range(twisted.x_rank))
                 assert twisted.add_root(lam, i, sign) == want
 
 
-def test_validate_takes_no_determinant_of_the_default_pairing(monkeypatch):
-    """_rank is O(X_rank^3), and the identity pairing is perfect: validate
-    takes the determinant of every other pairing only, and an imperfect one
-    is still refused."""
+def test_rank_runs_on_a_pairing_only_when_a_file_gives_one(monkeypatch):
+    """_rank is O(X_rank^3): loading a datum takes the rank of its simple
+    roots, and the determinant of a pairing only when the file gives one;
+    an imperfect pairing is still refused."""
     seen = []
     rank = rootdata._rank
 
@@ -293,22 +327,17 @@ def test_validate_takes_no_determinant_of_the_default_pairing(monkeypatch):
 
     monkeypatch.setattr(rootdata, "_rank", spy)
     for name in ALL:
-        rd = rootdata.builtin(name)
         del seen[:]
-        assert rd.validate() == []
-        assert seen and not any(rows is rd.pairing for rows in seen), name
-        data = _datum_dict(rd)
-        pairing, inverse = _PAIRINGS[rd.x_rank]
-        data["pairing"] = [list(r) for r in pairing]
-        data["coroot"] = [list(r) for r in _mat_mul(rd.coroot, inverse)]
-        data["coweight"] = [list(r) for r in _mat_mul(rd.coweight, inverse)]
-        twisted = rootdata.from_dict(data, name=name)
-        assert any(rows is twisted.pairing for rows in seen), name
+        rd = rootdata.builtin(name)
+        assert seen == [rd.alpha], name
+        del seen[:]
+        rootdata.from_dict(_with_pairing(rd), name=name)
+        assert seen == [_PAIRINGS[rd.x_rank][0], rd.alpha], name
     imperfect = {"I_size": 1, "dot": [[2]], "X_rank": 2, "alpha": [[0, 1]], "coroot": [[0, 2]],
                  "coweight": [[0, 1]], "pairing": [[2, 0], [0, 1]]}
     with pytest.raises(DatumError, match="not perfect: determinant 2"):
         rootdata.from_dict(imperfect)
-    assert ((2, 0), (0, 1)) in seen
+    assert seen[-1] == ((2, 0), (0, 1))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from qtwist import rootdata
 from qtwist import specializations as sp
 from qtwist.params import ParameterSet
 from qtwist.presentations import relations_of
-from qtwist.twistmap import TwistMap, TwistScalars
+from qtwist.twistmap import TwistMap, TwistScalars, verify_twist_isomorphism
 
 
 @pytest.fixture()
@@ -246,7 +246,7 @@ def test_sigma_carries_the_v_tied_proof(case, kwargs, a2):
     spec = sp.make(case, a2, **kwargs)
     assert set(spec.sigma) == {x.name for x in ParameterSet.v_tied(a2.cartan).ctx.vars}
     window = a2.weights_box(1)
-    rep = sp.apply_to_isomorphism(spec, window)
+    rep = verify_twist_isomorphism(spec.rd, spec.params, window)
     assert rep.summary == {"pass": 459, "fail": 0, "warn": 0}
     want = {c.id: c.scalar for c in rep.checks}
     multiples = _v_tied_multiples(a2, window)
@@ -266,7 +266,7 @@ def test_one_v_tied_proof_specializes_to_every_case(a2):
     assert len(multiples) == 459
     for case in sp.CASES:
         spec = sp.make(case, a2)
-        rep = sp.apply_to_isomorphism(spec, window)
+        rep = verify_twist_isomorphism(spec.rd, spec.params, window)
         want = {c.id: c.scalar for c in rep.checks}
         assert _pushed_multiples(multiples, spec, spec.sigma) == want, case
 
@@ -278,14 +278,14 @@ def test_one_v_tied_proof_specializes_to_every_case(a2):
 def test_specialized_isomorphism_a1(case):
     rd = rootdata.builtin("a1")
     spec = sp.make(case, rd)
-    rep = sp.apply_to_isomorphism(spec, rd.weights_box(2))
+    rep = verify_twist_isomorphism(rd, spec.params, rd.weights_box(2))
     assert rep.ok, rep.failures()[:3]
 
 
 def test_super1_nondefault_order_and_signs_campaign(a2):
     spec = sp.super_first(a2, order=[1, 0], eps={(0, 1): -1, (1, 0): -1})
     assert all(ok for _, ok in spec.constraints)
-    rep = sp.apply_to_isomorphism(spec, [a2.zero_weight(), (1, 0, -1), (-1, 2, 0)])
+    rep = verify_twist_isomorphism(a2, spec.params, [a2.zero_weight(), (1, 0, -1), (-1, 2, 0)])
     assert rep.ok, rep.failures()[:3]
 
 

@@ -254,12 +254,12 @@ def test_character_out_of_range_is_refused_when_built():
     a1 = rootdata.builtin("a1")
     p = ParameterSet.v_tied(a1.cartan)
     for coweight in (((2**31, 2**31 - 1),), ((-2**31 + 1, -2**31),)):
-        rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, coweight, a1.pairing)
+        rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, coweight)
         for kind in "efc":
             with pytest.raises(RingError, match="out of range"):
                 twist_character(rd, p, kind, 0)
     ok = ((2**30, 2**30 - 1),)
-    rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, ok, a1.pairing)
+    rd = rootdata.RootDatum(a1.cartan, a1.x_rank, a1.alpha, a1.coroot, ok)
     for kind in "efc":
         twist_character(rd, p, kind, 0)
 
