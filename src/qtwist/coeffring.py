@@ -73,9 +73,6 @@ class Var:
         self.kind = kind
         self.denom = denom
 
-    def __repr__(self):
-        return self.name
-
 
 def _num(x) -> Scalar:
     """Canonical coefficient: an int when integral, else a Fraction."""
@@ -141,9 +138,6 @@ class Context:
 
     def __getitem__(self, name: str) -> "LaurentPoly":
         return self._gens[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._gens
 
     def poly(self, x) -> "LaurentPoly":
         if isinstance(x, LaurentPoly):
@@ -307,9 +301,6 @@ class LaurentPoly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, RatExpr):
@@ -603,9 +594,6 @@ class RatExpr:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):

@@ -10,8 +10,10 @@ twisted by both bicharacters, written x * y = s(|y|,|x|) t(|x|,|y|) yx.
 The compatibility of the coproduct with the quantum Serre relation reduces,
 after expansion, to the vanishing of alternating Gaussian-binomial sums;
 the antipode carries the Serre sum and the mixed E/F relation to exact
-unit-monomial multiples of themselves, which is checked by reading off the
-K-monomial and one exact-multiple test (``LinComb.multiple_of``), never by
+unit-monomial multiples of themselves.  The K-monomial of that multiple is
+predicted from the relation's letters (``k_monomial``: K_i^{-1} per E_i,
+Kp_i^{-1} per F_i), so the check is one exact-multiple test
+(``LinComb.multiple_of``) against it, never a search of the image and never
 general ideal membership.  Both read the scrU relation instances as
 ``relations_of`` builds them, in integral form, so no coefficient is
 divided.
@@ -77,6 +79,20 @@ GENERATORS = {
     "E": (((("E",), ()), (("K",), ("E",))), -1, ("Kinv", "E")),
     "F": ((((), ("F",)), (("F",), ("Kp",))), -1, ("F", "Kpinv")),
 }
+
+
+# The K-factor the paper's Delta and S give each E/F letter, plain then
+# inverted: Delta(E_i) = E_i x 1 + K_i x E_i and S(E_i) = -K_i^{-1} E_i;
+# Delta(F_i) = 1 x F_i + F_i x Kp_i and S(F_i) = -F_i Kp_i^{-1}.
+_K_FACTOR = {"E": ("K", "Kinv"), "F": ("Kp", "Kpinv")}
+
+
+def k_monomial(ctx: HopfContext, word, inverse: bool = False) -> tuple:
+    """The straightened K-monomial of word's E/F letters: K_i for each E_i and
+    Kp_i for each F_i, each inverted when inverse (the antipode's)."""
+    ks = tuple((_K_FACTOR[kind][inverse], i) for kind, i in word)
+    (mono,) = ctx.nf(NCExpr.word(ctx.params, ks)).terms
+    return mono
 
 
 def _at(kinds, i) -> tuple:
@@ -200,11 +216,8 @@ def verify_coproduct_serre(ctx: HopfContext, instances) -> list:
             continue
         i, j = inst.i, inst.j
         R = inst.expr
-        kword = tuple(("K", k) for _, k in next(iter(R.terms)))
-        rhs = TensorExpr.of(R, NCExpr.unit(p)) + tmul(
-            TensorExpr.word(p, (kword, ())),
-            TensorExpr.of(NCExpr.unit(p), R),
-        )
+        kbeta = NCExpr.word(p, k_monomial(ctx, max(R.terms, key=word_key)))
+        rhs = TensorExpr.of(R, NCExpr.unit(p)) + TensorExpr.of(kbeta, R)
         rec = CheckRecord("coprod-serre:i%d:j%d" % (i + 1, j + 1), "coprod-serre", i, j)
         records.append(_compare(rec, delta(ctx, R), ctx.tnf(rhs)))
     return records
@@ -218,50 +231,11 @@ def _compare(rec: CheckRecord, lhs, rhs) -> CheckRecord:
     return rec
 
 
-def _k_part(word) -> tuple:
-    return tuple(sym for sym in word if sym[0] not in ("E", "F"))
-
-
-def _ef_part(word) -> tuple:
-    return tuple(sym for sym in word if sym[0] in ("E", "F"))
-
-
-def _scalar_multiple_of_relation(ctx: HopfContext, image: NCExpr, relation: NCExpr):
-    """(scalar, K-monomial word, "") with image == scalar * NF(Kmono * relation),
-    or (None, K-monomial word, witness) when there is none.
-
-    Both inputs are straightened.  The K-prefix is read off the image term
-    whose E/F part matches the relation's reference word; this is exactly
-    the shape of the antipode computation and avoids ideal membership.
-    Unless exactly one image term matches there is no multiple, and the
-    witness compares the image with the relation times the K-part of the
-    first matching term in word order (of none, the empty word).
-    """
-    image = ctx.nf(image)
-    relation = ctx.nf(relation)
-    candidates = [()]
-    if not relation.is_zero():
-        ref_ef = _ef_part(max(relation.terms, key=word_key))
-        candidates = sorted((w for w in image.terms if _ef_part(w) == ref_ef), key=word_key)
-    kmono = _k_part(candidates[0]) if candidates else ()
-    target = ctx.nf(NCExpr.word(ctx.params, kmono) * relation)
-    scalar = image.multiple_of(target) if len(candidates) == 1 else None
-    if scalar is None:
-        return None, kmono, image.multiple_witness(target) or (
-            "%d image words share the reference E/F part" % len(candidates))
-    return scalar, kmono, ""
-
-
-def _antipode_multiple(ctx: HopfContext, rec: CheckRecord, relation: NCExpr, failure: str):
-    """rec with the scalar * K-monomial that S(relation) is a multiple of
-    relation by, or FAIL with the witness after the failure sentence."""
-    scalar, kmono, witness = _scalar_multiple_of_relation(ctx, antipode(ctx, relation), relation)
-    if scalar is None:
-        rec.status = FAIL
-        rec.witness = failure + witness
-    else:
-        rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
-    return rec
+# The antipode's multiple checks: scrU family -> record family, failure sentence.
+_MULTIPLE_CHECKS = {
+    "c": ("antipode-c", "image is not scalar * K-monomial * relation: "),
+    "d-E": ("antipode-serre", "antipode image is not scalar * K-monomial * Serre sum: "),
+}
 
 
 def verify_antipode(ctx: HopfContext, instances) -> list:
@@ -269,9 +243,10 @@ def verify_antipode(ctx: HopfContext, instances) -> list:
 
     Each K-conjugation instance R (family b) must have nf(S(R)) == 0.  Each
     mixed E/F instance (family c) and each raising Serre sum (family d-E),
-    both in their integral form, must map to a scalar-times-K-monomial
-    multiple of itself, read off by extraction.  Families a and d-F are not
-    read.
+    both in their integral form, must have nf(S(R)) == N * nf(K * R), with
+    K the inverted ``k_monomial`` of R's largest word and N found by
+    ``multiple_of``; so an image with a stray K-factor fails.  Families a
+    and d-F are not read.
 
     Family c is read only up to that multiple, so a wrong relative factor
     between the two halves of c_ii, a(E_i F_i - c F_i E_i) - b(K_i - K'_i),
@@ -283,21 +258,23 @@ def verify_antipode(ctx: HopfContext, instances) -> list:
     p = ctx.params
     records = []
     for inst in instances:
-        i, j = inst.i, inst.j
+        i, j, R = inst.i, inst.j, inst.expr
         if inst.family == "b":
-            rec = CheckRecord(
-                "antipode-b:%s:i%d:j%d" % (inst.part, i + 1, j + 1), "antipode-b", i, j
-            )
-            records.append(_compare(rec, ctx.nf(antipode(ctx, inst.expr)), NCExpr.zero(p)))
-        elif inst.family == "c":
-            rec = CheckRecord("antipode-c:i%d:j%d" % (i + 1, j + 1), "antipode-c", i, j)
-            records.append(_antipode_multiple(
-                ctx, rec, inst.expr, "image is not scalar * K-monomial * relation: "))
-        elif inst.family == "d-E":
-            rec = CheckRecord("antipode-serre:i%d:j%d" % (i + 1, j + 1), "antipode-serre", i, j)
-            records.append(_antipode_multiple(
-                ctx, rec, inst.expr,
-                "antipode image is not scalar * K-monomial * Serre sum: "))
+            rec = CheckRecord("antipode-b:%s:i%d:j%d" % (inst.part, i + 1, j + 1), "antipode-b", i, j)
+            records.append(_compare(rec, ctx.nf(antipode(ctx, R)), NCExpr.zero(p)))
+        elif inst.family in _MULTIPLE_CHECKS:
+            family, failure = _MULTIPLE_CHECKS[inst.family]
+            rec = CheckRecord("%s:i%d:j%d" % (family, i + 1, j + 1), family, i, j)
+            kmono = k_monomial(ctx, max(R.terms, key=word_key), inverse=True)
+            image = ctx.nf(antipode(ctx, R))
+            target = ctx.nf(NCExpr.word(p, kmono) * R)
+            scalar = image.multiple_of(target)
+            if scalar is None:
+                rec.status = FAIL
+                rec.witness = failure + image.multiple_witness(target)
+            else:
+                rec.scalar = "%s * %s" % (scalar.simplified(), word_str(kmono))
+            records.append(rec)
     return records
 
 

@@ -102,8 +102,8 @@ class LinComb:
     """Finite linear combination of basis keys with RatExpr coefficients.
 
     Subclasses fix only the basis: ``_order`` sorts keys, ``key_str``
-    displays one, and ``_mul_keys`` multiplies two keys (None when the
-    product is zero) or ``_product`` replaces the bilinear product.
+    displays one, and ``_mul_keys`` multiplies two keys for ``*`` (None when
+    the product is zero; TensorExpr has none, its product is ``tmul``).
     """
 
     __slots__ = ("params", "terms")
@@ -147,14 +147,6 @@ class LinComb:
         return self._new({k: cc * c for k, cc in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return self.scale(other)
-        return self._product(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _product(self, other):
         """Bilinear extension of the basis product ``_mul_keys``."""
         terms: dict = {}
         mul_keys = self._mul_keys
@@ -345,9 +337,6 @@ class TensorExpr(LinComb):
         for key, c in keys:
             merge_term(out, key, c)
         return cls(params, out)
-
-    def _product(self, other):
-        return tmul(self, other)
 
     def straighten(self, rules: StraightenRules) -> "TensorExpr":
         """Apply the K-straightening normal form in every tensor slot."""

@@ -16,6 +16,10 @@ then stays below 2^21 |lam|_1, inside a ring's 2^32 for |lam|_1 < 2^11, so
 a larger datum is invalid configuration, not a failure inside a campaign.
 So is |a_ij| > A_BOUND = 16, as the Serre relations have degree 1 - a_ij:
 verify-hopf takes seconds at |a_ij| = 16 and gave no result in 300 s at 32.
+A weight window [-box, box]^x_rank of more than WINDOW_BOUND = 4096
+weights is refused the same way, before it is built: verify-iso on a3 in
+the gl4 lattice took 2 s and 87 MB at box 3 (7^4 = 2401 weights) on a
+2-vCPU host, and the window grows by a factor 2 box + 1 per coordinate.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from operator import add, mul, sub
 Weight = tuple  # integer coordinate vector in X
 ENTRY_BOUND = 2**10  # bound on |d_i| and on the entries of alpha and the coroot / coweight forms
 A_BOUND = 16  # bound on the Cartan entries |a_ij|
+WINDOW_BOUND = 4096  # bound on the weights in a window, (2 box + 1)^x_rank
 
 
 class DatumError(Exception):
@@ -146,7 +151,15 @@ class RootDatum:
         return (0,) * self.x_rank
 
     def weights_box(self, box: int) -> list:
-        """All weights with coordinates in [-box, box], in lexicographic order."""
+        """All weights with coordinates in [-box, box], in lexicographic order.
+        A window of (2 box + 1)^x_rank > WINDOW_BOUND weights is refused
+        before any weight is built."""
+        side, size = 2 * box + 1, 1
+        for _ in range(self.x_rank):
+            size *= side
+            if size > WINDOW_BOUND:
+                raise DatumError("weight window [-%d, %d]^%d has %d^%d weights, more than the "
+                                 "bound %d" % (box, box, self.x_rank, side, self.x_rank, WINDOW_BOUND))
         coords = range(-box, box + 1)
         out = [()]
         for _ in range(self.x_rank):

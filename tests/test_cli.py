@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -249,6 +250,27 @@ def test_oversized_datum_is_invalid_configuration(tmp_path, capsys, name):
         assert code == 3, argv
         assert "invalid configuration" in err and "below 1024" in err and out == ""
         assert "internal error" not in err
+
+
+def test_window_past_the_bound_is_invalid_configuration(tmp_path, capsys):
+    """A weight window of more than rootdata.WINDOW_BOUND weights is refused at
+    once, before any weight is built: a zero-node file with X_rank 20 under
+    the default --lambda-box 2 (5^20 weights), and a2 at --lambda-box 10000."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"I_size": 0, "dot": [], "X_rank": 20, "alpha": [], "coroot": [],
+                                "coweight": []}), encoding="utf-8")
+    for argv, shown in (
+        (("verify-iso", "--root-datum", str(path)), "[-2, 2]^20 has 5^20"),
+        (("verify-iso", "--root-datum", "a2", "--lambda-box", "10000"), "[-10000, 10000]^3 has 20001^3"),
+        (("verify-special", "--case", "two-param", "--root-datum", "a2", "--lambda-box", "10000"),
+         "[-10000, 10000]^3 has 20001^3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (3, ""), argv
+        assert err == ("invalid configuration: weight window %s weights, more than the bound 4096\n"
+                       % shown)
 
 
 def test_missing_file_io_exit(capsys):

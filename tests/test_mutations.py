@@ -523,6 +523,25 @@ def test_hopf_witness_shows_both_sides(monkeypatch):
     }
 
 
+def _antipode_with_stray_k(ctx, x):
+    """hopf.antipode with its image left-multiplied by K1*Kpinv1."""
+    return NCExpr.word(ctx.params, (("K", 0), ("Kpinv", 0))) * _antipode(ctx, x)
+
+
+@pytest.mark.parametrize("name", ["a2", "g2"])
+def test_stray_k_factor_in_antipode_fails_its_multiples(monkeypatch, name):
+    """A stray K-factor keeps S(R) a scalar times a K-monomial times R for
+    every relation R, so a search of the image for its K-monomial finds one;
+    the K-monomial predicted from R's letters does not match it, and every
+    antipode-c and antipode-serre record fails, besides the hopf-axiom ones."""
+    monkeypatch.setattr(hopf, "antipode", _antipode_with_stray_k)
+    rd = rootdata.builtin(name)
+    rep = verify_hopf(rd, ParameterSet.v_tied(rd.cartan), nmax=3)
+    assert collections.Counter(c.family for c in rep.failures()) == {
+        "antipode-c": 4, "antipode-serre": 2, "hopf-axiom": 20}
+    assert all(c.witness for c in rep.failures())
+
+
 def _counit_kp_zero(ctx, x):
     """hopf.counit with every word that contains a Kp taken to 0, not 1."""
     out = ctx.params.rat(0)

@@ -181,6 +181,30 @@ def test_weights_box():
     assert all(all(-2 <= c <= 2 for c in w) for w in box)
 
 
+def _lattice(x_rank):
+    return rootdata.from_dict(
+        {"I_size": 0, "dot": [], "X_rank": x_rank, "alpha": [], "coroot": [], "coweight": []})
+
+
+def test_weights_box_is_bounded():
+    """Windows of up to WINDOW_BOUND weights are built in full: the largest the
+    golden reports and the benchmark read (a2 and g2 at box 3, a1xa1 at box
+    2) and a rank-4 lattice at box 3 (7^4 = 2401, as for a3 in the gl4
+    lattice).  One box step or one coordinate more is refused before any
+    weight is built."""
+    assert rootdata.WINDOW_BOUND == 4096
+    sizes = {name: len(rootdata.builtin(name).weights_box(box))
+             for name, box in (("a2", 3), ("g2", 3), ("a1xa1", 2))}
+    assert sizes == {"a2": 343, "g2": 49, "a1xa1": 25}
+    assert len(_lattice(4).weights_box(3)) == 2401
+    assert len(_lattice(1).weights_box(2047)) == 4095
+    assert _lattice(5000).weights_box(0) == [(0,) * 5000]
+    for x_rank, box, shown in ((4, 4, r"\[-4, 4\]\^4 has 9\^4"), (8, 1, r"\[-1, 1\]\^8 has 3\^8"),
+                               (1, 2048, r"\[-2048, 2048\]\^1 has 4097\^1")):
+        with pytest.raises(DatumError, match=shown + " weights, more than the bound 4096$"):
+            _lattice(x_rank).weights_box(box)
+
+
 def _datum_dict(rd):
     return {
         "I_size": rd.n,
