@@ -145,7 +145,9 @@ def divided_power(
     return PathExpr.word(params, word)
 
 
-def _lam_text(lam: Weight) -> str:
+def lam_text(lam: Weight) -> str:
+    """The weight part of a record id, lam(a,b,...): the one spelling every
+    campaign's ids use."""
     return "lam(%s)" % ",".join(map(str, lam))
 
 
@@ -239,7 +241,7 @@ def _modified_relations(rd: RootDatum, sides: tuple, window: list):
     its id text; each instance then only places its words at the window
     weight."""
     word, rel = PathWord._placed, partial(Relation, sides)
-    lam_ids = {lam: _lam_text(lam) for lam in window}
+    lam_ids = {lam: lam_text(lam) for lam in window}
     units = {lam: word(lam, (), lam) for lam in window}
     for lam, unit in units.items():
         yield rel("a:" + lam_ids[lam], "a", None, None, lam, "", (unit, unit, unit), None)

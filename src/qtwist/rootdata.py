@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from operator import add, mul, sub
 
 Weight = tuple  # integer coordinate vector in X
@@ -160,11 +161,7 @@ class RootDatum:
             if size > WINDOW_BOUND:
                 raise DatumError("weight window [-%d, %d]^%d has %d^%d weights, more than the "
                                  "bound %d" % (box, box, self.x_rank, side, self.x_rank, WINDOW_BOUND))
-        coords = range(-box, box + 1)
-        out = [()]
-        for _ in range(self.x_rank):
-            out = [w + (c,) for w in out for c in coords]
-        return sorted(out)
+        return list(product(range(-box, box + 1), repeat=self.x_rank))
 
     def validate(self) -> list:
         errs = list(self.cartan.validate())

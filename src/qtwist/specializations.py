@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .coeffring import Context, LaurentPoly
 from .params import ParameterSet
+from .presentations import lam_text
 from .report import FAIL, PASS, WARN, CheckRecord, Report
 from .rootdata import RootDatum
 from .twistmap import TwistScalars
@@ -363,7 +364,7 @@ def verify_specialization(spec: Specialization, window) -> Report:
         for lam in window:
             got = sc.c(i, lam)
             want = c_table_expected(spec, i, lam)
-            tag = "ctable:i%d:lam(%s)" % (i + 1, ",".join(map(str, lam)))
+            tag = "ctable:i%d:%s" % (i + 1, lam_text(lam))
             rec = CheckRecord(tag, "ctable", i, None, lam, scalar=str(got))
             if got == want:
                 pass
@@ -381,7 +382,7 @@ def verify_specialization(spec: Specialization, window) -> Report:
             if spec.name == "super1":
                 sq = got * got
                 rec = CheckRecord(
-                    "csquare:i%d:lam(%s)" % (i + 1, ",".join(map(str, lam))),
+                    "csquare:i%d:%s" % (i + 1, lam_text(lam)),
                     "csquare", i, None, lam,
                     PASS if sq == params.ctx.one else FAIL,
                 )

@@ -42,8 +42,8 @@ from operator import add, mul
 from .coeffring import RatExpr
 from .params import ParameterSet, character_value, twist_character
 # relations_of stays importable from here: bench/tests checks that the tracer rebinds this copy
-from .presentations import (PathExpr, PathWord, divided_power, idempotent, modified_relations,
-                            relations_of)
+from .presentations import (PathExpr, PathWord, divided_power, idempotent, lam_text,
+                            modified_relations, relations_of)
 from .report import FAIL, CheckRecord, Report
 from .rootdata import RootDatum, Weight
 
@@ -303,7 +303,7 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
             for l in range(lmax + 1):
                 for kind in ("E", "F"):
                     rec = rep.add(CheckRecord(
-                        "dp-unit:%s:i%d:l%d:lam(%s)" % (kind, i + 1, l, ",".join(map(str, lam))),
+                        "dp-unit:%s:i%d:l%d:%s" % (kind, i + 1, l, lam_text(lam)),
                         "dp", i, None, lam,
                     ))
                     simple = _unit_multiple(
@@ -324,7 +324,7 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
             for tag, g in zip(("idem", "E", "F"), gens):
                 bf, fb = tw.backward(tw.forward(g)), tw.forward(tw.backward(g))
                 rec = rep.add(CheckRecord(
-                    "roundtrip:%s:i%d:lam(%s)" % (tag, i + 1, ",".join(map(str, lam))),
+                    "roundtrip:%s:i%d:%s" % (tag, i + 1, lam_text(lam)),
                     "roundtrip", i, None, lam,
                 ))
                 if bf != g or fb != g:

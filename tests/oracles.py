@@ -8,12 +8,17 @@ None of these runs in a campaign, so none lives in src/qtwist
 - substitute, the ring homomorphism sending each variable, by name, to a
   signed unit monomial, which checks the specialization maps;
 - corrupt, the negative control that damages one generator matrix of a
-  weight module.
+  weight module;
+- star_mul, the twisted-opposite product x * y = s(|y|,|x|) t(|x|,|y|) yx
+  extended bilinearly, the reference against which the tests check that
+  hopf.antipode builds S of a word as the one word it is.
 """
 
 from fractions import Fraction
 
 from qtwist.coeffring import LAURENT, LaurentPoly, RatExpr, RingError, _unit_key, qint
+from qtwist.ncalg import NCExpr, grade, merge_term, pair_twist, times_unit
+from qtwist.params import ParameterSet
 from qtwist.repcheck import WeightModule, _scaled
 
 
@@ -60,3 +65,15 @@ def corrupt(mod: WeightModule, kind: str, i: int, factor) -> WeightModule:
     cols = dict(mod.cols)
     cols[(kind, i)] = _scaled(mod.cols[(kind, i)], [mod.params.ctx.poly(factor)] * mod.dim)
     return WeightModule(mod.rd, mod.params, mod.weights, cols, mod.label + "+corrupt")
+
+
+def star_mul(p: ParameterSet, x: NCExpr, y: NCExpr) -> NCExpr:
+    """x * y = s(|y|,|x|) t(|x|,|y|) yx on homogeneous words, bilinearly."""
+    n = p.cartan.n
+    terms: dict = {}
+    for wx, cx in x.terms.items():
+        dx = grade(wx, n)
+        for wy, cy in y.terms.items():
+            dy = grade(wy, n)
+            merge_term(terms, wy + wx, times_unit(cx * cy, *pair_twist(p, dx, dy)))
+    return NCExpr(p, terms)

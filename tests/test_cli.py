@@ -273,6 +273,20 @@ def test_window_past_the_bound_is_invalid_configuration(tmp_path, capsys):
                        % shown)
 
 
+def test_box_zero_window_on_a_wide_lattice(tmp_path, capsys):
+    """The box-0 window of a zero-node file with X_rank 50000 is its one zero
+    weight, built in one pass, so verify-iso passes its one record at once."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"I_size": 0, "dot": [], "X_rank": 50000, "alpha": [], "coroot": [],
+                                "coweight": []}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-iso", "--root-datum", str(path), "--lambda-box", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert "[PASS] iso:a:lam(%s)" % ",".join(["0"] * 50000) in out
+    assert "summary: 1 pass, 0 fail, 0 warn" in out
+
+
 def test_missing_file_io_exit(capsys):
     code, _, err = run(capsys, "validate-datum", "/nonexistent/d.json")
     assert code == 4

@@ -4,8 +4,9 @@ import hashlib
 import json
 
 import pytest
+from oracles import star_mul
 
-from qtwist import rootdata, specializations
+from qtwist import hopf, rootdata, specializations
 from qtwist.coeffring import LaurentPoly, qint
 from qtwist.hopf import (
     GENERATORS,
@@ -14,7 +15,6 @@ from qtwist.hopf import (
     antipode,
     counit,
     delta,
-    star_mul,
     verify_antipode,
     verify_bialgebra,
     verify_coproduct_powers,
@@ -184,6 +184,47 @@ def test_delta_per_factor_is_the_straightened_product(name, make):
         for sym in word:
             product = tmul(product, _delta_symbol(ctx, sym))
         assert delta(ctx, NCExpr.word(p, word)) == fresh.tnf(product), word
+
+
+@pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2", "k6"])
+def test_antipode_is_the_star_product_of_the_generator_images(name):
+    """S of a word, built as one word, equals the *-product fold of its
+    letters' signed images in GENERATORS (oracles.star_mul), on every scrU
+    word and on words that put K-type letters after E/F letters, in the v-tied
+    and generic rings and the ring of each specialization case."""
+    rd = _k_datum(6) if name == "k6" else rootdata.builtin(name)
+    rings = [ParameterSet.v_tied(rd.cartan), ParameterSet.generic(rd.cartan)]
+    for p in rings + [specializations.make(case, rd).params for case in specializations.CASES]:
+        ctx = HopfContext(rd, p)
+        words = {w for inst in relations_of("scrU", rd, p) for w in inst.expr.terms}
+        for i in rd.index_set:
+            for j in rd.index_set:
+                words.add((("E", i), ("F", j), ("K", j), ("E", j), ("Kpinv", i)))
+                words.add((("F", i), ("Kinv", j), ("E", i), ("Kp", j), ("F", j)))
+        for word in sorted(words, key=word_key):
+            fold = NCExpr.unit(p)
+            for kind, i in word:
+                _, sign, image = GENERATORS[kind]
+                fold = star_mul(p, fold, NCExpr.word(p, tuple((k, i) for k in image), sign))
+            assert antipode(ctx, NCExpr.word(p, word)) == fold, (p.label, word)
+
+
+def test_coproduct_power_closed_form_takes_no_tensor_product(monkeypatch):
+    """At nmax 11 the coproduct powers of E_1 on a2 call tmul 12 times: once
+    for Delta(E_1) and once per factor of the power; the closed form is
+    written as one tensor, with no product."""
+    calls = []
+    real_tmul = hopf.tmul
+
+    def counting_tmul(a, b):
+        calls.append(1)
+        return real_tmul(a, b)
+
+    monkeypatch.setattr(hopf, "tmul", counting_tmul)
+    rd = rootdata.builtin("a2")
+    recs = verify_coproduct_powers(HopfContext(rd, ParameterSet.v_tied(rd.cartan)), 0, 11)
+    assert all(r.status == "pass" for r in recs)
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])

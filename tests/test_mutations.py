@@ -18,12 +18,12 @@ import types
 from fractions import Fraction
 
 import pytest
-from oracles import corrupt
+from oracles import corrupt, star_mul
 
 from qtwist import hopf, ncalg, presentations, repcheck, rootdata, specializations, twistmap
 from qtwist.cli import main
 from qtwist.coeffring import qint_signed
-from qtwist.hopf import star_mul, verify_hopf
+from qtwist.hopf import verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, twist_character
 from qtwist.presentations import _serre_ratios, relations_of

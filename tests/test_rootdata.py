@@ -205,6 +205,39 @@ def test_weights_box_is_bounded():
             _lattice(x_rank).weights_box(box)
 
 
+def _sorted_window(x_rank, box):
+    """The window built a coordinate at a time, in descending coordinate order,
+    then sorted: the reference for weights_box's lexicographic order."""
+    out = [()]
+    for _ in range(x_rank):
+        out = [w + (c,) for w in out for c in range(box, -box - 1, -1)]
+    return sorted(out)
+
+
+def _coordinates_permuted(name, pi):
+    """The built-in datum with lattice coordinate k read from pi[k]."""
+    rd = rootdata.builtin(name)
+
+    def rows(m):
+        return [[row[pi[k]] for k in range(rd.x_rank)] for row in m]
+
+    return rootdata.from_dict({"I_size": rd.n, "dot": [list(r) for r in rd.cartan.dot],
+                               "X_rank": rd.x_rank, "alpha": rows(rd.alpha), "coroot": rows(rd.coroot),
+                               "coweight": rows(rd.coweight)}, name=name + "-permuted")
+
+
+@pytest.mark.parametrize("box", [0, 1, 2])
+def test_weights_box_is_the_sorted_window(box):
+    """weights_box lists the window in lexicographic order, on every built-in,
+    on built-ins with permuted lattice coordinates and on zero-node lattices."""
+    data = [rootdata.builtin(name) for name in ALL]
+    data += [_coordinates_permuted("a2", (2, 0, 1)), _coordinates_permuted("g2", (1, 0)),
+             _coordinates_permuted("a1xa1", (1, 0))]
+    data += [_lattice(x_rank) for x_rank in range(5)]
+    for rd in data:
+        assert rd.weights_box(box) == _sorted_window(rd.x_rank, box), rd.name
+
+
 def _datum_dict(rd):
     return {
         "I_size": rd.n,
