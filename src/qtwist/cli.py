@@ -4,9 +4,10 @@ deterministic text/JSON reports.
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors
 (argparse, including a flag the subcommand does not read), 3 invalid
 configuration (bad datum or --omega grading-matrix files, negative window
-sizes, qcalc values out of range, --omega/--order/--signs given for a case
-that does not read them or --signs naming a pair twice or outside the index
-set), 4 I/O failures, 5 internal errors (any other exception).
+sizes, qcalc values out of range or n above 64, --omega/--order/--signs
+given for a case that does not read them or --signs naming a pair twice or
+outside the index set), 4 I/O failures, 5 internal errors (any other
+exception).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
+# Largest n, every qcalc operation's first argument: qbinom caches the whole
+# q-Pascal triangle, about n^4/12 terms (qbinom 64 32: 0.32 s and 86 MB;
+# 80 40: 0.65 s and 194 MB in-process on a 2-vCPU host).
+QCALC_N_BOUND = 64
 # qcalc operation -> (argument count, range test, the range in words)
 QCALC_ARGS = {
     "qint": (1, lambda n: n >= 0, "n >= 0"),
@@ -114,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", default="",
                    help="square-root sign choices i,j,+-1 separated by ';', e.g. 1,2,-1")
     p.add_argument("--with-iso", action="store_true",
-                   help="also re-run the isomorphism campaign in the specialized ring")
+                   help="also check verify-iso's iso:* relation records in the specialized "
+                        "ring (not its dp-unit and roundtrip records)")
 
     p = subs.add_parser("verify-modules",
                         help="matrix checks on transported modules of the built-in a1 and a2")
@@ -192,8 +198,9 @@ def main(argv=None) -> int:
         arity, in_range, rule = QCALC_ARGS[args.op]
         if len(args.args) != arity:
             parser.error("qcalc %s takes %d integer argument(s)" % (args.op, arity))
-        if not in_range(*args.args):
-            print("invalid configuration: qcalc %s needs %s" % (args.op, rule), file=sys.stderr)
+        if not in_range(*args.args) or args.args[0] > QCALC_N_BOUND:
+            print("invalid configuration: qcalc %s needs %s and n <= %d"
+                  % (args.op, rule, QCALC_N_BOUND), file=sys.stderr)
             return EXIT_BAD_CONFIG
     try:
         if args.command == "qcalc":

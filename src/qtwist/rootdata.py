@@ -20,6 +20,10 @@ A weight window [-box, box]^x_rank of more than WINDOW_BOUND = 4096
 weights is refused the same way, before it is built: verify-iso on a3 in
 the gl4 lattice took 2 s and 87 MB at box 3 (7^4 = 2401 weights) on a
 2-vCPU host, and the window grows by a factor 2 box + 1 per coordinate.
+So is X_rank > X_RANK_BOUND = 2^16, refused before anything is built:
+every weight, even the one of a box-0 window, has X_rank coordinates, and
+verify-iso --lambda-box 0 on a zero-node file took 0.42 s and 96 MB at
+X_rank 10^6, growing with it, where 2^16 takes 0.03 s.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ Weight = tuple  # integer coordinate vector in X
 ENTRY_BOUND = 2**10  # bound on |d_i| and on the entries of alpha and the coroot / coweight forms
 A_BOUND = 16  # bound on the Cartan entries |a_ij|
 WINDOW_BOUND = 4096  # bound on the weights in a window, (2 box + 1)^x_rank
+X_RANK_BOUND = 2**16  # bound on the lattice rank, the length of every weight
 
 
 class DatumError(Exception):
@@ -298,6 +303,9 @@ def from_dict(data: dict, name: str = "") -> RootDatum:
         pairing = matrix("pairing") if "pairing" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DatumError("malformed root datum config: %s" % exc)
+    if x_rank > X_RANK_BOUND:
+        raise DatumError("root datum rejected: X_rank %d is more than the bound %d"
+                         % (x_rank, X_RANK_BOUND))
     if len(dot) != n:
         raise DatumError("dot matrix size disagrees with I_size")
     if pairing is not None:  # fold P into each Y row y as y.P; zip would truncate a short row

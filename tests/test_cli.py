@@ -287,6 +287,28 @@ def test_box_zero_window_on_a_wide_lattice(tmp_path, capsys):
     assert "summary: 1 pass, 0 fail, 0 warn" in out
 
 
+def test_lattice_rank_past_the_bound_is_invalid_configuration(tmp_path, capsys):
+    """A zero-node file with X_rank one past rootdata.X_RANK_BOUND = 2^16 is
+    refused at load, at once, by validate-datum and verify-iso, with a
+    message that names both numbers; X_rank 2^16 itself loads."""
+    def datum(x_rank):
+        path = tmp_path / ("rank%d.json" % x_rank)
+        path.write_text(json.dumps({"I_size": 0, "dot": [], "X_rank": x_rank, "alpha": [],
+                                    "coroot": [], "coweight": []}), encoding="utf-8")
+        return str(path)
+
+    wide = datum(65537)
+    for argv in (("validate-datum", wide), ("verify-iso", "--root-datum", wide, "--lambda-box", "0")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (3, ""), argv
+        assert err == ("invalid configuration: root datum rejected: X_rank 65537 is more than "
+                       "the bound 65536\n")
+    code, out, err = run(capsys, "validate-datum", datum(65536))
+    assert (code, err) == (0, "") and "rank 65536, 0 nodes" in out
+
+
 def test_missing_file_io_exit(capsys):
     code, _, err = run(capsys, "validate-datum", "/nonexistent/d.json")
     assert code == 4
@@ -477,6 +499,18 @@ def test_qcalc_values_out_of_range_are_invalid_configuration(capsys, argv, rule)
     assert "invalid configuration" in err and rule in err
     assert "internal error" not in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("qint", "1000000000"), ("qbinom", "100000", "1"),
+                                  ("gauss", "100000")])
+def test_qcalc_n_past_the_bound_is_invalid_configuration(capsys, argv):
+    """n above cli.QCALC_N_BOUND = 64 is refused at once, before any q-number
+    is built: qbinom caches the whole q-Pascal triangle, about n^4/12 terms."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qcalc", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "invalid configuration" in err and "n <= 64" in err
 
 
 @pytest.mark.parametrize("argv", [("qint", "1", "2"), ("qbinom", "4"), ("gauss", "1", "2")])

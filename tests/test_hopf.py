@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from oracles import star_mul
@@ -210,9 +211,10 @@ def test_antipode_is_the_star_product_of_the_generator_images(name):
 
 
 def test_coproduct_power_closed_form_takes_no_tensor_product(monkeypatch):
-    """At nmax 11 the coproduct powers of E_1 on a2 call tmul 12 times: once
-    for Delta(E_1) and once per factor of the power; the closed form is
-    written as one tensor, with no product."""
+    """At nmax 11 the coproduct powers of E_1 on a2 call tmul 11 times, once
+    per factor: delta extends the memoised E_1^{n-1} to E_1^n, Delta(E_1)
+    being the n = 1 power; the closed form is written as one tensor, with no
+    product."""
     calls = []
     real_tmul = hopf.tmul
 
@@ -224,7 +226,62 @@ def test_coproduct_power_closed_form_takes_no_tensor_product(monkeypatch):
     rd = rootdata.builtin("a2")
     recs = verify_coproduct_powers(HopfContext(rd, ParameterSet.v_tied(rd.cartan)), 0, 11)
     assert all(r.status == "pass" for r in recs)
-    assert len(calls) == 12
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("name, expected", [("a2", 10), ("b2", 14), ("g2", 19)])
+def test_coproduct_serre_extends_the_memoised_powers(monkeypatch, name, expected):
+    """After the coproduct powers at nmax 11 for every i, Delta of each Serre
+    word E_i^a E_j E_i^b extends its longest memoised prefix, so the Serre
+    check calls tmul once per letter past that prefix: 10, 14 and 19 times
+    on a2, b2 and g2, where a product from the unit takes 18, 25 and 34."""
+    rd = rootdata.builtin(name)
+    ctx = HopfContext(rd, ParameterSet.v_tied(rd.cartan))
+    for i in rd.index_set:
+        verify_coproduct_powers(ctx, i, 11)
+    calls = []
+    real_tmul = hopf.tmul
+
+    def counting_tmul(a, b):
+        calls.append(1)
+        return real_tmul(a, b)
+
+    monkeypatch.setattr(hopf, "tmul", counting_tmul)
+    recs = verify_coproduct_serre(ctx, relations_of("scrU", rd, ctx.params))
+    assert recs and all(r.status == "pass" for r in recs)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "g2"])
+@pytest.mark.parametrize("make", [ParameterSet.v_tied, ParameterSet.generic], ids=["v-tied", "generic"])
+def test_delta_of_random_combinations_is_the_product_from_the_unit(name, make):
+    """delta of random combinations of words, many of them extensions of
+    words already asked for, with unit and non-unit coefficients, equals the
+    sum of each word's product of its letters' coproducts from the unit,
+    straightened after every factor by a context of its own, times its
+    coefficient; each call stores exactly its uncached words."""
+    rd = rootdata.builtin(name)
+    p = make(rd.cartan)
+    ctx, fresh = HopfContext(rd, p), HopfContext(rd, p)
+    letters = [(kind, i) for kind in GENERATORS for i in rd.index_set]
+    rng = random.Random(0)
+    words = [()]
+    for _ in range(12):
+        combo = {}
+        for _ in range(rng.randint(1, 4)):
+            base = rng.choice([w for w in words if len(w) <= 4])
+            word = base + tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            words.append(word)
+            combo[word] = p.rat(rng.choice((-2, -1, 1, 3, p.q(0) + 1)))
+        expected = TensorExpr.zero(p)
+        for word, c in combo.items():
+            product = TensorExpr.unit(p, 2)
+            for sym in word:
+                product = fresh.tnf(tmul(product, _delta_symbol(fresh, sym)))
+            expected = expected + product.scale(c)
+        size, uncached = len(ctx._delta_cache), len(combo.keys() - ctx._delta_cache.keys())
+        assert delta(ctx, NCExpr(p, combo)) == expected
+        assert len(ctx._delta_cache) == size + uncached
 
 
 @pytest.mark.parametrize("name", ["a1", "a1xa1", "a2", "b2", "g2"])
