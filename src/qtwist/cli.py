@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import rootdata, specializations
 from .coeffring import Context, gauss_vanish, qbinom, qint
@@ -256,6 +255,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # an engine bug, never a configuration problem
+        import traceback
+
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL

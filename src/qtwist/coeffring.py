@@ -110,6 +110,7 @@ class Context:
         self._gens: dict[str, LaurentPoly] = {}  # name -> generator
         self._qint_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
+        self._mono_texts: dict = {0: "1"}  # monomial -> display
         self.one = LaurentPoly(self, {0: 1})
         self.zero = LaurentPoly(self, {})
 
@@ -219,10 +220,13 @@ class Context:
         return tuple(key)
 
     def mono_str(self, m: Mono) -> str:
-        if not m:
-            return "1"
-        pieces = self._mono_pieces
-        return "*".join([pieces.get(p) or self._mono_piece(p) for p in self.mono_exps(m)])
+        """Display of m, made once per monomial from its pieces."""
+        text = self._mono_texts.get(m)
+        if text is None:
+            pieces = self._mono_pieces
+            text = self._mono_texts[m] = "*".join(
+                [pieces.get(p) or self._mono_piece(p) for p in self.mono_exps(m)])
+        return text
 
     def _mono_piece(self, p) -> str:
         """Display of one (variable index, scaled exponent) pair, made once."""
@@ -451,10 +455,14 @@ class LaurentPoly:
         sb = other._laurent_shift()
         a = self.times_unit(-sa)
         b = other.times_unit(-sb)
-        lt_b, lc_b = b.leading()
+        # each monomial's term-order key, decoded once per division as it enters f or b
+        mono_key = ctx.mono_key
+        keys = {m: mono_key(m) for m in a.terms.keys() | b.terms.keys()}
+        key = keys.__getitem__
+        lt_b = max(b.terms, key=key)
+        lc_b = b.terms[lt_b]
         quot: dict = {}
         f = dict(a.terms)
-        key = ctx.mono_key
         while f:
             ltf = max(f, key=key)
             # b has no sign variable, so the quotient's digits are plain differences
@@ -469,6 +477,8 @@ class LaurentPoly:
                 if nc == 0:
                     f.pop(m, None)
                 else:
+                    if m not in keys:
+                        keys[m] = mono_key(m)
                     f[m] = nc
         q = LaurentPoly(ctx, _canon({m: c for m, c in quot.items() if c != 0}))
         return q.times_unit(sa - sb)

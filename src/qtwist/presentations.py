@@ -27,7 +27,6 @@ whose side(k) is the instance over its k-th parameter set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import add, sub
 from typing import Optional
@@ -157,7 +156,6 @@ def _key_id(family: str, i: Optional[int], j: Optional[int]) -> str:
     return ":".join(bits)
 
 
-@dataclass(eq=False)
 class Relation:
     """One relation instance of any of the four presentations, over each
     parameter set of sides, stored as LHS - RHS in integral form: the Serre
@@ -168,15 +166,21 @@ class Relation:
     shared path words, words = (left, right, word) with left*right == word,
     and exprs None.  id is the instance's id text, made by the builder."""
 
-    sides: tuple
-    id: str
-    family: str  # 'a', 'b', 'c', 'd-E', 'd-F'
-    i: Optional[int]
-    j: Optional[int]
-    lam: Optional[Weight]
-    part: str
-    words: Optional[tuple]
-    exprs: Optional[tuple]
+    __slots__ = ("sides", "id", "family", "i", "j", "lam", "part", "words", "exprs",
+                 "__weakref__")
+
+    def __init__(self, sides: tuple, id: str, family: str, i: Optional[int], j: Optional[int],
+                 lam: Optional[Weight], part: str, words: Optional[tuple],
+                 exprs: Optional[tuple]):
+        self.sides = sides
+        self.id = id
+        self.family = family  # 'a', 'b', 'c', 'd-E', 'd-F'
+        self.i = i
+        self.j = j
+        self.lam = lam
+        self.part = part
+        self.words = words
+        self.exprs = exprs
 
     def sort_key(self):
         return (self.family, -1 if self.i is None else self.i, -1 if self.j is None else self.j,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 PASS = "pass"
@@ -23,16 +22,20 @@ _RECORD_END = _RECORD + "\n    }"
 _RECORD_WITNESS = _RECORD + ',\n      "witness": %s\n    }'
 
 
-@dataclass(slots=True)
 class CheckRecord:
-    id: str
-    family: str = ""
-    i: Optional[int] = None
-    j: Optional[int] = None
-    lam: Optional[tuple] = None
-    status: str = PASS
-    scalar: str = ""
-    witness: str = ""
+    __slots__ = ("id", "family", "i", "j", "lam", "status", "scalar", "witness")
+
+    def __init__(self, id: str, family: str = "", i: Optional[int] = None,
+                 j: Optional[int] = None, lam: Optional[tuple] = None, status: str = PASS,
+                 scalar: str = "", witness: str = ""):
+        self.id = id
+        self.family = family
+        self.i = i
+        self.j = j
+        self.lam = lam
+        self.status = status
+        self.scalar = scalar
+        self.witness = witness
 
     def to_dict(self) -> dict:
         out = {
@@ -49,16 +52,18 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class Report:
-    campaign: str
-    datum: str = ""
-    case: str = ""
-    checks: list = field(default_factory=list)
-    elapsed_ms: int = 0
-    # time.monotonic() when the report was made; finalize measures from it
-    started: float = field(default_factory=lambda: time.monotonic(), init=False, repr=False,
-                           compare=False)
+    __slots__ = ("campaign", "datum", "case", "checks", "elapsed_ms", "started")
+
+    def __init__(self, campaign: str, datum: str = "", case: str = "",
+                 checks: Optional[list] = None, elapsed_ms: int = 0):
+        self.campaign = campaign
+        self.datum = datum
+        self.case = case
+        self.checks = [] if checks is None else checks
+        self.elapsed_ms = elapsed_ms
+        # time.monotonic() when the report was made; finalize measures from it
+        self.started = time.monotonic()
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)

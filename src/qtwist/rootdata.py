@@ -29,7 +29,6 @@ X_rank 10^6, growing with it, where 2^16 takes 0.03 s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -46,11 +45,13 @@ class DatumError(Exception):
     """A root datum failed validation or could not be parsed."""
 
 
-@dataclass(frozen=True)
 class CartanDatum:
     """Finite index set with a symmetric even pairing i.j."""
 
-    dot: tuple  # n x n tuple of tuples of ints
+    __slots__ = ("dot",)
+
+    def __init__(self, dot: tuple):
+        self.dot = dot  # n x n tuple of tuples of ints
 
     @property
     def n(self) -> int:
@@ -99,7 +100,6 @@ class CartanDatum:
         return errs
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """Cartan datum plus explicit lattice coordinates.
 
@@ -107,12 +107,14 @@ class RootDatum:
     forms <coroot_i, .> and <coweight_i, .> on X, a file's pairing folded in.
     """
 
-    cartan: CartanDatum
-    x_rank: int
-    alpha: tuple    # n rows of length x_rank
-    coroot: tuple   # n forms of length x_rank
-    coweight: tuple  # n forms of length x_rank
-    name: str = ""
+    def __init__(self, cartan: CartanDatum, x_rank: int, alpha: tuple, coroot: tuple,
+                 coweight: tuple, name: str = ""):
+        self.cartan = cartan
+        self.x_rank = x_rank
+        self.alpha = alpha        # n rows of length x_rank
+        self.coroot = coroot      # n forms of length x_rank
+        self.coweight = coweight  # n forms of length x_rank
+        self.name = name
 
     @property
     def n(self) -> int:

@@ -16,7 +16,6 @@ c_{i,lam} is verified over a weight window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import Context, LaurentPoly
@@ -77,16 +76,19 @@ def default_omega(rd: RootDatum):
     ]
 
 
-@dataclass
 class Specialization:
     """A named substitution with its resolved parameter set and checks."""
 
-    name: str
-    rd: RootDatum
-    params: ParameterSet           # resolved target parameters
-    sigma: dict                    # v-tied parameter name -> target unit monomial
-    constraints: list              # (description, bool)
-    meta: dict
+    __slots__ = ("name", "rd", "params", "sigma", "constraints", "meta")
+
+    def __init__(self, name: str, rd: RootDatum, params: ParameterSet, sigma: dict,
+                 constraints: list, meta: dict):
+        self.name = name
+        self.rd = rd
+        self.params = params            # resolved target parameters
+        self.sigma = sigma              # v-tied parameter name -> target unit monomial
+        self.constraints = constraints  # (description, bool)
+        self.meta = meta
 
     def constraint_records(self) -> list:
         out = []

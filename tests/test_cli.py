@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -387,6 +389,27 @@ def test_malformed_datum_json_is_invalid_configuration(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+# Modules the CLI needs on no campaign path: dataclasses and the code
+# introspection it pulls in, and traceback, read only on the exit-5 path.
+STARTUP_UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback")
+
+
+def test_import_loads_no_introspection_modules():
+    """import qtwist.cli, in a fresh interpreter, adds none of
+    STARTUP_UNUSED to the modules the interpreter had before it (whatever
+    the site hooks loaded is not counted)."""
+    code = ("import json, sys; before = set(sys.modules); import qtwist.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = json.loads(out)
+    assert "qtwist.cli" in added
+    assert [m for m in STARTUP_UNUSED if m in added] == []
+
+
 def test_engine_error_is_internal_error(monkeypatch, capsys):
     from qtwist import cli
 
@@ -397,6 +420,7 @@ def test_engine_error_is_internal_error(monkeypatch, capsys):
     code, out, err = run(capsys, "verify-iso", "--root-datum", "a1", "--lambda-box", "1")
     assert code == 5
     assert "internal error" in err and "engine bug" in err
+    assert "Traceback (most recent call last)" in err
     assert "invalid configuration" not in err
 
 

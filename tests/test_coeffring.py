@@ -287,6 +287,28 @@ def test_exact_div_multivariate(ctx):
     assert a.exact_div(v + w) == (v * w - 1) * v**-3
 
 
+def test_exact_div_decodes_each_monomial_once(ctx, monkeypatch):
+    """(v+w+1)^6 (v-2w)^3 / (v+w+1)^3 is (v+w+1)^3 (v-2w)^3, and the
+    division takes each monomial's term-order key once, however many
+    reduction steps see it."""
+    v, w = ctx["v"], ctx["w"]
+    s, d = v + w + 1, v - 2 * w
+    dividend, divisor, want = s**6 * d**3, s**3, s**3 * d**3
+    calls = collections.Counter()
+    mono_key = Context.mono_key
+
+    def counted(self, m):
+        calls[m] += 1
+        return mono_key(self, m)
+
+    monkeypatch.setattr(Context, "mono_key", counted)
+    q = dividend.exact_div(divisor)
+    monkeypatch.undo()
+    assert q == want
+    assert calls and max(calls.values()) == 1
+    assert set(dividend.terms) | set(divisor.terms) <= set(calls)
+
+
 def test_exact_div_sign_unit(ctx):
     g, v = ctx["g"], ctx["v"]
     assert (g * v).exact_div(g) == v
@@ -876,4 +898,6 @@ def test_mono_str_matches_fraction_rule():
         ctx.laurent("c", denom=4)
         ctx.sign("g")
         for m in order:
+            assert ctx.mono_str(ctx.mono(m)) == _mono_str_by_fraction(ctx, m)
+        for m in order:  # the second pass reads each text from the memo
             assert ctx.mono_str(ctx.mono(m)) == _mono_str_by_fraction(ctx, m)

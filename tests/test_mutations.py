@@ -12,7 +12,6 @@ show the same runs pass, so the failures come from the defect.
 """
 
 import collections
-import dataclasses
 import json
 import types
 from fractions import Fraction
@@ -26,7 +25,7 @@ from qtwist.coeffring import qint_signed
 from qtwist.hopf import verify_hopf
 from qtwist.ncalg import NCExpr, TensorExpr, word_key
 from qtwist.params import ParameterSet, twist_character
-from qtwist.presentations import _serre_ratios, relations_of
+from qtwist.presentations import Relation, _serre_ratios, relations_of
 from qtwist.repcheck import (
     sl2_string_module,
     sl3_natural_module,
@@ -614,7 +613,8 @@ def _kp_e_scaled_relations(algebra, rd, params, window=None):
         if (inst.family, inst.i, inst.j, inst.part) == ("b", 0, 0, "Kp-E"):
             terms = dict(inst.expr.terms)
             terms[(("E", 0),)] = terms[(("E", 0),)] * params.rat(params.q(0))
-            inst = dataclasses.replace(inst, exprs=(NCExpr(params, terms),))
+            inst = Relation(inst.sides, inst.id, inst.family, inst.i, inst.j, inst.lam,
+                            inst.part, inst.words, (NCExpr(params, terms),))
         out.append(inst)
     return out
 
@@ -646,7 +646,8 @@ def _k_part_scaled_relations(algebra, rd, params, window=None):
             q = params.rat(params.q(inst.i))
             terms = {w: c * q if w and w[0][0] not in ("E", "F") else c
                      for w, c in inst.expr.terms.items()}
-            inst = dataclasses.replace(inst, exprs=(NCExpr(params, terms),))
+            inst = Relation(inst.sides, inst.id, inst.family, inst.i, inst.j, inst.lam,
+                            inst.part, inst.words, (NCExpr(params, terms),))
         out.append(inst)
     return out
 

@@ -1,6 +1,5 @@
 """Built-in root data, pairings, validation, and the config loader."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -22,7 +21,10 @@ def test_builtin_entry_is_a_datum_file(tmp_path, name):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rootdata.BUILTINS[name], fh)
     loaded = rootdata.load(str(path))
-    assert dataclasses.replace(loaded, name=name) == rootdata.builtin(name)
+    want = rootdata.builtin(name)
+    assert loaded.cartan.dot == want.cartan.dot
+    assert (loaded.x_rank, loaded.alpha, loaded.coroot, loaded.coweight) == (
+        want.x_rank, want.alpha, want.coroot, want.coweight)
 
 
 @pytest.mark.parametrize("name", ALL)
