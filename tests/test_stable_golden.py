@@ -50,6 +50,23 @@ GOLDEN = [
      "3079240c20b100ff3b97fbed975dd9c768aec3a3a1824201ecc4cbb45a6bcd9a"),
     ("verify-special --case super1 --with-iso --root-datum a2 --lambda-box 2 --order 2,1 --signs 1,2,-1",
      "45620371bc39b7c84caf7783357158269a02cf3e8b85e67b37d449ec23f1f458"),
+    # a_ij = -2 (b2) and -3 (g2) in the resolution of each case's dependent parameters
+    ("verify-special --case two-param --with-iso --root-datum b2 --lambda-box 1",
+     "51af66c072f1d069fcc0c60b32b8beeeca26acc5ed6b3c94a71611a615b78464"),
+    ("verify-special --case two-param --with-iso --root-datum g2 --lambda-box 1",
+     "517598e6bf82809b902343eb44b0d9ac9c1af286e315720bc9e13828d7ba69fe"),
+    ("verify-special --case multi-param --with-iso --root-datum b2 --lambda-box 1",
+     "38ed86e3454049b8c498f1269fbfbefda06b81ab6d4b1eb81855cef4d15baeee"),
+    ("verify-special --case multi-param --with-iso --root-datum g2 --lambda-box 1",
+     "fa84b648f87f52209d94c2bcc9dcc26b1066421610a398d2a2495def7483d7e3"),
+    ("verify-special --case super1 --with-iso --root-datum b2 --lambda-box 1",
+     "37603ba3439a0d2082560a505d881b9e46c3242ae7055ee159e1321ddaf86388"),
+    ("verify-special --case super1 --with-iso --root-datum g2 --lambda-box 1",
+     "e5d3e0968c655266c024e7d528474e8ddb6f652ed3438a6525a3eaab0ac3d4d3"),
+    ("verify-special --case super2 --with-iso --root-datum b2 --lambda-box 1",
+     "f73ada801096ac7d777fee246cd46622f9e3aa0e4bc098b559fc1d7ab0c41347"),
+    ("verify-special --case super2 --with-iso --root-datum g2 --lambda-box 1",
+     "3b0fbe84524dce961fb68cfd52ffb2d20c4f694b82630c305d0deaa617a60ab4"),
     # the campaigns of the benchmark's iso and special workloads (seed 0)
     ("verify-iso --root-datum a2 --lambda-box 3",
      "23161698638051345b52492cb75d592b66cbaf65729a02e091b620526c978299"),
