@@ -136,14 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_order(arg: str, n: int):
+def _parse_order(arg: str, n=None):
+    """--order as 0-based indices (None if empty), unchecked: super_first
+    refuses a non-permutation.  n is unused; bench/tests still pass it."""
     if not arg:
         return None
     try:
         order = [int(x) - 1 for x in arg.split(",")]
     except ValueError:
         raise SpecializationError("--order must be comma-separated integers")
-    return specializations.check_order(order, n)
+    return order
 
 
 def _parse_signs(arg: str):
@@ -161,7 +163,7 @@ def _parse_signs(arg: str):
     return eps
 
 
-def _spec_kwargs(args, rd):
+def _spec_kwargs(args):
     if args.omega and args.case != "two-param":
         raise SpecializationError("--omega applies only to --case two-param")
     if (args.order or args.signs) and args.case != "super1":
@@ -176,7 +178,7 @@ def _spec_kwargs(args, rd):
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise SpecializationError("omega file is not valid JSON: %s" % exc)
     if args.case == "super1":
-        order = _parse_order(args.order, rd.n)
+        order = _parse_order(args.order)
         if order is not None:
             kwargs["order"] = order
         eps = _parse_signs(args.signs)
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-special":
             rd = _load_datum(args.root_datum)
             window = rd.weights_box(args.lambda_box)
-            spec = specializations.make(args.case, rd, **_spec_kwargs(args, rd))
+            spec = specializations.make(args.case, rd, **_spec_kwargs(args))
             report = specializations.verify_specialization(spec, window)
             if args.with_iso:
                 report.merge(verify_twist_isomorphism(rd, spec.params, window))

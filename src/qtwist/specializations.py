@@ -6,9 +6,9 @@ parameters of the v-tied relation correspondence: v -> v, s_ij -> s'_ij,
 t_ij -> t'_ij.  sigma is keyed by parameter name, so it applies to any
 v-tied ring of the datum (ParameterSet.v_tied) and no source ring is
 built here.  A case resolves its dependent parameters against a small
-free variable set and checks its defining constraint identities exactly,
-among them that its own formula for q_i gives v^{d_i}, the hypothesis of
-the v-tied proof.  One builder makes sigma and the target ParameterSet
+free variable set (the three constrained cases by one rule, _resolved) and
+checks its defining constraint identities exactly, among them that its own
+formula for q_i gives v^{d_i}, the hypothesis of the v-tied proof.  One builder makes sigma and the target ParameterSet
 (q_i = v^{d_i}) from the images, so every verification campaign runs
 unchanged over the target.  The closed form of the K-correction scalars
 c_{i,lam} is verified over a weight window.
@@ -117,6 +117,29 @@ def _specialize(name: str, rd: RootDatum, v, s, t, constraints, meta) -> Special
     return Specialization(name, rd, params, sigma, constraints, meta)
 
 
+def _resolved(ctx: Context, name: str, denom: int, diag: list, free, product) -> list:
+    """The n x n matrix of a case's dependent parameters, one rule for all.
+
+    x_ii = diag[i].  Where free(i, j) holds, x_ij is a new Laurent variable
+    <name>ij with denominator bound denom, declared in row-major (i, j)
+    order.  Every other off-diagonal entry is solved from its product
+    constraint against the free one on the other side: x_ij = product(i, j)
+    x_ji^{-1}.
+    """
+    n = len(diag)
+    x = [[None] * n for _ in range(n)]
+    for i in range(n):
+        x[i][i] = diag[i]
+        for j in range(n):
+            if i != j and free(i, j):
+                x[i][j] = ctx.laurent("%s%d%d" % (name, i + 1, j + 1), denom=denom)
+    for i in range(n):
+        for j in range(n):
+            if x[i][j] is None:
+                x[i][j] = product(i, j) * x[j][i].inv_unit()
+    return x
+
+
 # two_parameter's "no omega given"; None (a JSON null) is refused like any non-matrix
 _DEFAULT_OMEGA = object()
 
@@ -187,15 +210,9 @@ def multi_parameter(rd: RootDatum) -> Specialization:
     n = cartan.n
     ctx = Context("multi-param")
     v = ctx.laurent("v", denom=2)
-    qm = [[None] * n for _ in range(n)]
-    for i in range(n):
-        qm[i][i] = v ** (2 * cartan.d(i))
-        for j in range(i + 1, n):
-            qm[i][j] = ctx.laurent("q%d%d" % (i + 1, j + 1), denom=2)
-    for i in range(n):
-        for j in range(i):
-            # i > j: q_ij = q_jj^{a_ji} q_ji^{-1}, from the free q_ji
-            qm[i][j] = qm[j][j] ** cartan.a(j, i) * qm[j][i].inv_unit()
+    qii = [v ** (2 * cartan.d(i)) for i in range(n)]
+    qm = _resolved(ctx, "q", 2, qii, lambda i, j: i < j,
+                   lambda i, j: qii[j] ** cartan.a(j, i))
     half = Fraction(1, 2)
     s = [[qm[j][i].unit_pow(half) for j in range(n)] for i in range(n)]
     t = [[qm[i][j].unit_pow(-half) for j in range(n)] for i in range(n)]
@@ -209,14 +226,6 @@ def multi_parameter(rd: RootDatum) -> Specialization:
     return _specialize("multi-param", rd, v, s, t, constraints, {"qmat": qm})
 
 
-def check_order(order, n: int) -> list:
-    """A total order on the index set as 0-based indices; anything but a
-    permutation of them is refused in the 1-based terms of the CLI."""
-    if sorted(order) != list(range(n)):
-        raise SpecializationError("order must be a permutation of 1..%d" % n)
-    return order
-
-
 def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     """The sign-variable specialization with a total order on the index set.
 
@@ -228,9 +237,10 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     """
     cartan = rd.cartan
     n = cartan.n
-    if order is None:
-        order = list(range(n))
-    rank = {idx: pos for pos, idx in enumerate(check_order(order, n))}
+    order = list(range(n)) if order is None else order
+    if sorted(order) != list(range(n)):  # 0-based; the message is 1-based, as --order
+        raise SpecializationError("order must be a permutation of 1..%d" % n)
+    rank = {idx: pos for pos, idx in enumerate(order)}
     if eps is None:
         eps = {}
     for i, j in sorted(eps):
@@ -246,25 +256,12 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     ctx = Context("super1")
     v = ctx.laurent("v", denom=2)
     gam = [ctx.sign("g%d" % (i + 1)) for i in range(n)]
-    theta = [[None] * n for _ in range(n)]
-    for i in range(n):
-        theta[i][i] = ctx.poly(epsval[(i, i)])
-    for i in range(n):
-        for j in range(n):
-            if rank[i] < rank[j]:
-                theta[i][j] = ctx.laurent("th%d%d" % (i + 1, j + 1))
-    for i in range(n):
-        for j in range(n):
-            if rank[i] > rank[j]:
-                # resolved against the free one on the other side of the order
-                a_ji = cartan.a(j, i)
-                a_ij = cartan.a(i, j)
-                theta[i][j] = (
-                    ctx.poly(epsval[(j, i)] * epsval[(i, j)])
-                    * gam[j] ** a_ji
-                    * gam[i] ** a_ij
-                    * theta[j][i].inv_unit()
-                )
+    theta = _resolved(
+        ctx, "th", 1, [ctx.poly(epsval[(i, i)]) for i in range(n)],
+        lambda i, j: rank[i] < rank[j],
+        lambda i, j: ctx.poly(epsval[(j, i)] * epsval[(i, j)])
+        * gam[j] ** cartan.a(j, i) * gam[i] ** cartan.a(i, j),
+    )
 
     p = [v ** cartan.d(i) * gam[i] for i in range(n)]
     pij = [[ctx.poly(epsval[(i, j)]) * p[i] ** cartan.a(i, j) for j in range(n)] for i in range(n)]
@@ -305,14 +302,8 @@ def super_second(rd: RootDatum) -> Specialization:
     ctx = Context("super2")
     v = ctx.laurent("v", denom=2)
     ptil = [v ** (2 * cartan.d(i)) for i in range(n)]
-    theta = [[None] * n for _ in range(n)]
-    for i in range(n):
-        theta[i][i] = ptil[i].inv_unit()
-        for j in range(i + 1, n):
-            theta[i][j] = ctx.laurent("th%d%d" % (i + 1, j + 1))
-    for i in range(n):
-        for j in range(i):
-            theta[i][j] = ptil[j] ** (-cartan.a(j, i)) * theta[j][i].inv_unit()
+    theta = _resolved(ctx, "th", 1, [p.inv_unit() for p in ptil], lambda i, j: i < j,
+                      lambda i, j: ptil[j] ** (-cartan.a(j, i)))
     v_i = lambda i: v ** cartan.d(i)
     zeta = [[theta[i][j] * v_i(i) ** cartan.a(i, j) for j in range(n)] for i in range(n)]
     s = [[None] * n for _ in range(n)]
