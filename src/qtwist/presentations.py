@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from functools import partial
 from operator import add, sub
-from typing import Optional
 
 from .coeffring import qbinom
 from .ncalg import LinComb, NCExpr, merge_term, word_str
@@ -77,7 +76,7 @@ class PathWord:
     def key(self):
         return (self.target, self.steps, self.source)
 
-    def compose(self, other: "PathWord") -> Optional["PathWord"]:
+    def compose(self, other: "PathWord") -> "PathWord | None":
         """The concatenated word self*other, or None when the inner weights
         differ.  Its source is other's, so no step is walked again."""
         if self.source != other.target:
@@ -150,7 +149,7 @@ def lam_text(lam: Weight) -> str:
     return "lam(%s)" % ",".join(map(str, lam))
 
 
-def _key_id(family: str, i: Optional[int], j: Optional[int]) -> str:
+def _key_id(family: str, i: int | None, j: int | None) -> str:
     """The id text of a relation template: family, then i and j when set."""
     bits = [family] + ["%s%d" % (name, k + 1) for name, k in (("i", i), ("j", j)) if k is not None]
     return ":".join(bits)
@@ -169,9 +168,9 @@ class Relation:
     __slots__ = ("sides", "id", "family", "i", "j", "lam", "part", "words", "exprs",
                  "__weakref__")
 
-    def __init__(self, sides: tuple, id: str, family: str, i: Optional[int], j: Optional[int],
-                 lam: Optional[Weight], part: str, words: Optional[tuple],
-                 exprs: Optional[tuple]):
+    def __init__(self, sides: tuple, id: str, family: str, i: int | None, j: int | None,
+                 lam: Weight | None, part: str, words: tuple | None,
+                 exprs: tuple | None):
         self.sides = sides
         self.id = id
         self.family = family  # 'a', 'b', 'c', 'd-E', 'd-F'

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Optional
 
 PASS = "pass"
 FAIL = "fail"
@@ -25,8 +24,8 @@ _RECORD_WITNESS = _RECORD + ',\n      "witness": %s\n    }'
 class CheckRecord:
     __slots__ = ("id", "family", "i", "j", "lam", "status", "scalar", "witness")
 
-    def __init__(self, id: str, family: str = "", i: Optional[int] = None,
-                 j: Optional[int] = None, lam: Optional[tuple] = None, status: str = PASS,
+    def __init__(self, id: str, family: str = "", i: int | None = None,
+                 j: int | None = None, lam: tuple | None = None, status: str = PASS,
                  scalar: str = "", witness: str = ""):
         self.id = id
         self.family = family
@@ -56,7 +55,7 @@ class Report:
     __slots__ = ("campaign", "datum", "case", "checks", "elapsed_ms", "started")
 
     def __init__(self, campaign: str, datum: str = "", case: str = "",
-                 checks: Optional[list] = None, elapsed_ms: int = 0):
+                 checks: list | None = None, elapsed_ms: int = 0):
         self.campaign = campaign
         self.datum = datum
         self.case = case

@@ -410,6 +410,17 @@ def test_import_loads_no_introspection_modules():
     assert [m for m in STARTUP_UNUSED if m in added] == []
 
 
+def test_import_without_site_hooks_loads_no_typing():
+    """Under -S no site hook has imported typing first, so this sees what
+    qtwist.cli itself loads: its annotations are never evaluated and need
+    no typing."""
+    code = ("import sys; sys.path.insert(0, %r); import qtwist.cli; "
+            "print('typing' in sys.modules)" % os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_engine_error_is_internal_error(monkeypatch, capsys):
     from qtwist import cli
 
