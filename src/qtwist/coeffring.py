@@ -46,9 +46,8 @@ no seeded defect builds no denominator (tests/test_integral_forms.py).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 LAURENT = "laurent"
 SIGN = "sign"
@@ -261,7 +260,7 @@ class LaurentPoly:
         t = self.terms
         return len(t) == 1 and t.get(0) == 1
 
-    def unit_mono(self) -> Optional[tuple]:
+    def unit_mono(self) -> tuple | None:
         """Return (coeff, mono) when this is a single-term (hence invertible) poly."""
         if len(self.terms) != 1:
             return None
@@ -420,7 +419,7 @@ class LaurentPoly:
     def _laurent_shift(self) -> Mono:
         """Per-variable minimum exponents across all terms (Laurent vars only)."""
         ctx = self.ctx
-        mins: Optional[dict] = None
+        mins: dict | None = None
         for m in self.terms:
             seen = {idx: s for idx, s in ctx.mono_exps(m) if idx not in ctx.sign_indices}
             if mins is None:
@@ -434,8 +433,11 @@ class LaurentPoly:
         """Exact division; raises NotDivisible when a remainder is left.
 
         The divisor is shifted to an honest polynomial and eliminated by
-        leading-term reduction in the canonical lex order, which terminates
-        because honest-polynomial monomials are well ordered.  Unit-monomial
+        leading-term reduction in the order of the packed monomials
+        themselves.  After the shift every digit is >= 0, so integer order is
+        the lex order read from the last variable: a monomial order, and a
+        well order, so the reduction terminates, and since an exact quotient
+        is unique it is the one any monomial order finds.  Unit-monomial
         divisors are inverted directly.  Non-unit divisors containing sign
         variables are rejected: with x**2 == 1 the ring has zero divisors and
         plain reduction is not meaningful there.
@@ -455,16 +457,12 @@ class LaurentPoly:
         sb = other._laurent_shift()
         a = self.times_unit(-sa)
         b = other.times_unit(-sb)
-        # each monomial's term-order key, decoded once per division as it enters f or b
-        mono_key = ctx.mono_key
-        keys = {m: mono_key(m) for m in a.terms.keys() | b.terms.keys()}
-        key = keys.__getitem__
-        lt_b = max(b.terms, key=key)
+        lt_b = max(b.terms)
         lc_b = b.terms[lt_b]
         quot: dict = {}
         f = dict(a.terms)
         while f:
-            ltf = max(f, key=key)
+            ltf = max(f)
             # b has no sign variable, so the quotient's digits are plain differences
             t = ltf - lt_b
             if any(s < 0 for _, s in ctx.mono_exps(t)):
@@ -477,8 +475,6 @@ class LaurentPoly:
                 if nc == 0:
                     f.pop(m, None)
                 else:
-                    if m not in keys:
-                        keys[m] = mono_key(m)
                     f[m] = nc
         q = LaurentPoly(ctx, _canon({m: c for m, c in quot.items() if c != 0}))
         return q.times_unit(sa - sb)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import qfact, substitute
 
@@ -287,26 +287,25 @@ def test_exact_div_multivariate(ctx):
     assert a.exact_div(v + w) == (v * w - 1) * v**-3
 
 
-def test_exact_div_decodes_each_monomial_once(ctx, monkeypatch):
+def test_exact_div_orders_by_the_packed_monomial(ctx, monkeypatch):
     """(v+w+1)^6 (v-2w)^3 / (v+w+1)^3 is (v+w+1)^3 (v-2w)^3, and the
-    division takes each monomial's term-order key once, however many
-    reduction steps see it."""
+    division orders its terms by the packed monomials themselves: it decodes
+    no term-order key."""
     v, w = ctx["v"], ctx["w"]
     s, d = v + w + 1, v - 2 * w
     dividend, divisor, want = s**6 * d**3, s**3, s**3 * d**3
-    calls = collections.Counter()
+    calls = []
     mono_key = Context.mono_key
 
     def counted(self, m):
-        calls[m] += 1
+        calls.append(m)
         return mono_key(self, m)
 
     monkeypatch.setattr(Context, "mono_key", counted)
     q = dividend.exact_div(divisor)
     monkeypatch.undo()
     assert q == want
-    assert calls and max(calls.values()) == 1
-    assert set(dividend.terms) | set(divisor.terms) <= set(calls)
+    assert calls == []
 
 
 def test_exact_div_sign_unit(ctx):
@@ -729,10 +728,11 @@ def test_range_guard_rejects_and_never_wraps(idx, size, sign):
     assert ctx.mono_key(inverse_times_w) == (0, 0, 0, 1 - 2**31)
 
 
-def _polys():
+def _polys(signed=True):
     terms = st.lists(
         st.tuples(
-            st.integers(-4, 4), st.integers(-3, 3), st.integers(0, 1), st.integers(-5, 5)
+            st.integers(-4, 4), st.integers(-3, 3), st.integers(0, 1 if signed else 0),
+            st.integers(-5, 5),
         ),
         min_size=0,
         max_size=5,
@@ -766,6 +766,21 @@ def test_product_commutes(a, b):
     for m, c in b.terms.items():
         b2 = b2 + type(a)(a.ctx, {m: c})
     assert a * b2 == b2 * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), _polys(signed=False), st.integers(-4, 4), st.integers(-3, 3),
+       st.integers(0, 1), st.integers(1, 5))
+def test_exact_div_by_a_sign_free_non_unit(a, b, ev, ew, eg, c):
+    """b sign-free and not a unit, a with half exponents and the sign
+    variable: (a*b)/b is a, and a*b + u leaves a remainder for a unit u."""
+    ctx = a.ctx
+    b = sum((type(a)(ctx, {m: cb}) for m, cb in b.terms.items()), ctx.zero)
+    assume(len(b.terms) > 1)
+    assert (a * b).exact_div(b) == a
+    u = c * ctx["v"] ** Fraction(ev, 2) * ctx["w"] ** ew * ctx["g"] ** eg
+    with pytest.raises(NotDivisible):
+        (a * b + u).exact_div(b)
 
 
 @settings(max_examples=40, deadline=None)
