@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from operator import add, mul, sub
 
@@ -107,6 +106,8 @@ class RootDatum:
     forms <coroot_i, .> and <coweight_i, .> on X, a file's pairing folded in.
     """
 
+    __slots__ = ("cartan", "x_rank", "alpha", "coroot", "coweight", "name", "_step_shifts")
+
     def __init__(self, cartan: CartanDatum, x_rank: int, alpha: tuple, coroot: tuple,
                  coweight: tuple, name: str = ""):
         self.cartan = cartan
@@ -115,6 +116,7 @@ class RootDatum:
         self.coroot = coroot      # n forms of length x_rank
         self.coweight = coweight  # n forms of length x_rank
         self.name = name
+        self._step_shifts = {}  # step tuple -> step_shift
 
     @property
     def n(self) -> int:
@@ -139,10 +141,6 @@ class RootDatum:
         if sign == -1:
             return tuple(map(sub, lam, alpha))
         return tuple(map(add, lam, [sign * a for a in alpha]))
-
-    @cached_property
-    def _step_shifts(self) -> dict:
-        return {}
 
     def step_shift(self, steps: tuple) -> Weight:
         """Source minus target of a path word with these steps: -alpha_i per
