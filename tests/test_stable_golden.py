@@ -50,7 +50,7 @@ GOLDEN = [
      "3079240c20b100ff3b97fbed975dd9c768aec3a3a1824201ecc4cbb45a6bcd9a"),
     ("verify-special --case super1 --with-iso --root-datum a2 --lambda-box 2 --order 2,1 --signs 1,2,-1",
      "45620371bc39b7c84caf7783357158269a02cf3e8b85e67b37d449ec23f1f458"),
-    # a_ij = -2 (b2) and -3 (g2) in the resolution of each case's dependent parameters
+    # a_ij = -2 (b2) and -3 (g2) in every case, and so in the constrained cases' resolution
     ("verify-special --case two-param --with-iso --root-datum b2 --lambda-box 1",
      "51af66c072f1d069fcc0c60b32b8beeeca26acc5ed6b3c94a71611a615b78464"),
     ("verify-special --case two-param --with-iso --root-datum g2 --lambda-box 1",
