@@ -136,16 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_order(arg: str, n=None):
-    """--order as 0-based indices (None if empty), unchecked: super_first
-    refuses a non-permutation.  n is unused; bench/tests still pass it."""
+def _parse_order(arg: str, n: int):
     if not arg:
         return None
     try:
         order = [int(x) - 1 for x in arg.split(",")]
     except ValueError:
         raise SpecializationError("--order must be comma-separated integers")
-    return order
+    return specializations.check_order(order, n)
 
 
 def _parse_signs(arg: str):
@@ -163,7 +161,7 @@ def _parse_signs(arg: str):
     return eps
 
 
-def _spec_kwargs(args):
+def _spec_kwargs(args, rd):
     if args.omega and args.case != "two-param":
         raise SpecializationError("--omega applies only to --case two-param")
     if (args.order or args.signs) and args.case != "super1":
@@ -178,7 +176,7 @@ def _spec_kwargs(args):
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise SpecializationError("omega file is not valid JSON: %s" % exc)
     if args.case == "super1":
-        order = _parse_order(args.order)
+        order = _parse_order(args.order, rd.n)
         if order is not None:
             kwargs["order"] = order
         eps = _parse_signs(args.signs)
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-special":
             rd = _load_datum(args.root_datum)
             window = rd.weights_box(args.lambda_box)
-            spec = specializations.make(args.case, rd, **_spec_kwargs(args))
+            spec = specializations.make(args.case, rd, **_spec_kwargs(args, rd))
             report = specializations.verify_specialization(spec, window)
             if args.with_iso:
                 report.merge(verify_twist_isomorphism(rd, spec.params, window))

@@ -6,12 +6,13 @@ parameters of the v-tied relation correspondence: v -> v, s_ij -> s'_ij,
 t_ij -> t'_ij.  sigma is keyed by parameter name, so it applies to any
 v-tied ring of the datum (ParameterSet.v_tied) and no source ring is
 built here.  A case resolves its dependent parameters against a small
-free variable set (the three constrained cases by one rule, _resolved) and
-checks its defining constraint identities exactly, among them that its own
-formula for q_i gives v^{d_i}, the hypothesis of the v-tied proof.  One builder makes sigma and the target ParameterSet
-(q_i = v^{d_i}) from the images, so every verification campaign runs
-unchanged over the target.  The closed form of the K-correction scalars
-c_{i,lam} is verified over a weight window.
+free variable set (the three constrained cases by one rule, _resolved)
+and checks its defining constraint identities exactly, among them that
+its own formula for q_i gives v^{d_i}, the hypothesis of the v-tied
+proof.  One builder makes sigma and the target ParameterSet (q_i =
+v^{d_i}) from the images, so every verification campaign runs unchanged
+over the target.  The closed form of the K-correction scalars c_{i,lam}
+is verified over a weight window.
 """
 
 from __future__ import annotations
@@ -226,6 +227,14 @@ def multi_parameter(rd: RootDatum) -> Specialization:
     return _specialize("multi-param", rd, v, s, t, constraints, {"qmat": qm})
 
 
+def check_order(order, n: int) -> list:
+    """A total order on the index set as 0-based indices; anything but a
+    permutation of them is refused in the 1-based terms of the CLI."""
+    if sorted(order) != list(range(n)):
+        raise SpecializationError("order must be a permutation of 1..%d" % n)
+    return order
+
+
 def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     """The sign-variable specialization with a total order on the index set.
 
@@ -237,10 +246,9 @@ def super_first(rd: RootDatum, order=None, eps=None) -> Specialization:
     """
     cartan = rd.cartan
     n = cartan.n
-    order = list(range(n)) if order is None else order
-    if sorted(order) != list(range(n)):  # 0-based; the message is 1-based, as --order
-        raise SpecializationError("order must be a permutation of 1..%d" % n)
-    rank = {idx: pos for pos, idx in enumerate(order)}
+    if order is None:
+        order = list(range(n))
+    rank = {idx: pos for pos, idx in enumerate(check_order(order, n))}
     if eps is None:
         eps = {}
     for i, j in sorted(eps):
