@@ -29,8 +29,9 @@ inverse is the negation, and a variable declared later has a zero digit.
 Other modules build and read monomials only through Context.mono and
 Context.mono_exps, and only add, subtract or scale them
 (tests/test_variable_names.py).  Display and term order decode the digits
-(mono_key, mono_str).  Building a monomial rejects a scaled exponent of
-magnitude 2^32 or more, which leaves 2^31 products before a digit carries.
+(mono_key, mono_str); a term's text is unit_str, memoised per unit.
+Building a monomial rejects a scaled exponent of magnitude 2^32 or more,
+which leaves 2^31 products before a digit carries.
 That headroom is why a twist character needs no guard when it is
 evaluated: params.twist_character builds its columns through mono, and its
 value at lam (params.character_value) is a sum of |lam|_1 of them.
@@ -110,6 +111,7 @@ class Context:
         self._qint_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
         self._mono_texts: dict = {0: "1"}  # monomial -> display
+        self._unit_texts: dict = {}  # (coeff, monomial) -> display, coeff != 1
         self.one = LaurentPoly(self, {0: 1})
         self.zero = LaurentPoly(self, {})
 
@@ -225,6 +227,26 @@ class Context:
             pieces = self._mono_pieces
             text = self._mono_texts[m] = "*".join(
                 [pieces.get(p) or self._mono_piece(p) for p in self.mono_exps(m)])
+        return text
+
+    def unit_str(self, coeff: Scalar, m: Mono) -> str:
+        """Display of the one-term polynomial coeff * m, the rule of every
+        printed term: the coefficient alone on the monomial 1, the monomial
+        alone or negated for a coefficient 1 or -1, else coeff*monomial.
+        Made once per unit; a coefficient 1 reads mono_str's memo."""
+        if coeff == 1:
+            return self.mono_str(m)
+        key = (coeff, m)
+        text = self._unit_texts.get(key)
+        if text is None:
+            ms = self.mono_str(m)
+            if ms == "1":
+                text = str(coeff)
+            elif coeff == -1:
+                text = "-" + ms
+            else:
+                text = "%s*%s" % (coeff, ms)
+            self._unit_texts[key] = text
         return text
 
     def _mono_piece(self, p) -> str:
@@ -482,21 +504,14 @@ class LaurentPoly:
     # -- display -------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms, unit_str = self.terms, self.ctx.unit_str
+        if len(terms) == 1:
+            # every printed iso scalar is a unit monomial: one memo lookup
+            ((m, c),) = terms.items()
+            return unit_str(c, m)
+        if not terms:
             return "0"
-        parts = []
-        # a single term needs no sort: every printed iso scalar is a unit monomial
-        for m, c in self.sorted_terms() if len(self.terms) > 1 else self.terms.items():
-            ms = self.ctx.mono_str(m)
-            if ms == "1":
-                body = str(c)
-            elif c == 1:
-                body = ms
-            elif c == -1:
-                body = "-" + ms
-            else:
-                body = "%s*%s" % (c, ms)
-            parts.append(body)
+        parts = [unit_str(c, m) for m, c in self.sorted_terms()]
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p

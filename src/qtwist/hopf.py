@@ -187,10 +187,13 @@ def verify_coproduct_powers(ctx: HopfContext, i: int, nmax: int = 4) -> list:
     order, each power extends the memoised E_i^{n-1} by one factor."""
     p = ctx.params
     q, e, k = p.q(i), ("E", i), ("K", i)
+    c, m = q.unit_mono()
     records = []
     for n in range(nmax + 1):
+        # q^{l(n-l)} is a unit: its monomial scaled, one times_unit
         rhs = TensorExpr(p, {((e,) * l + (k,) * (n - l), (e,) * (n - l)):
-                             p.rat(q ** (l * (n - l)) * qbinom(n, l, q)) for l in range(n + 1)})
+                             p.rat(qbinom(n, l, q).times_unit(l * (n - l) * m, c ** (l * (n - l))))
+                             for l in range(n + 1)})
         rec = CheckRecord("coprod-pow:i%d:n%d" % (i + 1, n), "coprod-pow", i, None, None)
         records.append(_compare(rec, delta(ctx, NCExpr.word(p, (e,) * n)), ctx.tnf(rhs)))
     return records

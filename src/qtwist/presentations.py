@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import partial
 from operator import add, sub
 
-from .coeffring import qbinom
-from .ncalg import LinComb, NCExpr, merge_term, word_str
+from .coeffring import RatExpr, qbinom
+from .ncalg import LinComb, NCExpr, word_str
 from .params import ParameterSet, character_value, twist_character
 from .rootdata import RootDatum, Weight
 
@@ -279,8 +279,9 @@ def _modified_relations(rd: RootDatum, sides: tuple, window: list):
                     terms = {ef: one, fe: fe_coeff}
                     if i == j:
                         qn = p.qint_q(rd.lambda_i(lam, i), i)
-                        cc = p.rat(qn.times_unit(*character_value(c_i, lam)))
-                        merge_term(terms, units[lam], -cc)
+                        if qn.terms:
+                            m, k = character_value(c_i, lam)
+                            terms[units[lam]] = RatExpr._normalised(qn.times_unit(m, -k), p.ctx.one)
                     exprs.append(PathExpr(p, terms))
                 yield rel(key + lam_ids[lam], "c", i, j, lam, "", None, tuple(exprs))
 

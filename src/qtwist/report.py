@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
+from operator import attrgetter
 
 PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
 
 _encode_str = json.encoder.encode_basestring_ascii  # C-accelerated when available
+_id = attrgetter("id")
+_status = attrgetter("status")
 
 # One check record of Report.to_json, its keys in sorted order, laid out at
 # the depth of the "checks" list; "witness" goes out only when non-empty.
@@ -78,15 +82,16 @@ class Report:
     def finalize(self) -> "Report":
         """Sort the checks and set elapsed_ms to the wall time since the
         report was made."""
-        self.checks.sort(key=lambda c: c.id)
+        self.checks.sort(key=_id)
         self.elapsed_ms = int((time.monotonic() - self.started) * 1000)
         return self
 
     @property
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "warn": 0}
-        for c in self.checks:
-            counts[c.status] = counts.get(c.status, 0) + 1
+        """Records per status: pass, fail and warn, then any other status in
+        order of first appearance, counted in one pass (Counter)."""
+        counts = {PASS: 0, FAIL: 0, WARN: 0}
+        counts.update(Counter(map(_status, self.checks)))
         return counts
 
     @property

@@ -31,6 +31,15 @@ one shift per word by its scalar over N, with no PathExpr and no fraction
 divided or multiplied.  Only an input that is no unit multiple over shared
 denominators builds the image and compares it as fractions
 (LinComb.multiple_of), with the same N or None.
+
+A passing iso or dp-unit record then carries N as a packed unit (coeff,
+mono).  Its closed form, e(i,lam) f(j,lam-a_i+a_j) for family c and
+e(i,lam)^l s_ii^{l(l+1)/2} (f and t for F) for a divided power, is
+compared with it the same way: the factors' monomials scaled by their
+exponents and multiplied (Context.mono_mul), their coefficients raised, so
+no polynomial product or power is taken.  N's text is the context's
+memoised unit text (Context.unit_str).  Only a failing record builds its
+closed form as a polynomial, for a witness with the same text.
 """
 
 from __future__ import annotations
@@ -177,31 +186,31 @@ class TwistMap:
         """N with forward(x) == N * target, or None, as
         forward(x).multiple_of(target) finds it, without building the image.
 
-        At the reference key, target's largest, the image numerator is x's
+        At the reference key, target's first, the image numerator is x's
         numerator shifted by the word scalar; when target's coefficient there
         is a unit monomial u over the same denominator, N is that numerator
         shifted once more by u's inverse, and the shared denominator
-        cancels.  When N is a unit too, every other key shifts x's
+        cancels.  N is unique, so any key gives the one multiple_of finds at
+        its largest.  When N is a unit too, every other key shifts x's
         numerator by its word scalar over N and compares it with target's
         numerator, which is image == N * target there whenever the two
-        denominators agree.  Any other input (a key mismatch, a zero
-        target, a non-unit reference coefficient or N, differing
-        denominators) goes through forward and multiple_of, so N is
-        structurally the same either way."""
+        denominators agree (the same object, or equal terms).  Any other
+        input (a key mismatch, a zero target, a non-unit reference
+        coefficient or N, differing denominators) goes through forward and
+        multiple_of, so N is structurally the same either way."""
         terms, tterms = x.terms, target.terms
         if tterms and terms.keys() == tterms.keys():
-            ref = max(tterms, key=x._order)
-            a, b = terms[ref], tterms[ref]
-            if a.den.terms == b.den.terms and len(b.num.terms) == 1:
+            items = iter(tterms.items())
+            ref, b = next(items)
+            a = terms[ref]
+            if (a.den is b.den or a.den.terms == b.den.terms) and len(b.num.terms) == 1:
                 image_num = self._image_num
                 n = image_num(ref, a.num, False, b.num.unit_mono())
                 unit = n.unit_mono()
                 if unit is not None:
-                    for w, c in tterms.items():
-                        if w is ref:
-                            continue
+                    for w, c in items:
                         y = terms[w]
-                        if y.den.terms != c.den.terms:
+                        if y.den is not c.den and y.den.terms != c.den.terms:
                             break
                         if image_num(w, y.num, False, unit).terms != c.num.terms:
                             return None
@@ -211,27 +220,49 @@ class TwistMap:
 
 
 def _unit_multiple(rec: CheckRecord, tw: TwistMap, x: PathExpr, target: PathExpr, not_unit: str):
-    """The unit monomial N with forward(x) == N * target, simplified and
-    shown as rec's scalar; or None, with rec FAIL and a witness, when there
-    is no exact multiple (the first word that is not N times the target's)
-    or N is no unit monomial (the not_unit text, formatted with N).
+    """The unit monomial N with forward(x) == N * target, as (coeff, mono),
+    with its text as rec's scalar; or None, with rec FAIL and a witness,
+    when there is no exact multiple (the first word that is not N times the
+    target's) or N is no unit monomial (the not_unit text, formatted with
+    N simplified).
 
-    Simplifying makes at most one exact division: a multiple still carrying
-    a denominator is not a polynomial.  A clean multiple is already a
-    polynomial, as the coefficients it divides share their denominators."""
+    A clean multiple is already a polynomial, as the coefficients it
+    divides share their denominators, so only a multiple still carrying a
+    denominator is simplified, by at most one exact division."""
     n = tw.multiple(x, target)
     if n is None:
         rec.status = FAIL
         rec.witness = "image is not an exact multiple of the target instance: " + (
             tw.forward(x).multiple_witness(target))
         return None
-    simple = n.simplified()
-    rec.scalar = str(simple)
-    if simple.is_poly() and simple.num.unit_mono() is not None:
-        return simple
-    rec.status = FAIL
-    rec.witness = not_unit % simple
-    return None
+    if not n.is_poly():
+        n = n.simplified()
+    unit = n.num.unit_mono() if n.is_poly() else None
+    if unit is None:
+        rec.scalar = str(n)
+        rec.status = FAIL
+        rec.witness = not_unit % n
+        return None
+    rec.scalar = n.ctx.unit_str(*unit)
+    return unit
+
+
+def _check_closed_form(rec: CheckRecord, unit, a, k: int, b, h: int, text: str) -> None:
+    """Check the unit N = (coeff, mono) of a passing record against its
+    closed form a^k b^h, with a and b unit monomials: their monomials
+    scaled by k and h and multiplied (Context.mono_mul), their coefficients
+    raised, and no polynomial built.  A mismatch, or a factor that is not
+    one term, builds the closed form as a polynomial; unless that is N,
+    rec FAILs with text % (closed form, N)."""
+    ua, ub = a.unit_mono(), b.unit_mono()
+    if ua is not None and ub is not None:
+        (ca, ma), (cb, mb) = ua, ub
+        if unit == (ca ** k * cb ** h, a.ctx.mono_mul(k * ma, h * mb)):
+            return
+    expected = a ** k * b ** h
+    if expected.terms != {unit[1]: unit[0]}:
+        rec.status = FAIL
+        rec.witness = text % (expected, rec.scalar)
 
 
 def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Report:
@@ -252,9 +283,8 @@ def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Rep
     """
     rep = Report("iso", datum=rd.name, case=params.label)
     record = partial(_iso_record, TwistMap(rd, params))
-    # the loop names records, not instances: none is held once its record is made
-    for rec in map(record, modified_relations(rd, (params.untwisted(), params), window)):
-        rep.add(rec)
+    # map drops each instance once its record is made, so none is held
+    rep.extend(map(record, modified_relations(rd, (params.untwisted(), params), window)))
     return rep.finalize()
 
 
@@ -270,16 +300,14 @@ def _iso_record(tw: TwistMap, rel) -> CheckRecord:
             rec.witness = "family %s instance is not zero: untwisted %s, twisted %s" % (
                 rel.family, rel.side(0), rel.side(1))
         return rec
-    simple = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
-    if simple is not None and rel.family == "c":
+    unit = _unit_multiple(rec, tw, *rel.exprs, "multiple %s is not a unit monomial")
+    if unit is not None and rel.family == "c":
         # not implied by the exact multiple, which only ties the words'
         # scalars to each other: a rescaling off by the same factor on
         # every word still gives a unit multiple, just the wrong one
         i, j, lam, rd, sc = rel.i, rel.j, rel.lam, tw.rd, tw.scalars
-        expected = sc.e(i, lam) * sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
-        if simple.num != expected:
-            rec.status = FAIL
-            rec.witness = "expected scalar %s, got %s" % (expected, simple)
+        f = sc.f(j, rd.add_root(rd.add_root(lam, i, -1), j, +1))
+        _check_closed_form(rec, unit, sc.e(i, lam), 1, f, 1, "expected scalar %s, got %s")
     return rec
 
 
@@ -306,16 +334,14 @@ def verify_integrality(rd: RootDatum, params: ParameterSet, window, lmax: int = 
                         "dp-unit:%s:i%d:l%d:%s" % (kind, i + 1, l, lam_text(lam)),
                         "dp", i, None, lam,
                     ))
-                    simple = _unit_multiple(
+                    unit = _unit_multiple(
                         rec, tw, divided_power(kind, i, l, lam, rd, params.untwisted()),
                         divided_power(kind, i, l, lam, rd, params), "coefficient %s is not a unit monomial")
-                    if simple is None:
+                    if unit is None:
                         continue
                     scalar, twist = (sc.e, params.s) if kind == "E" else (sc.f, params.t)
-                    expected = scalar(i, lam) ** l * twist(i, i) ** (l * (l + 1) // 2)
-                    if simple.num != expected:
-                        rec.status = FAIL
-                        rec.witness = "closed form %s, got %s" % (expected, simple)
+                    _check_closed_form(rec, unit, scalar(i, lam), l, twist(i, i), l * (l + 1) // 2,
+                                       "closed form %s, got %s")
             gens = [
                 idempotent(rd, params, lam),
                 PathExpr.word(params, PathWord(rd, lam, (("E", i),))),

@@ -916,3 +916,38 @@ def test_mono_str_matches_fraction_rule():
             assert ctx.mono_str(ctx.mono(m)) == _mono_str_by_fraction(ctx, m)
         for m in order:  # the second pass reads each text from the memo
             assert ctx.mono_str(ctx.mono(m)) == _mono_str_by_fraction(ctx, m)
+
+
+def _term_by_rule(coeff, mono_text):
+    """The display rule of one term: the coefficient alone on the monomial
+    1, the monomial alone or negated for 1 or -1, else coeff*monomial."""
+    if mono_text == "1":
+        return str(coeff)
+    if coeff == 1:
+        return mono_text
+    if coeff == -1:
+        return "-" + mono_text
+    return "%s*%s" % (coeff, mono_text)
+
+
+def test_unit_text_matches_the_term_rule():
+    """str of a one-term polynomial, memoised per context, is the term rule
+    on its first render and on a memo hit: coefficients 1, -1, 2 and -1/2 on
+    the monomial 1, v^(1/2), a sign variable and a product, rendered in two
+    orders by two fresh contexts."""
+    units = [(c, m, text) for c in (1, -1, 2, Fraction(-1, 2))
+             for m, text in (((), "1"), (((0, 1),), "v^(1/2)"), (((2, 1),), "g"),
+                             (((0, 3), (1, -2), (2, 1)), "v^(3/2)*w^-2*g"))]
+    for order in (units, units[::-1]):
+        ctx = Context()
+        ctx.laurent("v", denom=2)
+        ctx.laurent("w")
+        ctx.sign("g")
+        polys = [(LaurentPoly(ctx, {ctx.mono(m): c}), _term_by_rule(c, text))
+                 for c, m, text in order]
+        for poly, want in polys + polys:  # the second pass reads the memo
+            assert str(poly) == want
+    assert [_term_by_rule(c, "v^(1/2)") for c in (1, -1, 2, Fraction(-1, 2))] == [
+        "v^(1/2)", "-v^(1/2)", "2*v^(1/2)", "-1/2*v^(1/2)"]
+    assert str(LaurentPoly(ctx, {ctx.mono({0: 1}): 2, ctx.mono({2: 1}): Fraction(-1, 2)})) == (
+        "2*v^(1/2) - 1/2*g")

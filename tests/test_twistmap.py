@@ -353,6 +353,26 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
     assert calls["RatExpr.__truediv__"] == calls["RatExpr.__mul__"] == 0
 
 
+def test_clean_iso_records_take_no_polynomial_product(monkeypatch):
+    """A passing iso or dp-unit record compares its unit multiple N with its
+    closed form as packed units and prints N from the context's memo: with
+    the a2 box-1 instances built, the iso and integrality campaigns make no
+    polynomial product or power."""
+    rd = rootdata.builtin("a2")
+    p = ParameterSet.v_tied(rd.cartan)
+    window = rd.weights_box(1)
+    built = list(modified_relations(rd, (p.untwisted(), p), window))
+    monkeypatch.setattr(twistmap, "modified_relations", lambda *args: built)
+    calls = collections.Counter()
+    for name in ("__mul__", "__pow__", "unit_pow"):
+        _spy(monkeypatch, calls, LaurentPoly, name)
+    iso, integrality = (verify_twist_isomorphism(rd, p, window),
+                        verify_integrality(rd, p, window))
+    assert iso.summary == {"pass": 459, "fail": 0, "warn": 0}
+    assert integrality.summary == {"pass": 702, "fail": 0, "warn": 0}
+    assert sum(calls.values()) == 0, calls
+
+
 def _assert_same_multiple(tw, x, target):
     """TwistMap.multiple(x, target) is forward(x).multiple_of(target),
     structurally: the same num and den terms, or both None.  Returns it."""
