@@ -29,7 +29,7 @@ inverse is the negation, and a variable declared later has a zero digit.
 Other modules build and read monomials only through Context.mono and
 Context.mono_exps, and only add, subtract or scale them
 (tests/test_variable_names.py).  Display and term order decode the digits
-(mono_key, mono_str); a term's text is unit_str, memoised per unit.
+(mono_key, mono_str); a term's text is unit_str, from mono_str's memo.
 Building a monomial rejects a scaled exponent of magnitude 2^32 or more,
 which leaves 2^31 products before a digit carries.
 That headroom is why a twist character needs no guard when it is
@@ -111,7 +111,6 @@ class Context:
         self._qint_cache: dict = {}
         self._mono_pieces: dict = {}  # (index, scaled exponent) -> display
         self._mono_texts: dict = {0: "1"}  # monomial -> display
-        self._unit_texts: dict = {}  # (coeff, monomial) -> display, coeff != 1
         self.one = LaurentPoly(self, {0: 1})
         self.zero = LaurentPoly(self, {})
 
@@ -233,21 +232,15 @@ class Context:
         """Display of the one-term polynomial coeff * m, the rule of every
         printed term: the coefficient alone on the monomial 1, the monomial
         alone or negated for a coefficient 1 or -1, else coeff*monomial.
-        Made once per unit; a coefficient 1 reads mono_str's memo."""
+        The monomial's text is mono_str's memo."""
+        ms = self.mono_str(m)
         if coeff == 1:
-            return self.mono_str(m)
-        key = (coeff, m)
-        text = self._unit_texts.get(key)
-        if text is None:
-            ms = self.mono_str(m)
-            if ms == "1":
-                text = str(coeff)
-            elif coeff == -1:
-                text = "-" + ms
-            else:
-                text = "%s*%s" % (coeff, ms)
-            self._unit_texts[key] = text
-        return text
+            return ms
+        if ms == "1":
+            return str(coeff)
+        if coeff == -1:
+            return "-" + ms
+        return "%s*%s" % (coeff, ms)
 
     def _mono_piece(self, p) -> str:
         """Display of one (variable index, scaled exponent) pair, made once."""
@@ -506,7 +499,7 @@ class LaurentPoly:
     def __str__(self):
         terms, unit_str = self.terms, self.ctx.unit_str
         if len(terms) == 1:
-            # every printed iso scalar is a unit monomial: one memo lookup
+            # every printed iso scalar is a unit monomial: no sort
             ((m, c),) = terms.items()
             return unit_str(c, m)
         if not terms:

@@ -37,9 +37,9 @@ mono).  Its closed form, e(i,lam) f(j,lam-a_i+a_j) for family c and
 e(i,lam)^l s_ii^{l(l+1)/2} (f and t for F) for a divided power, is
 compared with it the same way: the factors' monomials scaled by their
 exponents and multiplied (Context.mono_mul), their coefficients raised, so
-no polynomial product or power is taken.  N's text is the context's
-memoised unit text (Context.unit_str).  Only a failing record builds its
-closed form as a polynomial, for a witness with the same text.
+no polynomial product or power is taken.  N's text is Context.unit_str,
+the display rule of one term.  Only a failing record builds its closed
+form as a polynomial, for a witness with the same text.
 """
 
 from __future__ import annotations
@@ -186,12 +186,11 @@ class TwistMap:
         """N with forward(x) == N * target, or None, as
         forward(x).multiple_of(target) finds it, without building the image.
 
-        At the reference key, target's first, the image numerator is x's
+        At the reference key, target's largest, the image numerator is x's
         numerator shifted by the word scalar; when target's coefficient there
         is a unit monomial u over the same denominator, N is that numerator
         shifted once more by u's inverse, and the shared denominator
-        cancels.  N is unique, so any key gives the one multiple_of finds at
-        its largest.  When N is a unit too, every other key shifts x's
+        cancels.  When N is a unit too, every other key shifts x's
         numerator by its word scalar over N and compares it with target's
         numerator, which is image == N * target there whenever the two
         denominators agree (the same object, or equal terms).  Any other
@@ -200,15 +199,16 @@ class TwistMap:
         multiple_of, so N is structurally the same either way."""
         terms, tterms = x.terms, target.terms
         if tterms and terms.keys() == tterms.keys():
-            items = iter(tterms.items())
-            ref, b = next(items)
-            a = terms[ref]
+            ref = max(tterms, key=x._order)
+            a, b = terms[ref], tterms[ref]
             if (a.den is b.den or a.den.terms == b.den.terms) and len(b.num.terms) == 1:
                 image_num = self._image_num
                 n = image_num(ref, a.num, False, b.num.unit_mono())
                 unit = n.unit_mono()
                 if unit is not None:
-                    for w, c in items:
+                    for w, c in tterms.items():
+                        if w is ref:
+                            continue
                         y = terms[w]
                         if y.den is not c.den and y.den.terms != c.den.terms:
                             break
@@ -251,18 +251,14 @@ def _check_closed_form(rec: CheckRecord, unit, a, k: int, b, h: int, text: str) 
     """Check the unit N = (coeff, mono) of a passing record against its
     closed form a^k b^h, with a and b unit monomials: their monomials
     scaled by k and h and multiplied (Context.mono_mul), their coefficients
-    raised, and no polynomial built.  A mismatch, or a factor that is not
-    one term, builds the closed form as a polynomial; unless that is N,
-    rec FAILs with text % (closed form, N)."""
+    raised, and no polynomial built.  On a mismatch, or a factor that is
+    not one term, rec FAILs with text % (closed form, N), the closed form
+    built as a polynomial for the witness only."""
     ua, ub = a.unit_mono(), b.unit_mono()
-    if ua is not None and ub is not None:
-        (ca, ma), (cb, mb) = ua, ub
-        if unit == (ca ** k * cb ** h, a.ctx.mono_mul(k * ma, h * mb)):
-            return
-    expected = a ** k * b ** h
-    if expected.terms != {unit[1]: unit[0]}:
+    if ua is None or ub is None or unit != (
+            ua[0] ** k * ub[0] ** h, a.ctx.mono_mul(k * ua[1], h * ub[1])):
         rec.status = FAIL
-        rec.witness = text % (expected, rec.scalar)
+        rec.witness = text % (a ** k * b ** h, rec.scalar)
 
 
 def verify_twist_isomorphism(rd: RootDatum, params: ParameterSet, window) -> Report:

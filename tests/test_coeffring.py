@@ -931,10 +931,10 @@ def _term_by_rule(coeff, mono_text):
 
 
 def test_unit_text_matches_the_term_rule():
-    """str of a one-term polynomial, memoised per context, is the term rule
-    on its first render and on a memo hit: coefficients 1, -1, 2 and -1/2 on
-    the monomial 1, v^(1/2), a sign variable and a product, rendered in two
-    orders by two fresh contexts."""
+    """str of a one-term polynomial is the term rule on its first render
+    and when its monomial's text is read from mono_str's memo: coefficients
+    1, -1, 2 and -1/2 on the monomial 1, v^(1/2), a sign variable and a
+    product, rendered in two orders by two fresh contexts."""
     units = [(c, m, text) for c in (1, -1, 2, Fraction(-1, 2))
              for m, text in (((), "1"), (((0, 1),), "v^(1/2)"), (((2, 1),), "g"),
                              (((0, 3), (1, -2), (2, 1)), "v^(3/2)*w^-2*g"))]
@@ -945,7 +945,7 @@ def test_unit_text_matches_the_term_rule():
         ctx.sign("g")
         polys = [(LaurentPoly(ctx, {ctx.mono(m): c}), _term_by_rule(c, text))
                  for c, m, text in order]
-        for poly, want in polys + polys:  # the second pass reads the memo
+        for poly, want in polys + polys:  # the second pass reads mono_str's memo
             assert str(poly) == want
     assert [_term_by_rule(c, "v^(1/2)") for c in (1, -1, 2, Fraction(-1, 2))] == [
         "v^(1/2)", "-v^(1/2)", "2*v^(1/2)", "-1/2*v^(1/2)"]

@@ -355,8 +355,8 @@ def test_map_and_unit_multiples_shift_exponents(monkeypatch):
 
 def test_clean_iso_records_take_no_polynomial_product(monkeypatch):
     """A passing iso or dp-unit record compares its unit multiple N with its
-    closed form as packed units and prints N from the context's memo: with
-    the a2 box-1 instances built, the iso and integrality campaigns make no
+    closed form as packed units and prints N by the one-term rule: with the
+    a2 box-1 instances built, the iso and integrality campaigns make no
     polynomial product or power."""
     rd = rootdata.builtin("a2")
     p = ParameterSet.v_tied(rd.cartan)
@@ -428,6 +428,23 @@ def test_multiple_matches_forward_then_multiple_of(name, case):
         for target in _perturbed(tgt.expr, v):
             missing += _assert_same_multiple(tw, su.expr, target) is None
     assert found >= 9 and missing > 2 * found
+
+
+def test_multiple_reads_the_largest_word_when_the_first_is_a_unit(a2):
+    """A target whose first word's coefficient is a unit and whose largest
+    word's is not: multiple_of divides at the largest word and keeps the
+    fraction (v^2 + v)/(v + 1), and TwistMap.multiple gives that same
+    fraction, not the simplified v a first-word reference would give."""
+    rd, p = a2
+    tw = TwistMap(rd, p)
+    v = p.v()
+    lam = rd.zero_weight()
+    small, large = sorted((PathWord(rd, lam, (("E", i),)) for i in rd.index_set),
+                          key=PathExpr._order)
+    target = PathExpr(p, {small: p.rat(1), large: p.rat(1 + v)})
+    assert next(iter(target.terms)) is small
+    n = _assert_same_multiple(tw, tw.backward(target.scale(v)), target)
+    assert n.den.terms == (1 + v).terms and n.simplified() == p.rat(v)
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "g2"])
