@@ -249,14 +249,14 @@ def _unit_multiple(rec: CheckRecord, tw: TwistMap, x: PathExpr, target: PathExpr
 
 def _check_closed_form(rec: CheckRecord, unit, a, k: int, b, h: int, text: str) -> None:
     """Check the unit N = (coeff, mono) of a passing record against its
-    closed form a^k b^h, with a and b unit monomials: their monomials
-    scaled by k and h and multiplied (Context.mono_mul), their coefficients
-    raised, and no polynomial built.  On a mismatch, or a factor that is
-    not one term, rec FAILs with text % (closed form, N), the closed form
-    built as a polynomial for the witness only."""
-    ua, ub = a.unit_mono(), b.unit_mono()
-    if ua is None or ub is None or unit != (
-            ua[0] ** k * ub[0] ** h, a.ctx.mono_mul(k * ua[1], h * ub[1])):
+    closed form a^k b^h: the factors' monomials scaled by k and h and
+    multiplied (Context.mono_mul), their coefficients raised, and no
+    polynomial built.  a and b are unit monomials, as TwistScalars refuses
+    parameters s_ij, t_ij that are not (params.twist_character).  On a
+    mismatch rec FAILs with text % (closed form, N), the closed form built
+    as a polynomial for the witness only."""
+    (ca, ma), (cb, mb) = a.unit_mono(), b.unit_mono()
+    if unit != (ca ** k * cb ** h, a.ctx.mono_mul(k * ma, h * mb)):
         rec.status = FAIL
         rec.witness = text % (a ** k * b ** h, rec.scalar)
 
